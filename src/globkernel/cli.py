@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -33,22 +32,11 @@ class RunConfig:
     max_width: int = 3
     max_dim: int = 3
     max_n: int = 4
-    threads: int = 1
     output: str | None = None
 
     def __post_init__(self):
         if self.cap < 1 or self.max_width < 1 or self.max_n < 1:
             raise KernelError("bounds must be >= 1")
-        if self.threads < 1:
-            raise KernelError("GLOB_KERNEL_THREADS must be >= 1")
-
-
-def _env_threads() -> int:
-    raw = os.environ.get("GLOB_KERNEL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load_structure(path: str) -> omega.OmegaStructure:
@@ -78,13 +66,12 @@ def cmd_check(args) -> int:
         axioms=omega.AxiomFlags.parse(args.axioms),
         fmt=args.format,
         cap=args.cap,
-        threads=_env_threads(),
     )
     x = _load_structure(args.file)
     results = []
     structure = omega.check_structure(x, cap=cfg.cap)
     results.extend(_violations_to_results("structure", structure.violations))
-    by_axiom = omega.check_all(x, cfg.axioms, cap=cfg.cap, workers=cfg.threads)
+    by_axiom = omega.check_all(x, cfg.axioms, cap=cfg.cap)
     for name, violations in by_axiom.items():
         results.extend(_violations_to_results(f"axiom:{name}", violations))
     _emit(results, cfg.fmt)
@@ -108,14 +95,13 @@ def cmd_decalage(args) -> int:
         cap=args.cap,
         max_width=args.max_width,
         max_dim=args.max_dim,
-        threads=_env_threads(),
     )
     x = _load_structure(args.file)
     if not x.has_inverses:
         print("input error: decalage sweeps need a structure with inverses", file=sys.stderr)
         return EXIT_INPUT
     structure = omega.check_structure(x, cap=cfg.cap)
-    axioms = omega.check_all(x, omega.FULL_FLAGS, cap=cfg.cap, workers=cfg.threads)
+    axioms = omega.check_all(x, omega.FULL_FLAGS, cap=cfg.cap)
     if structure.violations or not omega.all_clean(axioms):
         print("input error: structure fails its own axiom suite; fix it first", file=sys.stderr)
         return EXIT_INPUT
@@ -142,10 +128,11 @@ def cmd_decalage(args) -> int:
 def cmd_delta(args) -> int:
     cfg = RunConfig(fmt=args.format, max_n=args.max_n)
     gens = decalage.standard_generators()
-    for name in ("comp", "unit", "inv"):
-        plain = gens[name]
-        shifted = gens[f"{name}_shift"]
-        print(f"{name}: {plain}   shift: {shifted}")
+    if cfg.fmt == "text":
+        for name in ("comp", "unit", "inv"):
+            plain = gens[name]
+            shifted = gens[f"{name}_shift"]
+            print(f"{name}: {plain}   shift: {shifted}")
     results = decalage.check_shift_decalage(cfg.max_n)
 
     shift_matches = [
@@ -248,8 +235,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except UnicodeDecodeError as exc:
+        print(f"input error: not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except json.JSONDecodeError as exc:
         print(f"input error: invalid JSON: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ order everywhere, so output is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DimOutOfRange,
@@ -70,12 +70,19 @@ class GlobularSet:
 
     ``src[i]`` and ``tgt[i]`` are the boundary maps ``X_i -> X_{i-1}`` for
     ``1 <= i <= truncation``; index 0 holds an empty placeholder.
+    ``index[i]`` interns the ``i``-cells: it maps each name to its position
+    in ``cells[i]``, the dense id the integer tables use.
     """
 
     truncation: int
     cells: tuple[tuple[str, ...], ...]
     src: tuple[dict[str, str], ...]
     tgt: tuple[dict[str, str], ...]
+    index: tuple[dict[str, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index = tuple({u: k for k, u in enumerate(layer)} for layer in self.cells)
+        object.__setattr__(self, "index", index)
 
     def check_dim(self, i: int) -> int:
         if not 0 <= i <= self.truncation:
@@ -86,7 +93,7 @@ class GlobularSet:
 
     def has_cell(self, i: int, u: str) -> bool:
         self.check_dim(i)
-        return u in self.cells[i]
+        return u in self.index[i]
 
     def source(self, i: int, u: str) -> str:
         self.check_dim(i)
@@ -105,7 +112,7 @@ class GlobularSet:
         self.check_dim(i)
         if not 0 <= j <= i:
             raise DimOutOfRange(f"boundary target dimension {j} outside 0..{i}")
-        if u not in self.cells[i]:
+        if u not in self.index[i]:
             raise MissingCell(f"{u!r} is not a {i}-cell")
         if kind not in (SRC, TGT):
             raise ValidationError(f"boundary kind must be 'src' or 'tgt', got {kind!r}")

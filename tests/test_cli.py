@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +73,35 @@ def test_missing_file_exit_two(capsys):
     assert run(["check", "/no/such/file.json"]) == 2
 
 
+def _bad_input(tmp_path, case):
+    data = omega.omega_to_json(fixtures.delooping(fixtures.cyclic_table(2), 2))
+    path = tmp_path / "bad.json"
+    if case == "comp-list":
+        data["comp"] = list(data["comp"].values())
+    elif case == "unit-entry":
+        data["unit"][0] = "0"
+    elif case == "directory":
+        return tmp_path
+    elif case == "not-utf8":
+        path.write_bytes(json.dumps(data).encode("utf-16"))
+        return path
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("case", ["comp-list", "unit-entry", "directory", "not-utf8"])
+def test_bad_input_exit_two_without_traceback(tmp_path, case):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "globkernel.cli", "check", str(_bad_input(tmp_path, case))],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "input error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_twist_pipeline(tmp_path, z2_file, capsys):
     out_path = tmp_path / "z2_twist.json"
     assert run(["twist", str(z2_file), "-o", str(out_path)]) == 0
@@ -119,6 +152,13 @@ def test_delta_command(capsys):
     assert "comp: [1]->[2](0>0,1>2)" in out
     assert "CHECK shift-composition" in out
     assert "CHECK shift-generators comp PASS" in out
+
+
+def test_delta_json_parses(capsys):
+    assert run(["delta", "--max-n", "2", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload[0] == {"check": "shift-generators", "scope": "comp",
+                          "status": "PASS", "witness": None}
 
 
 def test_fixture_command_suspension(tmp_path, capsys):

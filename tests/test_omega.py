@@ -279,9 +279,29 @@ def test_cap_limits_violations(z3):
     assert len(full) > 1
 
 
-def test_check_all_workers_match_serial(fixture_corpus):
-    x = fixture_corpus["delooping_s3_3"]
-    assert check_all(x, FULL_FLAGS, workers=1) == check_all(x, FULL_FLAGS, workers=4)
+def test_report_truncated_exactly_when_more_than_cap(z3):
+    bad = with_comp_fault(z3, 1, 0, "1", "1", "0")
+    total = len(check_structure(bad, cap=1000).violations)
+    assert total >= 2
+    assert check_structure(bad, cap=1).truncated
+    assert check_structure(bad, cap=total - 1).truncated
+    assert not check_structure(bad, cap=total).truncated
+    capped = omega.axiom_report(bad, ASSOC, cap=1)
+    assert capped.truncated and len(capped.violations) == 1
+    total = len(check_axiom(bad, ASSOC, cap=1000))
+    assert not omega.axiom_report(bad, ASSOC, cap=total).truncated
+
+
+def test_entry_on_pair_that_does_not_compose_is_not_evaluable():
+    # the unit over "a" is the loop "b", which does not compose with "a";
+    # an entry for ("b", "a") must not make the left unit law look evaluable
+    x = fixtures.discrete(("a", "b"), 1)
+    comp = {key: dict(table) for key, table in x.comp.items()}
+    comp[(1, 0)][("b", "a")] = "a"
+    bad = rebuild(x, comp=comp, unit_tables=[{"a": "b", "b": "b"}])
+    (violation,) = check_axiom(bad, LEFT_UNIT, (1, 0))
+    assert violation.witness == ("a",)
+    assert violation.detail.startswith("not evaluable: s^1_0(b) = b but t^1_0(a) = a")
 
 
 # -- fault injection: each axiom's checker catches its own fault ------------------
