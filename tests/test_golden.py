@@ -1,9 +1,13 @@
-"""Byte-for-byte snapshots of ``check`` output, in text and JSON.
+"""Byte-for-byte snapshots of ``check``, ``twist`` and ``decalage`` output.
 
-The snapshots in ``golden/`` cover the fixture corpus and the fault-injected
-tables of acceptance criterion 3.  They pin the verdict lines, the first
-witness of every failing sweep and its detail text.  Regenerate them only for
-an intended change of output::
+The ``check`` snapshots in ``golden/`` cover the fixture corpus and the
+fault-injected tables of acceptance criterion 3, in text and JSON.  They pin
+the verdict lines, the first witness of every failing sweep and its detail
+text.  The ``twist`` snapshots are the files ``twist`` writes for each corpus
+structure and for a chain twisted twice; they pin every cell name, table
+entry and key order of the twisted complex.  The ``decalage`` snapshots are
+its text output on the corpus.  Regenerate them only for an intended change
+of output::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from globkernel import cli, omega
+from globkernel import cli, fixtures, omega
 
 from conftest import corpus
 
@@ -76,6 +80,35 @@ def render(x, fmt: str) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+# twist inputs: the corpus, and delooping Z/3 at truncation 4 twisted twice
+TWIST_CASES = dict(corpus(), delooping_z3_4=fixtures.delooping(fixtures.cyclic_table(3), 4))
+TWIST_DEPTH = {"delooping_z3_4": 2}
+
+
+def render_twist(x, depth: int) -> bytes:
+    """The bytes of the file ``twist`` writes after ``depth`` rounds on ``x``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "k0.json"
+        path.write_text(json.dumps(omega.omega_to_json(x)), encoding="utf-8")
+        for k in range(1, depth + 1):
+            out = Path(tmp) / f"k{k}.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["twist", str(path), "-o", str(out)]) == 0
+            path = out
+        return path.read_bytes()
+
+
+def render_decalage(x) -> tuple[int, str]:
+    """Exit code and text output of ``decalage`` at the deepest admissible ``--max-dim``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.json"
+        path.write_text(json.dumps(omega.omega_to_json(x)), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["decalage", str(path), "--max-dim", str(x.truncation - 1)])
+    return code, out.getvalue()
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_check_output_matches_snapshot(name, fmt):
@@ -85,9 +118,27 @@ def test_check_output_matches_snapshot(name, fmt):
     assert code == (1 if "FAIL" in want else 0)
 
 
+@pytest.mark.parametrize("name", sorted(TWIST_CASES))
+def test_twist_file_matches_snapshot(name):
+    got = render_twist(TWIST_CASES[name], TWIST_DEPTH.get(name, 1))
+    assert got == (GOLDEN / f"twist_{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(corpus()))
+def test_decalage_output_matches_snapshot(name):
+    code, stdout = render_decalage(CASES[name])
+    want = (GOLDEN / f"decalage_{name}.text").read_text(encoding="utf-8")
+    assert stdout == want
+    assert code == (1 if "FAIL" in want else 0)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, x in CASES.items():
         for fmt in FORMATS:
             (GOLDEN / f"{name}.{fmt}").write_text(render(x, fmt)[1], encoding="utf-8")
+    for name, x in TWIST_CASES.items():
+        (GOLDEN / f"twist_{name}.json").write_bytes(render_twist(x, TWIST_DEPTH.get(name, 1)))
+    for name, x in corpus().items():
+        (GOLDEN / f"decalage_{name}.text").write_text(render_decalage(x)[1], encoding="utf-8")
     sys.exit(0)
