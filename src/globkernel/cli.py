@@ -37,6 +37,8 @@ class RunConfig:
     def __post_init__(self):
         if self.cap < 1 or self.max_width < 1 or self.max_n < 1:
             raise KernelError("bounds must be >= 1")
+        if self.max_dim < 0:
+            raise KernelError("--max-dim must be >= 0")
 
 
 def _load_structure(path: str) -> omega.OmegaStructure:
@@ -56,9 +58,7 @@ def _emit(results: list[report.CheckResult], fmt: str, out=None) -> None:
 
 
 def _violations_to_results(kind: str, violations) -> list[report.CheckResult]:
-    if not violations:
-        return [report.passed(kind, "all")]
-    return [report.failed(kind, "all", [str(v) for v in violations])]
+    return [report.verdict(kind, "all", [str(v) for v in violations])]
 
 
 def cmd_check(args) -> int:

@@ -36,11 +36,12 @@ from .globular import (
     globular_tuple,
 )
 from .omega import OmegaStructure, compose, iter_unit, unit
-from .report import CheckResult, failed, passed
+from .report import CheckResult, failed, verdict
 from .twist import (
     MixedTuple,
     TwistedCell,
     TwistedSegment,
+    check_seam,
     iter_twisted_unit,
     twisted_boundary,
     twisted_cell,
@@ -103,28 +104,11 @@ def unit_lift_tuple(x: OmegaStructure, table: TableOfDimensions, gtuple: Globula
         unit_lift_segment(x, table.inner[l] + 1, table.outer[l + 1], gtuple.entries[l + 1])
         for l in range(table.width - 1)
     )
-    mixed = MixedTuple(table, head, segments)
-    _validate_mixed_seams(x, mixed)
-    return mixed
-
-
-def _validate_mixed_seams(x: OmegaStructure, mixed: MixedTuple) -> None:
-    table = mixed.table
-    prev_top = mixed.head.top()
-    prev_top_dim = mixed.head.level + 1
-    for l, segment in enumerate(mixed.segments):
-        seam = table.inner[l]
-        first_dim = segment.low + 1
-        left = x.base.boundary("src", prev_top_dim, seam, prev_top)
-        right = x.base.boundary("tgt", first_dim, seam, segment.entries[0])
-        if left != right:
-            raise GluingViolation(
-                l + 1,
-                f"s^{prev_top_dim}_{seam}({prev_top}) = {left} but "
-                f"t^{first_dim}_{seam}({segment.entries[0]}) = {right}",
-            )
-        prev_top = segment.entries[-1]
-        prev_top_dim = segment.high + 1
+    top, top_dim = head.top(), head.level + 1
+    for l, segment in enumerate(segments):
+        check_seam(x, l + 1, table.inner[l], top_dim, top, segment.low + 1, segment.entries[0])
+        top, top_dim = segment.entries[-1], segment.high + 1
+    return MixedTuple(table, head, segments)
 
 
 def apex_tuple(x: OmegaStructure, mixed: MixedTuple) -> GlobularTuple:
@@ -153,8 +137,7 @@ def check_section(x: OmegaStructure, table: TableOfDimensions) -> CheckResult:
             continue
         if back != gtuple:
             failures.append(f"{gtuple.entries} -> {back.entries}")
-    name = "section"
-    return failed(name, str(table), failures) if failures else passed(name, str(table))
+    return verdict("section", str(table), failures)
 
 
 def check_sections(x: OmegaStructure, max_width: int, max_dim: int) -> list[CheckResult]:
@@ -181,10 +164,7 @@ def check_apex_naturality(x: OmegaStructure) -> list[CheckResult]:
             if apex_source(x, twisted_target(x, cell)) != x.base.tgt[i][a_cell]:
                 failures.append(f"tgt side at {cell.entries}")
         scope = f"level={i}"
-        results.append(
-            failed("apex-naturality", scope, failures)
-            if failures else passed("apex-naturality", scope)
-        )
+        results.append(verdict("apex-naturality", scope, failures))
     return results
 
 
@@ -200,10 +180,7 @@ def check_endpoint_naturality(x: OmegaStructure) -> list[CheckResult]:
             if base_endpoint(x, twisted_target(x, cell)) != b_cell:
                 failures.append(f"tgt side at {cell.entries}")
         scope = f"level={i}"
-        results.append(
-            failed("endpoint-naturality", scope, failures)
-            if failures else passed("endpoint-naturality", scope)
-        )
+        results.append(verdict("endpoint-naturality", scope, failures))
     return results
 
 
@@ -280,10 +257,7 @@ def check_unit_closed_forms(x: OmegaStructure) -> list[CheckResult]:
                 except _EVAL_ERRORS as exc:
                     failures.append(f"{cell.entries}: {exc}")
             scope = f"i={i},j={j}"
-            results.append(
-                failed("unit-closed-form", scope, failures)
-                if failures else passed("unit-closed-form", scope)
-            )
+            results.append(verdict("unit-closed-form", scope, failures))
     return results
 
 
@@ -439,17 +413,11 @@ def check_shift_decalage(max_n: int, cap: int = 100) -> list[CheckResult]:
         if shift_map(identity_map(n)) != identity_map(n + 1)
     ]
     scope = f"n<={max_n}"
-    results.append(
-        failed("shift-identity", scope, id_failures)
-        if id_failures else passed("shift-identity", scope)
-    )
+    results.append(verdict("shift-identity", scope, id_failures))
 
     comp_failures = _composition_sweep(max_n, cap)
     scope = f"m,n,p<={max_n}"
-    results.append(
-        failed("shift-composition", scope, comp_failures)
-        if comp_failures else passed("shift-composition", scope)
-    )
+    results.append(verdict("shift-composition", scope, comp_failures))
 
     incl_failures = []
     point_failures = []
@@ -463,14 +431,8 @@ def check_shift_decalage(max_n: int, cap: int = 100) -> list[CheckResult]:
                 if compose_maps(shift_map(phi), base_point(m)) != base_point(n):
                     point_failures.append(str(phi))
     scope = f"m,n<={max_n}"
-    results.append(
-        failed("shift-inclusion-square", scope, incl_failures)
-        if incl_failures else passed("shift-inclusion-square", scope)
-    )
-    results.append(
-        failed("shift-point-square", scope, point_failures)
-        if point_failures else passed("shift-point-square", scope)
-    )
+    results.append(verdict("shift-inclusion-square", scope, incl_failures))
+    results.append(verdict("shift-point-square", scope, point_failures))
 
     retr_failures = [
         f"n={n}"
@@ -478,8 +440,5 @@ def check_shift_decalage(max_n: int, cap: int = 100) -> list[CheckResult]:
         if compose_maps(clamp_retraction(n), top_inclusion(n)) != identity_map(n)
     ]
     scope = f"n<={max_n}"
-    results.append(
-        failed("shift-retraction", scope, retr_failures)
-        if retr_failures else passed("shift-retraction", scope)
-    )
+    results.append(verdict("shift-retraction", scope, retr_failures))
     return results

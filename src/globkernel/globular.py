@@ -10,11 +10,18 @@ heights ``i_k``, consecutive-leaf meet heights ``i'_k``).
 
 All values are immutable after validation; enumeration order is declaration
 order everywhere, so output is deterministic.
+
+Glued tuples of every kind (globular products here, axiom instances in
+``omega``, twisted cells and their products in ``twist``) are enumerated by
+one joiner, :func:`_glued`, over links built by :func:`_link` from boundary
+arrays of dense cell ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     DimOutOfRange,
@@ -72,6 +79,7 @@ class GlobularSet:
     ``1 <= i <= truncation``; index 0 holds an empty placeholder.
     ``index[i]`` interns the ``i``-cells: it maps each name to its position
     in ``cells[i]``, the dense id the integer tables use.
+    :meth:`boundary_ids` gives the boundary maps over those ids.
     """
 
     truncation: int
@@ -83,6 +91,7 @@ class GlobularSet:
     def __post_init__(self):
         index = tuple({u: k for k, u in enumerate(layer)} for layer in self.cells)
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_boundary_ids", {})
 
     def check_dim(self, i: int) -> int:
         if not 0 <= i <= self.truncation:
@@ -123,6 +132,21 @@ class GlobularSet:
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cells)
+
+    def boundary_ids(self, kind: str, i: int, j: int) -> np.ndarray:
+        """The iterated boundary from dimension ``i`` down to ``j`` as an int32
+        array over the ``i``-cell ids, built once; -1 where a map has no cell."""
+        if i == j:
+            return np.arange(len(self.cells[i]), dtype=np.int32)
+        memo = self._boundary_ids
+        key = (kind, i, j)
+        if key not in memo:
+            table = (self.src if kind == SRC else self.tgt)[i]
+            below = self.index[i - 1]
+            face = np.array([below.get(table.get(u), -1) for u in self.cells[i]],
+                            dtype=np.int32)
+            memo[key] = _gather(self.boundary_ids(kind, i - 1, j), face)
+        return memo[key]
 
 
 def validate_globular_set(cells, src, tgt) -> GlobularSet:
@@ -205,6 +229,71 @@ def globular_set_from_json(data: dict) -> GlobularSet:
             f"declared truncation {declared} but {len(cells)} cell layers"
         )
     return gs
+
+
+# -- the joiner for glued tuples -------------------------------------------------
+
+# Glued tuples produced per numpy pass: bounds the memory of an enumeration.
+_CHUNK = 1 << 13
+
+
+def _gather(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``table[ids]``, with -1 wherever ``ids`` is -1."""
+    if not table.size:
+        return np.full(ids.shape, -1, dtype=np.int32)
+    return np.where(ids < 0, -1, table[ids])
+
+
+def _link(left: np.ndarray, right: np.ndarray):
+    """Join each id ``a`` to the ids ``b`` with ``left[a] == right[b]``.
+
+    Returns ``(order, lo, count)``: the matches of ``a`` are
+    ``order[lo[a] : lo[a] + count[a]]``, in increasing order of ``b``.  The
+    ``right`` keys are boundaries, never -1, so a ``left`` key of -1 (a
+    boundary that is no cell) matches nothing.
+    """
+    order = np.argsort(right, kind="stable").astype(np.int32)
+    ends = right[order]
+    lo = np.searchsorted(ends, left, "left")
+    return order, lo, np.searchsorted(ends, left, "right") - lo
+
+
+def _glued(first: np.ndarray, links):
+    """Glued tuples of ids, lexicographic, in blocks of about ``_CHUNK`` rows.
+
+    Column 0 runs over ``first``; link ``k`` (see :func:`_link`) extends a
+    row ending in ``a`` by each match of ``a``.
+    """
+    def extend(rows: np.ndarray, k: int):
+        if k == len(links):
+            yield rows
+            return
+        order, lo, count = links[k]
+        last = rows[:, -1]
+        counts = count[last]
+        ends = np.cumsum(counts)
+        start = 0
+        while start < len(rows):
+            done = ends[start - 1] if start else 0
+            stop = max(int(np.searchsorted(ends, done + _CHUNK, "right")), start + 1)
+            part = counts[start:stop]
+            total = int(part.sum())
+            if total:
+                offsets = np.arange(total) - np.repeat(np.cumsum(part) - part, part)
+                matches = order[np.repeat(lo[last[start:stop]], part) + offsets]
+                parents = np.repeat(rows[start:stop], part, axis=0)
+                yield from extend(np.column_stack([parents, matches]), k + 1)
+            start = stop
+
+    for start in range(0, len(first), _CHUNK):
+        yield from extend(first[start:start + _CHUNK, None], 0)
+
+
+def _objects(items) -> np.ndarray:
+    """``items`` as a 1-d object array, for gathering by id."""
+    out = np.empty(len(items), dtype=object)
+    out[:] = items
+    return out
 
 
 @dataclass(frozen=True)
@@ -308,35 +397,16 @@ def globular_product(gs: GlobularSet, table: TableOfDimensions) -> tuple[Globula
         raise DimOutOfRange(
             f"table needs dimension {table.max_dim()} but truncation is {gs.truncation}"
         )
+    outer, inner = table.outer, table.inner
+    links = [
+        _link(gs.boundary_ids(SRC, outer[k], inner[k]), gs.boundary_ids(TGT, outer[k + 1], inner[k]))
+        for k in range(table.width - 1)
+    ]
+    names = [_objects(gs.cells[d]) for d in outer]
     results: list[GlobularTuple] = []
-    width = table.width
-
-    # bucket candidates for position k+1 by their target boundary in dim i'_k
-    buckets: list[dict[str, list[str]]] = []
-    for k in range(width - 1):
-        low = table.inner[k]
-        dim = table.outer[k + 1]
-        bucket: dict[str, list[str]] = {}
-        for u in gs.cells[dim]:
-            bucket.setdefault(gs.boundary(TGT, dim, low, u), []).append(u)
-        buckets.append(bucket)
-
-    def extend(prefix: list[str], k: int):
-        if k == width:
-            results.append(GlobularTuple(table, tuple(prefix)))
-            return
-        if k == 0:
-            candidates = gs.cells[table.outer[0]]
-        else:
-            low = table.inner[k - 1]
-            glue = gs.boundary(SRC, table.outer[k - 1], low, prefix[-1])
-            candidates = buckets[k - 1].get(glue, ())
-        for u in candidates:
-            prefix.append(u)
-            extend(prefix, k + 1)
-            prefix.pop()
-
-    extend([], 0)
+    for block in _glued(np.arange(len(gs.cells[outer[0]]), dtype=np.int32), links):
+        columns = (names[k][block[:, k]] for k in range(table.width))
+        results.extend(GlobularTuple(table, entries) for entries in zip(*columns))
     return tuple(results)
 
 

@@ -38,6 +38,9 @@ from .globular import (
     SRC,
     TGT,
     GlobularSet,
+    _gather,
+    _glued,
+    _link,
     globular_set_from_json,
     globular_set_to_json,
     split_pair_key,
@@ -316,16 +319,6 @@ def inverse(x: OmegaStructure, i: int, j: int, u: str) -> str:
 # dimension.  So an instance whose two sides are both >= 0 and equal is one
 # the scalar evaluators pass, and every other instance is handed back to them.
 
-# Glued tuples evaluated per numpy pass: bounds the memory of a sweep.
-_CHUNK = 1 << 13
-
-
-def _gather(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """``table[ids]``, with -1 wherever ``ids`` is -1."""
-    if not table.size:
-        return np.full(ids.shape, -1, dtype=np.int32)
-    return np.where(ids < 0, -1, table[ids])
-
 
 class IntTables:
     """The tables of one structure over dense cell ids, built on first use.
@@ -353,16 +346,7 @@ class IntTables:
 
     def face(self, kind: str, i: int) -> np.ndarray:
         """``src_i`` or ``tgt_i`` as an array over the ``i``-cells."""
-        tables = self.x.base.src if kind == SRC else self.x.base.tgt
-        return self._memo((kind, i), lambda: self._ids(tables[i], i, i - 1))
-
-    def boundary_map(self, kind: str, i: int, j: int) -> np.ndarray:
-        """The iterated boundary from dimension ``i`` down to ``j``."""
-        if i == j:
-            return np.arange(self.sizes[i], dtype=np.int32)
-        return self._memo(
-            (kind, i, j), lambda: self.boundary_map(kind, i - 1, j)[self.face(kind, i)]
-        )
+        return self.x.base.boundary_ids(kind, i, i - 1)
 
     def unit_map(self, i: int) -> np.ndarray:
         return self._memo(("unit", i), lambda: self._ids(self.x.unit[i], i, i + 1))
@@ -395,25 +379,15 @@ class IntTables:
         return np.where(hit, values[pos], -1)
 
     def link(self, i: int, j: int):
-        """Join of ``i``-cells ``a`` to the ``b`` with ``s^i_j(a) = t^i_j(b)``.
-
-        Returns ``(order, lo, count)``: the matches of ``a`` are
-        ``order[lo[a] : lo[a] + count[a]]``, in declaration order.
-        """
-        def build():
-            right = self.boundary_map(TGT, i, j)
-            order = np.argsort(right, kind="stable").astype(np.int32)
-            ends = right[order]
-            left = self.boundary_map(SRC, i, j)
-            lo = np.searchsorted(ends, left, "left")
-            return order, lo, np.searchsorted(ends, left, "right") - lo
-        return self._memo(("link", i, j), build)
+        """Join of ``i``-cells ``a`` to the ``b`` with ``s^i_j(a) = t^i_j(b)``, for :func:`_glued`."""
+        return self._memo(("link", i, j), lambda: _link(self.x.base.boundary_ids(SRC, i, j),
+                                                         self.x.base.boundary_ids(TGT, i, j)))
 
     # the vector evaluators, with the signatures of _Named's
 
     def compose(self, i: int, j: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        glued = (_gather(self.boundary_map(SRC, i, j), u)
-                 == _gather(self.boundary_map(TGT, i, j), v))
+        glued = (_gather(self.x.base.boundary_ids(SRC, i, j), u)
+                 == _gather(self.x.base.boundary_ids(TGT, i, j), v))
         return np.where(glued, self.entry(i, j, u, v), -1)
 
     def unit(self, i: int, u: np.ndarray) -> np.ndarray:
@@ -428,7 +402,7 @@ class IntTables:
         return _gather(self.inverse_map(i, j), u)
 
     def boundary(self, kind: str, i: int, j: int, u: np.ndarray) -> np.ndarray:
-        return _gather(self.boundary_map(kind, i, j), u)
+        return _gather(self.x.base.boundary_ids(kind, i, j), u)
 
 
 class _Named:
@@ -451,37 +425,6 @@ class _Named:
 
     def boundary(self, kind, i, j, u):
         return self.x.base.boundary(kind, i, j, u)
-
-
-def _glued(first: np.ndarray, links):
-    """Glued tuples of cell ids, lexicographic, in blocks of about ``_CHUNK`` rows.
-
-    Column 0 runs over ``first``; link ``k`` (see :meth:`IntTables.link`)
-    extends a row ending in ``a`` by each match of ``a``.
-    """
-    def extend(rows: np.ndarray, k: int):
-        if k == len(links):
-            yield rows
-            return
-        order, lo, count = links[k]
-        last = rows[:, -1]
-        counts = count[last]
-        ends = np.cumsum(counts)
-        start = 0
-        while start < len(rows):
-            done = ends[start - 1] if start else 0
-            stop = max(int(np.searchsorted(ends, done + _CHUNK, "right")), start + 1)
-            part = counts[start:stop]
-            total = int(part.sum())
-            if total:
-                offsets = np.arange(total) - np.repeat(np.cumsum(part) - part, part)
-                matches = order[np.repeat(lo[last[start:stop]], part) + offsets]
-                parents = np.repeat(rows[start:stop], part, axis=0)
-                yield from extend(np.column_stack([parents, matches]), k + 1)
-            start = stop
-
-    for start in range(0, len(first), _CHUNK):
-        yield from extend(first[start:start + _CHUNK, None], 0)
 
 
 def composable_pairs(x: OmegaStructure, i: int, j: int):

@@ -36,6 +36,11 @@ def failed(check: str, scope: str, failures) -> CheckResult:
     return CheckResult(check, scope, "FAIL", witness, failures)
 
 
+def verdict(check: str, scope: str, failures) -> CheckResult:
+    """FAIL with the failures as witnesses when there are any, else PASS."""
+    return failed(check, scope, failures) if failures else passed(check, scope)
+
+
 def format_line(result: CheckResult) -> str:
     line = f"CHECK {result.check} {result.scope} {result.status}"
     if result.witness is not None:

@@ -20,11 +20,22 @@ entrywise:
 ``build_twisted`` assembles all of this into a new ``OmegaStructure`` whose
 laws can be checked by the generic ``omega`` sweeps.  Every operation here
 validates its inputs and outputs; there is no unchecked fast path.
+
+The complex runs on interned ids (:class:`TwistedComplex`): each level is
+enumerated once, by the joiner of ``globular``, into rows of base-cell ids,
+and a tuple is a valid cell exactly when it is a row, so validating a cell
+is one index lookup.  Sources, targets and iterated boundaries are arrays
+over the rows, computed a level at a time with the gathers of
+``omega.IntTables``.  Wherever an id step gives -1, or a tuple that is no
+row, the scalar code on names runs instead and raises the error that
+describes the failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DimOutOfRange,
@@ -34,7 +45,16 @@ from .errors import (
     NotComposable,
     ValidationError,
 )
-from .globular import TableOfDimensions, validate_globular_set
+from .globular import (
+    SRC,
+    TGT,
+    TableOfDimensions,
+    _gather,
+    _glued,
+    _link,
+    _objects,
+    validate_globular_set,
+)
 from .omega import OmegaStructure, compose, inverse, unit, validate_omega
 
 
@@ -71,8 +91,137 @@ class MixedTuple:
     segments: tuple[TwistedSegment, ...]
 
 
+class TwistedComplex:
+    """The twisted complex of one structure over base-cell ids, built per level on first use.
+
+    The segments of shape ``(low, high)`` (twisted cells are ``(0, level)``)
+    are the rows of an int32 matrix whose column ``c`` holds ids of
+    ``(low + 1 + c)``-cells, in lexicographic order; a segment's id is its
+    row.  A row of two or more entries extends its *parent*, the row of its
+    entries but the last, so a tuple is found from its parent and its last
+    entry by a search in the sorted keys ``parent * n + last``.  The
+    enumeration is exhaustive: a tuple that is not a row is not a segment.
+    """
+
+    def __init__(self, x: OmegaStructure):
+        self.x = x
+        self.t = x.tables
+        self._cache: dict = {}
+
+    def _memo(self, key, build, *args):
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build(*args)
+        return value
+
+    def _shape(self, low: int, high: int):
+        """Rows, parent ids and search keys of the segments of shape ``(low, high)``."""
+        return self._memo(("shape", low, high), self._enumerate, low, high)
+
+    def _enumerate(self, low: int, high: int):
+        if high + 1 > self.x.truncation:
+            raise DimOutOfRange(
+                f"level {high} needs dimension {high + 1} <= truncation {self.x.truncation}"
+            )
+        n = self.t.sizes[high + 1]
+        if high == low:
+            return np.arange(n, dtype=np.int32)[:, None], None, None
+        prev = self.rows(low, high - 1)
+        # the gluing s_k(x_k) = t_k t_{k+1}(x_{k+1}) at k = high
+        link = _link(self.t.face(SRC, high)[prev[:, -1]],
+                     self.x.base.boundary_ids(TGT, high + 1, high - 1))
+        blocks = list(_glued(np.arange(len(prev), dtype=np.int32), [link]))
+        pairs = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int32)
+        parent, last = pairs[:, 0], pairs[:, 1]
+        return np.column_stack([prev[parent], last]), parent, parent.astype(np.int64) * n + last
+
+    def rows(self, low: int, high: int) -> np.ndarray:
+        return self._shape(low, high)[0]
+
+    def lookup(self, low: int, high: int, ids: np.ndarray) -> np.ndarray:
+        """Row ids of shape ``(low, high)`` of the id tuples in ``ids``; -1 where one is no segment."""
+        found = ids[:, 0]
+        for c in range(1, high - low + 1):
+            keys, last = self._shape(low, low + c)[2], ids[:, c]
+            if not keys.size:
+                return np.full(len(ids), -1, dtype=np.int32)
+            want = found.astype(np.int64) * self.t.sizes[low + c + 1] + last
+            pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+            # a -1 entry must not read as the last cell under the previous parent
+            found = np.where((found >= 0) & (last >= 0) & (keys[pos] == want), pos, -1)
+        return found.astype(np.int32)
+
+    def index(self, low: int, high: int) -> dict:
+        """Entries, as a tuple of names, to row id."""
+        return self._memo(("index", low, high), self._index, low, high)
+
+    def _index(self, low: int, high: int) -> dict:
+        cells = self.x.base.cells
+        rows = self.rows(low, high)
+        columns = [_objects(cells[low + 1 + c])[rows[:, c]] for c in range(high - low + 1)]
+        return {entries: k for k, entries in enumerate(zip(*columns))}
+
+    def find(self, low: int, high: int, entries) -> int | None:
+        """Row id of ``entries`` in shape ``(low, high)``, or None when it is no segment."""
+        index = self._cache.get(("index", low, high))
+        if index is None:
+            if not 0 <= low <= high < self.x.truncation:
+                return None
+            index = self.index(low, high)
+        try:
+            return index.get(tuple(entries))
+        except TypeError:  # not iterable, or an unhashable entry
+            return None
+
+    def cells(self, level: int) -> tuple[TwistedCell, ...]:
+        return self._memo(("cells", level), self._wrap, TwistedCell, 0, level)
+
+    def segments(self, low: int, high: int) -> tuple[TwistedSegment, ...]:
+        return self._memo(("segments", low, high), self._wrap, TwistedSegment, low, high)
+
+    def _wrap(self, kind, low: int, high: int) -> tuple:
+        """The rows of shape ``(low, high)`` as ``kind`` objects, in row order."""
+        head = (high,) if kind is TwistedCell else (low, high)
+        return tuple(kind(*head, entries) for entries in self.index(low, high))
+
+    def source(self, i: int) -> np.ndarray:
+        """Twisted source of each level-``i`` cell as a level ``i - 1`` row id, -1 for none."""
+        return self._memo(("src", i), self._source, i)
+
+    def _source(self, i: int) -> np.ndarray:
+        t = self.t
+        rows = self.rows(0, i)
+        glued = t.compose(i, i - 1, rows[:, i - 1], t.boundary(TGT, i + 1, i, rows[:, i]))
+        return self.lookup(0, i - 1, np.column_stack([rows[:, : i - 1], glued]))
+
+    def boundary(self, kind: str, i: int, j: int) -> np.ndarray:
+        """Iterated twisted boundary from level ``i`` down to ``j`` over the level-``i`` rows."""
+        return self._memo(("boundary", kind, i, j), self._boundary, kind, i, j)
+
+    def _boundary(self, kind: str, i: int, j: int) -> np.ndarray:
+        if i == j:
+            return np.arange(len(self.rows(0, i)), dtype=np.int32)
+        step = self.source(i) if kind == SRC else self._shape(0, i)[1]
+        return _gather(self.boundary(kind, i - 1, j), step)
+
+
+def _complex(x: OmegaStructure) -> TwistedComplex:
+    """The interned twisted complex of ``x``, derived once and cached on it."""
+    complex_ = x.__dict__.get("_twisted")
+    if complex_ is None:
+        complex_ = TwistedComplex(x)
+        object.__setattr__(x, "_twisted", complex_)
+    return complex_
+
+
+def _raise_scalar(op, *args):
+    """Run a scalar operation the id path could not evaluate; it raises the error that says why."""
+    op(*args)
+    raise AssertionError(f"{op.__name__}{args!r} holds on names but failed on ids")
+
+
 def _check_segment_entries(x: OmegaStructure, low: int, high: int, entries) -> tuple[str, ...]:
-    """Entries at dimensions ``low+1 .. high+1`` with the gluing equations."""
+    """Entries at dimensions ``low+1 .. high+1`` with the gluing equations, on names."""
     entries = tuple(entries)
     base = x.base
     if low < 0 or high < low:
@@ -102,13 +251,30 @@ def _check_segment_entries(x: OmegaStructure, low: int, high: int, entries) -> t
     return entries
 
 
+def _row(complex_: TwistedComplex, low: int, high: int, entries) -> int:
+    """Row id of a segment, validated by one index lookup.
+
+    A tuple that is no row goes through the scalar checks, which raise the
+    error that describes it.
+    """
+    row = complex_.find(low, high, entries)
+    if row is None:
+        _check_segment_entries(complex_.x, low, high, entries)
+        raise AssertionError(f"segment {entries!r} passes the checks but is not enumerated")
+    return row
+
+
 def twisted_cell(x: OmegaStructure, level: int, entries) -> TwistedCell:
     """Validate entries into a twisted cell."""
-    return TwistedCell(level, _check_segment_entries(x, 0, level, entries))
+    complex_ = _complex(x)
+    row = _row(complex_, 0, level, entries)
+    return complex_.cells(level)[row]
 
 
 def twisted_segment(x: OmegaStructure, low: int, high: int, entries) -> TwistedSegment:
-    return TwistedSegment(low, high, _check_segment_entries(x, low, high, entries))
+    complex_ = _complex(x)
+    row = _row(complex_, low, high, entries)
+    return complex_.segments(low, high)[row]
 
 
 def lemma_identities_hold(x: OmegaStructure, cell: TwistedCell) -> bool:
@@ -130,54 +296,27 @@ def lemma_identities_hold(x: OmegaStructure, cell: TwistedCell) -> bool:
     return True
 
 
-def _enumerate_segments(x: OmegaStructure, low: int, high: int):
-    """Exhaustive gluing-respecting enumeration, lexicographic in cell order."""
-    base = x.base
-    if high + 1 > base.truncation:
-        raise DimOutOfRange(
-            f"level {high} needs dimension {high + 1} <= truncation {base.truncation}"
-        )
-    length = high - low + 1
-    out: list[tuple[str, ...]] = []
-
-    # bucket the entry candidates at dimension k+1 by t_k t_{k+1}
-    buckets: list[dict[str, list[str]]] = []
-    for offset in range(1, length):
-        d = low + 1 + offset
-        bucket: dict[str, list[str]] = {}
-        for u in base.cells[d]:
-            bucket.setdefault(base.tgt[d - 1][base.tgt[d][u]], []).append(u)
-        buckets.append(bucket)
-
-    def extend(prefix: list[str], offset: int):
-        if offset == length:
-            out.append(tuple(prefix))
-            return
-        if offset == 0:
-            candidates = base.cells[low + 1]
-        else:
-            glue = base.src[low + offset][prefix[-1]]
-            candidates = buckets[offset - 1].get(glue, ())
-        for u in candidates:
-            prefix.append(u)
-            extend(prefix, offset + 1)
-            prefix.pop()
-
-    extend([], 0)
-    return out
-
-
 def twisted_cells(x: OmegaStructure, level: int) -> tuple[TwistedCell, ...]:
     """All twisted cells of the given level, in lexicographic order."""
     if level < 0:
         raise DimOutOfRange("twisted level must be >= 0")
-    return tuple(TwistedCell(level, e) for e in _enumerate_segments(x, 0, level))
+    return _complex(x).cells(level)
 
 
 def segment_cells(x: OmegaStructure, low: int, high: int) -> tuple[TwistedSegment, ...]:
     if low < 0 or high < low:
         raise DimOutOfRange(f"segment bounds ({low},{high}) need 0 <= low <= high")
-    return tuple(TwistedSegment(low, high, e) for e in _enumerate_segments(x, low, high))
+    return _complex(x).segments(low, high)
+
+
+def _interned_boundary(x: OmegaStructure, kind: str, cell: TwistedCell, level: int):
+    """The iterated twisted boundary read off the arrays, or None where they cannot give it."""
+    complex_ = _complex(x)
+    row = complex_.find(0, cell.level, cell.entries)
+    if row is None:
+        return None
+    found = complex_.boundary(kind, cell.level, level)[row]
+    return complex_.cells(level)[found] if found >= 0 else None
 
 
 def twisted_source(x: OmegaStructure, cell: TwistedCell) -> TwistedCell:
@@ -185,6 +324,9 @@ def twisted_source(x: OmegaStructure, cell: TwistedCell) -> TwistedCell:
     i = cell.level
     if i < 1:
         raise DimOutOfRange("level-0 twisted cells have no source")
+    found = _interned_boundary(x, SRC, cell, i - 1)
+    if found is not None:
+        return found
     entries = cell.entries
     glued = compose(x, i, i - 1, entries[i - 1], x.base.tgt[i + 1][entries[i]])
     return twisted_cell(x, i - 1, entries[: i - 1] + (glued,))
@@ -194,6 +336,9 @@ def twisted_target(x: OmegaStructure, cell: TwistedCell) -> TwistedCell:
     """Level ``i - 1``: drop the top entry."""
     if cell.level < 1:
         raise DimOutOfRange("level-0 twisted cells have no target")
+    found = _interned_boundary(x, TGT, cell, cell.level - 1)
+    if found is not None:
+        return found
     return twisted_cell(x, cell.level - 1, cell.entries[:-1])
 
 
@@ -203,6 +348,9 @@ def twisted_boundary(x: OmegaStructure, kind: str, cell: TwistedCell, level: int
         raise DimOutOfRange(f"boundary level {level} outside 0..{cell.level}")
     if kind not in ("src", "tgt"):
         raise ValidationError(f"boundary kind must be 'src' or 'tgt', got {kind!r}")
+    found = _interned_boundary(x, kind, cell, level)
+    if found is not None:
+        return found
     step = twisted_source if kind == "src" else twisted_target
     for _ in range(cell.level - level):
         cell = step(x, cell)
@@ -212,12 +360,22 @@ def twisted_boundary(x: OmegaStructure, kind: str, cell: TwistedCell, level: int
 # -- canonical contraction/expansion of twisted products ----------------------
 
 
-def _segment_bounds(table: TableOfDimensions) -> list[tuple[int, int]]:
-    """Bounds ``(i'_l + 1, i_{l+1})`` of the dropped-prefix segments."""
-    return [
-        (table.inner[l] + 1, table.outer[l + 1])
-        for l in range(table.width - 1)
-    ]
+def check_seam(x: OmegaStructure, position: int, seam: int,
+               top_dim: int, top: str, first_dim: int, first: str) -> None:
+    """Raise unless ``s^{top_dim}_{seam}(top) = t^{first_dim}_{seam}(first)``.
+
+    The seam between a cell (or segment) ending in ``top`` and the next
+    segment, starting with ``first``, of a mixed tuple; both must be cells.
+    """
+    base = x.base
+    left = base.boundary_ids(SRC, top_dim, seam)[base.index[top_dim][top]]
+    right = base.boundary_ids(TGT, first_dim, seam)[base.index[first_dim][first]]
+    if left != right:
+        raise GluingViolation(
+            position,
+            f"s^{top_dim}_{seam}({top}) = {base.cells[seam][left]} but "
+            f"t^{first_dim}_{seam}({first}) = {base.cells[seam][right]}",
+        )
 
 
 def contract_product(x: OmegaStructure, table: TableOfDimensions, cells) -> MixedTuple:
@@ -228,28 +386,33 @@ def contract_product(x: OmegaStructure, table: TableOfDimensions, cells) -> Mixe
     of each later cell, only the entries above the gluing level.
     """
     cells = tuple(cells)
-    if len(cells) != table.width:
-        raise ValidationError(f"expected {table.width} cells, got {len(cells)}")
+    outer, inner = table.outer, table.inner
+    if len(cells) != len(outer):
+        raise ValidationError(f"expected {len(outer)} cells, got {len(cells)}")
+    complex_ = _complex(x)
+    rows = []
     for k, cell in enumerate(cells):
-        if cell.level != table.outer[k]:
+        if cell.level != outer[k]:
             raise ValidationError(
-                f"cell {k + 1} has level {cell.level}, table wants {table.outer[k]}"
+                f"cell {k + 1} has level {cell.level}, table wants {outer[k]}"
             )
-        twisted_cell(x, cell.level, cell.entries)
-    for l in range(table.width - 1):
-        seam = table.inner[l]
-        left = twisted_boundary(x, "src", cells[l], seam)
-        right = twisted_boundary(x, "tgt", cells[l + 1], seam)
-        if left != right:
+        rows.append(_row(complex_, 0, cell.level, cell.entries))
+    for l, seam in enumerate(inner):
+        # -1, a source boundary that is no cell, differs from every target
+        # boundary; the scalar twisted_boundary then raises its error
+        if (complex_.boundary(SRC, outer[l], seam)[rows[l]]
+                != complex_.boundary(TGT, outer[l + 1], seam)[rows[l + 1]]):
+            left = twisted_boundary(x, "src", cells[l], seam)
+            right = twisted_boundary(x, "tgt", cells[l + 1], seam)
             raise GluingViolation(
                 l + 1,
                 f"twisted s-boundary {left.entries} != t-boundary {right.entries}",
             )
     segments = []
-    for l, (low, high) in enumerate(_segment_bounds(table)):
-        # entries of dimensions low+1 .. high+1 sit at indices low .. high
-        suffix = cells[l + 1].entries[low:]
-        segments.append(twisted_segment(x, low, high, suffix))
+    for l, seam in enumerate(inner):
+        # entries of dimensions seam+2 .. i_{l+1}+1 sit at indices seam+1 ..
+        low, high = seam + 1, outer[l + 1]
+        segments.append(twisted_segment(x, low, high, cells[l + 1].entries[low:]))
     return MixedTuple(table, cells[0], tuple(segments))
 
 
@@ -258,51 +421,48 @@ def expand_product(x: OmegaStructure, mixed: MixedTuple) -> tuple[TwistedCell, .
 
     Each next cell repeats the previous one below the gluing level ``m`` and
     takes ``x_{m+1} *_m t(x_{m+2})`` of the previous cell at dimension
-    ``m + 1``.
+    ``m + 1``: those are the entries of the twisted source of the previous
+    cell's level ``m + 1`` target.
     """
     table = mixed.table
-    bounds = _segment_bounds(table)
-    if len(mixed.segments) != len(bounds):
+    outer, inner = table.outer, table.inner
+    if len(mixed.segments) != len(inner):
         raise ValidationError(
-            f"expected {len(bounds)} segments, got {len(mixed.segments)}"
+            f"expected {len(inner)} segments, got {len(mixed.segments)}"
         )
-    head = twisted_cell(x, mixed.head.level, mixed.head.entries)
-    if head.level != table.outer[0]:
+    complex_ = _complex(x)
+    row = _row(complex_, 0, mixed.head.level, mixed.head.entries)
+    head = complex_.cells(mixed.head.level)[row]
+    if head.level != outer[0]:
         raise ValidationError(
-            f"head has level {head.level}, table wants {table.outer[0]}"
+            f"head has level {head.level}, table wants {outer[0]}"
         )
     cells = [head]
     current = head
     for l, segment in enumerate(mixed.segments):
-        low, high = bounds[l]
-        seam = table.inner[l]  # = low - 1
+        seam = inner[l]
+        low, high = seam + 1, outer[l + 1]
         if (segment.low, segment.high) != (low, high):
             raise ValidationError(
                 f"segment {l + 1} has bounds ({segment.low},{segment.high}), "
                 f"table wants ({low},{high})"
             )
-        _check_segment_entries(x, low, high, segment.entries)
-        # the seam: iterated source of the previous top entry meets the
-        # iterated target of the first segment entry in dimension `seam`
-        prev_top_dim = current.level + 1
-        first_dim = low + 1
-        left = x.base.boundary("src", prev_top_dim, seam, current.top())
-        right = x.base.boundary("tgt", first_dim, seam, segment.entries[0])
-        if left != right:
-            raise GluingViolation(
-                l + 1,
-                f"s^{prev_top_dim}_{seam}({current.top()}) = {left} but "
-                f"t^{first_dim}_{seam}({segment.entries[0]}) = {right}",
+        _row(complex_, low, high, segment.entries)
+        check_seam(x, l + 1, seam, current.level + 1, current.top(), low + 1, segment.entries[0])
+        below = complex_.boundary(TGT, current.level, seam + 1)[row]
+        prefix = complex_.source(seam + 1)[below]
+        if prefix >= 0:
+            entries = complex_.cells(seam)[prefix].entries + segment.entries
+        else:
+            glued = compose(
+                x, seam + 1, seam,
+                current.entries[seam],
+                x.base.tgt[seam + 2][current.entries[seam + 1]],
             )
-        prefix = current.entries[:seam]
-        glued = compose(
-            x, seam + 1, seam,
-            current.entries[seam],
-            x.base.tgt[seam + 2][current.entries[seam + 1]],
-        )
-        rebuilt = twisted_cell(x, high, prefix + (glued,) + segment.entries)
-        cells.append(rebuilt)
-        current = rebuilt
+            entries = current.entries[:seam] + (glued,) + segment.entries
+        row = _row(complex_, 0, high, entries)
+        current = complex_.cells(high)[row]
+        cells.append(current)
     return tuple(cells)
 
 
@@ -378,76 +538,77 @@ def twisted_inverse(x: OmegaStructure, j: int, cell: TwistedCell) -> TwistedCell
 # -- products of twisted cells --------------------------------------------------
 
 
-def twisted_product(x: OmegaStructure, table: TableOfDimensions):
-    """All tuples of twisted cells glued by iterated twisted boundaries."""
+def _check_level(x: OmegaStructure, table: TableOfDimensions) -> None:
     max_level = table.max_dim()
     if max_level + 1 > x.truncation:
         raise DimOutOfRange(
             f"twisted level {max_level} needs truncation >= {max_level + 1}"
         )
-    factors = [twisted_cells(x, d) for d in table.outer]
+
+
+def _raise_first_unglued(x: OmegaStructure, table: TableOfDimensions, ends, links) -> None:
+    """Raise the error of the first cell, in enumeration order, whose gluing boundary fails.
+
+    ``ends[k]`` is the twisted source boundary that glues position ``k`` to
+    the next one; it is -1 where the scalar boundary raises.  Positions are
+    visited depth first, so the first failure is the least such prefix.
+    """
+    first = None
+    start = np.arange(len(ends[0]), dtype=np.int32) if ends else None
+    for k, end in enumerate(ends):
+        if not (end < 0).any():
+            continue
+        for block in _glued(start, links[:k]):
+            bad = np.flatnonzero(end[block[:, -1]] < 0)
+            if bad.size:
+                prefix = tuple(block[bad[0]].tolist())
+                if first is None or prefix < first:
+                    first = prefix
+                break
+    if first is not None:
+        k = len(first) - 1
+        cell = _complex(x).cells(table.outer[k])[first[-1]]
+        _raise_scalar(twisted_boundary, x, "src", cell, table.inner[k])
+
+
+def twisted_product(x: OmegaStructure, table: TableOfDimensions):
+    """All tuples of twisted cells glued by iterated twisted boundaries."""
+    _check_level(x, table)
+    complex_ = _complex(x)
+    outer, inner = table.outer, table.inner
+    ends = [complex_.boundary(SRC, outer[k], inner[k]) for k in range(table.width - 1)]
+    links = [_link(ends[k], complex_.boundary(TGT, outer[k + 1], inner[k]))
+             for k in range(table.width - 1)]
+    _raise_first_unglued(x, table, ends, links)
+    factors = [_objects(complex_.cells(level)) for level in outer]
     results: list[tuple[TwistedCell, ...]] = []
-    buckets: list[dict] = []
-    for k in range(table.width - 1):
-        seam = table.inner[k]
-        bucket: dict = {}
-        for cell in factors[k + 1]:
-            bucket.setdefault(twisted_boundary(x, "tgt", cell, seam), []).append(cell)
-        buckets.append(bucket)
-
-    def extend(prefix: list[TwistedCell], k: int):
-        if k == table.width:
-            results.append(tuple(prefix))
-            return
-        if k == 0:
-            candidates = factors[0]
-        else:
-            glue = twisted_boundary(x, "src", prefix[-1], table.inner[k - 1])
-            candidates = buckets[k - 1].get(glue, ())
-        for cell in candidates:
-            prefix.append(cell)
-            extend(prefix, k + 1)
-            prefix.pop()
-
-    extend([], 0)
+    for block in _glued(np.arange(len(factors[0]), dtype=np.int32), links):
+        results.extend(zip(*(factors[k][block[:, k]] for k in range(table.width))))
     return tuple(results)
 
 
 def mixed_product(x: OmegaStructure, table: TableOfDimensions) -> tuple[MixedTuple, ...]:
     """All mixed tuples: head cells and segments glued at the seams."""
-    max_level = table.max_dim()
-    if max_level + 1 > x.truncation:
-        raise DimOutOfRange(
-            f"twisted level {max_level} needs truncation >= {max_level + 1}"
-        )
-    bounds = _segment_bounds(table)
-    heads = twisted_cells(x, table.outer[0])
-    segment_lists = [segment_cells(x, low, high) for low, high in bounds]
-
-    buckets = []
+    _check_level(x, table)
+    complex_ = _complex(x)
+    base = x.base
+    # segment l holds the entries of dimensions i'_l + 2 .. i_{l+1} + 1
+    bounds = [(seam + 1, table.outer[l + 1]) for l, seam in enumerate(table.inner)]
+    last = complex_.rows(0, table.outer[0])[:, -1]
+    top_dim = table.outer[0] + 1
+    links = []
     for l, (low, high) in enumerate(bounds):
         seam = table.inner[l]  # = low - 1
-        bucket: dict[str, list[TwistedSegment]] = {}
-        for seg in segment_lists[l]:
-            key = x.base.boundary("tgt", low + 1, seam, seg.entries[0])
-            bucket.setdefault(key, []).append(seg)
-        buckets.append(bucket)
-
+        rows = complex_.rows(low, high)
+        links.append(_link(base.boundary_ids(SRC, top_dim, seam)[last],
+                           base.boundary_ids(TGT, low + 1, seam)[rows[:, 0]]))
+        last, top_dim = rows[:, -1], high + 1
+    parts = [_objects(complex_.cells(table.outer[0]))]
+    parts.extend(_objects(complex_.segments(low, high)) for low, high in bounds)
     results: list[MixedTuple] = []
-
-    def extend(head: TwistedCell, chosen: list[TwistedSegment], top: str, top_dim: int, l: int):
-        if l == len(bounds):
-            results.append(MixedTuple(table, head, tuple(chosen)))
-            return
-        seam = table.inner[l]
-        glue = x.base.boundary("src", top_dim, seam, top)
-        for seg in buckets[l].get(glue, ()):
-            chosen.append(seg)
-            extend(head, chosen, seg.entries[-1], bounds[l][1] + 1, l + 1)
-            chosen.pop()
-
-    for head in heads:
-        extend(head, [], head.top(), head.level + 1, 0)
+    for block in _glued(np.arange(len(parts[0]), dtype=np.int32), links):
+        columns = (parts[k][block[:, k]] for k in range(table.width))
+        results.extend(MixedTuple(table, head, tuple(segments)) for head, *segments in zip(*columns))
     return tuple(results)
 
 
@@ -458,65 +619,83 @@ def twisted_name(entries) -> str:
     return "(" + "|".join(entries) + ")"
 
 
+def _first_failure(ids: np.ndarray):
+    """Position of the first -1 in ``ids``, or None."""
+    bad = np.flatnonzero(ids < 0)
+    return int(bad[0]) if bad.size else None
+
+
 def build_twisted(x: OmegaStructure) -> OmegaStructure:
     """Assemble the twisted complex of ``x`` as a structure truncated at N - 1.
 
-    The new tables are exactly the entrywise operations above; when ``x``
-    satisfies the full axiom set, so does the result (checkable with the
-    generic ``omega`` sweeps).
+    The new tables are exactly the entrywise operations above, evaluated a
+    level at a time on ids; when one gives no cell, the scalar operation on
+    that cell raises the error.  When ``x`` satisfies the full axiom set, so
+    does the result (checkable with the generic ``omega`` sweeps).
     """
     n = x.truncation
     if n == 0:
         raise DimOutOfRange("twisting needs truncation >= 1")
-    levels = [twisted_cells(x, i) for i in range(n)]
-    names = [
-        {cell: twisted_name(cell.entries) for cell in layer}
-        for layer in levels
-    ]
+    complex_ = _complex(x)
+    t = x.tables
+    names = [_objects([twisted_name(e) for e in complex_.index(0, i)]) for i in range(n)]
+    cells = [tuple(layer) for layer in names]
 
-    cells = [tuple(names[i][cell] for cell in levels[i]) for i in range(n)]
+    def table(level: int, into: int, ids: np.ndarray, op, *args) -> dict:
+        """Level-``level`` names to the level-``into`` names of ``ids``.
+
+        At the first -1, the scalar ``op(*args, cell)`` raises the error.
+        """
+        bad = _first_failure(ids)
+        if bad is not None:
+            _raise_scalar(op, *args, complex_.cells(level)[bad])
+        return dict(zip(cells[level], names[into][ids]))
+
     src, tgt = [], []
     for i in range(1, n):
-        src.append({
-            names[i][cell]: names[i - 1][twisted_source(x, cell)]
-            for cell in levels[i]
-        })
-        tgt.append({
-            names[i][cell]: names[i - 1][twisted_target(x, cell)]
-            for cell in levels[i]
-        })
+        src.append(table(i, i - 1, complex_.source(i), twisted_source, x))
+        tgt.append(table(i, i - 1, complex_.boundary(TGT, i, i - 1), twisted_target, x))
     base = validate_globular_set(cells, src, tgt)
 
+    # every twisted source is a cell by now, so every iterated boundary is too
     comp = {}
     for i in range(1, n):
+        rows = complex_.rows(0, i)
         for j in range(i):
-            by_target: dict[TwistedCell, list[TwistedCell]] = {}
-            for cell in levels[i]:
-                by_target.setdefault(
-                    twisted_boundary(x, "tgt", cell, j), []
-                ).append(cell)
-            table = {}
-            for left in levels[i]:
-                bound = twisted_boundary(x, "src", left, j)
-                for right in by_target.get(bound, ()):
-                    table[(names[i][left], names[i][right])] = names[i][
-                        twisted_compose(x, j, left, right)
-                    ]
-            comp[(i, j)] = table
+            pairs = {}
+            link = _link(complex_.boundary(SRC, i, j), complex_.boundary(TGT, i, j))
+            for block in _glued(np.arange(len(rows), dtype=np.int32), [link]):
+                left, right = rows[block[:, 0]], rows[block[:, 1]]
+                # entries j+2 .. i+1 compose over j; those below come from the left
+                composite = [left[:, : j + 1]]
+                composite.extend(t.compose(c + 1, j, left[:, c], right[:, c])
+                                 for c in range(j + 1, i + 1))
+                ids = complex_.lookup(0, i, np.column_stack(composite))
+                bad = _first_failure(ids)
+                if bad is not None:
+                    cells_i = complex_.cells(i)
+                    _raise_scalar(twisted_compose, x, j, cells_i[block[bad, 0]], cells_i[block[bad, 1]])
+                pairs.update(zip(zip(names[i][block[:, 0]], names[i][block[:, 1]]), names[i][ids]))
+            comp[(i, j)] = pairs
 
-    unit_tables = [
-        {names[i][cell]: names[i + 1][twisted_unit(x, cell)] for cell in levels[i]}
-        for i in range(n - 1)
-    ]
+    unit_tables = []
+    for i in range(n - 1):
+        rows = complex_.rows(0, i)
+        appended = t.unit(i + 1, t.unit(i, t.boundary(SRC, i + 1, i, rows[:, i])))
+        ids = complex_.lookup(0, i + 1, np.column_stack([rows, appended]))
+        unit_tables.append(table(i, i + 1, ids, twisted_unit, x))
 
     inv = None
     if x.inv is not None:
         inv = {}
         for i in range(1, n):
+            rows = complex_.rows(0, i)
             for j in range(i):
-                inv[(i, j)] = {
-                    names[i][cell]: names[i][twisted_inverse(x, j, cell)]
-                    for cell in levels[i]
-                }
+                # glue at j+1, invert every entry above
+                entries = [rows[:, :j], t.compose(j + 1, j, rows[:, j],
+                                                  t.boundary(TGT, j + 2, j + 1, rows[:, j + 1]))]
+                entries.extend(t.inverse(c + 1, j, rows[:, c]) for c in range(j + 1, i + 1))
+                ids = complex_.lookup(0, i, np.column_stack(entries))
+                inv[(i, j)] = table(i, i, ids, twisted_inverse, x, j)
 
     return validate_omega(base, comp, unit_tables, inv)

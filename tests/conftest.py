@@ -4,10 +4,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from globkernel import fixtures
+from globkernel import fixtures, omega
+
+GHOST = "ghost"
 
 
 def corpus():
@@ -24,6 +27,44 @@ def corpus():
             fixtures.suspension(fixtures.cyclic_table(2), 1, 3),
         ),
     }
+
+
+CORPUS = corpus()
+
+
+@st.composite
+def faulted(draw, pool=CORPUS):
+    """A structure of ``pool`` with one table entry set or deleted.
+
+    Values are drawn from the cells of the entry's dimension, so many break
+    boundary laws, or name no cell at all.  A ``comp`` entry is one the table
+    holds or any pair, so a new one may sit on a pair that does not compose.
+    """
+    x = pool[draw(st.sampled_from(sorted(pool)))]
+    comp = {key: dict(t) for key, t in x.comp.items()}
+    units = [dict(t) for t in x.unit]
+    inv = {key: dict(t) for key, t in x.inv.items()}
+    kind = draw(st.sampled_from(("comp", "unit", "inv")))
+    if kind == "comp":
+        i, j = draw(st.sampled_from(sorted(comp)))
+        table, dim = comp[(i, j)], i
+        cells = st.sampled_from(x.base.cells[i])
+        key = draw(st.one_of(st.sampled_from(sorted(table)), st.tuples(cells, cells))
+                   if table else st.tuples(cells, cells))
+    elif kind == "unit":
+        i = draw(st.integers(0, x.truncation - 1))
+        table, dim = units[i], i + 1
+        key = draw(st.sampled_from(x.base.cells[i]))
+    else:
+        i, j = draw(st.sampled_from(sorted(inv)))
+        table, dim = inv[(i, j)], i
+        key = draw(st.sampled_from(x.base.cells[i]))
+    value = draw(st.sampled_from(x.base.cells[dim] + (GHOST, None)))
+    if value is None:
+        table.pop(key, None)
+    else:
+        table[key] = value
+    return omega.OmegaStructure(x.base, comp, tuple(units), inv)
 
 
 @pytest.fixture(scope="session")

@@ -5,13 +5,23 @@ the library's enumeration or boundary helpers, so these stay independent of
 the code paths they are used to check.  The law sweeps evaluate each
 instance with the library's scalar evaluators (``compose``, ``unit``,
 ``inverse``, ``iter_unit``), which define the detail text of a violation.
+The twisted complex is rebuilt the same way, on names, from those
+evaluators and the brute-force enumerations.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from globkernel.errors import NotComposable, ValidationError
+from globkernel.errors import (
+    DimOutOfRange,
+    GluingViolation,
+    InversesAbsent,
+    MissingCell,
+    NotComposable,
+    ValidationError,
+)
+from globkernel.globular import TableOfDimensions, validate_globular_set
 from globkernel.omega import (
     ASSOC,
     EXCHANGE,
@@ -26,7 +36,9 @@ from globkernel.omega import (
     inverse,
     iter_unit,
     unit,
+    validate_omega,
 )
+from globkernel.twist import MixedTuple, TwistedCell, TwistedSegment
 
 
 def raw_boundary(gs, kind, i, j, u):
@@ -272,3 +284,295 @@ def brute_axiom_violations(x, name):
             if lhs != rhs:
                 found.append(Violation(name, sub, witness, f"{lhs} != {rhs}"))
     return found
+
+
+# -- the twisted complex on names ----------------------------------------------------
+#
+# The string-keyed twisted operations as they were before the complex was
+# interned: every input and every intermediate cell is validated by the scalar
+# checks, and enumeration is the brute force above.  The library must give the
+# same value or raise the same error, with the same message.
+
+
+def ref_check_segment_entries(x, low, high, entries):
+    entries = tuple(entries)
+    base = x.base
+    if low < 0 or high < low:
+        raise DimOutOfRange(f"segment bounds ({low},{high}) need 0 <= low <= high")
+    if high + 1 > base.truncation:
+        raise DimOutOfRange(
+            f"segment top dimension {high + 1} exceeds truncation {base.truncation}"
+        )
+    if len(entries) != high - low + 1:
+        raise ValidationError(
+            f"segment ({low},{high}) needs {high - low + 1} entries, got {len(entries)}"
+        )
+    for offset, u in enumerate(entries):
+        d = low + 1 + offset
+        if not base.has_cell(d, u):
+            raise MissingCell(f"entry {offset + 1}: {u!r} is not a {d}-cell")
+    for offset in range(len(entries) - 1):
+        k = low + 1 + offset
+        left = base.src[k][entries[offset]]
+        right = base.tgt[k][base.tgt[k + 1][entries[offset + 1]]]
+        if left != right:
+            raise GluingViolation(
+                offset + 1,
+                f"s_{k}({entries[offset]}) = {left} but "
+                f"t_{k} t_{k + 1}({entries[offset + 1]}) = {right}",
+            )
+    return entries
+
+
+def ref_twisted_cell(x, level, entries):
+    return TwistedCell(level, ref_check_segment_entries(x, 0, level, entries))
+
+
+def ref_twisted_segment(x, low, high, entries):
+    return TwistedSegment(low, high, ref_check_segment_entries(x, low, high, entries))
+
+
+def ref_twisted_source(x, cell):
+    i = cell.level
+    if i < 1:
+        raise DimOutOfRange("level-0 twisted cells have no source")
+    entries = cell.entries
+    glued = compose(x, i, i - 1, entries[i - 1], x.base.tgt[i + 1][entries[i]])
+    return ref_twisted_cell(x, i - 1, entries[: i - 1] + (glued,))
+
+
+def ref_twisted_target(x, cell):
+    if cell.level < 1:
+        raise DimOutOfRange("level-0 twisted cells have no target")
+    return ref_twisted_cell(x, cell.level - 1, cell.entries[:-1])
+
+
+def ref_twisted_boundary(x, kind, cell, level):
+    if not 0 <= level <= cell.level:
+        raise DimOutOfRange(f"boundary level {level} outside 0..{cell.level}")
+    if kind not in ("src", "tgt"):
+        raise ValidationError(f"boundary kind must be 'src' or 'tgt', got {kind!r}")
+    step = ref_twisted_source if kind == "src" else ref_twisted_target
+    for _ in range(cell.level - level):
+        cell = step(x, cell)
+    return cell
+
+
+def _segment_bounds(table):
+    return [(table.inner[l] + 1, table.outer[l + 1]) for l in range(table.width - 1)]
+
+
+def ref_contract_product(x, table, cells):
+    cells = tuple(cells)
+    if len(cells) != table.width:
+        raise ValidationError(f"expected {table.width} cells, got {len(cells)}")
+    for k, cell in enumerate(cells):
+        if cell.level != table.outer[k]:
+            raise ValidationError(
+                f"cell {k + 1} has level {cell.level}, table wants {table.outer[k]}"
+            )
+        ref_twisted_cell(x, cell.level, cell.entries)
+    for l in range(table.width - 1):
+        seam = table.inner[l]
+        left = ref_twisted_boundary(x, "src", cells[l], seam)
+        right = ref_twisted_boundary(x, "tgt", cells[l + 1], seam)
+        if left != right:
+            raise GluingViolation(
+                l + 1,
+                f"twisted s-boundary {left.entries} != t-boundary {right.entries}",
+            )
+    segments = []
+    for l, (low, high) in enumerate(_segment_bounds(table)):
+        segments.append(ref_twisted_segment(x, low, high, cells[l + 1].entries[low:]))
+    return MixedTuple(table, cells[0], tuple(segments))
+
+
+def ref_expand_product(x, mixed):
+    table = mixed.table
+    bounds = _segment_bounds(table)
+    if len(mixed.segments) != len(bounds):
+        raise ValidationError(
+            f"expected {len(bounds)} segments, got {len(mixed.segments)}"
+        )
+    head = ref_twisted_cell(x, mixed.head.level, mixed.head.entries)
+    if head.level != table.outer[0]:
+        raise ValidationError(
+            f"head has level {head.level}, table wants {table.outer[0]}"
+        )
+    cells = [head]
+    current = head
+    for l, segment in enumerate(mixed.segments):
+        low, high = bounds[l]
+        seam = table.inner[l]
+        if (segment.low, segment.high) != (low, high):
+            raise ValidationError(
+                f"segment {l + 1} has bounds ({segment.low},{segment.high}), "
+                f"table wants ({low},{high})"
+            )
+        ref_check_segment_entries(x, low, high, segment.entries)
+        prev_top_dim = current.level + 1
+        first_dim = low + 1
+        left = raw_boundary(x.base, "src", prev_top_dim, seam, current.top())
+        right = raw_boundary(x.base, "tgt", first_dim, seam, segment.entries[0])
+        if left != right:
+            raise GluingViolation(
+                l + 1,
+                f"s^{prev_top_dim}_{seam}({current.top()}) = {left} but "
+                f"t^{first_dim}_{seam}({segment.entries[0]}) = {right}",
+            )
+        glued = compose(
+            x, seam + 1, seam,
+            current.entries[seam],
+            x.base.tgt[seam + 2][current.entries[seam + 1]],
+        )
+        current = ref_twisted_cell(x, high, current.entries[:seam] + (glued,) + segment.entries)
+        cells.append(current)
+    return tuple(cells)
+
+
+def ref_twisted_compose(x, j, left, right):
+    i = left.level
+    if right.level != i:
+        raise NotComposable(f"levels differ: {left.level} vs {right.level}")
+    if not 0 <= j < i:
+        raise DimOutOfRange(f"composition level {j} outside 0 <= j < {i}")
+    table = TableOfDimensions((i, i), (j,))
+    try:
+        mixed = ref_contract_product(x, table, (left, right))
+    except GluingViolation:
+        src_b = ref_twisted_boundary(x, "src", left, j)
+        tgt_b = ref_twisted_boundary(x, "tgt", right, j)
+        raise NotComposable(
+            f"twisted s-boundary {src_b.entries} != t-boundary {tgt_b.entries}",
+            left_boundary=src_b.entries,
+            right_boundary=tgt_b.entries,
+        ) from None
+    suffix = mixed.segments[0].entries
+    entries = list(left.entries[: j + 1])
+    for offset, (a, b) in enumerate(zip(left.entries[j + 1 :], suffix)):
+        entries.append(compose(x, j + 2 + offset, j, a, b))
+    return ref_twisted_cell(x, i, entries)
+
+
+def ref_twisted_unit(x, cell):
+    i = cell.level
+    if i + 2 > x.truncation:
+        raise DimOutOfRange(
+            f"twisted unit at level {i} needs dimension {i + 2} <= truncation {x.truncation}"
+        )
+    appended = unit(x, i + 1, unit(x, i, x.base.src[i + 1][cell.top()]))
+    return ref_twisted_cell(x, i + 1, cell.entries + (appended,))
+
+
+def ref_twisted_inverse(x, j, cell):
+    if x.inv is None:
+        raise InversesAbsent("twisted inverse needs inverse tables on the base")
+    i = cell.level
+    if not 0 <= j < i:
+        raise DimOutOfRange(f"inverse level {j} outside 0 <= j < {i}")
+    entries = list(cell.entries[:j])
+    entries.append(compose(
+        x, j + 1, j, cell.entries[j], x.base.tgt[j + 2][cell.entries[j + 1]]
+    ))
+    for offset in range(j + 1, i + 1):
+        entries.append(inverse(x, offset + 1, j, cell.entries[offset]))
+    return ref_twisted_cell(x, i, entries)
+
+
+def ref_twisted_cells(x, level):
+    return [TwistedCell(level, e) for e in brute_twisted_cells(x.base, level)]
+
+
+def ref_build_twisted(x):
+    """The twisted complex assembled cell by cell from the operations above."""
+    n = x.truncation
+    if n == 0:
+        raise DimOutOfRange("twisting needs truncation >= 1")
+    levels = [ref_twisted_cells(x, i) for i in range(n)]
+    names = [{cell: "(" + "|".join(cell.entries) + ")" for cell in layer} for layer in levels]
+    cells = [tuple(names[i][cell] for cell in levels[i]) for i in range(n)]
+    src, tgt = [], []
+    for i in range(1, n):
+        src.append({names[i][c]: names[i - 1][ref_twisted_source(x, c)] for c in levels[i]})
+        tgt.append({names[i][c]: names[i - 1][ref_twisted_target(x, c)] for c in levels[i]})
+    base = validate_globular_set(cells, src, tgt)
+    comp = {}
+    for i in range(1, n):
+        for j in range(i):
+            by_target = {}
+            for cell in levels[i]:
+                by_target.setdefault(ref_twisted_boundary(x, "tgt", cell, j), []).append(cell)
+            table = {}
+            for left in levels[i]:
+                for right in by_target.get(ref_twisted_boundary(x, "src", left, j), ()):
+                    table[(names[i][left], names[i][right])] = names[i][
+                        ref_twisted_compose(x, j, left, right)
+                    ]
+            comp[(i, j)] = table
+    units = [
+        {names[i][c]: names[i + 1][ref_twisted_unit(x, c)] for c in levels[i]}
+        for i in range(n - 1)
+    ]
+    inv = None
+    if x.inv is not None:
+        inv = {}
+        for i in range(1, n):
+            for j in range(i):
+                inv[(i, j)] = {names[i][c]: names[i][ref_twisted_inverse(x, j, c)]
+                               for c in levels[i]}
+    return validate_omega(base, comp, units, inv)
+
+
+def brute_twisted_product(x, table):
+    """Filter the full product of twisted cells by the gluing equations.
+
+    Position ``k``'s source boundary is evaluated once positions ``1..k``
+    are glued, in lexicographic order of the tuples; the first one that
+    raises is raised.
+    """
+    factors = [ref_twisted_cells(x, d) for d in table.outer]
+    memo = {}
+
+    def bound(kind, cell, level):
+        key = (kind, cell, level)
+        if key not in memo:
+            try:
+                memo[key] = ref_twisted_boundary(x, kind, cell, level)
+            except Exception as exc:  # replayed where the enumeration reaches it
+                memo[key] = exc
+        return memo[key]
+
+    out = []
+    for combo in itertools.product(*factors):
+        for k, seam in enumerate(table.inner):
+            left = bound("src", combo[k], seam)
+            if isinstance(left, Exception):
+                raise left
+            if left != bound("tgt", combo[k + 1], seam):
+                break
+        else:
+            out.append(combo)
+    return out
+
+
+def brute_mixed_product(x, table):
+    """Filter the full product of head cells and segments by the seam equations."""
+    gs = x.base
+    bounds = _segment_bounds(table)
+    heads = ref_twisted_cells(x, table.outer[0])
+    lists = [[TwistedSegment(low, high, e) for e in brute_segment_cells(gs, low, high)]
+             for low, high in bounds]
+    out = []
+    for head in heads:
+        for segments in itertools.product(*lists):
+            top, top_dim = head.top(), head.level + 1
+            for l, seg in enumerate(segments):
+                seam = table.inner[l]
+                if raw_boundary(gs, "src", top_dim, seam, top) != raw_boundary(
+                    gs, "tgt", seg.low + 1, seam, seg.entries[0]
+                ):
+                    break
+                top, top_dim = seg.entries[-1], seg.high + 1
+            else:
+                out.append(MixedTuple(table, head, segments))
+    return out

@@ -135,6 +135,14 @@ def test_decalage_dims_too_deep_exit_two(z2_file, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_decalage_negative_max_dim_exit_two(z2_file, capsys):
+    # a negative bound would run zero section checks and report success
+    assert run(["decalage", str(z2_file), "--max-dim", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err
+    assert "CHECK" not in captured.out
+
+
 def test_decalage_fault_exit_one(tmp_path, capsys):
     x = fixtures.suspension(fixtures.cyclic_table(2), 1, 4)
     units = [dict(t) for t in x.unit]

@@ -4,7 +4,7 @@ The ``check`` snapshots in ``golden/`` cover the fixture corpus and the
 fault-injected tables of acceptance criterion 3, in text and JSON.  They pin
 the verdict lines, the first witness of every failing sweep and its detail
 text.  The ``twist`` snapshots are the files ``twist`` writes for each corpus
-structure and for a chain twisted twice; they pin every cell name, table
+structure and for two chains twisted twice; they pin every cell name, table
 entry and key order of the twisted complex.  The ``decalage`` snapshots are
 its text output on the corpus.  Regenerate them only for an intended change
 of output::
@@ -80,9 +80,12 @@ def render(x, fmt: str) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-# twist inputs: the corpus, and delooping Z/3 at truncation 4 twisted twice
-TWIST_CASES = dict(corpus(), delooping_z3_4=fixtures.delooping(fixtures.cyclic_table(3), 4))
-TWIST_DEPTH = {"delooping_z3_4": 2}
+# twist inputs: the corpus once, and two chains twisted twice.  The second
+# round on the suspension runs on a base whose 2-cells have distinct source
+# and target, which no corpus structure has.
+TWIST_CASES = {name: (x, 1) for name, x in corpus().items()}
+TWIST_CASES["delooping_z3_4"] = (fixtures.delooping(fixtures.cyclic_table(3), 4), 2)
+TWIST_CASES["suspension_z2_2_4"] = (fixtures.suspension(fixtures.cyclic_table(2), 2, 4), 2)
 
 
 def render_twist(x, depth: int) -> bytes:
@@ -120,7 +123,7 @@ def test_check_output_matches_snapshot(name, fmt):
 
 @pytest.mark.parametrize("name", sorted(TWIST_CASES))
 def test_twist_file_matches_snapshot(name):
-    got = render_twist(TWIST_CASES[name], TWIST_DEPTH.get(name, 1))
+    got = render_twist(*TWIST_CASES[name])
     assert got == (GOLDEN / f"twist_{name}.json").read_bytes()
 
 
@@ -137,8 +140,8 @@ if __name__ == "__main__":
     for name, x in CASES.items():
         for fmt in FORMATS:
             (GOLDEN / f"{name}.{fmt}").write_text(render(x, fmt)[1], encoding="utf-8")
-    for name, x in TWIST_CASES.items():
-        (GOLDEN / f"twist_{name}.json").write_bytes(render_twist(x, TWIST_DEPTH.get(name, 1)))
+    for name, (x, depth) in TWIST_CASES.items():
+        (GOLDEN / f"twist_{name}.json").write_bytes(render_twist(x, depth))
     for name, x in corpus().items():
         (GOLDEN / f"decalage_{name}.text").write_text(render_decalage(x)[1], encoding="utf-8")
     sys.exit(0)
