@@ -4,22 +4,12 @@ Structures are explicit operation tables over finite globular sets.  The
 package enumerates and checks every law exhaustively: the structure laws,
 the coherence axioms, the twisted complex with its canonical isomorphisms,
 the unit-lift splitting of the twisted projection, and the finite
-shift-category demonstration.
+shift-category demonstration.  Import submodules by name
+(``from globkernel import omega``); none is loaded here.
 """
 
-from . import decalage, fixtures, globular, omega, report, testcat, twist
 from .errors import KernelError
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "KernelError",
-    "decalage",
-    "fixtures",
-    "globular",
-    "omega",
-    "report",
-    "testcat",
-    "twist",
-    "__version__",
-]
+__all__ = ["KernelError", "__version__"]

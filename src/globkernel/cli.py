@@ -5,7 +5,8 @@ Subcommands: ``check`` (structure and axiom sweeps on a file), ``twist``
 sweeps), ``delta`` (finite shift-category demonstration), ``fixture``
 (write a stock structure), ``sum`` (enumerate a globular product).
 
-Exit codes: 0 clean, 1 mathematical violation, 2 input error.
+Exit codes: 0 clean, 1 mathematical violation, 2 input error.  ``twist``
+and ``decalage`` are imported only by the commands that use them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from . import decalage, fixtures, omega, report, twist
+from . import fixtures, omega, report
 from .errors import DimOutOfRange, KernelError
 from .globular import globular_product, parse_table
 
@@ -79,6 +80,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_twist(args) -> int:
+    from . import twist
     x = _load_structure(args.file)
     twisted = twist.build_twisted(x)
     data = omega.omega_to_json(twisted)
@@ -90,6 +92,7 @@ def cmd_twist(args) -> int:
 
 
 def cmd_decalage(args) -> int:
+    from . import decalage
     cfg = RunConfig(
         fmt=args.format,
         cap=args.cap,
@@ -126,6 +129,7 @@ def cmd_decalage(args) -> int:
 
 
 def cmd_delta(args) -> int:
+    from . import decalage
     cfg = RunConfig(fmt=args.format, max_n=args.max_n)
     gens = decalage.standard_generators()
     if cfg.fmt == "text":

@@ -37,6 +37,7 @@ from .globular import (
 )
 from .omega import OmegaStructure, compose, iter_unit, unit
 from .report import CheckResult, failed, verdict
+from .testcat import map_table
 from .twist import (
     MixedTuple,
     TwistedCell,
@@ -340,10 +341,10 @@ def standard_generators() -> dict[str, SimplexMap]:
     }
 
 
-def all_simplex_maps(m: int, n: int):
-    """Every map ``{0..m} -> {0..n}`` in lexicographic order."""
-    for values in itertools.product(range(n + 1), repeat=m + 1):
-        yield SimplexMap(m, n, values)
+def _shift_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """``shift_map`` on maps into ``{0..n}`` held as rows along the last axis."""
+    top = np.full(rows.shape[:-1] + (1,), n + 1, dtype=rows.dtype)
+    return np.concatenate([rows, top], axis=-1)
 
 
 def _composition_sweep(max_n: int, cap: int) -> list[str]:
@@ -352,49 +353,23 @@ def _composition_sweep(max_n: int, cap: int) -> list[str]:
     Vectorized: for every pair of composable maps the shifted composite is
     compared elementwise against the composite of the shifts.
     """
-    tables = {}
-    for m in range(max_n + 1):
-        for n in range(max_n + 1):
-            arr = np.array(
-                list(itertools.product(range(n + 1), repeat=m + 1)), dtype=np.int8
-            ).reshape(-1, m + 1)
-            tables[(m, n)] = arr
-
     failures: list[str] = []
-    for m in range(max_n + 1):
-        for n in range(max_n + 1):
-            a = tables[(m, n)]
-            count_a = a.shape[0]
-            a_shift = np.concatenate(
-                [a, np.full((count_a, 1), n + 1, dtype=np.int8)], axis=1
-            )
-            for p in range(max_n + 1):
-                b = tables[(n, p)]
-                b_shift = np.concatenate(
-                    [b, np.full((b.shape[0], 1), p + 1, dtype=np.int8)], axis=1
+    for m, n, p in itertools.product(range(max_n + 1), repeat=3):
+        a, b = map_table(m, n), map_table(n, p)
+        a_shift, b_shift = _shift_rows(a, n), _shift_rows(b, p)
+        block = max(1, 30_000_000 // (len(a) * (m + 2)))
+        for start in range(0, len(b), block):
+            lhs = _shift_rows(b[start : start + block][:, a], p)  # shift(psi after phi)
+            rhs = b_shift[start : start + block][:, a_shift]  # shift psi after shift phi
+            if np.array_equal(lhs, rhs):
+                continue
+            for gi, fi in np.argwhere((lhs != rhs).any(axis=2))[: cap - len(failures)]:
+                failures.append(
+                    f"phi={tuple(int(v) for v in a[fi])}:[{m}]->[{n}] "
+                    f"psi={tuple(int(v) for v in b[start + gi])}:[{n}]->[{p}]"
                 )
-                block = max(1, 30_000_000 // max(1, count_a * (m + 2)))
-                for start in range(0, b.shape[0], block):
-                    bb = b[start : start + block]
-                    bbs = b_shift[start : start + block]
-                    composed = bb[:, a]  # psi(phi(k)) for every pair
-                    lhs = np.concatenate(
-                        [
-                            composed,
-                            np.full(composed.shape[:2] + (1,), p + 1, dtype=np.int8),
-                        ],
-                        axis=2,
-                    )
-                    rhs = bbs[:, a_shift]
-                    if not np.array_equal(lhs, rhs):
-                        bad = np.argwhere((lhs != rhs).any(axis=2))
-                        for gi, fi in bad[: max(1, cap - len(failures))]:
-                            failures.append(
-                                f"phi={tuple(int(v) for v in a[fi])}:[{m}]->[{n}] "
-                                f"psi={tuple(int(v) for v in b[start + gi])}:[{n}]->[{p}]"
-                            )
-                        if len(failures) >= cap:
-                            return failures
+            if len(failures) >= cap:
+                return failures
     return failures
 
 
@@ -419,17 +394,15 @@ def check_shift_decalage(max_n: int, cap: int = 100) -> list[CheckResult]:
     scope = f"m,n,p<={max_n}"
     results.append(verdict("shift-composition", scope, comp_failures))
 
-    incl_failures = []
-    point_failures = []
-    for m in range(max_n + 1):
-        for n in range(max_n + 1):
-            for phi in all_simplex_maps(m, n):
-                if compose_maps(shift_map(phi), top_inclusion(m)) != compose_maps(
-                    top_inclusion(n), phi
-                ):
-                    incl_failures.append(str(phi))
-                if compose_maps(shift_map(phi), base_point(m)) != base_point(n):
-                    point_failures.append(str(phi))
+    # both squares on whole tables: every phi: [m] -> [n] at once, one per row
+    incl_failures, point_failures = [], []
+    for m, n in itertools.product(range(max_n + 1), repeat=2):
+        phis = map_table(m, n)
+        shifted = _shift_rows(phis, n)
+        incl = shifted[:, top_inclusion(m).table] != np.array(top_inclusion(n).table)[phis]
+        point = shifted[:, base_point(m).table] != base_point(n).table
+        for failures, bad in ((incl_failures, incl), (point_failures, point)):
+            failures += [str(SimplexMap(m, n, phis[r])) for r in np.flatnonzero(bad.any(axis=1))]
     scope = f"m,n<={max_n}"
     results.append(verdict("shift-inclusion-square", scope, incl_failures))
     results.append(verdict("shift-point-square", scope, point_failures))

@@ -42,8 +42,29 @@ class SmallCategory:
         return self.comp[(g, f)]
 
 
+_NONE = object()  # a name no category declares, for a ``comp`` key that is no pair
+
+
+def _id(index: dict, name) -> int:
+    try:
+        return index.get(name, -1)
+    except TypeError:  # not hashable, so not declared
+        return -1
+
+
+def _ids(index: dict, names: list) -> np.ndarray:
+    """The id of each name in ``index``, or -1 where it has none."""
+    try:
+        return np.array([index.get(name, -1) for name in names], dtype=np.int64)
+    except TypeError:
+        return np.array([_id(index, name) for name in names], dtype=np.int64)
+
+
 def validate_category(objects, morphisms, identity, comp) -> SmallCategory:
-    """Exhaustively validate the category laws; raise on any failure."""
+    """Validate every category law on interned ids, as masks over integer tables.
+
+    Raises the failure the name-keyed loops of ``tests/oracles.py`` meet first.
+    """
     objects = tuple(objects)
     morphisms = {name: (dom, cod) for name, (dom, cod) in dict(morphisms).items()}
     identity = dict(identity)
@@ -51,69 +72,71 @@ def validate_category(objects, morphisms, identity, comp) -> SmallCategory:
 
     if len(set(objects)) != len(objects):
         raise ValidationError("duplicate object names")
-    for name, (dom, cod) in morphisms.items():
-        if dom not in objects or cod not in objects:
-            raise ValidationError(f"morphism {name!r} has undeclared endpoint")
+    names = list(morphisms)
+    index = {name: k for k, name in enumerate(names)}
+    ends = _ids({a: k for k, a in enumerate(objects)}, [e for p in morphisms.values() for e in p])
+    undeclared = (ends.reshape(-1, 2) < 0).any(axis=1)
+    if undeclared.any():
+        name = names[int(np.argmax(undeclared))]
+        raise ValidationError(f"morphism {name!r} has undeclared endpoint")
+    dom, cod = ends[0::2], ends[1::2]
     for a in objects:
         ident = identity.get(a)
         if ident is None or ident not in morphisms:
             raise ValidationError(f"object {a!r} has no identity morphism")
         if morphisms[ident] != (a, a):
             raise ValidationError(f"identity of {a!r} is not an endomorphism")
+    ident = _ids(index, [identity[a] for a in objects])
 
-    by_dom: dict[str, list[str]] = {a: [] for a in objects}
-    for name, (dom, _cod) in morphisms.items():
-        by_dom[dom].append(name)
-    for f, (_dom, cod) in morphisms.items():
-        for g in by_dom[cod]:
-            h = comp.get((g, f))
-            if h is None:
-                raise ValidationError(f"no composite for {g!r} after {f!r}")
-            if morphisms[h] != (morphisms[f][0], morphisms[g][1]):
-                raise ValidationError(f"composite {h!r} has wrong endpoints")
-    for (g, f) in comp:
+    # table[g, f] = g after f, or -1 where comp has no declared morphism
+    keys = list(comp)
+    pairs = [name for k in keys for name in (k if len(k) == 2 else (_NONE, _NONE))]
+    key_g, key_f = _ids(index, pairs).reshape(-1, 2).T
+    known = (key_g >= 0) & (key_f >= 0)
+    values = _ids(index, list(comp.values()))
+    table = np.full((len(names), len(names)), -1, dtype=np.int32)
+    table[key_g[known], key_f[known]] = values[known]
+
+    f, g = np.nonzero(cod[:, None] == dom[None, :])  # f first, then g, as declared
+    h = table[g, f]
+    bad = (h < 0) | (dom[h] != dom[f]) | (cod[h] != cod[g])
+    if bad.any():
+        k = int(np.argmax(bad))
+        gname, fname = names[g[k]], names[f[k]]
+        value = comp.get((gname, fname))
+        if value is None:
+            raise ValidationError(f"no composite for {gname!r} after {fname!r}")
+        if h[k] < 0:
+            raise ValidationError(f"composite {value!r} of {gname!r} after {fname!r} is undeclared")
+        raise ValidationError(f"composite {value!r} has wrong endpoints")
+    stray = ~known
+    stray[known] = cod[key_f[known]] != dom[key_g[known]]
+    if stray.any():
+        g, f = keys[int(np.argmax(stray))]  # a key that is no pair raises here
         if f not in morphisms or g not in morphisms:
             raise ValidationError(f"composite declared on undeclared morphisms ({g!r}, {f!r})")
-        if morphisms[f][1] != morphisms[g][0]:
-            raise ValidationError(f"composite declared for non-composable {g!r}, {f!r}")
+        raise ValidationError(f"composite declared for non-composable {g!r}, {f!r}")
 
-    for f, (dom, cod) in morphisms.items():
-        if comp[(f, identity[dom])] != f or comp[(identity[cod], f)] != f:
-            raise ValidationError(f"unit law fails at {f!r}")
+    ids = np.arange(len(names))
+    unit = (table[ids, ident[dom]] != ids) | (table[ident[cod], ids] != ids)
+    if unit.any():
+        raise ValidationError(f"unit law fails at {names[int(np.argmax(unit))]!r}")
 
     # associativity, exhaustively over all composable triples; vectorized
     # per middle morphism because hom-sets grow fast for all-maps categories
-    names = list(morphisms)
-    index = {name: k for k, name in enumerate(names)}
-    size = len(names)
-    if size:
-        table = np.full((size, size), -1, dtype=np.int32)
-        for (g, f), h in comp.items():
-            table[index[g], index[f]] = index[h]
-        into: dict[str, np.ndarray] = {a: [] for a in objects}
-        out_of: dict[str, np.ndarray] = {a: [] for a in objects}
-        for name, (dom, cod) in morphisms.items():
-            out_of[dom].append(index[name])
-            into[cod].append(index[name])
-        into = {a: np.array(v, dtype=np.int32) for a, v in into.items()}
-        out_of = {a: np.array(v, dtype=np.int32) for a, v in out_of.items()}
-        for g_name in names:
-            g = index[g_name]
-            dom, cod = morphisms[g_name]
-            firsts = into[dom]  # f with cod f = dom g
-            lasts = out_of[cod]  # h with dom h = cod g
-            if not len(firsts) or not len(lasts):
-                continue
-            hg = table[lasts, g]
-            gf = table[g, firsts]
-            lhs = table[np.ix_(hg, firsts)]  # (h g) f
-            rhs = table[np.ix_(lasts, gf)]  # h (g f)
-            if not np.array_equal(lhs, rhs):
-                hi, fi = map(int, np.argwhere(lhs != rhs)[0])
-                raise ValidationError(
-                    f"associativity fails at ({names[lasts[hi]]!r}, "
-                    f"{g_name!r}, {names[firsts[fi]]!r})"
-                )
+    into = [np.flatnonzero(cod == a) for a in range(len(objects))]
+    out_of = [np.flatnonzero(dom == a) for a in range(len(objects))]
+    for g in ids:
+        firsts, lasts = into[dom[g]], out_of[cod[g]]  # f: _ -> dom g, h: cod g -> _
+        # whole rows first, then columns: much faster than one 2-d gather
+        lhs = table[table[lasts, g]][:, firsts]  # (h g) f
+        rhs = table[lasts][:, table[g, firsts]]  # h (g f)
+        if not np.array_equal(lhs, rhs):
+            hi, fi = map(int, np.argwhere(lhs != rhs)[0])
+            raise ValidationError(
+                f"associativity fails at ({names[lasts[hi]]!r}, "
+                f"{names[g]!r}, {names[firsts[fi]]!r})"
+            )
 
     return SmallCategory(objects, morphisms, identity, comp)
 
@@ -353,33 +376,52 @@ def product_comparison(f: Presheaf, g: Presheaf) -> FunctorData:
     return validate_functor(FunctorData(source, target, object_map, morphism_map))
 
 
+def map_table(m: int, n: int) -> np.ndarray:
+    """Every map ``{0..m} -> {0..n}`` as a row of its values, in lexicographic order.
+
+    Row ``r`` holds the base-``(n + 1)`` digits of ``r``, most significant
+    first, so the rank of a row is its base-``(n + 1)`` value.
+    """
+    grid = np.indices((n + 1,) * (m + 1), dtype=np.int8)
+    return np.ascontiguousarray(grid.reshape(m + 1, -1).T)
+
+
+def _rank(rows: np.ndarray, n: int) -> np.ndarray:
+    """The rank in ``map_table(_, n)`` of each row along the last axis."""
+    weights = (n + 1) ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
+    return rows.astype(np.int64) @ weights
+
+
 def delta_truncated(m: int) -> SmallCategory:
-    """Objects ``[0] .. [m]``, morphisms all maps between the finite sets."""
+    """Objects ``[0] .. [m]``, morphisms all maps between the finite sets.
+
+    The map ``a>b:<values>`` has id ``offset[a, b]`` plus its rank in
+    ``map_table(a, b)``; composites are ranked back from one gather per
+    triple of objects, and names are made once, for output.
+    """
     if m < 0:
         raise ValidationError("m must be >= 0")
-    objects = tuple(f"[{n}]" for n in range(m + 1))
-    morphisms = {}
-    identity = {}
-    for a in range(m + 1):
-        for b in range(m + 1):
-            for values in itertools.product(range(b + 1), repeat=a + 1):
-                name = f"{a}>{b}:" + "".join(map(str, values))
-                morphisms[name] = (f"[{a}]", f"[{b}]")
-        identity[f"[{a}]"] = f"{a}>{a}:" + "".join(map(str, range(a + 1)))
+    sizes = range(m + 1)
+    objects = tuple(f"[{n}]" for n in sizes)
+    tables = {(a, b): map_table(a, b) for a in sizes for b in sizes}
+    offset, morphisms = {}, {}
+    for (a, b), rows in tables.items():
+        offset[a, b] = len(morphisms)
+        for row in rows.tolist():
+            morphisms[f"{a}>{b}:" + "".join(map(str, row))] = (objects[a], objects[b])
+    names = np.array(list(morphisms), dtype=object)
+    identity = {objects[a]: names[offset[a, a] + _rank(np.arange(a + 1), a)] for a in sizes}
 
-    def values_of(name: str) -> tuple[int, ...]:
-        return tuple(int(ch) for ch in name.split(":", 1)[1])
-
-    comp = {}
-    for g, (gdom, gcod) in morphisms.items():
-        for f, (fdom, fcod) in morphisms.items():
-            if fcod != gdom:
-                continue
-            gv, fv = values_of(g), values_of(f)
-            composite = tuple(gv[v] for v in fv)
-            a = int(fdom[1:-1])
-            b = int(gcod[1:-1])
-            comp[(g, f)] = f"{a}>{b}:" + "".join(map(str, composite))
+    gs, fs, hs = [], [], []
+    for (b, c), after in tables.items():
+        # every g: [b] -> [c], each followed by every f: [a] -> [b], a ascending
+        firsts = np.concatenate([offset[a, b] + np.arange(len(tables[a, b])) for a in sizes])
+        gs.append(np.repeat(offset[b, c] + np.arange(len(after)), len(firsts)))
+        fs.append(np.tile(firsts, len(after)))
+        composites = [offset[a, c] + _rank(after[:, tables[a, b]], c) for a in sizes]
+        hs.append(np.concatenate(composites, axis=1).ravel())
+    g, f, h = (names[np.concatenate(ids)] for ids in (gs, fs, hs))
+    comp = dict(zip(zip(g, f), h))
     return validate_category(objects, morphisms, identity, comp)
 
 

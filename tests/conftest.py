@@ -10,6 +10,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from globkernel import fixtures, omega
 
+from oracles import ref_build_twisted
+
 GHOST = "ghost"
 
 
@@ -30,6 +32,12 @@ def corpus():
 
 
 CORPUS = corpus()
+
+# In every corpus structure each cell above dimension 1 has equal source and
+# target, which would hide a source mistaken for a target; the twisted
+# suspension's 2-cells do not.
+POOL = dict(CORPUS, twisted_suspension_z2_2_4=ref_build_twisted(
+    fixtures.suspension(fixtures.cyclic_table(2), 2, 4)))
 
 
 @st.composite

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 
+from globkernel import decalage
 from globkernel.errors import (
     DimOutOfRange,
     GluingViolation,
@@ -98,6 +99,107 @@ def brute_segment_cells(gs, low, high):
 def all_functions(m, n):
     """All total maps {0..m} -> {0..n} as value tuples."""
     return list(itertools.product(range(n + 1), repeat=m + 1))
+
+
+def ref_shift_squares(max_n):
+    """Failures of the shift's inclusion and point squares, checked map by map.
+
+    Each failing map is named by its ``str``.  The structure maps are read
+    from ``decalage`` at call time, so a test may replace them.
+    """
+    incl, point = [], []
+    for m in range(max_n + 1):
+        for n in range(max_n + 1):
+            for values in all_functions(m, n):
+                phi = decalage.SimplexMap(m, n, values)
+                shifted = decalage.shift_map(phi)
+                if decalage.compose_maps(shifted, decalage.top_inclusion(m)) != (
+                    decalage.compose_maps(decalage.top_inclusion(n), phi)
+                ):
+                    incl.append(str(phi))
+                if decalage.compose_maps(shifted, decalage.base_point(m)) != decalage.base_point(n):
+                    point.append(str(phi))
+    return incl, point
+
+
+def ref_validate_category(objects, morphisms, identity, comp):
+    """The category laws checked by loops over names; raises what ``validate_category`` must.
+
+    Returns the four normalised tables when every law holds.
+    """
+    objects = tuple(objects)
+    morphisms = {name: (dom, cod) for name, (dom, cod) in dict(morphisms).items()}
+    identity = dict(identity)
+    comp = {tuple(k): v for k, v in dict(comp).items()}
+
+    def declared(h):
+        try:
+            return h in morphisms
+        except TypeError:
+            return False
+
+    if len(set(objects)) != len(objects):
+        raise ValidationError("duplicate object names")
+    for name, (dom, cod) in morphisms.items():
+        if dom not in objects or cod not in objects:
+            raise ValidationError(f"morphism {name!r} has undeclared endpoint")
+    for a in objects:
+        ident = identity.get(a)
+        if ident is None or ident not in morphisms:
+            raise ValidationError(f"object {a!r} has no identity morphism")
+        if morphisms[ident] != (a, a):
+            raise ValidationError(f"identity of {a!r} is not an endomorphism")
+
+    for f, (fdom, fcod) in morphisms.items():
+        for g, (gdom, gcod) in morphisms.items():
+            if gdom != fcod:
+                continue
+            h = comp.get((g, f))
+            if h is None:
+                raise ValidationError(f"no composite for {g!r} after {f!r}")
+            if not declared(h):
+                raise ValidationError(f"composite {h!r} of {g!r} after {f!r} is undeclared")
+            if morphisms[h] != (fdom, gcod):
+                raise ValidationError(f"composite {h!r} has wrong endpoints")
+    for (g, f) in comp:
+        if f not in morphisms or g not in morphisms:
+            raise ValidationError(f"composite declared on undeclared morphisms ({g!r}, {f!r})")
+        if morphisms[f][1] != morphisms[g][0]:
+            raise ValidationError(f"composite declared for non-composable {g!r}, {f!r}")
+
+    for f, (dom, cod) in morphisms.items():
+        if comp[(f, identity[dom])] != f or comp[(identity[cod], f)] != f:
+            raise ValidationError(f"unit law fails at {f!r}")
+
+    for g, (gdom, gcod) in morphisms.items():
+        for h, (hdom, _) in morphisms.items():
+            if hdom != gcod:
+                continue
+            for f, (_, fcod) in morphisms.items():
+                if fcod == gdom and comp[(comp[(h, g)], f)] != comp[(h, comp[(g, f)])]:
+                    raise ValidationError(f"associativity fails at ({h!r}, {g!r}, {f!r})")
+    return objects, morphisms, identity, comp
+
+
+def ref_delta_truncated(m):
+    """The tables of the finite-set category on ``[0] .. [m]``, built on names."""
+    objects = tuple(f"[{n}]" for n in range(m + 1))
+    morphisms = {}
+    identity = {}
+    for a in range(m + 1):
+        for b in range(m + 1):
+            for values in all_functions(a, b):
+                morphisms[f"{a}>{b}:" + "".join(map(str, values))] = (f"[{a}]", f"[{b}]")
+        identity[f"[{a}]"] = f"{a}>{a}:" + "".join(map(str, range(a + 1)))
+
+    values_of = {name: tuple(int(ch) for ch in name.split(":", 1)[1]) for name in morphisms}
+    comp = {}
+    for g, (gdom, gcod) in morphisms.items():
+        for f, (fdom, fcod) in morphisms.items():
+            if fcod == gdom:
+                composite = "".join(str(values_of[g][v]) for v in values_of[f])
+                comp[(g, f)] = f"{fdom[1:-1]}>{gcod[1:-1]}:{composite}"
+    return objects, morphisms, identity, comp
 
 
 def brute_chain_count(objects, morphisms, length):

@@ -89,17 +89,34 @@ def _bad_input(tmp_path, case):
     return path
 
 
-@pytest.mark.parametrize("case", ["comp-list", "unit-entry", "directory", "not-utf8"])
-def test_bad_input_exit_two_without_traceback(tmp_path, case):
+def run_process(*args):
+    """``python <args>`` in a new process that imports this checkout's package."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "globkernel.cli", "check", str(_bad_input(tmp_path, case))],
-        capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+@pytest.mark.parametrize("case", ["comp-list", "unit-entry", "directory", "not-utf8"])
+def test_bad_input_exit_two_without_traceback(tmp_path, case):
+    proc = run_process("-m", "globkernel.cli", "check", str(_bad_input(tmp_path, case)))
     assert proc.returncode == 2
     assert "input error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_check_loads_neither_twist_nor_decalage_nor_testcat(z2_file):
+    # -X importtime writes one line per module the process imports to stderr
+    proc = run_process("-X", "importtime", "-m", "globkernel.cli", "check", str(z2_file))
+    assert proc.returncode == 0
+    loaded = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "globkernel.omega" in loaded
+    assert not loaded & {"globkernel.twist", "globkernel.decalage", "globkernel.testcat"}
 
 
 def test_twist_pipeline(tmp_path, z2_file, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,9 +32,10 @@ from globkernel.decalage import (
 )
 from globkernel.errors import DimOutOfRange, NotComposable, ValidationError
 from globkernel.globular import all_tables, globular_product, parse_table
+from globkernel.testcat import map_table
 from globkernel.twist import twisted_cell, twisted_cells
 
-from oracles import all_functions
+from oracles import all_functions, ref_shift_squares
 
 
 # -- projections and lifts -----------------------------------------------------
@@ -268,11 +270,27 @@ def test_shift_decalage_rejects_bad_bound():
 
 
 def test_function_counts_against_oracle():
-    # |maps [m] -> [n]| = (n+1)^(m+1), cross-checked by raw enumeration
-    for m in range(3):
-        for n in range(3):
-            maps = list(decalage.all_simplex_maps(m, n))
+    # |maps [m] -> [n]| = (n+1)^(m+1), cross-checked by raw enumeration; the
+    # rows of map_table come in the enumeration's lexicographic order
+    for m in range(4):
+        for n in range(4):
+            maps = map_table(m, n)
+            assert maps.dtype == np.int8
             assert len(maps) == len(all_functions(m, n)) == (n + 1) ** (m + 1)
+            assert [tuple(row) for row in maps.tolist()] == all_functions(m, n)
+
+
+def test_shift_squares_match_reference_on_faulty_structure_maps(monkeypatch):
+    # an inclusion that sends 0 to the top, and a point that lands on 0 for odd n
+    monkeypatch.setattr(decalage, "top_inclusion",
+                        lambda n: SimplexMap(n, n + 1, (n + 1,) + tuple(range(1, n + 1))))
+    monkeypatch.setattr(decalage, "base_point",
+                        lambda n: SimplexMap(0, n + 1, (0 if n % 2 else n + 1,)))
+    failures = {r.check: r.failures for r in check_shift_decalage(3)}
+    incl, point = ref_shift_squares(3)
+    assert incl and point
+    assert failures["shift-inclusion-square"] == tuple(incl)
+    assert failures["shift-point-square"] == tuple(point)
 
 
 @settings(max_examples=60, deadline=None)

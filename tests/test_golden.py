@@ -6,8 +6,9 @@ the verdict lines, the first witness of every failing sweep and its detail
 text.  The ``twist`` snapshots are the files ``twist`` writes for each corpus
 structure and for two chains twisted twice; they pin every cell name, table
 entry and key order of the twisted complex.  The ``decalage`` snapshots are
-its text output on the corpus.  Regenerate them only for an intended change
-of output::
+its text output on the corpus.  The ``delta`` snapshots are its output at
+``--max-n`` 3 and 4, in text and JSON.  Regenerate them only for an intended
+change of output::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -112,6 +113,17 @@ def render_decalage(x) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def render_delta(max_n: int, fmt: str) -> tuple[int, str]:
+    """Exit code and standard output of ``delta --max-n max_n``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["delta", "--max-n", str(max_n), "--format", fmt])
+    return code, out.getvalue()
+
+
+DELTA_SIZES = (3, 4)
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_check_output_matches_snapshot(name, fmt):
@@ -135,6 +147,15 @@ def test_decalage_output_matches_snapshot(name):
     assert code == (1 if "FAIL" in want else 0)
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("max_n", DELTA_SIZES)
+def test_delta_output_matches_snapshot(max_n, fmt):
+    code, stdout = render_delta(max_n, fmt)
+    want = (GOLDEN / f"delta_{max_n}.{fmt}").read_text(encoding="utf-8")
+    assert stdout == want
+    assert code == (1 if "FAIL" in want else 0)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, x in CASES.items():
@@ -144,4 +165,7 @@ if __name__ == "__main__":
         (GOLDEN / f"twist_{name}.json").write_bytes(render_twist(x, depth))
     for name, x in corpus().items():
         (GOLDEN / f"decalage_{name}.text").write_text(render_decalage(x)[1], encoding="utf-8")
+    for max_n in DELTA_SIZES:
+        for fmt in FORMATS:
+            (GOLDEN / f"delta_{max_n}.{fmt}").write_text(render_delta(max_n, fmt)[1], encoding="utf-8")
     sys.exit(0)

@@ -1,7 +1,8 @@
 """The integer-table sweeps against the name-based oracle, on faulted tables.
 
 Each example sets or deletes one entry of a ``comp``, ``unit`` or ``inv``
-table of a corpus structure (``conftest.faulted``).  The sweeps must give
+table of a structure of ``conftest.POOL``, the corpus and one twisted
+suspension (``conftest.faulted``).  The sweeps must give
 the oracle's violation list cut at the cap, down to the witnesses and their
 detail text, and flag the cut exactly; where the oracle raises, they must
 raise the same error.
@@ -13,10 +14,9 @@ from hypothesis import given, settings
 
 from globkernel import omega
 
-from conftest import corpus, faulted
+from conftest import POOL, faulted
 from oracles import brute_axiom_violations, brute_structure_violations
 
-CORPUS = corpus()
 CAPS = (1, 3, 100)
 
 
@@ -38,7 +38,7 @@ def _report(report):
 
 
 @settings(max_examples=150, deadline=None)
-@given(faulted())
+@given(faulted(POOL))
 def test_sweeps_match_oracle_on_single_faults(x):
     full = _run(lambda: brute_structure_violations(x))
     for cap in CAPS:
@@ -51,8 +51,8 @@ def test_sweeps_match_oracle_on_single_faults(x):
             assert got == _capped(full, cap), (name, cap)
 
 
-def test_sweeps_match_oracle_on_clean_corpus():
-    for name, x in CORPUS.items():
+def test_sweeps_match_oracle_on_clean_pool():
+    for name, x in POOL.items():
         assert omega.check_structure(x).violations == brute_structure_violations(x) == [], name
         for axiom in omega.AXIOMS:
             assert omega.check_axiom(x, axiom) == brute_axiom_violations(x, axiom) == [], name

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from globkernel.errors import NotNatural, ValidationError
 from globkernel.testcat import (
@@ -26,7 +28,12 @@ from globkernel.testcat import (
     validate_presheaf,
 )
 
-from oracles import all_functions, brute_chain_count
+from oracles import (
+    all_functions,
+    brute_chain_count,
+    ref_delta_truncated,
+    ref_validate_category,
+)
 
 
 def arrow_category():
@@ -74,6 +81,113 @@ def test_validate_category_laws():
             {"a": "ida", "b": "idb"},
             bad_comp,
         )
+
+
+def test_undeclared_composite_is_a_validation_error():
+    with pytest.raises(ValidationError, match="composite 'zzz' of 'ida' after 'ida'"):
+        validate_category(["a"], {"ida": ("a", "a")}, {"a": "ida"}, {("ida", "ida"): "zzz"})
+
+
+# -- validation on ids against the name-keyed reference --------------------------
+
+
+def tables(cat: SmallCategory):
+    return cat.objects, cat.morphisms, cat.identity, cat.comp
+
+
+def verdict(validate, *args):
+    """What ``validate`` makes of the tables: the accepted tables, or the error it raises."""
+    try:
+        result = validate(*args)
+    except Exception as exc:  # compared, never swallowed: a mismatch fails the test
+        return "raises", type(exc), str(exc)
+    return "accepts", tables(result) if isinstance(result, SmallCategory) else result
+
+
+def assert_matches_reference(*args):
+    assert verdict(validate_category, *args) == verdict(ref_validate_category, *args)
+
+
+BASES = {
+    "arrow": arrow_category(),
+    "z3": one_object_group(3),
+    "delta1": delta_truncated(1),
+    "delta2": delta_truncated(2),
+}
+GHOST = "zzz"
+
+
+@st.composite
+def mutated(draw):
+    """The tables of a small category with one or two entries redirected or deleted.
+
+    A ``comp`` entry (held, or on any pair of names) is redirected to a
+    morphism, half the time one with the old composite's endpoints so that
+    only the unit or associativity law can catch it; an identity is
+    redirected; a morphism gets another endpoint.  Any of them may instead
+    be deleted, or redirected to a name nothing declares.
+    """
+    objects, morphisms, identity, comp = (
+        dict(t) if isinstance(t, dict) else list(t)
+        for t in tables(BASES[draw(st.sampled_from(sorted(BASES)))])
+    )
+    names = list(morphisms) + [GHOST]
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(("comp", "identity", "endpoint")))
+        if kind == "comp":
+            key = draw(st.sampled_from(sorted(comp)) | st.tuples(*[st.sampled_from(names)] * 2))
+            old = morphisms.get(comp.get(key))
+            twins = [n for n in morphisms if morphisms[n] == old] or names
+            value = draw(st.sampled_from(twins) | st.sampled_from(names) | st.none())
+            table = comp
+        elif kind == "identity":
+            key = draw(st.sampled_from(objects))
+            value = draw(st.sampled_from(names) | st.none())
+            table = identity
+        else:
+            key = draw(st.sampled_from(sorted(morphisms)))
+            end = draw(st.sampled_from(objects + ["[ghost]"]))
+            dom, cod = morphisms[key]
+            value = draw(st.sampled_from([(end, cod), (dom, end), None]))
+            table = morphisms
+        if value is None:
+            table.pop(key, None)
+        else:
+            table[key] = value
+    return objects, morphisms, identity, comp
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated())
+def test_validate_category_matches_reference_on_mutants(args):
+    assert_matches_reference(*args)
+
+
+def test_validate_category_matches_reference_on_edge_cases():
+    objects, morphisms, identity, comp = tables(arrow_category())
+    for case in (
+        tables(BASES["delta2"]),
+        ([], {}, {}, {}),
+        ([], {}, {}, {("f", "g"): "h"}),
+        (["a", "a"], {}, {}, {}),
+        (objects, morphisms, identity, {**comp, ("f", "ida"): ["f"]}),  # unhashable
+        (objects, morphisms, identity, {**comp, ("ida", "ida"): GHOST, ("f", "ida"): ["f"]}),
+        (objects, morphisms, identity, {**comp, ("f", "ida"): None}),
+        (objects, morphisms, identity, {**comp, ("f",): "f"}),  # a key that is no pair
+        (objects, {**morphisms, "f": (["a"], "b")}, identity, comp),
+        (objects, morphisms, {"a": "ida"}, comp),
+        (objects, morphisms, {**identity, "b": "f"}, comp),
+    ):
+        assert_matches_reference(*case)
+
+
+def test_delta_truncated_matches_reference():
+    for m in range(4):
+        got = tables(delta_truncated(m))
+        want = ref_delta_truncated(m)
+        assert got[0] == want[0]
+        for got_table, want_table in zip(got[1:], want[1:]):
+            assert list(got_table.items()) == list(want_table.items()), m
 
 
 def test_has_terminal_basics():

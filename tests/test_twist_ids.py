@@ -2,9 +2,8 @@
 
 Each example sets or deletes one entry of a ``comp``, ``unit`` or ``inv``
 table (``conftest.faulted``), so twisted sources, composites, units and
-inverses may name no twisted cell, or no cell at all.  The structures are the
-corpus and one twisted suspension: in the corpus every cell above dimension 1
-has equal source and target, which would hide a source mistaken for a target.
+inverses may name no twisted cell, or no cell at all.  The structures are
+``conftest.POOL``: the corpus and one twisted suspension.
 Every twisted operation must give the value the reference in
 ``tests/oracles.py`` gives, or raise the same error with the same message;
 the enumerations must equal the brute-force ones, in order.
@@ -19,10 +18,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from globkernel import fixtures, omega, twist
+from globkernel import omega, twist
 from globkernel.globular import all_tables
 
-from conftest import CORPUS, GHOST, faulted
+from conftest import CORPUS, GHOST, POOL, faulted
 from oracles import (
     brute_mixed_product,
     brute_segment_cells,
@@ -44,9 +43,6 @@ from oracles import (
 
 # per operation and (level, subscript), how many drawn inputs are compared
 SAMPLE = 40
-
-POOL = dict(CORPUS, twisted_suspension_z2_2_4=ref_build_twisted(
-    fixtures.suspension(fixtures.cyclic_table(2), 2, 4)))
 
 
 def outcome(fn, *args):
