@@ -51,7 +51,7 @@ def test_sweeps_match_oracle_on_single_faults(x):
             assert got == _capped(full, cap), (name, cap)
 
 
-def test_sweeps_match_oracle_on_clean_pool():
+def test_sweeps_match_oracle_on_clean_corpus():
     for name, x in POOL.items():
         assert omega.check_structure(x).violations == brute_structure_violations(x) == [], name
         for axiom in omega.AXIOMS:
