@@ -4,14 +4,21 @@ Element side: every twisted cell projects to a base cell (source of its top
 entry) and to a 0-cell (target of its bottom entry); every base cell lifts
 into the twisted complex through unit padding.  The lift is a section of the
 projection, componentwise over every globular product; it is not natural in
-the level, and the checker for that fact must exhibit a witness.
+the level, and the checker for that fact must exhibit a witness.  The section
+sweep runs on interned ids: each product is enumerated as rows of cell ids,
+each component's lift is a row of unit and boundary gathers validated by one
+lookup in the twisted complex, and seams and projections are compared on the
+base boundary arrays.  Only a row where some step fails goes through the
+scalar lift and projection on names, which give the failure text.
 
 Finite-set side: the category with objects ``{0..n}`` and all maps between
 them carries a shift endofunctor ``D`` appending a fresh top element, with
 the inclusion as natural transformation, the constant-top point, and the
 clamping retraction ``k -> min(k, n)``.  ``check_shift_decalage`` verifies
-all of this exhaustively; the composition sweep is vectorized with numpy
-because the pair count grows as fast as the map count squared.
+all of this exhaustively on whole map tables.  The composition sweep, whose
+pair count grows as fast as the map count squared, compares the two sides
+one coordinate column at a time over blocks of composable pairs, so it never
+holds a block of whole shifted rows.
 """
 
 from __future__ import annotations
@@ -29,11 +36,14 @@ from .errors import (
     ValidationError,
 )
 from .globular import (
+    SRC,
+    TGT,
     GlobularTuple,
     TableOfDimensions,
     all_tables,
-    globular_product,
+    globular_product,  # noqa: F401  (bench/tests reads decalage.globular_product)
     globular_tuple,
+    product_ids,
 )
 from .omega import OmegaStructure, compose, iter_unit, unit
 from .report import CheckResult, failed, verdict
@@ -42,6 +52,7 @@ from .twist import (
     MixedTuple,
     TwistedCell,
     TwistedSegment,
+    _complex,
     check_seam,
     iter_twisted_unit,
     twisted_boundary,
@@ -122,22 +133,56 @@ def apex_tuple(x: OmegaStructure, mixed: MixedTuple) -> GlobularTuple:
 # -- element-side checks ---------------------------------------------------------
 
 
+def _lifts_back(x: OmegaStructure, table: TableOfDimensions, ids: np.ndarray) -> np.ndarray:
+    """Whether each product row of ``ids`` lifts, glues and projects back to itself.
+
+    The steps of :func:`unit_lift_tuple` and :func:`apex_tuple` on ids: each
+    component's lift is a row of the twisted complex, each seam glues on the
+    base boundaries, and the source of each top entry is the input cell.  A
+    step that gives -1 reads as False.
+    """
+    t, complex_ = x.tables, _complex(x)
+    ok = np.ones(len(ids), dtype=bool)
+    # component l lifts into the entries of dimensions low+1 .. high+1
+    bounds = zip((0,) + tuple(seam + 1 for seam in table.inner), table.outer)
+    for l, (low, high) in enumerate(bounds):
+        u = ids[:, l]
+        lift = np.column_stack([t.unit(d, t.boundary(TGT, high, d, u))
+                                for d in range(low, high + 1)])
+        ok &= complex_.lookup(low, high, lift) >= 0
+        if l:
+            # implied by the lookups and projections on a globular base; checked
+            # because unit_lift_tuple checks it
+            seam = low - 1
+            ok &= t.boundary(SRC, top_dim, seam, top) == t.boundary(TGT, low + 1, seam, lift[:, 0])
+        top, top_dim = lift[:, -1], high + 1
+        ok &= t.boundary(SRC, top_dim, high, top) == u
+    return ok
+
+
 def check_section(x: OmegaStructure, table: TableOfDimensions) -> CheckResult:
-    """Projection after lift is the identity on the globular product of ``table``."""
+    """Projection after lift is the identity on the globular product of ``table``.
+
+    Every product row is lifted, looked up, seam-checked and projected on ids
+    by :func:`_lifts_back`; a row that fails there goes through the scalar
+    lift and projection, which give the failure text, in enumeration order.
+    """
     if table.max_dim() + 1 > x.truncation:
         raise DimOutOfRange(
             f"table {table} needs truncation >= {table.max_dim() + 1}"
         )
+    cells = x.base.cells
     failures = []
-    for gtuple in globular_product(x.base, table):
-        try:
-            mixed = unit_lift_tuple(x, table, gtuple)
-            back = apex_tuple(x, mixed)
-        except _EVAL_ERRORS as exc:
-            failures.append(f"{gtuple.entries}: {exc}")
-            continue
-        if back != gtuple:
-            failures.append(f"{gtuple.entries} -> {back.entries}")
+    for block in product_ids(x.base, table):
+        for row in block[~_lifts_back(x, table, block)].tolist():
+            gtuple = GlobularTuple(table, tuple(cells[d][k] for d, k in zip(table.outer, row)))
+            try:
+                back = apex_tuple(x, unit_lift_tuple(x, table, gtuple))
+            except _EVAL_ERRORS as exc:
+                failures.append(f"{gtuple.entries}: {exc}")
+                continue
+            if back != gtuple:
+                failures.append(f"{gtuple.entries} -> {back.entries}")
     return verdict("section", str(table), failures)
 
 
@@ -347,23 +392,44 @@ def _shift_rows(rows: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([rows, top], axis=-1)
 
 
+# Composable pairs compared per numpy pass: bounds the memory of the shift sweep.
+_PAIRS = 1 << 18
+
+
 def _composition_sweep(max_n: int, cap: int) -> list[str]:
     """Exhaustive check that the shift respects all compositions.
 
-    Vectorized: for every pair of composable maps the shifted composite is
-    compared elementwise against the composite of the shifts.
+    For every composable pair, ``shift(psi after phi)`` is compared with
+    ``shift(psi) after shift(phi)`` one coordinate column at a time, over
+    blocks of pairs.  Where ``_shift_rows`` appends ``p + 1`` to the
+    composite, the left side is read off the composite's columns; the
+    composites it treats otherwise (``odd``, by rank, none when the shift is
+    right) are compared whole against their row of the shifted table, so the
+    verdict is that of shifting both sides.
     """
     failures: list[str] = []
     for m, n, p in itertools.product(range(max_n + 1), repeat=3):
         a, b = map_table(m, n), map_table(n, p)
         a_shift, b_shift = _shift_rows(a, n), _shift_rows(b, p)
-        block = max(1, 30_000_000 // (len(a) * (m + 2)))
+        c = map_table(m, p)
+        c_shift = _shift_rows(c, p)
+        odd = (c_shift[:, :-1] != c).any(axis=1) | (c_shift[:, -1] != p + 1)
+        block = max(1, _PAIRS // len(a))
         for start in range(0, len(b), block):
-            lhs = _shift_rows(b[start : start + block][:, a], p)  # shift(psi after phi)
-            rhs = b_shift[start : start + block][:, a_shift]  # shift psi after shift phi
-            if np.array_equal(lhs, rhs):
+            psi, psi_shift = b[start : start + block], b_shift[start : start + block]
+            bad = psi_shift[:, a_shift[:, m + 1]] != p + 1
+            for k in range(m + 1):
+                bad |= psi[:, a[:, k]] != psi_shift[:, a_shift[:, k]]
+            if odd.any():
+                rank = np.zeros(bad.shape, dtype=np.int64)  # of psi after phi in c
+                for k in range(m + 1):
+                    rank = rank * (p + 1) + psi[:, a[:, k]]
+                gi, fi = np.nonzero(odd[rank])
+                rhs = psi_shift[gi[:, None], a_shift[fi]]
+                bad[gi, fi] = (c_shift[rank[gi, fi]] != rhs).any(axis=1)
+            if not bad.any():
                 continue
-            for gi, fi in np.argwhere((lhs != rhs).any(axis=2))[: cap - len(failures)]:
+            for gi, fi in np.argwhere(bad)[: cap - len(failures)]:
                 failures.append(
                     f"phi={tuple(int(v) for v in a[fi])}:[{m}]->[{n}] "
                     f"psi={tuple(int(v) for v in b[start + gi])}:[{n}]->[{p}]"

@@ -388,10 +388,11 @@ def globular_tuple(gs: GlobularSet, table: TableOfDimensions, entries) -> Globul
     return GlobularTuple(table, entries)
 
 
-def globular_product(gs: GlobularSet, table: TableOfDimensions) -> tuple[GlobularTuple, ...]:
-    """Enumerate the globular product of ``gs`` over ``table``.
+def product_ids(gs: GlobularSet, table: TableOfDimensions):
+    """The globular product of ``gs`` over ``table`` as blocks of rows of cell ids.
 
-    Exhaustive, in lexicographic order of per-dimension cell indices.
+    Column ``k`` holds ids of ``i_k``-cells.  Exhaustive, in lexicographic
+    order of per-dimension cell indices.
     """
     if table.max_dim() > gs.truncation:
         raise DimOutOfRange(
@@ -402,9 +403,18 @@ def globular_product(gs: GlobularSet, table: TableOfDimensions) -> tuple[Globula
         _link(gs.boundary_ids(SRC, outer[k], inner[k]), gs.boundary_ids(TGT, outer[k + 1], inner[k]))
         for k in range(table.width - 1)
     ]
-    names = [_objects(gs.cells[d]) for d in outer]
+    return _glued(np.arange(len(gs.cells[outer[0]]), dtype=np.int32), links)
+
+
+def globular_product(gs: GlobularSet, table: TableOfDimensions) -> tuple[GlobularTuple, ...]:
+    """Enumerate the globular product of ``gs`` over ``table``.
+
+    Exhaustive, in lexicographic order of per-dimension cell indices.
+    """
+    blocks = product_ids(gs, table)
+    names = [_objects(gs.cells[d]) for d in table.outer]
     results: list[GlobularTuple] = []
-    for block in _glued(np.arange(len(gs.cells[outer[0]]), dtype=np.int32), links):
+    for block in blocks:
         columns = (names[k][block[:, k]] for k in range(table.width))
         results.extend(GlobularTuple(table, entries) for entries in zip(*columns))
     return tuple(results)

@@ -437,9 +437,19 @@ def category_to_json(cat: SmallCategory) -> dict:
     }
 
 
+def _comp_key(key: str) -> tuple[str, str]:
+    """A serialized ``"g|f"`` composition key as the pair ``(g, f)``."""
+    g, sep, f = key.partition("|")
+    if not sep:
+        raise ValidationError(f"composition key {key!r} has no '|'")
+    return g, f
+
+
 def category_from_json(data: dict) -> SmallCategory:
     try:
-        comp = {tuple(key.split("|", 1)): v for key, v in data["comp"].items()}
+        if not isinstance(data["comp"], dict):
+            raise ValidationError("'comp' must be an object")
+        comp = {_comp_key(key): v for key, v in data["comp"].items()}
         return validate_category(
             data["objects"], data["morphisms"], data["identity"], comp
         )

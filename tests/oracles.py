@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from globkernel import decalage
 from globkernel.errors import (
     DimOutOfRange,
@@ -22,7 +24,7 @@ from globkernel.errors import (
     NotComposable,
     ValidationError,
 )
-from globkernel.globular import TableOfDimensions, validate_globular_set
+from globkernel.globular import GlobularTuple, TableOfDimensions, validate_globular_set
 from globkernel.omega import (
     ASSOC,
     EXCHANGE,
@@ -39,6 +41,7 @@ from globkernel.omega import (
     unit,
     validate_omega,
 )
+from globkernel.report import verdict
 from globkernel.twist import MixedTuple, TwistedCell, TwistedSegment
 
 
@@ -120,6 +123,56 @@ def ref_shift_squares(max_n):
                 if decalage.compose_maps(shifted, decalage.base_point(m)) != decalage.base_point(n):
                     point.append(str(phi))
     return incl, point
+
+
+def ref_composition_sweep(max_n, cap):
+    """The shift's composition sweep on whole shifted rows.
+
+    Every block of composable pairs holds both sides as ``(B, A, m + 2)``
+    arrays, compared row by row.  ``_shift_rows`` is read from ``decalage``
+    at call time, so a test may replace it.
+    """
+    failures = []
+    for m, n, p in itertools.product(range(max_n + 1), repeat=3):
+        a = np.array(all_functions(m, n), dtype=np.int8)
+        b = np.array(all_functions(n, p), dtype=np.int8)
+        a_shift, b_shift = decalage._shift_rows(a, n), decalage._shift_rows(b, p)
+        block = max(1, 30_000_000 // (len(a) * (m + 2)))
+        for start in range(0, len(b), block):
+            lhs = decalage._shift_rows(b[start : start + block][:, a], p)  # shift(psi after phi)
+            rhs = b_shift[start : start + block][:, a_shift]  # shift psi after shift phi
+            if np.array_equal(lhs, rhs):
+                continue
+            for gi, fi in np.argwhere((lhs != rhs).any(axis=2))[: cap - len(failures)]:
+                failures.append(
+                    f"phi={tuple(int(v) for v in a[fi])}:[{m}]->[{n}] "
+                    f"psi={tuple(int(v) for v in b[start + gi])}:[{n}]->[{p}]"
+                )
+            if len(failures) >= cap:
+                return failures
+    return failures
+
+
+def ref_check_section(x, table):
+    """``check_section`` tuple by tuple on names: lift, project back, compare.
+
+    Enumerates the product by brute force and runs the scalar
+    ``unit_lift_tuple`` and ``apex_tuple`` on every tuple.
+    """
+    if table.max_dim() + 1 > x.truncation:
+        raise DimOutOfRange(f"table {table} needs truncation >= {table.max_dim() + 1}")
+    failures = []
+    for entries in brute_globular_product(x.base, table.outer, table.inner):
+        gtuple = GlobularTuple(table, entries)
+        try:
+            mixed = decalage.unit_lift_tuple(x, table, gtuple)
+            back = decalage.apex_tuple(x, mixed)
+        except (GluingViolation, NotComposable, ValidationError, MissingCell) as exc:
+            failures.append(f"{gtuple.entries}: {exc}")
+            continue
+        if back != gtuple:
+            failures.append(f"{gtuple.entries} -> {back.entries}")
+    return verdict("section", str(table), failures)
 
 
 def ref_validate_category(objects, morphisms, identity, comp):

@@ -35,7 +35,8 @@ from globkernel.globular import all_tables, globular_product, parse_table
 from globkernel.testcat import map_table
 from globkernel.twist import twisted_cell, twisted_cells
 
-from oracles import all_functions, ref_shift_squares
+from conftest import GHOST, POOL, faulted
+from oracles import all_functions, ref_check_section, ref_composition_sweep, ref_shift_squares
 
 
 # -- projections and lifts -----------------------------------------------------
@@ -144,6 +145,39 @@ def test_check_section_fault_injection(sus_z2):
         assert res.ok == (not expected_bad), str(table)
         if expected_bad:
             assert len(res.failures) == len(expected_bad), str(table)
+
+
+def _outcome(check, x, table):
+    """``check(x, table)``, or the KeyError it raises on a unit table that lacks an entry."""
+    try:
+        return check(x, table)
+    except KeyError as exc:
+        return KeyError, str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(faulted(POOL))
+def test_check_section_matches_reference_on_faulted_structures(x):
+    # same status, failures and order as the per-tuple loop, or the same error
+    for table in all_tables(3, min(3, x.truncation - 1)):
+        assert _outcome(check_section, x, table) == _outcome(ref_check_section, x, table), str(table)
+
+
+def test_check_section_matches_reference_on_every_unit_fault():
+    # the sweep reads no comp or inv table; the twisted suspension has 2-cells
+    # whose source is not their target, so a top entry's source is tested
+    x = POOL["twisted_suspension_z2_2_4"]
+    for i in range(x.truncation):
+        for u in x.base.cells[i]:
+            for w in x.base.cells[i + 1] + (GHOST, None):
+                units = [dict(t) for t in x.unit]
+                units[i].pop(u)
+                if w is not None:
+                    units[i][u] = w
+                y = omega.OmegaStructure(x.base, x.comp, tuple(units), x.inv)
+                for table in all_tables(3, x.truncation - 1):
+                    assert _outcome(check_section, y, table) == _outcome(ref_check_section, y, table), (
+                        i, u, w, str(table))
 
 
 # -- naturality -------------------------------------------------------------------
@@ -291,6 +325,34 @@ def test_shift_squares_match_reference_on_faulty_structure_maps(monkeypatch):
     assert incl and point
     assert failures["shift-inclusion-square"] == tuple(incl)
     assert failures["shift-point-square"] == tuple(point)
+
+
+_SHIFT = decalage._shift_rows
+
+
+def _shift_new_top_to_zero(rows, n):
+    """A shift that sends the new top to 0 on maps whose first value is 0."""
+    out = _SHIFT(rows, n)
+    out[..., -1] = np.where(rows[..., 0] == 0, 0, n + 1)
+    return out
+
+
+def _shift_first_value_to_top(rows, n):
+    """A shift that also moves the first value to the new top on maps ending in ``n``."""
+    out = _SHIFT(rows, n)
+    out[..., 0] = np.where(rows[..., -1] == n, n + 1, rows[..., 0])
+    return out
+
+
+@pytest.mark.parametrize("shift", [_shift_new_top_to_zero, _shift_first_value_to_top])
+def test_composition_sweep_matches_reference_under_faulty_shifts(monkeypatch, shift):
+    monkeypatch.setattr(decalage, "_shift_rows", shift)
+    full = ref_composition_sweep(3, 10**9)
+    assert len(full) > 100
+    for cap in (1, 7, 100):
+        got = decalage._composition_sweep(3, cap)
+        assert got == ref_composition_sweep(3, cap) == full[:cap], cap
+    assert decalage._composition_sweep(3, 10**9) == full
 
 
 @settings(max_examples=60, deadline=None)

@@ -436,3 +436,14 @@ def test_presheaf_json_round_trip():
 def test_category_json_rejects_malformed():
     with pytest.raises(ValidationError):
         category_from_json({"objects": ["a"]})
+
+
+def test_comp_key_without_separator_is_a_validation_error():
+    data = category_to_json(arrow_category())
+    with pytest.raises(ValidationError, match="'comp' must be an object"):
+        category_from_json({**data, "comp": []})
+    data["comp"]["ida"] = "ida"
+    with pytest.raises(ValidationError, match="composition key 'ida' has no '\\|'"):
+        category_from_json(data)
+    with pytest.raises(ValidationError, match="composition key 'ida' has no '\\|'"):
+        presheaf_from_json({"category": data, "values": {"a": [], "b": []}, "action": {}})
