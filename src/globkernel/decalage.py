@@ -41,7 +41,7 @@ from .globular import (
     GlobularTuple,
     TableOfDimensions,
     all_tables,
-    globular_product,  # noqa: F401  (bench/tests reads decalage.globular_product)
+    globular_product,
     globular_tuple,
     product_ids,
 )
@@ -151,8 +151,8 @@ def _lifts_back(x: OmegaStructure, table: TableOfDimensions, ids: np.ndarray) ->
                                 for d in range(low, high + 1)])
         ok &= complex_.lookup(low, high, lift) >= 0
         if l:
-            # implied by the lookups and projections on a globular base; checked
-            # because unit_lift_tuple checks it
+            # cannot fail once the lookups and projections hold on a validated
+            # globular base; compared because unit_lift_tuple compares it
             seam = low - 1
             ok &= t.boundary(SRC, top_dim, seam, top) == t.boundary(TGT, low + 1, seam, lift[:, 0])
         top, top_dim = lift[:, -1], high + 1
@@ -165,17 +165,19 @@ def check_section(x: OmegaStructure, table: TableOfDimensions) -> CheckResult:
 
     Every product row is lifted, looked up, seam-checked and projected on ids
     by :func:`_lifts_back`; a row that fails there goes through the scalar
-    lift and projection, which give the failure text, in enumeration order.
+    lift and projection on its tuple from :func:`globular_product`, which give
+    the failure text, in enumeration order.
     """
     if table.max_dim() + 1 > x.truncation:
         raise DimOutOfRange(
             f"table {table} needs truncation >= {table.max_dim() + 1}"
         )
-    cells = x.base.cells
+    gtuples = globular_product(x.base, table)
     failures = []
+    start = 0
     for block in product_ids(x.base, table):
-        for row in block[~_lifts_back(x, table, block)].tolist():
-            gtuple = GlobularTuple(table, tuple(cells[d][k] for d, k in zip(table.outer, row)))
+        for k in np.flatnonzero(~_lifts_back(x, table, block)).tolist():
+            gtuple = gtuples[start + k]
             try:
                 back = apex_tuple(x, unit_lift_tuple(x, table, gtuple))
             except _EVAL_ERRORS as exc:
@@ -183,6 +185,7 @@ def check_section(x: OmegaStructure, table: TableOfDimensions) -> CheckResult:
                 continue
             if back != gtuple:
                 failures.append(f"{gtuple.entries} -> {back.entries}")
+        start += len(block)
     return verdict("section", str(table), failures)
 
 
@@ -405,7 +408,9 @@ def _composition_sweep(max_n: int, cap: int) -> list[str]:
     composite, the left side is read off the composite's columns; the
     composites it treats otherwise (``odd``, by rank, none when the shift is
     right) are compared whole against their row of the shifted table, so the
-    verdict is that of shifting both sides.
+    verdict is that of shifting both sides.  Reading every pair's left side
+    off the shifted table by rank would need one path only, but its per-pair
+    rank and gathers cost more than the rest of the sweep together.
     """
     failures: list[str] = []
     for m, n, p in itertools.product(range(max_n + 1), repeat=3):

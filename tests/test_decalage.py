@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from globkernel import decalage, fixtures, omega, report, twist
+from globkernel import decalage, fixtures, globular, omega, report, twist
 from globkernel.decalage import (
     SimplexMap,
     apex_source,
@@ -178,6 +178,19 @@ def test_check_section_matches_reference_on_every_unit_fault():
                 for table in all_tables(3, x.truncation - 1):
                     assert _outcome(check_section, y, table) == _outcome(ref_check_section, y, table), (
                         i, u, w, str(table))
+
+
+def test_check_section_matches_reference_across_blocks(monkeypatch):
+    # products enumerated three rows at a time, so failing rows sit in later blocks
+    monkeypatch.setattr(globular, "_CHUNK", 3)
+    x = POOL["twisted_suspension_z2_2_4"]
+    for i in range(x.truncation):
+        units = [dict(t) for t in x.unit]
+        units[i][x.base.cells[i][-1]] = GHOST
+        y = omega.OmegaStructure(x.base, x.comp, tuple(units), x.inv)
+        for table in all_tables(3, x.truncation - 1):
+            assert _outcome(check_section, y, table) == _outcome(ref_check_section, y, table), (
+                i, str(table))
 
 
 # -- naturality -------------------------------------------------------------------
