@@ -4,6 +4,9 @@ Text form, one line per checked scope::
 
     CHECK <name> <scope> PASS
     CHECK <name> <scope> FAIL <witness>
+    CHECK <name> <scope> SKIP <reason>
+
+SKIP marks a check that had nothing to test on the input; it is no violation.
 
 JSON mirror: a list of ``{"check", "scope", "status", "witness"}`` objects.
 """
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 class CheckResult:
     check: str
     scope: str
-    status: str  # "PASS" or "FAIL"
+    status: str  # "PASS", "FAIL" or "SKIP"
     witness: str | None = None
     failures: tuple[str, ...] = ()
 
@@ -56,4 +59,5 @@ def to_json(results) -> list[dict]:
 
 
 def all_pass(results) -> bool:
-    return all(r.ok for r in results)
+    """No result is a FAIL."""
+    return all(r.status != "FAIL" for r in results)

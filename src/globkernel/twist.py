@@ -19,7 +19,7 @@ entrywise:
 
 ``build_twisted`` assembles all of this into a new ``OmegaStructure`` whose
 laws can be checked by the generic ``omega`` sweeps.  Every operation here
-validates its inputs and outputs; there is no unchecked fast path.
+validates its inputs and outputs.
 
 The complex runs on interned ids (:class:`TwistedComplex`): each level is
 enumerated once, by the joiner of ``globular``, into rows of base-cell ids,
@@ -29,11 +29,19 @@ over the rows, computed a level at a time with the gathers of
 ``omega.IntTables``.  Wherever an id step gives -1, or a tuple that is no
 row, the scalar code on names runs instead and raises the error that
 describes the failure.
+
+The paired and mixed products of the most recently enumerated table are
+held with the canonical bijection between them (:class:`Product`), computed
+on the rows, each direction on its own.  ``contract_product`` and
+``expand_product`` answer a member of a held product by one dict lookup:
+membership of an enumerated product is the validation, as a row is for a
+cell.  Any other input runs the scalar checks and gets their error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -91,6 +99,22 @@ class MixedTuple:
     segments: tuple[TwistedSegment, ...]
 
 
+@dataclass(frozen=True)
+class Product:
+    """The paired and mixed products of one table, and the canonical bijection between them.
+
+    ``contract`` maps paired tuples to mixed ones and ``expand`` mixed
+    tuples to paired ones; each holds exactly the members on which the id
+    computation succeeds.
+    """
+
+    table: TableOfDimensions
+    paired: tuple[tuple[TwistedCell, ...], ...]
+    mixed: tuple[MixedTuple, ...]
+    contract: dict
+    expand: dict
+
+
 class TwistedComplex:
     """The twisted complex of one structure over base-cell ids, built per level on first use.
 
@@ -107,6 +131,23 @@ class TwistedComplex:
         self.x = x
         self.t = x.tables
         self._cache: dict = {}
+        self._product: Product | None = None
+
+    def product(self, table: TableOfDimensions) -> Product:
+        """The products of ``table``, enumerated on first use.
+
+        Only the latest table is held: a sweep over tables uses each in
+        turn, so holding more would only cost memory.
+        """
+        if self.held(table) is None:
+            self._product = None  # let the previous table go before enumerating the next
+            self._product = _enumerate_product(self, table)
+        return self._product
+
+    def held(self, table) -> Product | None:
+        """The held products when they are those of ``table``."""
+        product = self._product
+        return product if product is not None and product.table == table else None
 
     def _memo(self, key, build, *args):
         value = self._cache.get(key)
@@ -385,34 +426,33 @@ def contract_product(x: OmegaStructure, table: TableOfDimensions, cells) -> Mixe
     boundaries over levels ``i'_l``.  Output keeps the first cell whole and,
     of each later cell, only the entries above the gluing level.
     """
+    held = _complex(x).held(table)
+    if held is not None:
+        try:
+            return held.contract[cells]
+        except (KeyError, TypeError):  # no member, or unhashable
+            pass
     cells = tuple(cells)
     outer, inner = table.outer, table.inner
     if len(cells) != len(outer):
         raise ValidationError(f"expected {len(outer)} cells, got {len(cells)}")
-    complex_ = _complex(x)
-    rows = []
     for k, cell in enumerate(cells):
         if cell.level != outer[k]:
             raise ValidationError(
                 f"cell {k + 1} has level {cell.level}, table wants {outer[k]}"
             )
-        rows.append(_row(complex_, 0, cell.level, cell.entries))
+        twisted_cell(x, cell.level, cell.entries)
     for l, seam in enumerate(inner):
-        # -1, a source boundary that is no cell, differs from every target
-        # boundary; the scalar twisted_boundary then raises its error
-        if (complex_.boundary(SRC, outer[l], seam)[rows[l]]
-                != complex_.boundary(TGT, outer[l + 1], seam)[rows[l + 1]]):
-            left = twisted_boundary(x, "src", cells[l], seam)
-            right = twisted_boundary(x, "tgt", cells[l + 1], seam)
+        left = twisted_boundary(x, "src", cells[l], seam)
+        right = twisted_boundary(x, "tgt", cells[l + 1], seam)
+        if left != right:
             raise GluingViolation(
                 l + 1,
                 f"twisted s-boundary {left.entries} != t-boundary {right.entries}",
             )
-    segments = []
-    for l, seam in enumerate(inner):
-        # entries of dimensions seam+2 .. i_{l+1}+1 sit at indices seam+1 ..
-        low, high = seam + 1, outer[l + 1]
-        segments.append(twisted_segment(x, low, high, cells[l + 1].entries[low:]))
+    # entries of dimensions seam+2 .. i_{l+1}+1 sit at indices seam+1 ..
+    segments = (twisted_segment(x, low, high, cells[l + 1].entries[low:])
+                for l, (low, high) in enumerate(_segment_bounds(table)))
     return MixedTuple(table, cells[0], tuple(segments))
 
 
@@ -425,20 +465,23 @@ def expand_product(x: OmegaStructure, mixed: MixedTuple) -> tuple[TwistedCell, .
     cell's level ``m + 1`` target.
     """
     table = mixed.table
+    held = _complex(x).held(table)
+    if held is not None:
+        try:
+            return held.expand[mixed]
+        except (KeyError, TypeError):  # no member, or unhashable
+            pass
     outer, inner = table.outer, table.inner
     if len(mixed.segments) != len(inner):
         raise ValidationError(
             f"expected {len(inner)} segments, got {len(mixed.segments)}"
         )
-    complex_ = _complex(x)
-    row = _row(complex_, 0, mixed.head.level, mixed.head.entries)
-    head = complex_.cells(mixed.head.level)[row]
+    head = twisted_cell(x, mixed.head.level, mixed.head.entries)
     if head.level != outer[0]:
         raise ValidationError(
             f"head has level {head.level}, table wants {outer[0]}"
         )
     cells = [head]
-    current = head
     for l, segment in enumerate(mixed.segments):
         seam = inner[l]
         low, high = seam + 1, outer[l + 1]
@@ -447,22 +490,12 @@ def expand_product(x: OmegaStructure, mixed: MixedTuple) -> tuple[TwistedCell, .
                 f"segment {l + 1} has bounds ({segment.low},{segment.high}), "
                 f"table wants ({low},{high})"
             )
-        _row(complex_, low, high, segment.entries)
+        twisted_segment(x, low, high, segment.entries)
+        current = cells[-1]
         check_seam(x, l + 1, seam, current.level + 1, current.top(), low + 1, segment.entries[0])
-        below = complex_.boundary(TGT, current.level, seam + 1)[row]
-        prefix = complex_.source(seam + 1)[below]
-        if prefix >= 0:
-            entries = complex_.cells(seam)[prefix].entries + segment.entries
-        else:
-            glued = compose(
-                x, seam + 1, seam,
-                current.entries[seam],
-                x.base.tgt[seam + 2][current.entries[seam + 1]],
-            )
-            entries = current.entries[:seam] + (glued,) + segment.entries
-        row = _row(complex_, 0, high, entries)
-        current = complex_.cells(high)[row]
-        cells.append(current)
+        glued = compose(x, seam + 1, seam, current.entries[seam],
+                        x.base.tgt[seam + 2][current.entries[seam + 1]])
+        cells.append(twisted_cell(x, high, current.entries[:seam] + (glued,) + segment.entries))
     return tuple(cells)
 
 
@@ -571,45 +604,91 @@ def _raise_first_unglued(x: OmegaStructure, table: TableOfDimensions, ends, link
         _raise_scalar(twisted_boundary, x, "src", cell, table.inner[k])
 
 
+def _paired_links(complex_: TwistedComplex, table: TableOfDimensions):
+    """Twisted source boundaries that glue each position to the next, and their links."""
+    outer, inner = table.outer, table.inner
+    ends = [complex_.boundary(SRC, outer[k], inner[k]) for k in range(table.width - 1)]
+    return ends, [_link(end, complex_.boundary(TGT, outer[k + 1], inner[k])) for k, end in enumerate(ends)]
+
+
+def _segment_bounds(table: TableOfDimensions) -> list[tuple[int, int]]:
+    """Shapes of the mixed segments: segment ``l`` holds dimensions ``i'_l + 2 .. i_{l+1} + 1``."""
+    return [(seam + 1, table.outer[l + 1]) for l, seam in enumerate(table.inner)]
+
+
+def _mixed_links(complex_: TwistedComplex, table: TableOfDimensions):
+    """Links of the seams of the mixed product, on base boundaries of the outermost entries."""
+    base = complex_.x.base
+    last = complex_.rows(0, table.outer[0])[:, -1]
+    top_dim = table.outer[0] + 1
+    links = []
+    for low, high in _segment_bounds(table):
+        rows = complex_.rows(low, high)
+        links.append(_link(base.boundary_ids(SRC, top_dim, low - 1)[last],
+                           base.boundary_ids(TGT, low + 1, low - 1)[rows[:, 0]]))
+        last, top_dim = rows[:, -1], high + 1
+    return links
+
+
+def _enumerate_product(complex_: TwistedComplex, table: TableOfDimensions) -> Product:
+    """Both products of ``table``, each enumerated once, and the maps between them.
+
+    The contraction looks up the entries of each later cell above its seam
+    as a segment.  The expansion is computed on its own: each next cell is
+    the twisted source of the previous cell's target at level ``seam + 1``,
+    followed by the segment.  A row where a step gives -1 stays out of its
+    map, so the scalar code answers it.
+    """
+    outer, bounds = table.outer, _segment_bounds(table)
+    first = np.arange(len(complex_.rows(0, outer[0])), dtype=np.int32)
+
+    def enumerate_rows(links) -> np.ndarray:
+        return np.concatenate([np.empty((0, table.width), dtype=np.int32), *_glued(first, links)])
+
+    paired_ids = enumerate_rows(_paired_links(complex_, table)[1])
+    mixed_ids = enumerate_rows(_mixed_links(complex_, table))
+    contracted, expanded = [paired_ids[:, 0]], [mixed_ids[:, 0]]
+    for l, (low, high) in enumerate(bounds):
+        contracted.append(complex_.lookup(low, high, complex_.rows(0, high)[paired_ids[:, l + 1], low:]))
+        # the cell expanded last, its target at level low = seam + 1, and that target's source
+        below = _gather(complex_.boundary(TGT, outer[l], low), expanded[-1])
+        prefix = _gather(complex_.source(low), below)
+        segment = complex_.rows(low, high)[mixed_ids[:, l + 1]]
+        entries = np.column_stack([complex_.rows(0, low - 1)[prefix], segment])
+        expanded.append(np.where(prefix < 0, -1, complex_.lookup(0, high, entries)))
+
+    columns = [_objects(complex_.cells(level)) for level in outer]
+    parts = columns[:1] + [_objects(complex_.segments(low, high)) for low, high in bounds]
+
+    def cell_tuples(ids) -> list:
+        return list(zip(*(columns[k][ids[:, k]] for k in range(table.width))))
+
+    def mixed_tuples(ids) -> list:
+        return [MixedTuple(table, head, tuple(segments))
+                for head, *segments in zip(*(parts[k][ids[:, k]] for k in range(table.width)))]
+
+    def bijection(keys, ids, values) -> dict:
+        ids = np.column_stack(ids)
+        good = (ids >= 0).all(axis=1)
+        return dict(zip(compress(keys, good), values(ids[good])))
+
+    paired, mixed = cell_tuples(paired_ids), mixed_tuples(mixed_ids)
+    return Product(table, tuple(paired), tuple(mixed),
+                   bijection(paired, contracted, mixed_tuples), bijection(mixed, expanded, cell_tuples))
+
+
 def twisted_product(x: OmegaStructure, table: TableOfDimensions):
     """All tuples of twisted cells glued by iterated twisted boundaries."""
     _check_level(x, table)
     complex_ = _complex(x)
-    outer, inner = table.outer, table.inner
-    ends = [complex_.boundary(SRC, outer[k], inner[k]) for k in range(table.width - 1)]
-    links = [_link(ends[k], complex_.boundary(TGT, outer[k + 1], inner[k]))
-             for k in range(table.width - 1)]
-    _raise_first_unglued(x, table, ends, links)
-    factors = [_objects(complex_.cells(level)) for level in outer]
-    results: list[tuple[TwistedCell, ...]] = []
-    for block in _glued(np.arange(len(factors[0]), dtype=np.int32), links):
-        results.extend(zip(*(factors[k][block[:, k]] for k in range(table.width))))
-    return tuple(results)
+    _raise_first_unglued(x, table, *_paired_links(complex_, table))
+    return complex_.product(table).paired
 
 
 def mixed_product(x: OmegaStructure, table: TableOfDimensions) -> tuple[MixedTuple, ...]:
     """All mixed tuples: head cells and segments glued at the seams."""
     _check_level(x, table)
-    complex_ = _complex(x)
-    base = x.base
-    # segment l holds the entries of dimensions i'_l + 2 .. i_{l+1} + 1
-    bounds = [(seam + 1, table.outer[l + 1]) for l, seam in enumerate(table.inner)]
-    last = complex_.rows(0, table.outer[0])[:, -1]
-    top_dim = table.outer[0] + 1
-    links = []
-    for l, (low, high) in enumerate(bounds):
-        seam = table.inner[l]  # = low - 1
-        rows = complex_.rows(low, high)
-        links.append(_link(base.boundary_ids(SRC, top_dim, seam)[last],
-                           base.boundary_ids(TGT, low + 1, seam)[rows[:, 0]]))
-        last, top_dim = rows[:, -1], high + 1
-    parts = [_objects(complex_.cells(table.outer[0]))]
-    parts.extend(_objects(complex_.segments(low, high)) for low, high in bounds)
-    results: list[MixedTuple] = []
-    for block in _glued(np.arange(len(parts[0]), dtype=np.int32), links):
-        columns = (parts[k][block[:, k]] for k in range(table.width))
-        results.extend(MixedTuple(table, head, tuple(segments)) for head, *segments in zip(*columns))
-    return tuple(results)
+    return _complex(x).product(table).mixed
 
 
 # -- assembly -------------------------------------------------------------------

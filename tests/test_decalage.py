@@ -227,10 +227,13 @@ def test_lift_non_naturality_witness(z2):
 
 
 def test_lift_non_naturality_missing_on_discrete():
-    # on a discrete structure the lift is natural, so the negative test fails
+    # on a discrete structure the lift is natural: nothing to witness, no violation
     x = fixtures.discrete(("a",), 3)
     assert find_lift_naturality_failure(x) is None
-    assert not check_lift_non_naturality(x).ok
+    result = check_lift_non_naturality(x)
+    assert (result.status, result.witness) == ("SKIP", "lift is natural on this structure")
+    assert not result.ok
+    assert report.all_pass([result])
 
 
 def test_unit_closed_forms_clean(fixture_corpus, z2_deep):

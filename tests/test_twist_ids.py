@@ -6,20 +6,25 @@ inverses may name no twisted cell, or no cell at all.  The structures are
 ``conftest.POOL``: the corpus and one twisted suspension.
 Every twisted operation must give the value the reference in
 ``tests/oracles.py`` gives, or raise the same error with the same message;
-the enumerations must equal the brute-force ones, in order.
+the enumerations must equal the brute-force ones, in order.  The
+contraction and expansion are compared on every member of each product,
+once before the product is enumerated and once after, when the maps the
+complex holds answer them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from globkernel import omega, twist
-from globkernel.globular import all_tables
+from globkernel.globular import TableOfDimensions, all_tables
 
 from conftest import CORPUS, GHOST, POOL, faulted
 from oracles import (
@@ -180,3 +185,131 @@ def test_every_tuple_on_missing_entries():
             for m in twist.mixed_product(y, table):
                 same(twist.expand_product, ref_expand_product, y, m)
         check_against_reference(y, rng.choice(all_tables(3, 2)), rng)
+        check_bijection_against_reference(y, all_tables(3, 2), rng)
+
+
+# -- the held bijection of a product ---------------------------------------------------
+
+
+def non_members(x, table, product, rng: random.Random):
+    """Inputs to contract/expand that no held map answers, each with its reference.
+
+    Tuples of cells and mixed tuples of the table's shapes (mostly
+    unglued), a cell of the wrong level, lists and unhashable entries, and
+    tuples tagged with a table of another shape.
+    """
+    levels = [twist.twisted_cells(x, level) for level in range(x.truncation)]
+    other = next(o for o in all_tables(3, x.truncation - 1) if o.outer != table.outer)
+    calls = []
+
+    def contract(table_, cells):
+        calls.append((twist.contract_product, ref_contract_product, (x, table_, cells)))
+
+    def expand(mixed):
+        calls.append((twist.expand_product, ref_expand_product, (x, mixed)))
+
+    segments = [twist.segment_cells(x, seam + 1, high) for seam, high in zip(table.inner, table.outer[1:])]
+    for _ in range(4):
+        contract(table, tuple(rng.choice(levels[level]) for level in table.outer))
+        expand(twist.MixedTuple(table, rng.choice(levels[table.outer[0]]),
+                                tuple(rng.choice(shape) for shape in segments)))
+    for wrong in range(len(levels)):
+        if wrong != table.outer[0] and levels[wrong]:
+            contract(table, (levels[wrong][0],) + (levels[table.outer[-1]][0],) * (table.width - 1))
+    for tup in product.paired[:2]:
+        contract(table, list(tup))
+        # the last cell: the reference takes no twisted source of a cell with list entries
+        contract(table, tup[:-1] + (twist.TwistedCell(tup[-1].level, list(tup[-1].entries)),))
+        contract(other, tup)
+    for m in product.mixed[:2]:
+        expand(twist.MixedTuple(table, m.head, list(m.segments)))
+        expand(twist.MixedTuple(table, twist.TwistedCell(m.head.level, list(m.head.entries)), m.segments))
+        if m.segments:
+            s = m.segments[0]
+            segment = twist.TwistedSegment(s.low, s.high, list(s.entries))
+            expand(twist.MixedTuple(table, m.head, (segment,) + m.segments[1:]))
+        expand(twist.MixedTuple(other, m.head, m.segments))
+    return calls
+
+
+def check_bijection_against_reference(x, tables, rng: random.Random):
+    """contract/expand on every member of every table, and on non-members, against the reference.
+
+    The calls run on a copy of ``x`` with a complex of its own, on each table
+    before its products are enumerated there, when the scalar code answers,
+    and after, when the held maps answer members.  The members come from a
+    second copy.
+    """
+    source, y = (omega.OmegaStructure(x.base, x.comp, x.unit, x.inv) for _ in range(2))
+    complex_ = twist._complex(y)
+    for table in tables:
+        product = twist._complex(source).product(table)
+        calls = [(twist.contract_product, ref_contract_product, (y, table, tup)) for tup in product.paired]
+        calls += [(twist.expand_product, ref_expand_product, (y, m)) for m in product.mixed]
+        calls += non_members(y, table, product, rng)
+        want = [outcome(ref, *args) for _, ref, args in calls]
+        for enumerated in (False, True):
+            if enumerated:
+                outcome(twist.twisted_product, y, table)
+                twist.mixed_product(y, table)
+            assert (complex_.held(table) is not None) == enumerated
+            for (fn, _, args), expected in zip(calls, want):
+                assert outcome(fn, *args) == expected, (fn.__name__, str(table), args[1:])
+
+
+def test_product_bijection_matches_reference_on_clean_corpus():
+    rng = random.Random(0)
+    for x in CORPUS.values():
+        tables = all_tables(3, min(3, x.truncation - 1))
+        check_bijection_against_reference(x, tables, rng)
+        # on lawful structures every step succeeds, so the maps answer every member
+        for table in tables:
+            product = twist._complex(x).product(table)
+            assert len(product.contract) == len(product.paired) == len(product.expand) == len(product.mixed)
+
+
+@st.composite
+def faulted_with_tables(draw):
+    x = draw(faulted(POOL))
+    tables = all_tables(3, min(3, x.truncation - 1))
+    return x, draw(st.lists(st.sampled_from(tables), min_size=2, max_size=2, unique=True))
+
+
+@settings(max_examples=50, deadline=None)
+@given(faulted_with_tables(), st.randoms(use_true_random=False))
+def test_product_bijection_matches_reference_on_single_faults(case, rng):
+    check_bijection_against_reference(*case, rng)
+
+
+def test_product_bijection_check_catches_a_rolled_segment_column(monkeypatch):
+    # the contraction map of each enumerated product gets its first segment
+    # column rolled by one row, so members map to the segments of their neighbours
+    enumerate_product = twist._enumerate_product
+
+    def rolled(complex_, table):
+        product = enumerate_product(complex_, table)
+        keys, values = list(product.contract), list(product.contract.values())
+        values = [dataclasses.replace(v, segments=(values[k - 1].segments[0],) + v.segments[1:])
+                  if v.segments else v for k, v in enumerate(values)]
+        return dataclasses.replace(product, contract=dict(zip(keys, values)))
+
+    monkeypatch.setattr(twist, "_enumerate_product", rolled)
+    x = CORPUS["delooping_z2_3"]
+    with pytest.raises(AssertionError, match="contract_product"):
+        check_bijection_against_reference(x, all_tables(2, 1), random.Random(0))
+
+
+def test_product_bijection_matches_reference_on_wrong_composites():
+    # each (2, 1) composite of the twisted suspension set to each 2-cell in
+    # turn; where its target is wrong, the source of a level-2 twisted cell
+    # has a source other than that of its target, so an expansion across a
+    # seam at 0 from a level-2 cell through the wrong boundary shows
+    x = POOL["twisted_suspension_z2_2_4"]
+    tables = [TableOfDimensions((2, 1), (0,)), TableOfDimensions((2, 2), (0,))]
+    rng = random.Random(0)
+    for key in sorted(x.comp[(2, 1)]):
+        for value in x.base.cells[2]:
+            comp = {sub: dict(t) for sub, t in x.comp.items()}
+            comp[(2, 1)][key] = value
+            y = omega.OmegaStructure(x.base, comp, x.unit, x.inv)
+            check_bijection_against_reference(y, tables, rng)
