@@ -33,7 +33,6 @@ class RunConfig:
     max_width: int = 3
     max_dim: int = 3
     max_n: int = 4
-    output: str | None = None
 
     def __post_init__(self):
         if self.cap < 1 or self.max_width < 1 or self.max_n < 1:

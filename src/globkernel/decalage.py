@@ -45,7 +45,7 @@ from .globular import (
     globular_tuple,
     product_ids,
 )
-from .omega import OmegaStructure, compose, iter_unit, unit
+from .omega import OmegaStructure, _Named
 from .report import CheckResult, verdict
 from .testcat import map_table
 from .twist import (
@@ -53,6 +53,7 @@ from .twist import (
     TwistedCell,
     TwistedSegment,
     _complex,
+    _source_entries,
     check_seam,
     iter_twisted_unit,
     twisted_boundary,
@@ -83,17 +84,14 @@ def base_endpoint(x: OmegaStructure, cell: TwistedCell) -> str:
     return x.base.tgt[1][cell.entries[0]]
 
 
+def _lift_entries(ops, low: int, high: int, u) -> list:
+    """Entries ``low+1 .. high+1`` of the lift of a ``high``-cell: the unit over each iterated target."""
+    return [ops.unit(d, ops.boundary(TGT, high, d, u)) for d in range(low, high + 1)]
+
+
 def unit_lift(x: OmegaStructure, i: int, u: str) -> TwistedCell:
     """Lift of an ``i``-cell: units over its iterated targets, then its unit."""
-    if i + 1 > x.truncation:
-        raise DimOutOfRange(
-            f"lift of a {i}-cell needs dimension {i + 1} <= truncation {x.truncation}"
-        )
-    entries = [
-        unit(x, l, x.base.boundary("tgt", i, l, u)) for l in range(i)
-    ]
-    entries.append(unit(x, i, u))
-    return twisted_cell(x, i, entries)
+    return twisted_cell(x, i, unit_lift_segment(x, 0, i, u).entries)
 
 
 def unit_lift_segment(x: OmegaStructure, low: int, high: int, u: str) -> TwistedSegment:
@@ -101,11 +99,7 @@ def unit_lift_segment(x: OmegaStructure, low: int, high: int, u: str) -> Twisted
         raise DimOutOfRange(
             f"lift of a {high}-cell needs dimension {high + 1} <= truncation {x.truncation}"
         )
-    entries = [
-        unit(x, l, x.base.boundary("tgt", high, l, u)) for l in range(low, high)
-    ]
-    entries.append(unit(x, high, u))
-    return twisted_segment(x, low, high, entries)
+    return twisted_segment(x, low, high, _lift_entries(_Named(x), low, high, u))
 
 
 def unit_lift_tuple(x: OmegaStructure, table: TableOfDimensions, gtuple: GlobularTuple) -> MixedTuple:
@@ -147,8 +141,7 @@ def _lifts_back(x: OmegaStructure, table: TableOfDimensions, ids: np.ndarray) ->
     bounds = zip((0,) + tuple(seam + 1 for seam in table.inner), table.outer)
     for l, (low, high) in enumerate(bounds):
         u = ids[:, l]
-        lift = np.column_stack([t.unit(d, t.boundary(TGT, high, d, u))
-                                for d in range(low, high + 1)])
+        lift = np.column_stack(_lift_entries(t, low, high, u))
         ok &= complex_.lookup(low, high, lift) >= 0
         if l:
             # cannot fail once the lookups and projections hold on a validated
@@ -201,36 +194,30 @@ def check_sections(x: OmegaStructure, max_width: int, max_dim: int) -> list[Chec
     ]
 
 
-def check_apex_naturality(x: OmegaStructure) -> list[CheckResult]:
-    """The apex projection commutes with twisted and plain boundaries."""
+def _naturality(x: OmegaStructure, check: str, project, along) -> list[CheckResult]:
+    """Per level ``i``: ``project`` of each twisted boundary of a cell against
+    ``along(kind, i, -)`` of the cell's ``project``."""
     results = []
     for i in range(1, x.truncation):
         failures = []
         for cell in twisted_cells(x, i):
-            a_cell = apex_source(x, cell)
-            if apex_source(x, twisted_source(x, cell)) != x.base.src[i][a_cell]:
-                failures.append(f"src side at {cell.entries}")
-            if apex_source(x, twisted_target(x, cell)) != x.base.tgt[i][a_cell]:
-                failures.append(f"tgt side at {cell.entries}")
-        scope = f"level={i}"
-        results.append(verdict("apex-naturality", scope, failures))
+            here = project(x, cell)
+            for kind, boundary in ((SRC, twisted_source), (TGT, twisted_target)):
+                if project(x, boundary(x, cell)) != along(kind, i, here):
+                    failures.append(f"{kind} side at {cell.entries}")
+        results.append(verdict(check, f"level={i}", failures))
     return results
+
+
+def check_apex_naturality(x: OmegaStructure) -> list[CheckResult]:
+    """The apex projection commutes with twisted and plain boundaries."""
+    return _naturality(x, "apex-naturality", apex_source,
+                       lambda kind, i, u: x.base.boundary(kind, i, i - 1, u))
 
 
 def check_endpoint_naturality(x: OmegaStructure) -> list[CheckResult]:
     """The 0-cell endpoint is constant along twisted boundaries."""
-    results = []
-    for i in range(1, x.truncation):
-        failures = []
-        for cell in twisted_cells(x, i):
-            b_cell = base_endpoint(x, cell)
-            if base_endpoint(x, twisted_source(x, cell)) != b_cell:
-                failures.append(f"src side at {cell.entries}")
-            if base_endpoint(x, twisted_target(x, cell)) != b_cell:
-                failures.append(f"tgt side at {cell.entries}")
-        scope = f"level={i}"
-        results.append(verdict("endpoint-naturality", scope, failures))
-    return results
+    return _naturality(x, "endpoint-naturality", base_endpoint, lambda kind, i, u: u)
 
 
 def find_lift_naturality_failure(x: OmegaStructure):
@@ -274,19 +261,11 @@ def _closed_unit_form(x: OmegaStructure, kind: str, j: int, cell: TwistedCell) -
     every entry is the iterated unit over the corresponding iterated
     boundary of the original entry.
     """
-    i = cell.level
-    base = x.base
-    entries = list(cell.entries[:j])
-    if kind == "src":
-        entries.append(compose(
-            x, j + 1, j, cell.entries[j], base.tgt[j + 2][cell.entries[j + 1]]
-        ))
-    else:
-        entries.append(cell.entries[j])
-    for d in range(j + 2, i + 2):
-        bound = base.boundary(kind, d, j, cell.entries[d - 1])
-        entries.append(iter_unit(x, j, d, bound))
-    return twisted_cell(x, i, entries)
+    ops = _Named(x)
+    entries = _source_entries(ops, j + 1, cell.entries) if kind == SRC else list(cell.entries[: j + 1])
+    for d in range(j + 2, cell.level + 2):
+        entries.append(ops.iter_unit(j, d, ops.boundary(kind, d, j, cell.entries[d - 1])))
+    return twisted_cell(x, cell.level, entries)
 
 
 def check_unit_closed_forms(x: OmegaStructure) -> list[CheckResult]:

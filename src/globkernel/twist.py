@@ -8,7 +8,8 @@ at a higher dimension: entries of dimensions ``low+1 .. high+1``.  Level
 structure truncated at ``N`` is truncated at ``N - 1``.
 
 Boundaries, composition, units and inverses on twisted cells are computed
-entrywise:
+entrywise, each by one function of an evaluator ``ops``, which
+``omega.IntTables`` runs on columns of ids and ``omega._Named`` on names:
 
 * source composes the next-to-top entry with the target of the top one,
   ``(x_1, .., x_{i-1}, x_i *_{i-1} t(x_{i+1}))``; target drops the top entry;
@@ -18,8 +19,11 @@ entrywise:
   and inverts every entry above.
 
 ``build_twisted`` assembles all of this into a new ``OmegaStructure`` whose
-laws can be checked by the generic ``omega`` sweeps.  Every operation here
-validates its inputs and outputs.
+laws can be checked by the generic ``omega`` sweeps.  Every operation
+returns a validated twisted cell.  Composition, contraction and expansion
+validate their inputs too; boundaries, units and inverses compute from the
+entries given, so on a tuple that is no twisted cell they raise or return
+what those entries give.
 
 The complex runs on interned ids (:class:`TwistedComplex`): each level is
 enumerated once, by the joiner of ``globular``, into rows of base-cell ids,
@@ -63,7 +67,34 @@ from .globular import (
     _objects,
     validate_globular_set,
 )
-from .omega import OmegaStructure, compose, inverse, unit, validate_omega
+from .omega import OmegaStructure, _Named, validate_omega
+
+
+def _glue(ops, k: int, a, b):
+    """``a *_{k-1} t(b)``: entry ``k`` glued to the target of entry ``k + 1``."""
+    return ops.compose(k, k - 1, a, ops.boundary(TGT, k + 1, k, b))
+
+
+def _source_entries(ops, i: int, entries) -> list:
+    """Entries of the twisted source of a level-``i`` cell: glue its top two."""
+    return [*entries[: i - 1], _glue(ops, i, entries[i - 1], entries[i])]
+
+
+def _compose_entries(ops, i: int, j: int, left, right) -> list:
+    """Entries of a composite over level ``j``: entries ``j+2 .. i+1`` compose over ``j``."""
+    return [*left[: j + 1], *(ops.compose(c + 1, j, left[c], right[c]) for c in range(j + 1, i + 1))]
+
+
+def _unit_entries(ops, i: int, entries) -> list:
+    """Entries of the twisted unit of a level-``i`` cell: the double unit over its top's source."""
+    top = ops.boundary(SRC, i + 1, i, entries[-1])
+    return [*entries, ops.unit(i + 1, ops.unit(i, top))]
+
+
+def _inverse_entries(ops, i: int, j: int, entries) -> list:
+    """Entries of the inverse over level ``j``: glue at ``j + 1``, invert every entry above."""
+    glued = _glue(ops, j + 1, entries[j], entries[j + 1])
+    return [*entries[:j], glued, *(ops.inverse(c + 1, j, entries[c]) for c in range(j + 1, i + 1))]
 
 
 @dataclass(frozen=True)
@@ -230,10 +261,7 @@ class TwistedComplex:
         return self._memo(("src", i), self._source, i)
 
     def _source(self, i: int) -> np.ndarray:
-        t = self.t
-        rows = self.rows(0, i)
-        glued = t.compose(i, i - 1, rows[:, i - 1], t.boundary(TGT, i + 1, i, rows[:, i]))
-        return self.lookup(0, i - 1, np.column_stack([rows[:, : i - 1], glued]))
+        return self.lookup(0, i - 1, np.column_stack(_source_entries(self.t, i, self.rows(0, i).T)))
 
     def boundary(self, kind: str, i: int, j: int) -> np.ndarray:
         """Iterated twisted boundary from level ``i`` down to ``j`` over the level-``i`` rows."""
@@ -368,9 +396,7 @@ def twisted_source(x: OmegaStructure, cell: TwistedCell) -> TwistedCell:
     found = _interned_boundary(x, SRC, cell, i - 1)
     if found is not None:
         return found
-    entries = cell.entries
-    glued = compose(x, i, i - 1, entries[i - 1], x.base.tgt[i + 1][entries[i]])
-    return twisted_cell(x, i - 1, entries[: i - 1] + (glued,))
+    return twisted_cell(x, i - 1, _source_entries(_Named(x), i, cell.entries))
 
 
 def twisted_target(x: OmegaStructure, cell: TwistedCell) -> TwistedCell:
@@ -493,8 +519,7 @@ def expand_product(x: OmegaStructure, mixed: MixedTuple) -> tuple[TwistedCell, .
         twisted_segment(x, low, high, segment.entries)
         current = cells[-1]
         check_seam(x, l + 1, seam, current.level + 1, current.top(), low + 1, segment.entries[0])
-        glued = compose(x, seam + 1, seam, current.entries[seam],
-                        x.base.tgt[seam + 2][current.entries[seam + 1]])
+        glued = _glue(_Named(x), seam + 1, current.entries[seam], current.entries[seam + 1])
         cells.append(twisted_cell(x, high, current.entries[:seam] + (glued,) + segment.entries))
     return tuple(cells)
 
@@ -505,8 +530,8 @@ def expand_product(x: OmegaStructure, mixed: MixedTuple) -> tuple[TwistedCell, .
 def twisted_compose(x: OmegaStructure, j: int, left: TwistedCell, right: TwistedCell) -> TwistedCell:
     """Compose two twisted cells of level ``i`` over level ``j < i``.
 
-    Accepts the pair form; the contraction onto the mixed form is applied
-    internally, which also verifies the twisted composability condition.
+    Accepts the pair form; its contraction onto the mixed form checks the
+    twisted composability condition.
     """
     i = left.level
     if right.level != i:
@@ -515,7 +540,7 @@ def twisted_compose(x: OmegaStructure, j: int, left: TwistedCell, right: Twisted
         raise DimOutOfRange(f"composition level {j} outside 0 <= j < {i}")
     table = TableOfDimensions((i, i), (j,))
     try:
-        mixed = contract_product(x, table, (left, right))
+        contract_product(x, table, (left, right))
     except GluingViolation:
         src_b = twisted_boundary(x, "src", left, j)
         tgt_b = twisted_boundary(x, "tgt", right, j)
@@ -524,11 +549,7 @@ def twisted_compose(x: OmegaStructure, j: int, left: TwistedCell, right: Twisted
             left_boundary=src_b.entries,
             right_boundary=tgt_b.entries,
         ) from None
-    suffix = mixed.segments[0].entries  # dimensions j+2 .. i+1
-    entries = list(left.entries[: j + 1])
-    for offset, (a, b) in enumerate(zip(left.entries[j + 1 :], suffix)):
-        entries.append(compose(x, j + 2 + offset, j, a, b))
-    return twisted_cell(x, i, entries)
+    return twisted_cell(x, i, _compose_entries(_Named(x), i, j, left.entries, right.entries))
 
 
 def twisted_unit(x: OmegaStructure, cell: TwistedCell) -> TwistedCell:
@@ -538,9 +559,7 @@ def twisted_unit(x: OmegaStructure, cell: TwistedCell) -> TwistedCell:
         raise DimOutOfRange(
             f"twisted unit at level {i} needs dimension {i + 2} <= truncation {x.truncation}"
         )
-    top = cell.top()
-    appended = unit(x, i + 1, unit(x, i, x.base.src[i + 1][top]))
-    return twisted_cell(x, i + 1, cell.entries + (appended,))
+    return twisted_cell(x, i + 1, _unit_entries(_Named(x), i, cell.entries))
 
 
 def iter_twisted_unit(x: OmegaStructure, cell: TwistedCell, level: int) -> TwistedCell:
@@ -559,13 +578,7 @@ def twisted_inverse(x: OmegaStructure, j: int, cell: TwistedCell) -> TwistedCell
     i = cell.level
     if not 0 <= j < i:
         raise DimOutOfRange(f"inverse level {j} outside 0 <= j < {i}")
-    entries = list(cell.entries[:j])
-    entries.append(compose(
-        x, j + 1, j, cell.entries[j], x.base.tgt[j + 2][cell.entries[j + 1]]
-    ))
-    for offset in range(j + 1, i + 1):
-        entries.append(inverse(x, offset + 1, j, cell.entries[offset]))
-    return twisted_cell(x, i, entries)
+    return twisted_cell(x, i, _inverse_entries(_Named(x), i, j, cell.entries))
 
 
 # -- products of twisted cells --------------------------------------------------
@@ -744,12 +757,8 @@ def build_twisted(x: OmegaStructure) -> OmegaStructure:
             pairs = {}
             link = _link(complex_.boundary(SRC, i, j), complex_.boundary(TGT, i, j))
             for block in _glued(np.arange(len(rows), dtype=np.int32), [link]):
-                left, right = rows[block[:, 0]], rows[block[:, 1]]
-                # entries j+2 .. i+1 compose over j; those below come from the left
-                composite = [left[:, : j + 1]]
-                composite.extend(t.compose(c + 1, j, left[:, c], right[:, c])
-                                 for c in range(j + 1, i + 1))
-                ids = complex_.lookup(0, i, np.column_stack(composite))
+                left, right = rows[block[:, 0]].T, rows[block[:, 1]].T
+                ids = complex_.lookup(0, i, np.column_stack(_compose_entries(t, i, j, left, right)))
                 bad = _first_failure(ids)
                 if bad is not None:
                     cells_i = complex_.cells(i)
@@ -759,22 +768,17 @@ def build_twisted(x: OmegaStructure) -> OmegaStructure:
 
     unit_tables = []
     for i in range(n - 1):
-        rows = complex_.rows(0, i)
-        appended = t.unit(i + 1, t.unit(i, t.boundary(SRC, i + 1, i, rows[:, i])))
-        ids = complex_.lookup(0, i + 1, np.column_stack([rows, appended]))
+        entries = _unit_entries(t, i, complex_.rows(0, i).T)
+        ids = complex_.lookup(0, i + 1, np.column_stack(entries))
         unit_tables.append(table(i, i + 1, ids, twisted_unit, x))
 
     inv = None
     if x.inv is not None:
         inv = {}
         for i in range(1, n):
-            rows = complex_.rows(0, i)
+            columns = complex_.rows(0, i).T
             for j in range(i):
-                # glue at j+1, invert every entry above
-                entries = [rows[:, :j], t.compose(j + 1, j, rows[:, j],
-                                                  t.boundary(TGT, j + 2, j + 1, rows[:, j + 1]))]
-                entries.extend(t.inverse(c + 1, j, rows[:, c]) for c in range(j + 1, i + 1))
-                ids = complex_.lookup(0, i, np.column_stack(entries))
+                ids = complex_.lookup(0, i, np.column_stack(_inverse_entries(t, i, j, columns)))
                 inv[(i, j)] = table(i, i, ids, twisted_inverse, x, j)
 
     return validate_omega(base, comp, unit_tables, inv)

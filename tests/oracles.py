@@ -24,7 +24,7 @@ from globkernel.errors import (
     NotComposable,
     ValidationError,
 )
-from globkernel.globular import GlobularTuple, TableOfDimensions, validate_globular_set
+from globkernel.globular import GlobularTuple, TableOfDimensions, globular_tuple, validate_globular_set
 from globkernel.omega import (
     ASSOC,
     EXCHANGE,
@@ -153,11 +153,37 @@ def ref_composition_sweep(max_n, cap):
     return failures
 
 
+def ref_unit_lift_tuple(x, table, gtuple):
+    """``decalage.unit_lift_tuple`` written out on names.
+
+    Component ``l`` lifts to the units over the iterated targets of its cell,
+    validated as a segment; then each seam is compared on raw boundaries.
+    """
+    globular_tuple(x.base, table, gtuple.entries)
+    bounds = [(0, table.outer[0])] + _segment_bounds(table)
+    parts = []
+    for (low, high), u in zip(bounds, gtuple.entries):
+        entries = [unit(x, d, raw_boundary(x.base, "tgt", high, d, u)) for d in range(low, high + 1)]
+        parts.append(ref_check_segment_entries(x, low, high, entries))
+    for l, seam in enumerate(table.inner):
+        top, first = parts[l][-1], parts[l + 1][0]
+        top_dim, first_dim = bounds[l][1] + 1, bounds[l + 1][0] + 1
+        left = raw_boundary(x.base, "src", top_dim, seam, top)
+        right = raw_boundary(x.base, "tgt", first_dim, seam, first)
+        if left != right:
+            raise GluingViolation(
+                l + 1, f"s^{top_dim}_{seam}({top}) = {left} but t^{first_dim}_{seam}({first}) = {right}"
+            )
+    segments = tuple(TwistedSegment(low, high, part) for (low, high), part in zip(bounds[1:], parts[1:]))
+    return MixedTuple(table, TwistedCell(table.outer[0], parts[0]), segments)
+
+
 def ref_check_section(x, table):
     """``check_section`` tuple by tuple on names: lift, project back, compare.
 
-    Enumerates the product by brute force and runs the scalar
-    ``unit_lift_tuple`` and ``apex_tuple`` on every tuple.
+    Enumerates the product by brute force, lifts every tuple with
+    :func:`ref_unit_lift_tuple` and projects it back to the sources of the
+    top entries.
     """
     if table.max_dim() + 1 > x.truncation:
         raise DimOutOfRange(f"table {table} needs truncation >= {table.max_dim() + 1}")
@@ -165,8 +191,9 @@ def ref_check_section(x, table):
     for entries in brute_globular_product(x.base, table.outer, table.inner):
         gtuple = GlobularTuple(table, entries)
         try:
-            mixed = decalage.unit_lift_tuple(x, table, gtuple)
-            back = decalage.apex_tuple(x, mixed)
+            mixed = ref_unit_lift_tuple(x, table, gtuple)
+            tops = [mixed.head.entries[-1]] + [segment.entries[-1] for segment in mixed.segments]
+            back = globular_tuple(x.base, table, [x.base.src[d + 1][top] for d, top in zip(table.outer, tops)])
         except (GluingViolation, NotComposable, ValidationError, MissingCell) as exc:
             failures.append(f"{gtuple.entries}: {exc}")
             continue
@@ -493,7 +520,7 @@ def ref_twisted_source(x, cell):
         raise DimOutOfRange("level-0 twisted cells have no source")
     entries = cell.entries
     glued = compose(x, i, i - 1, entries[i - 1], x.base.tgt[i + 1][entries[i]])
-    return ref_twisted_cell(x, i - 1, entries[: i - 1] + (glued,))
+    return ref_twisted_cell(x, i - 1, tuple(entries[: i - 1]) + (glued,))
 
 
 def ref_twisted_target(x, cell):
@@ -616,7 +643,7 @@ def ref_twisted_unit(x, cell):
             f"twisted unit at level {i} needs dimension {i + 2} <= truncation {x.truncation}"
         )
     appended = unit(x, i + 1, unit(x, i, x.base.src[i + 1][cell.top()]))
-    return ref_twisted_cell(x, i + 1, cell.entries + (appended,))
+    return ref_twisted_cell(x, i + 1, tuple(cell.entries) + (appended,))
 
 
 def ref_twisted_inverse(x, j, cell):

@@ -106,8 +106,8 @@ def test_check_section_dim_out_of_range(z2):
         check_section(z2, parse_table("3"))  # lifting a 3-cell needs dimension 4
 
 
-def test_check_section_on_whole_corpus(fixture_corpus):
-    for name, x in fixture_corpus.items():
+def test_check_section_on_whole_corpus():
+    for name, x in POOL.items():
         results = check_sections(x, 3, min(3, x.truncation - 1))
         assert report.all_pass(results), name
 
@@ -204,8 +204,8 @@ def test_apex_naturality_unfolds(z3):
         assert lhs == rhs
 
 
-def test_naturality_sweeps_clean(fixture_corpus):
-    for name, x in fixture_corpus.items():
+def test_naturality_sweeps_clean():
+    for name, x in POOL.items():
         assert report.all_pass(check_apex_naturality(x)), name
         assert report.all_pass(check_endpoint_naturality(x)), name
 
@@ -236,8 +236,8 @@ def test_lift_non_naturality_missing_on_discrete():
     assert report.all_pass([result])
 
 
-def test_unit_closed_forms_clean(fixture_corpus, z2_deep):
-    for name, x in fixture_corpus.items():
+def test_unit_closed_forms_clean(z2_deep):
+    for name, x in POOL.items():
         assert report.all_pass(check_unit_closed_forms(x)), name
     assert report.all_pass(check_unit_closed_forms(z2_deep))
 

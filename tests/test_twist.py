@@ -9,6 +9,7 @@ from globkernel.errors import (
     DimOutOfRange,
     GluingViolation,
     InversesAbsent,
+    MissingCell,
     NotComposable,
 )
 from globkernel.globular import (
@@ -20,6 +21,7 @@ from globkernel.globular import (
 from globkernel.omega import check_all, check_axiom, check_structure
 from globkernel.twist import (
     MixedTuple,
+    TwistedCell,
     build_twisted,
     contract_product,
     expand_product,
@@ -105,8 +107,6 @@ def test_lemma_identities_exhaustive(fixture_corpus):
 
 
 def test_twisted_cell_validation_rejects_bad_entries(sus_z2):
-    from globkernel.errors import MissingCell
-
     with pytest.raises(MissingCell):
         twisted_cell(sus_z2, 1, ("0", "zzz"))
     # gluing failure needs distinct boundaries; the discrete structure has them
@@ -315,6 +315,21 @@ def test_twisted_inverse_needs_tables(z2):
     no_inv = omega.OmegaStructure(z2.base, z2.comp, z2.unit, None)
     with pytest.raises(InversesAbsent):
         twisted_inverse(no_inv, 0, twisted_cells(no_inv, 1)[0])
+
+
+def test_bad_entries_raise_kernel_errors_and_list_entries_read_as_tuples(sus_z2):
+    # a top entry that is no cell is a MissingCell, not a bare KeyError; a
+    # cell whose entries are a list gives what its tuple gives
+    for level in (1, 2):
+        ops = [twisted_source, twisted_unit]
+        ops += [lambda x, c, j=j: twisted_inverse(x, j, c) for j in range(level)]
+        for cell in twisted_cells(sus_z2, level):
+            ghost = TwistedCell(level, cell.entries[:-1] + ("ghost",))
+            listed = TwistedCell(level, list(cell.entries))
+            for op in ops:
+                with pytest.raises(MissingCell, match="'ghost' is not a"):
+                    op(sus_z2, ghost)
+                assert op(sus_z2, listed) == op(sus_z2, cell)
 
 
 # -- assembly -----------------------------------------------------------------------

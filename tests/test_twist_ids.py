@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from globkernel import omega, twist
-from globkernel.globular import TableOfDimensions, all_tables
+from globkernel.globular import SRC, TableOfDimensions, all_tables
 
 from conftest import CORPUS, GHOST, POOL, faulted
 from oracles import (
@@ -89,12 +89,17 @@ def check_against_reference(x, table, rng: random.Random):
             entries = [rng.choice(x.base.cells[d] + (GHOST,)) for d in range(1, level + 2)]
             same(twist.twisted_cell, ref_twisted_cell, x, level, entries)
 
-    # boundaries, units and inverses, cell by cell
+    # boundaries, units and inverses, cell by cell, and on some cells with
+    # their entries in a list
     for level, cells in enumerate(levels):
-        for cell in rng.sample(cells, min(SAMPLE, len(cells))):
+        sample = rng.sample(cells, min(SAMPLE, len(cells)))
+        listed = [twist.TwistedCell(level, list(cell.entries)) for cell in sample[: SAMPLE // 4]]
+        for cell in sample + listed:
             same(twist.twisted_source, ref_twisted_source, x, cell)
             same(twist.twisted_target, ref_twisted_target, x, cell)
-            for below in range(level + 1):
+            # at its own level the reference returns a cell as given, lists and all
+            top = level if isinstance(cell.entries, tuple) else level - 1
+            for below in range(top + 1):
                 same(twist.twisted_boundary, ref_twisted_boundary, x, "src", cell, below)
                 same(twist.twisted_boundary, ref_twisted_boundary, x, "tgt", cell, below)
             same(twist.twisted_unit, ref_twisted_unit, x, cell)
@@ -188,6 +193,30 @@ def test_every_tuple_on_missing_entries():
         check_bijection_against_reference(y, all_tables(3, 2), rng)
 
 
+def test_one_glue_feeds_the_id_path_and_the_name_path(monkeypatch):
+    # the gluing over the source of the top entry instead of its target: it
+    # composes on lawful data, but gives another cell wherever the top
+    # entry's source and target differ, as the twisted suspension's 2-cells do
+    def glue_over_source(ops, k, a, b):
+        return ops.compose(k, k - 1, a, ops.boundary(SRC, k + 1, k, b))
+
+    monkeypatch.setattr(twist, "_glue", glue_over_source)
+    x = POOL["twisted_suspension_z2_2_4"]
+    cells = [cell for level in range(1, x.truncation) for cell in ref_twisted_cells(x, level)]
+
+    def sources_disagree(y) -> bool:
+        return any(outcome(twist.twisted_source, y, cell) != outcome(ref_twisted_source, y, cell)
+                   for cell in cells)
+
+    # fresh copies, so the complex is built again under the mutant
+    ids, names = (omega.OmegaStructure(x.base, x.comp, x.unit, x.inv) for _ in range(2))
+    assert outcome(twist.build_twisted, ids) != outcome(ref_build_twisted, ids)
+    assert sources_disagree(ids)
+    # with no interned boundary to read, twisted_source evaluates on names
+    monkeypatch.setattr(twist, "_interned_boundary", lambda *args: None)
+    assert sources_disagree(names)
+
+
 # -- the held bijection of a product ---------------------------------------------------
 
 
@@ -218,8 +247,7 @@ def non_members(x, table, product, rng: random.Random):
             contract(table, (levels[wrong][0],) + (levels[table.outer[-1]][0],) * (table.width - 1))
     for tup in product.paired[:2]:
         contract(table, list(tup))
-        # the last cell: the reference takes no twisted source of a cell with list entries
-        contract(table, tup[:-1] + (twist.TwistedCell(tup[-1].level, list(tup[-1].entries)),))
+        contract(table, tuple(twist.TwistedCell(cell.level, list(cell.entries)) for cell in tup))
         contract(other, tup)
     for m in product.mixed[:2]:
         expand(twist.MixedTuple(table, m.head, list(m.segments)))
