@@ -289,7 +289,10 @@ def unit(x: OmegaStructure, i: int, u: str) -> str:
         raise DimOutOfRange(f"unit lands in dimension {i + 1} > truncation {x.truncation}")
     if not x.base.has_cell(i, u):
         raise MissingCell(f"{u!r} is not a {i}-cell")
-    return x.unit[i][u]
+    try:
+        return x.unit[i][u]
+    except KeyError as exc:
+        raise ValidationError(f"unit table ({i}) has no entry for {u!r}") from exc
 
 
 def iter_unit(x: OmegaStructure, j: int, i: int, u: str) -> str:
@@ -308,7 +311,10 @@ def inverse(x: OmegaStructure, i: int, j: int, u: str) -> str:
         raise DimOutOfRange(f"inverse at ({i},{j}) outside 0 <= j < i <= {x.truncation}")
     if not x.base.has_cell(i, u):
         raise MissingCell(f"{u!r} is not a {i}-cell")
-    return x.inv[(i, j)][u]
+    try:
+        return x.inv[(i, j)][u]
+    except KeyError as exc:
+        raise ValidationError(f"inverse table ({i},{j}) has no entry for {u!r}") from exc
 
 
 # -- integer tables -------------------------------------------------------------

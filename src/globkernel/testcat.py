@@ -1,16 +1,19 @@
 """Finite small categories and set-valued presheaves at desk scale.
 
-Supports the handful of constructions the checkers need: categories of
-elements, terminal-object detection (the sufficient asphericality criterion),
-nerve chain counts, separating intervals, the binary-product comparison
-functor, and the finite stand-in for the category of sets ``{0..n}`` with
-all maps.  No weak equivalences are decided here.
+A category is held once, as an integer composition table on morphism ids:
+names come in through :func:`validate_category` and go out through ``comp``
+and JSON, and every law is checked on ids, in ``_category``.  Built on it:
+categories of elements, products, the finite-set category ``{0..n}`` with all
+maps, terminal objects (the sufficient asphericality criterion), nerve counts,
+separating intervals and the product comparison functor.  No weak
+equivalences are decided here.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,17 +22,40 @@ from .errors import NotNatural, ValidationError
 
 @dataclass(frozen=True)
 class SmallCategory:
-    """Finite category: named objects and morphisms, total composition."""
+    """Finite category: named objects and morphisms, composition on ids.
+
+    Morphism ``k`` is the ``k``-th key of ``morphisms``; ``table[g, f]`` is
+    the id of ``g`` after ``f``, and -1 where the pair does not compose.
+    """
 
     objects: tuple[str, ...]
     morphisms: dict[str, tuple[str, str]]  # name -> (dom, cod)
     identity: dict[str, str]
-    comp: dict[tuple[str, str], str]  # (g, f) -> g after f
+    table: np.ndarray
+
+    @cached_property
+    def _names(self) -> np.ndarray:
+        return np.array(list(self.morphisms), dtype=object)
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {name: k for k, name in enumerate(self.morphisms)}
+
+    @cached_property
+    def comp(self) -> dict[tuple[str, str], str]:
+        """Read-only view of ``table`` by name, ``(g, f) -> g after f``, g-major; made on first use."""
+        g, f = np.nonzero(self.table >= 0)
+        return _ReadOnly(zip(zip(self._names[g], self._names[f]), self._names[self.table[g, f]]))
+
+    def __eq__(self, other):
+        if not isinstance(other, SmallCategory):
+            return NotImplemented
+        same = all(getattr(self, k) == getattr(other, k) for k in ("objects", "morphisms", "identity"))
+        in_order = list(self.morphisms) == list(other.morphisms)  # so with the same ids
+        return same and (np.array_equal(self.table, other.table) if in_order else self.comp == other.comp)
 
     def hom(self, a: str, b: str) -> tuple[str, ...]:
-        return tuple(
-            f for f, (dom, cod) in self.morphisms.items() if dom == a and cod == b
-        )
+        return tuple(f for f, ends in self.morphisms.items() if ends == (a, b))
 
     def dom(self, f: str) -> str:
         return self.morphisms[f][0]
@@ -38,84 +64,99 @@ class SmallCategory:
         return self.morphisms[f][1]
 
     def compose(self, g: str, f: str) -> str:
-        """``g`` after ``f``."""
-        return self.comp[(g, f)]
+        """``g`` after ``f``; ``KeyError`` where the pair does not compose."""
+        h = self.table[self._index[g], self._index[f]]
+        if h < 0:
+            raise KeyError((g, f))
+        return self._names[h]
+
+
+class _ReadOnly(dict):
+    def _refuse(self, *args):
+        raise TypeError("SmallCategory.comp is a read-only view of its table")
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+    __reduce__ = lambda self: (_ReadOnly, (dict(self),))  # so copies and pickles are made whole
 
 
 _NONE = object()  # a name no category declares, for a ``comp`` key that is no pair
 
 
-def _id(index: dict, name) -> int:
-    try:
-        return index.get(name, -1)
-    except TypeError:  # not hashable, so not declared
-        return -1
-
-
 def _ids(index: dict, names: list) -> np.ndarray:
     """The id of each name in ``index``, or -1 where it has none."""
-    try:
-        return np.array([index.get(name, -1) for name in names], dtype=np.int64)
-    except TypeError:
-        return np.array([_id(index, name) for name in names], dtype=np.int64)
+    def one(name):
+        try:
+            return index.get(name, -1)
+        except TypeError:  # not hashable, so not declared
+            return -1
+    return np.array([one(name) for name in names], dtype=np.int64)
 
 
 def validate_category(objects, morphisms, identity, comp) -> SmallCategory:
-    """Validate every category law on interned ids, as masks over integer tables.
+    """Check the names, intern ``comp`` as a table, and check the laws with :func:`_category`.
 
     Raises the failure the name-keyed loops of ``tests/oracles.py`` meet first.
     """
-    objects = tuple(objects)
+    objects, identity = tuple(objects), dict(identity)
     morphisms = {name: (dom, cod) for name, (dom, cod) in dict(morphisms).items()}
-    identity = dict(identity)
     comp = {tuple(k): v for k, v in dict(comp).items()}
 
     if len(set(objects)) != len(objects):
         raise ValidationError("duplicate object names")
-    names = list(morphisms)
-    index = {name: k for k, name in enumerate(names)}
     ends = _ids({a: k for k, a in enumerate(objects)}, [e for p in morphisms.values() for e in p])
     undeclared = (ends.reshape(-1, 2) < 0).any(axis=1)
     if undeclared.any():
-        name = names[int(np.argmax(undeclared))]
+        name = list(morphisms)[int(np.argmax(undeclared))]
         raise ValidationError(f"morphism {name!r} has undeclared endpoint")
-    dom, cod = ends[0::2], ends[1::2]
     for a in objects:
         ident = identity.get(a)
         if ident is None or ident not in morphisms:
             raise ValidationError(f"object {a!r} has no identity morphism")
         if morphisms[ident] != (a, a):
             raise ValidationError(f"identity of {a!r} is not an endomorphism")
-    ident = _ids(index, [identity[a] for a in objects])
 
     # table[g, f] = g after f, or -1 where comp has no declared morphism
-    keys = list(comp)
-    pairs = [name for k in keys for name in (k if len(k) == 2 else (_NONE, _NONE))]
+    index = {name: k for k, name in enumerate(morphisms)}
+    pairs = [name for k in comp for name in (k if len(k) == 2 else (_NONE, _NONE))]
     key_g, key_f = _ids(index, pairs).reshape(-1, 2).T
     known = (key_g >= 0) & (key_f >= 0)
-    values = _ids(index, list(comp.values()))
-    table = np.full((len(names), len(names)), -1, dtype=np.int32)
-    table[key_g[known], key_f[known]] = values[known]
+    table = np.full((len(index), len(index)), -1, dtype=np.int32)
+    table[key_g[known], key_f[known]] = _ids(index, list(comp.values()))[known]
+    return _category(objects, morphisms, identity, table, comp)
 
-    f, g = np.nonzero(cod[:, None] == dom[None, :])  # f first, then g, as declared
+
+def _category(objects, morphisms, identity, table, comp=None) -> SmallCategory:
+    """Check every composition law on ids, for names that pass :func:`validate_category`.
+
+    ``comp``, the name-keyed composites ``table`` was read from, if any, names
+    in the error text what the table cannot hold: a name that is no morphism.
+    """
+    cat = SmallCategory(objects, morphisms, identity, table)
+    names, index = cat._names, cat._index
+    at = {a: k for k, a in enumerate(objects)}
+    dom, cod = np.array([[at[e] for e in p] for p in morphisms.values()], dtype=np.int64).reshape(-1, 2).T
+    ident = np.array([index[identity[a]] for a in objects], dtype=np.int64)
+
+    f, g = np.nonzero(cod[:, None] == dom[None, :])  # f first, then g, as the reference loops
     h = table[g, f]
     bad = (h < 0) | (dom[h] != dom[f]) | (cod[h] != cod[g])
     if bad.any():
         k = int(np.argmax(bad))
         gname, fname = names[g[k]], names[f[k]]
-        value = comp.get((gname, fname))
+        if h[k] >= 0:
+            raise ValidationError(f"composite {names[h[k]]!r} has wrong endpoints")
+        value = (comp or {}).get((gname, fname))
         if value is None:
             raise ValidationError(f"no composite for {gname!r} after {fname!r}")
-        if h[k] < 0:
-            raise ValidationError(f"composite {value!r} of {gname!r} after {fname!r} is undeclared")
-        raise ValidationError(f"composite {value!r} has wrong endpoints")
-    stray = ~known
-    stray[known] = cod[key_f[known]] != dom[key_g[known]]
-    if stray.any():
-        g, f = keys[int(np.argmax(stray))]  # a key that is no pair raises here
+        raise ValidationError(f"composite {value!r} of {gname!r} after {fname!r} is undeclared")
+    # each composable pair has its entry by now, so any other entry or key is stray
+    strays = [(names[g], names[f]) for g, f in np.argwhere((table >= 0) & (dom[:, None] != cod[None, :]))]
+    if comp is not None and len(comp) > len(h):
+        strays = comp  # in key order, with the keys the table cannot hold
+    for g, f in strays:  # a key that is no pair raises here
         if f not in morphisms or g not in morphisms:
             raise ValidationError(f"composite declared on undeclared morphisms ({g!r}, {f!r})")
-        raise ValidationError(f"composite declared for non-composable {g!r}, {f!r}")
+        if morphisms[f][1] != morphisms[g][0]:
+            raise ValidationError(f"composite declared for non-composable {g!r}, {f!r}")
 
     ids = np.arange(len(names))
     unit = (table[ids, ident[dom]] != ids) | (table[ident[cod], ids] != ids)
@@ -133,12 +174,9 @@ def validate_category(objects, morphisms, identity, comp) -> SmallCategory:
         rhs = table[lasts][:, table[g, firsts]]  # h (g f)
         if not np.array_equal(lhs, rhs):
             hi, fi = map(int, np.argwhere(lhs != rhs)[0])
-            raise ValidationError(
-                f"associativity fails at ({names[lasts[hi]]!r}, "
-                f"{names[g]!r}, {names[firsts[fi]]!r})"
-            )
-
-    return SmallCategory(objects, morphisms, identity, comp)
+            h, f = names[lasts[hi]], names[firsts[fi]]
+            raise ValidationError(f"associativity fails at ({h!r}, {names[g]!r}, {f!r})")
+    return cat
 
 
 @dataclass(frozen=True)
@@ -172,18 +210,15 @@ def validate_presheaf(base: SmallCategory, values, action) -> Presheaf:
             if table.get(e) not in values[dom]:
                 raise ValidationError(f"action of {f!r} not total into values({dom!r})")
     for a in base.objects:
-        ident = base.identity[a]
         for e in values[a]:
-            if action[ident][e] != e:
+            if action[base.identity[a]][e] != e:
                 raise ValidationError(f"identity action fails at {a!r}:{e!r}")
     for g, f in itertools.product(base.morphisms, repeat=2):
         if base.morphisms[f][1] == base.morphisms[g][0]:
-            h = base.comp[(g, f)]
+            h = base.compose(g, f)
             for e in values[base.morphisms[g][1]]:
                 if action[h][e] != action[f][action[g][e]]:
-                    raise ValidationError(
-                        f"functoriality fails at ({g!r}, {f!r}) on {e!r}"
-                    )
+                    raise ValidationError(f"functoriality fails at ({g!r}, {f!r}) on {e!r}")
     return Presheaf(base, values, action)
 
 
@@ -199,7 +234,7 @@ def representable(base: SmallCategory, at: str) -> Presheaf:
         raise ValidationError(f"{at!r} is not an object")
     values = {a: base.hom(a, at) for a in base.objects}
     action = {
-        f: {h: base.comp[(h, f)] for h in values[base.morphisms[f][1]]}
+        f: {h: base.compose(h, f) for h in values[base.morphisms[f][1]]}
         for f in base.morphisms
     }
     return Presheaf(base, values, action)
@@ -208,53 +243,41 @@ def representable(base: SmallCategory, at: str) -> Presheaf:
 def product_presheaf(f: Presheaf, g: Presheaf) -> Presheaf:
     if f.base is not g.base and f.base != g.base:
         raise ValidationError("presheaf product needs a shared base")
-    values = {
-        a: tuple(f"({x},{y})" for x in f.values[a] for y in g.values[a])
-        for a in f.base.objects
-    }
-    action = {}
-    for m, (dom, cod) in f.base.morphisms.items():
-        action[m] = {
-            f"({x},{y})": f"({f.action[m][x]},{g.action[m][y]})"
-            for x in f.values[cod]
-            for y in g.values[cod]
-        }
+    pairs = {a: [(x, y) for x in f.values[a] for y in g.values[a]] for a in f.base.objects}
+    values = {a: tuple(f"({x},{y})" for x, y in pairs[a]) for a in pairs}
+    action = {m: {f"({x},{y})": f"({f.action[m][x]},{g.action[m][y]})" for x, y in pairs[cod]}
+              for m, (_, cod) in f.base.morphisms.items()}
     return Presheaf(f.base, values, action)
 
 
 def category_of_elements(f: Presheaf) -> SmallCategory:
-    """Objects ``(a, x in F(a))``; morphisms those of the base acting correctly."""
+    """Objects ``(a, x in F(a))``; morphisms ``m[x]``, for ``m: a -> b`` and ``x in F(b)``.
+
+    ``m[x]`` has the id of ``m``'s first element morphism plus the position
+    of ``x`` in ``F(b)``, and ``m[x]`` after ``n[F(m)(x)]`` is ``(m n)[x]``.
+    """
     base = f.base
     objects = tuple(f"({a},{x})" for a in base.objects for x in f.values[a])
-    morphisms = {}
-    identity = {}
+    place = {a: {x: k for k, x in enumerate(f.values[a])} for a in base.objects}
+    identity = {f"({a},{x})": f"{base.identity[a]}[{x}]" for a in base.objects for x in f.values[a]}
+    morphisms, first, rows = {}, [], []  # a row per m[x]: m's id, x's place, F(m)(x)'s place
     for m, (dom, cod) in base.morphisms.items():
-        for x in f.values[cod]:
+        first.append(len(morphisms))
+        for k, x in enumerate(f.values[cod]):
             pulled = f.action[m][x]
-            name = f"{m}[{x}]"
-            morphisms[name] = (f"({dom},{pulled})", f"({cod},{x})")
-    for a in base.objects:
-        for x in f.values[a]:
-            identity[f"({a},{x})"] = f"{base.identity[a]}[{x}]"
-    comp = {}
-    for m2, (dom2, cod2) in base.morphisms.items():
-        for x in f.values[cod2]:
-            g_name = f"{m2}[{x}]"
-            mid = f.action[m2][x]
-            for m1, (dom1, cod1) in base.morphisms.items():
-                if cod1 != dom2:
-                    continue
-                f_name = f"{m1}[{mid}]"
-                comp[(g_name, f_name)] = f"{base.comp[(m2, m1)]}[{x}]"
-    return validate_category(objects, morphisms, identity, comp)
+            morphisms[f"{m}[{x}]"] = (f"({dom},{pulled})", f"({cod},{x})")
+            rows.append((len(first) - 1, k, place[dom][pulled]))
+    over, x_at, pulled_at = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    first = np.array(first, dtype=np.int64)
+    g, m = np.nonzero(base.table[over] >= 0)  # g = n[x], and every m that n follows
+    table = np.full((len(morphisms), len(morphisms)), -1, dtype=np.int32)
+    table[g, first[m] + pulled_at[g]] = first[base.table[over[g], m]] + x_at[g]
+    return _category(objects, morphisms, identity, table)
 
 
 def has_terminal(cat: SmallCategory):
     """The terminal object, or None: exactly one morphism in from everywhere."""
-    for candidate in cat.objects:
-        if all(len(cat.hom(a, candidate)) == 1 for a in cat.objects):
-            return candidate
-    return None
+    return next((b for b in cat.objects if all(len(cat.hom(a, b)) == 1 for a in cat.objects)), None)
 
 
 @dataclass(frozen=True)
@@ -271,25 +294,16 @@ def nerve(cat: SmallCategory, depth: int) -> NerveCounts:
     """
     if depth < 0:
         raise ValidationError("depth must be >= 0")
-    identities = set(cat.identity.values())
-    out_by_object: dict[str, list[str]] = {a: [] for a in cat.objects}
-    for m, (dom, _cod) in cat.morphisms.items():
-        out_by_object[dom].append(m)
-
-    total = [len(cat.objects)]
-    nondeg = [len(cat.objects)]
-    # chains as (endpoint object, contains_identity), extended one morphism at a time
-    frontier: dict[tuple[str, bool], int] = {(a, False): 1 for a in cat.objects}
+    at = {a: k for k, a in enumerate(cat.objects)}
+    homs = np.zeros((2, len(at), len(at)), dtype=object)  # Python ints: chain counts grow fast
+    for m, (dom, cod) in cat.morphisms.items():
+        homs[:, at[dom], at[cod]] += (1, m not in cat.identity.values())
+    # chains ending at each object, all and those with no identity, one morphism longer each step
+    chains = [np.ones((2, len(at)), dtype=object)]
     for _ in range(depth):
-        nxt: dict[tuple[str, bool], int] = {}
-        for (end, has_id), count in frontier.items():
-            for m in out_by_object[end]:
-                key = (cat.cod(m), has_id or m in identities)
-                nxt[key] = nxt.get(key, 0) + count
-        frontier = nxt
-        total.append(sum(frontier.values()))
-        nondeg.append(sum(c for (_, has_id), c in frontier.items() if not has_id))
-    return NerveCounts(tuple(total), tuple(nondeg))
+        chains.append((chains[-1][:, None] @ homs)[:, 0])
+    total, nondeg = zip(*(ends.sum(axis=1) for ends in chains))
+    return NerveCounts(total, nondeg)
 
 
 def check_separating_interval(interval: Presheaf, point0, point1) -> bool:
@@ -308,21 +322,16 @@ def check_separating_interval(interval: Presheaf, point0, point1) -> bool:
 
 
 def product_category(c: SmallCategory, d: SmallCategory) -> SmallCategory:
+    """``(m1,m2)`` has id ``m1 * len(d.morphisms) + m2``; its table broadcasts the factors'."""
     objects = tuple(f"({a},{b})" for a in c.objects for b in d.objects)
-    morphisms = {}
-    for m1, (dom1, cod1) in c.morphisms.items():
-        for m2, (dom2, cod2) in d.morphisms.items():
-            morphisms[f"({m1},{m2})"] = (f"({dom1},{dom2})", f"({cod1},{cod2})")
-    identity = {
-        f"({a},{b})": f"({c.identity[a]},{d.identity[b]})"
-        for a in c.objects
-        for b in d.objects
+    morphisms = {
+        f"({m1},{m2})": (f"({dom1},{dom2})", f"({cod1},{cod2})")
+        for m1, (dom1, cod1) in c.morphisms.items() for m2, (dom2, cod2) in d.morphisms.items()
     }
-    comp = {}
-    for (g1, f1), h1 in c.comp.items():
-        for (g2, f2), h2 in d.comp.items():
-            comp[(f"({g1},{g2})", f"({f1},{f2})")] = f"({h1},{h2})"
-    return validate_category(objects, morphisms, identity, comp)
+    identity = {f"({a},{b})": f"({c.identity[a]},{d.identity[b]})" for a in c.objects for b in d.objects}
+    left, right = c.table[:, None, :, None], d.table[None, :, None, :]
+    table = np.where((left >= 0) & (right >= 0), left * len(d.morphisms) + right, -1)
+    return _category(objects, morphisms, identity, table.reshape(len(morphisms), len(morphisms)))
 
 
 @dataclass(frozen=True)
@@ -347,11 +356,12 @@ def validate_functor(data: FunctorData) -> FunctorData:
     for a in src.objects:
         if data.morphism_map[src.identity[a]] != tgt.identity[data.object_map[a]]:
             raise ValidationError(f"identity not preserved at {a!r}")
-    for (g, f), h in src.comp.items():
-        lhs = data.morphism_map[h]
-        rhs = tgt.comp[(data.morphism_map[g], data.morphism_map[f])]
+    names = src._names
+    for g, f in np.argwhere(src.table >= 0):
+        lhs = data.morphism_map[names[src.table[g, f]]]
+        rhs = tgt.compose(data.morphism_map[names[g]], data.morphism_map[names[f]])
         if lhs != rhs:
-            raise ValidationError(f"composition not preserved at ({g!r}, {f!r})")
+            raise ValidationError(f"composition not preserved at ({names[g]!r}, {names[f]!r})")
     return data
 
 
@@ -363,16 +373,14 @@ def product_comparison(f: Presheaf, g: Presheaf) -> FunctorData:
     fg = product_presheaf(f, g)
     source = category_of_elements(fg)
     target = product_category(category_of_elements(f), category_of_elements(g))
-    object_map = {}
-    for a in f.base.objects:
-        for x in f.values[a]:
-            for y in g.values[a]:
-                object_map[f"({a},({x},{y}))"] = f"(({a},{x}),({a},{y}))"
-    morphism_map = {}
-    for m, (dom, cod) in f.base.morphisms.items():
-        for x in f.values[cod]:
-            for y in g.values[cod]:
-                morphism_map[f"{m}[({x},{y})]"] = f"({m}[{x}],{m}[{y}])"
+    object_map = {
+        f"({a},({x},{y}))": f"(({a},{x}),({a},{y}))"
+        for a in f.base.objects for x in f.values[a] for y in g.values[a]
+    }
+    morphism_map = {
+        f"{m}[({x},{y})]": f"({m}[{x}],{m}[{y}])"
+        for m, (_, cod) in f.base.morphisms.items() for x in f.values[cod] for y in g.values[cod]
+    }
     return validate_functor(FunctorData(source, target, object_map, morphism_map))
 
 
@@ -396,8 +404,8 @@ def delta_truncated(m: int) -> SmallCategory:
     """Objects ``[0] .. [m]``, morphisms all maps between the finite sets.
 
     The map ``a>b:<values>`` has id ``offset[a, b]`` plus its rank in
-    ``map_table(a, b)``; composites are ranked back from one gather per
-    triple of objects, and names are made once, for output.
+    ``map_table(a, b)``; the composites of each triple of objects are ranked
+    back from one gather, straight into the table.
     """
     if m < 0:
         raise ValidationError("m must be >= 0")
@@ -409,20 +417,14 @@ def delta_truncated(m: int) -> SmallCategory:
         offset[a, b] = len(morphisms)
         for row in rows.tolist():
             morphisms[f"{a}>{b}:" + "".join(map(str, row))] = (objects[a], objects[b])
-    names = np.array(list(morphisms), dtype=object)
-    identity = {objects[a]: names[offset[a, a] + _rank(np.arange(a + 1), a)] for a in sizes}
+    identity = {objects[a]: f"{a}>{a}:" + "".join(map(str, range(a + 1))) for a in sizes}
 
-    gs, fs, hs = [], [], []
-    for (b, c), after in tables.items():
-        # every g: [b] -> [c], each followed by every f: [a] -> [b], a ascending
-        firsts = np.concatenate([offset[a, b] + np.arange(len(tables[a, b])) for a in sizes])
-        gs.append(np.repeat(offset[b, c] + np.arange(len(after)), len(firsts)))
-        fs.append(np.tile(firsts, len(after)))
-        composites = [offset[a, c] + _rank(after[:, tables[a, b]], c) for a in sizes]
-        hs.append(np.concatenate(composites, axis=1).ravel())
-    g, f, h = (names[np.concatenate(ids)] for ids in (gs, fs, hs))
-    comp = dict(zip(zip(g, f), h))
-    return validate_category(objects, morphisms, identity, comp)
+    table = np.full((len(morphisms), len(morphisms)), -1, dtype=np.int32)
+    for a, b, c in itertools.product(sizes, repeat=3):  # every g: [b] -> [c] after every f: [a] -> [b]
+        after, first = tables[b, c], tables[a, b]
+        rows, columns = offset[b, c] + np.arange(len(after)), offset[a, b] + np.arange(len(first))
+        table[np.ix_(rows, columns)] = offset[a, c] + _rank(after[:, first], c)
+    return _category(objects, morphisms, identity, table)
 
 
 # serialization ------------------------------------------------------------------
@@ -450,9 +452,7 @@ def category_from_json(data: dict) -> SmallCategory:
         if not isinstance(data["comp"], dict):
             raise ValidationError("'comp' must be an object")
         comp = {_comp_key(key): v for key, v in data["comp"].items()}
-        return validate_category(
-            data["objects"], data["morphisms"], data["identity"], comp
-        )
+        return validate_category(data["objects"], data["morphisms"], data["identity"], comp)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed category data: {exc}") from exc
 

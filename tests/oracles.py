@@ -282,6 +282,51 @@ def ref_delta_truncated(m):
     return objects, morphisms, identity, comp
 
 
+def ref_category_of_elements(f):
+    """The tables of the category of elements of the presheaf ``f``, built on names."""
+    base = f.base
+    objects = tuple(f"({a},{x})" for a in base.objects for x in f.values[a])
+    morphisms = {}
+    identity = {}
+    for m, (dom, cod) in base.morphisms.items():
+        for x in f.values[cod]:
+            morphisms[f"{m}[{x}]"] = (f"({dom},{f.action[m][x]})", f"({cod},{x})")
+    for a in base.objects:
+        for x in f.values[a]:
+            identity[f"({a},{x})"] = f"{base.identity[a]}[{x}]"
+    comp = {}
+    for m2, (dom2, cod2) in base.morphisms.items():
+        for x in f.values[cod2]:
+            mid = f.action[m2][x]
+            for m1, (dom1, cod1) in base.morphisms.items():
+                if cod1 == dom2:
+                    comp[(f"{m2}[{x}]", f"{m1}[{mid}]")] = f"{base.comp[(m2, m1)]}[{x}]"
+    return objects, morphisms, identity, comp
+
+
+def ref_product_category(c, d):
+    """The tables of the product category ``c x d``, built on names.
+
+    ``comp`` lists ``(g1,g2) after (f1,f2)`` with ``g1``, then ``g2``, then
+    ``f1``, then ``f2`` in declaration order: g-major, as a category lists it.
+    """
+    objects = tuple(f"({a},{b})" for a in c.objects for b in d.objects)
+    morphisms = {}
+    for m1, (dom1, cod1) in c.morphisms.items():
+        for m2, (dom2, cod2) in d.morphisms.items():
+            morphisms[f"({m1},{m2})"] = (f"({dom1},{dom2})", f"({cod1},{cod2})")
+    identity = {
+        f"({a},{b})": f"({c.identity[a]},{d.identity[b]})"
+        for a in c.objects
+        for b in d.objects
+    }
+    comp = {}
+    for g1, g2, f1, f2 in itertools.product(c.morphisms, d.morphisms, c.morphisms, d.morphisms):
+        if (g1, f1) in c.comp and (g2, f2) in d.comp:
+            comp[(f"({g1},{g2})", f"({f1},{f2})")] = f"({c.comp[(g1, f1)]},{d.comp[(g2, f2)]})"
+    return objects, morphisms, identity, comp
+
+
 def brute_chain_count(objects, morphisms, length):
     """Composable chains of the given length in a finite category.
 

@@ -181,7 +181,7 @@ def test_criterion_8_separating_interval():
     ok = check_separating_interval(interval, point0, point1) is True
     ok = ok and has_terminal(cat) == "[0]"
     elapsed = time.perf_counter() - start
-    announce(8, "separating interval", ok, elapsed)
+    announce(8, "separating interval", ok and elapsed < 5.0, elapsed)
 
 
 def test_criterion_9_oracle_equivalence():

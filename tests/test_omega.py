@@ -138,6 +138,23 @@ def test_inverse_tables(z2, sus_z3):
         inverse(rebuild(z2, inv=None), 1, 0, "1")
 
 
+def test_missing_unit_and_inverse_entries_are_validation_errors():
+    # a hole in the unit table fails the section check with its text, as a hole in comp does
+    from globkernel.decalage import check_section
+    from globkernel.globular import parse_table
+
+    x = fixtures.suspension(fixtures.cyclic_table(2), 1, 4)
+    units = [dict(table) for table in x.unit]
+    del units[2]["0"]
+    res = check_section(rebuild(x, unit_tables=units), parse_table("2"))
+    assert res.status == "FAIL"
+    assert res.witness == "('0',): unit table (2) has no entry for '0'"
+    inv = {key: dict(table) for key, table in x.inv.items()}
+    del inv[(2, 1)]["0"]
+    with pytest.raises(ValidationError, match=r"inverse table \(2,1\) has no entry for '0'"):
+        inverse(rebuild(x, inv=inv), 2, 1, "0")
+
+
 def test_inverse_involution(fixture_corpus):
     for x in fixture_corpus.values():
         for i in range(1, x.truncation + 1):

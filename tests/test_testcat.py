@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from globkernel import testcat
 from globkernel.errors import NotNatural, ValidationError
 from globkernel.testcat import (
     FunctorData,
@@ -31,7 +35,9 @@ from globkernel.testcat import (
 from oracles import (
     all_functions,
     brute_chain_count,
+    ref_category_of_elements,
     ref_delta_truncated,
+    ref_product_category,
     ref_validate_category,
 )
 
@@ -188,6 +194,78 @@ def test_delta_truncated_matches_reference():
         assert got[0] == want[0]
         for got_table, want_table in zip(got[1:], want[1:]):
             assert list(got_table.items()) == list(want_table.items()), m
+
+
+def ordered(tables):
+    """The four tables with every dict as its ordered item list: the order fixes the ids."""
+    return tuple(list(t.items()) if isinstance(t, dict) else t for t in tables)
+
+
+def empty_presheaf(cat):
+    return validate_presheaf(cat, {"a": (), "b": ()}, {"ida": {}, "idb": {}, "f": {}})
+
+
+def test_category_of_elements_matches_reference():
+    presheaves = [empty_presheaf(BASES["arrow"])]
+    for base in (BASES["arrow"], one_object_group(3), BASES["delta1"], BASES["delta2"]):
+        presheaves += [representable(base, at) for at in base.objects] + [terminal_presheaf(base)]
+    for pre in presheaves:
+        assert ordered(tables(category_of_elements(pre))) == ordered(ref_category_of_elements(pre))
+
+
+def test_product_category_matches_reference():
+    arrow, z3 = BASES["arrow"], one_object_group(3)
+    empty = category_of_elements(empty_presheaf(arrow))
+    assert empty.objects == ()
+    for c, d in ((arrow, z3), (z3, arrow), (arrow, BASES["delta1"]), (empty, arrow), (arrow, empty)):
+        assert ordered(tables(product_category(c, d))) == ordered(ref_product_category(c, d))
+
+
+def test_constructors_are_checked_by_the_law_core(monkeypatch):
+    # one composite of the triple [1] -> [1] -> [1] ranked onto another map [1] -> [1]
+    rank = testcat._rank
+
+    def misrank(rows, n):
+        ranks = rank(rows, n)
+        if rows.shape == (4, 4, 2):
+            ranks[0, 2] = (ranks[0, 2] + 1) % 4
+        return ranks
+
+    delta_truncated(2)
+    monkeypatch.setattr(testcat, "_rank", misrank)
+    with pytest.raises(ValidationError):
+        delta_truncated(2)
+    # an entry off the composable pairs, which a table built on ids could hold
+    cat = arrow_category()
+    table = cat.table.copy()
+    table[2, 2] = 2  # f after f
+    with pytest.raises(ValidationError, match="composite declared for non-composable 'f', 'f'"):
+        testcat._category(cat.objects, cat.morphisms, cat.identity, table)
+
+
+def test_separating_interval_path_never_names_the_composites():
+    cat = delta_truncated(3)
+    representable(cat, "[1]")
+    has_terminal(cat)
+    nerve(cat, 3)
+    assert "comp" not in cat.__dict__
+    assert cat.comp[("1>0:00", "0>1:1")] == "0>0:0"  # made on first use, and read-only
+    with pytest.raises(TypeError):
+        cat.comp[("1>0:00", "0>1:1")] = "0>0:0"
+
+
+def test_equality_compares_composites_whatever_the_ids():
+    def monoid(square, names=("e", "a")):
+        """One object, an identity ``e`` and ``a`` with ``a a = square``; ids in ``names`` order."""
+        comp = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): square}
+        return validate_category(["*"], {m: ("*", "*") for m in names}, {"*": "e"}, comp)
+
+    idempotent, reordered = monoid("a"), monoid("a", ("a", "e"))
+    assert idempotent.table.tolist() != reordered.table.tolist()  # other ids, the same composites
+    assert idempotent == reordered
+    assert monoid("e") != idempotent and monoid("e", ("a", "e")) != idempotent
+    assert idempotent.comp and copy.deepcopy(idempotent) == idempotent  # a made view copies too
+    assert pickle.loads(pickle.dumps(idempotent)) == idempotent
 
 
 def test_has_terminal_basics():
