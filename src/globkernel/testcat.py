@@ -43,19 +43,21 @@ class SmallCategory:
 
     @cached_property
     def comp(self) -> dict[tuple[str, str], str]:
-        """Read-only view of ``table`` by name, ``(g, f) -> g after f``, g-major; made on first use."""
+        """``(g, f) -> g after f`` by name, g-major: a read-only view of ``table``."""
         g, f = np.nonzero(self.table >= 0)
-        return _ReadOnly(zip(zip(self._names[g], self._names[f]), self._names[self.table[g, f]]))
+        names = self._names
+        return _ReadOnly(zip(zip(names[g], names[f]), names[self.table[g, f]]))
 
     def __eq__(self, other):
         if not isinstance(other, SmallCategory):
             return NotImplemented
-        same = all(getattr(self, k) == getattr(other, k) for k in ("objects", "morphisms", "identity"))
-        in_order = list(self.morphisms) == list(other.morphisms)  # so with the same ids
-        return same and (np.array_equal(self.table, other.table) if in_order else self.comp == other.comp)
+        fields = ("objects", "morphisms", "identity", "comp")
+        return all(getattr(self, k) == getattr(other, k) for k in fields)
 
     def hom(self, a: str, b: str) -> tuple[str, ...]:
-        return tuple(f for f, ends in self.morphisms.items() if ends == (a, b))
+        return tuple(
+            f for f, (dom, cod) in self.morphisms.items() if dom == a and cod == b
+        )
 
     def dom(self, f: str) -> str:
         return self.morphisms[f][0]
@@ -74,38 +76,47 @@ class SmallCategory:
 class _ReadOnly(dict):
     def _refuse(self, *args):
         raise TypeError("SmallCategory.comp is a read-only view of its table")
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
-    __reduce__ = lambda self: (_ReadOnly, (dict(self),))  # so copies and pickles are made whole
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+    __reduce__ = lambda self: (_ReadOnly, (dict(self),))  # copies and pickles made whole
 
 
 _NONE = object()  # a name no category declares, for a ``comp`` key that is no pair
 
 
+def _id(index: dict, name) -> int:
+    try:
+        return index.get(name, -1)
+    except TypeError:  # not hashable, so not declared
+        return -1
+
+
 def _ids(index: dict, names: list) -> np.ndarray:
     """The id of each name in ``index``, or -1 where it has none."""
-    def one(name):
-        try:
-            return index.get(name, -1)
-        except TypeError:  # not hashable, so not declared
-            return -1
-    return np.array([one(name) for name in names], dtype=np.int64)
+    try:
+        return np.array([index.get(name, -1) for name in names], dtype=np.int64)
+    except TypeError:
+        return np.array([_id(index, name) for name in names], dtype=np.int64)
 
 
 def validate_category(objects, morphisms, identity, comp) -> SmallCategory:
-    """Check the names, intern ``comp`` as a table, and check the laws with :func:`_category`.
+    """Check the names, intern ``comp`` as a table, and check the laws on it.
 
     Raises the failure the name-keyed loops of ``tests/oracles.py`` meet first.
     """
-    objects, identity = tuple(objects), dict(identity)
+    objects = tuple(objects)
     morphisms = {name: (dom, cod) for name, (dom, cod) in dict(morphisms).items()}
+    identity = dict(identity)
     comp = {tuple(k): v for k, v in dict(comp).items()}
 
     if len(set(objects)) != len(objects):
         raise ValidationError("duplicate object names")
+    names = list(morphisms)
+    index = {name: k for k, name in enumerate(names)}
     ends = _ids({a: k for k, a in enumerate(objects)}, [e for p in morphisms.values() for e in p])
     undeclared = (ends.reshape(-1, 2) < 0).any(axis=1)
     if undeclared.any():
-        name = list(morphisms)[int(np.argmax(undeclared))]
+        name = names[int(np.argmax(undeclared))]
         raise ValidationError(f"morphism {name!r} has undeclared endpoint")
     for a in objects:
         ident = identity.get(a)
@@ -115,28 +126,30 @@ def validate_category(objects, morphisms, identity, comp) -> SmallCategory:
             raise ValidationError(f"identity of {a!r} is not an endomorphism")
 
     # table[g, f] = g after f, or -1 where comp has no declared morphism
-    index = {name: k for k, name in enumerate(morphisms)}
     pairs = [name for k in comp for name in (k if len(k) == 2 else (_NONE, _NONE))]
     key_g, key_f = _ids(index, pairs).reshape(-1, 2).T
     known = (key_g >= 0) & (key_f >= 0)
-    table = np.full((len(index), len(index)), -1, dtype=np.int32)
-    table[key_g[known], key_f[known]] = _ids(index, list(comp.values()))[known]
+    values = _ids(index, list(comp.values()))
+    table = np.full((len(names), len(names)), -1, dtype=np.int32)
+    table[key_g[known], key_f[known]] = values[known]
     return _category(objects, morphisms, identity, table, comp)
 
 
 def _category(objects, morphisms, identity, table, comp=None) -> SmallCategory:
-    """Check every composition law on ids, for names that pass :func:`validate_category`.
+    """Check every composition law of ``table``, on ids.
 
-    ``comp``, the name-keyed composites ``table`` was read from, if any, names
-    in the error text what the table cannot hold: a name that is no morphism.
+    The names must pass the checks of :func:`validate_category`.  ``comp``, the
+    name-keyed composites ``table`` was read from, if any, names in the error
+    text what the table cannot hold: a name that is no morphism.
     """
     cat = SmallCategory(objects, morphisms, identity, table)
     names, index = cat._names, cat._index
     at = {a: k for k, a in enumerate(objects)}
-    dom, cod = np.array([[at[e] for e in p] for p in morphisms.values()], dtype=np.int64).reshape(-1, 2).T
+    ends = np.array([at[e] for p in morphisms.values() for e in p], dtype=np.int64)
+    dom, cod = ends[0::2], ends[1::2]
     ident = np.array([index[identity[a]] for a in objects], dtype=np.int64)
 
-    f, g = np.nonzero(cod[:, None] == dom[None, :])  # f first, then g, as the reference loops
+    f, g = np.nonzero(cod[:, None] == dom[None, :])  # f first, then g, as declared
     h = table[g, f]
     bad = (h < 0) | (dom[h] != dom[f]) | (cod[h] != cod[g])
     if bad.any():
@@ -149,7 +162,8 @@ def _category(objects, morphisms, identity, table, comp=None) -> SmallCategory:
             raise ValidationError(f"no composite for {gname!r} after {fname!r}")
         raise ValidationError(f"composite {value!r} of {gname!r} after {fname!r} is undeclared")
     # each composable pair has its entry by now, so any other entry or key is stray
-    strays = [(names[g], names[f]) for g, f in np.argwhere((table >= 0) & (dom[:, None] != cod[None, :]))]
+    stray = (table >= 0) & (dom[:, None] != cod[None, :])
+    strays = [(names[g], names[f]) for g, f in np.argwhere(stray)]
     if comp is not None and len(comp) > len(h):
         strays = comp  # in key order, with the keys the table cannot hold
     for g, f in strays:  # a key that is no pair raises here
@@ -174,8 +188,10 @@ def _category(objects, morphisms, identity, table, comp=None) -> SmallCategory:
         rhs = table[lasts][:, table[g, firsts]]  # h (g f)
         if not np.array_equal(lhs, rhs):
             hi, fi = map(int, np.argwhere(lhs != rhs)[0])
-            h, f = names[lasts[hi]], names[firsts[fi]]
-            raise ValidationError(f"associativity fails at ({h!r}, {names[g]!r}, {f!r})")
+            raise ValidationError(
+                f"associativity fails at ({names[lasts[hi]]!r}, "
+                f"{names[g]!r}, {names[firsts[fi]]!r})"
+            )
     return cat
 
 
@@ -210,15 +226,18 @@ def validate_presheaf(base: SmallCategory, values, action) -> Presheaf:
             if table.get(e) not in values[dom]:
                 raise ValidationError(f"action of {f!r} not total into values({dom!r})")
     for a in base.objects:
+        ident = base.identity[a]
         for e in values[a]:
-            if action[base.identity[a]][e] != e:
+            if action[ident][e] != e:
                 raise ValidationError(f"identity action fails at {a!r}:{e!r}")
     for g, f in itertools.product(base.morphisms, repeat=2):
         if base.morphisms[f][1] == base.morphisms[g][0]:
             h = base.compose(g, f)
             for e in values[base.morphisms[g][1]]:
                 if action[h][e] != action[f][action[g][e]]:
-                    raise ValidationError(f"functoriality fails at ({g!r}, {f!r}) on {e!r}")
+                    raise ValidationError(
+                        f"functoriality fails at ({g!r}, {f!r}) on {e!r}"
+                    )
     return Presheaf(base, values, action)
 
 
@@ -243,33 +262,45 @@ def representable(base: SmallCategory, at: str) -> Presheaf:
 def product_presheaf(f: Presheaf, g: Presheaf) -> Presheaf:
     if f.base is not g.base and f.base != g.base:
         raise ValidationError("presheaf product needs a shared base")
-    pairs = {a: [(x, y) for x in f.values[a] for y in g.values[a]] for a in f.base.objects}
-    values = {a: tuple(f"({x},{y})" for x, y in pairs[a]) for a in pairs}
-    action = {m: {f"({x},{y})": f"({f.action[m][x]},{g.action[m][y]})" for x, y in pairs[cod]}
-              for m, (_, cod) in f.base.morphisms.items()}
+    values = {
+        a: tuple(f"({x},{y})" for x in f.values[a] for y in g.values[a])
+        for a in f.base.objects
+    }
+    action = {}
+    for m, (dom, cod) in f.base.morphisms.items():
+        action[m] = {
+            f"({x},{y})": f"({f.action[m][x]},{g.action[m][y]})"
+            for x in f.values[cod]
+            for y in g.values[cod]
+        }
     return Presheaf(f.base, values, action)
 
 
 def category_of_elements(f: Presheaf) -> SmallCategory:
     """Objects ``(a, x in F(a))``; morphisms ``m[x]``, for ``m: a -> b`` and ``x in F(b)``.
 
-    ``m[x]`` has the id of ``m``'s first element morphism plus the position
-    of ``x`` in ``F(b)``, and ``m[x]`` after ``n[F(m)(x)]`` is ``(m n)[x]``.
+    ``m[x]`` has the id of ``m``'s first element morphism plus the place of
+    ``x`` in ``F(b)``, and ``m[x]`` after ``n[F(m)(x)]`` is ``(m n)[x]``.
     """
     base = f.base
     objects = tuple(f"({a},{x})" for a in base.objects for x in f.values[a])
     place = {a: {x: k for k, x in enumerate(f.values[a])} for a in base.objects}
-    identity = {f"({a},{x})": f"{base.identity[a]}[{x}]" for a in base.objects for x in f.values[a]}
-    morphisms, first, rows = {}, [], []  # a row per m[x]: m's id, x's place, F(m)(x)'s place
+    morphisms = {}
+    identity = {}
+    first, rows = [], []  # a row per m[x]: m's id, x's place, F(m)(x)'s place
     for m, (dom, cod) in base.morphisms.items():
         first.append(len(morphisms))
         for k, x in enumerate(f.values[cod]):
             pulled = f.action[m][x]
-            morphisms[f"{m}[{x}]"] = (f"({dom},{pulled})", f"({cod},{x})")
+            name = f"{m}[{x}]"
+            morphisms[name] = (f"({dom},{pulled})", f"({cod},{x})")
             rows.append((len(first) - 1, k, place[dom][pulled]))
+    for a in base.objects:
+        for x in f.values[a]:
+            identity[f"({a},{x})"] = f"{base.identity[a]}[{x}]"
     over, x_at, pulled_at = np.array(rows, dtype=np.int64).reshape(-1, 3).T
     first = np.array(first, dtype=np.int64)
-    g, m = np.nonzero(base.table[over] >= 0)  # g = n[x], and every m that n follows
+    g, m = np.nonzero(base.table[over] >= 0)  # row g is n[x]; m runs over what n can follow
     table = np.full((len(morphisms), len(morphisms)), -1, dtype=np.int32)
     table[g, first[m] + pulled_at[g]] = first[base.table[over[g], m]] + x_at[g]
     return _category(objects, morphisms, identity, table)
@@ -277,7 +308,10 @@ def category_of_elements(f: Presheaf) -> SmallCategory:
 
 def has_terminal(cat: SmallCategory):
     """The terminal object, or None: exactly one morphism in from everywhere."""
-    return next((b for b in cat.objects if all(len(cat.hom(a, b)) == 1 for a in cat.objects)), None)
+    for candidate in cat.objects:
+        if all(len(cat.hom(a, candidate)) == 1 for a in cat.objects):
+            return candidate
+    return None
 
 
 @dataclass(frozen=True)
@@ -294,16 +328,25 @@ def nerve(cat: SmallCategory, depth: int) -> NerveCounts:
     """
     if depth < 0:
         raise ValidationError("depth must be >= 0")
-    at = {a: k for k, a in enumerate(cat.objects)}
-    homs = np.zeros((2, len(at), len(at)), dtype=object)  # Python ints: chain counts grow fast
-    for m, (dom, cod) in cat.morphisms.items():
-        homs[:, at[dom], at[cod]] += (1, m not in cat.identity.values())
-    # chains ending at each object, all and those with no identity, one morphism longer each step
-    chains = [np.ones((2, len(at)), dtype=object)]
+    identities = set(cat.identity.values())
+    out_by_object: dict[str, list[str]] = {a: [] for a in cat.objects}
+    for m, (dom, _cod) in cat.morphisms.items():
+        out_by_object[dom].append(m)
+
+    total = [len(cat.objects)]
+    nondeg = [len(cat.objects)]
+    # chains as (endpoint object, contains_identity), extended one morphism at a time
+    frontier: dict[tuple[str, bool], int] = {(a, False): 1 for a in cat.objects}
     for _ in range(depth):
-        chains.append((chains[-1][:, None] @ homs)[:, 0])
-    total, nondeg = zip(*(ends.sum(axis=1) for ends in chains))
-    return NerveCounts(total, nondeg)
+        nxt: dict[tuple[str, bool], int] = {}
+        for (end, has_id), count in frontier.items():
+            for m in out_by_object[end]:
+                key = (cat.cod(m), has_id or m in identities)
+                nxt[key] = nxt.get(key, 0) + count
+        frontier = nxt
+        total.append(sum(frontier.values()))
+        nondeg.append(sum(c for (_, has_id), c in frontier.items() if not has_id))
+    return NerveCounts(tuple(total), tuple(nondeg))
 
 
 def check_separating_interval(interval: Presheaf, point0, point1) -> bool:
@@ -322,16 +365,21 @@ def check_separating_interval(interval: Presheaf, point0, point1) -> bool:
 
 
 def product_category(c: SmallCategory, d: SmallCategory) -> SmallCategory:
-    """``(m1,m2)`` has id ``m1 * len(d.morphisms) + m2``; its table broadcasts the factors'."""
+    """``(m1,m2)`` has id ``m1 * len(d.morphisms) + m2``; its table pairs the factors'."""
     objects = tuple(f"({a},{b})" for a in c.objects for b in d.objects)
-    morphisms = {
-        f"({m1},{m2})": (f"({dom1},{dom2})", f"({cod1},{cod2})")
-        for m1, (dom1, cod1) in c.morphisms.items() for m2, (dom2, cod2) in d.morphisms.items()
+    morphisms = {}
+    for m1, (dom1, cod1) in c.morphisms.items():
+        for m2, (dom2, cod2) in d.morphisms.items():
+            morphisms[f"({m1},{m2})"] = (f"({dom1},{dom2})", f"({cod1},{cod2})")
+    identity = {
+        f"({a},{b})": f"({c.identity[a]},{d.identity[b]})"
+        for a in c.objects
+        for b in d.objects
     }
-    identity = {f"({a},{b})": f"({c.identity[a]},{d.identity[b]})" for a in c.objects for b in d.objects}
     left, right = c.table[:, None, :, None], d.table[None, :, None, :]
     table = np.where((left >= 0) & (right >= 0), left * len(d.morphisms) + right, -1)
-    return _category(objects, morphisms, identity, table.reshape(len(morphisms), len(morphisms)))
+    n = len(morphisms)
+    return _category(objects, morphisms, identity, table.reshape(n, n))
 
 
 @dataclass(frozen=True)
@@ -373,14 +421,16 @@ def product_comparison(f: Presheaf, g: Presheaf) -> FunctorData:
     fg = product_presheaf(f, g)
     source = category_of_elements(fg)
     target = product_category(category_of_elements(f), category_of_elements(g))
-    object_map = {
-        f"({a},({x},{y}))": f"(({a},{x}),({a},{y}))"
-        for a in f.base.objects for x in f.values[a] for y in g.values[a]
-    }
-    morphism_map = {
-        f"{m}[({x},{y})]": f"({m}[{x}],{m}[{y}])"
-        for m, (_, cod) in f.base.morphisms.items() for x in f.values[cod] for y in g.values[cod]
-    }
+    object_map = {}
+    for a in f.base.objects:
+        for x in f.values[a]:
+            for y in g.values[a]:
+                object_map[f"({a},({x},{y}))"] = f"(({a},{x}),({a},{y}))"
+    morphism_map = {}
+    for m, (dom, cod) in f.base.morphisms.items():
+        for x in f.values[cod]:
+            for y in g.values[cod]:
+                morphism_map[f"{m}[({x},{y})]"] = f"({m}[{x}],{m}[{y}])"
     return validate_functor(FunctorData(source, target, object_map, morphism_map))
 
 
@@ -420,9 +470,11 @@ def delta_truncated(m: int) -> SmallCategory:
     identity = {objects[a]: f"{a}>{a}:" + "".join(map(str, range(a + 1))) for a in sizes}
 
     table = np.full((len(morphisms), len(morphisms)), -1, dtype=np.int32)
-    for a, b, c in itertools.product(sizes, repeat=3):  # every g: [b] -> [c] after every f: [a] -> [b]
+    for a, b, c in itertools.product(sizes, repeat=3):
+        # every g: [b] -> [c] after every f: [a] -> [b]
         after, first = tables[b, c], tables[a, b]
-        rows, columns = offset[b, c] + np.arange(len(after)), offset[a, b] + np.arange(len(first))
+        rows = offset[b, c] + np.arange(len(after))
+        columns = offset[a, b] + np.arange(len(first))
         table[np.ix_(rows, columns)] = offset[a, c] + _rank(after[:, first], c)
     return _category(objects, morphisms, identity, table)
 
@@ -452,7 +504,9 @@ def category_from_json(data: dict) -> SmallCategory:
         if not isinstance(data["comp"], dict):
             raise ValidationError("'comp' must be an object")
         comp = {_comp_key(key): v for key, v in data["comp"].items()}
-        return validate_category(data["objects"], data["morphisms"], data["identity"], comp)
+        return validate_category(
+            data["objects"], data["morphisms"], data["identity"], comp
+        )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed category data: {exc}") from exc
 
