@@ -14,31 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import fixtures, omega, report
-from .errors import DimOutOfRange, KernelError
+from .errors import KernelError
 from .globular import globular_product, parse_table
 
 EXIT_CLEAN = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
-
-
-@dataclass
-class RunConfig:
-    axioms: omega.AxiomFlags = omega.FULL_FLAGS
-    fmt: str = "text"
-    cap: int = 100
-    max_width: int = 3
-    max_dim: int = 3
-    max_n: int = 4
-
-    def __post_init__(self):
-        if self.cap < 1 or self.max_width < 1 or self.max_n < 1:
-            raise KernelError("bounds must be >= 1")
-        if self.max_dim < 0:
-            raise KernelError("--max-dim must be >= 0")
 
 
 def _load_structure(path: str) -> omega.OmegaStructure:
@@ -62,19 +45,17 @@ def _violations_to_results(kind: str, violations) -> list[report.CheckResult]:
 
 
 def cmd_check(args) -> int:
-    cfg = RunConfig(
-        axioms=omega.AxiomFlags.parse(args.axioms),
-        fmt=args.format,
-        cap=args.cap,
-    )
+    flags = omega.AxiomFlags.parse(args.axioms)
+    if args.cap < 1:
+        raise KernelError("bounds must be >= 1")
     x = _load_structure(args.file)
     results = []
-    structure = omega.check_structure(x, cap=cfg.cap)
+    structure = omega.check_structure(x, cap=args.cap)
     results.extend(_violations_to_results("structure", structure.violations))
-    by_axiom = omega.check_all(x, cfg.axioms, cap=cfg.cap)
+    by_axiom = omega.check_all(x, flags, cap=args.cap)
     for name, violations in by_axiom.items():
         results.extend(_violations_to_results(f"axiom:{name}", violations))
-    _emit(results, cfg.fmt)
+    _emit(results, args.format)
     return EXIT_CLEAN if report.all_pass(results) else EXIT_VIOLATION
 
 
@@ -92,18 +73,16 @@ def cmd_twist(args) -> int:
 
 def cmd_decalage(args) -> int:
     from . import decalage
-    cfg = RunConfig(
-        fmt=args.format,
-        cap=args.cap,
-        max_width=args.max_width,
-        max_dim=args.max_dim,
-    )
+    if args.cap < 1 or args.max_width < 1:
+        raise KernelError("bounds must be >= 1")
+    if args.max_dim < 0:
+        raise KernelError("--max-dim must be >= 0")
     x = _load_structure(args.file)
     if not x.has_inverses:
         print("input error: decalage sweeps need a structure with inverses", file=sys.stderr)
         return EXIT_INPUT
-    structure = omega.check_structure(x, cap=cfg.cap)
-    axioms = omega.check_all(x, omega.FULL_FLAGS, cap=cfg.cap)
+    structure = omega.check_structure(x, cap=args.cap)
+    axioms = omega.check_all(x, omega.FULL_FLAGS, cap=args.cap)
     if structure.violations or not omega.all_clean(axioms):
         print("input error: structure fails its own axiom suite; fix it first", file=sys.stderr)
         return EXIT_INPUT
@@ -114,29 +93,30 @@ def cmd_decalage(args) -> int:
     def emit(batch) -> None:
         for r in batch:
             results.append(r)
-            if cfg.fmt == "text":
+            if args.format == "text":
                 print(report.format_line(r), flush=True)
 
-    emit(decalage.check_sections(x, cfg.max_width, cfg.max_dim))
+    emit(decalage.check_sections(x, args.max_width, args.max_dim))
     emit(decalage.check_apex_naturality(x))
     emit(decalage.check_endpoint_naturality(x))
     emit(decalage.check_unit_closed_forms(x))
     emit([decalage.check_lift_non_naturality(x)])
-    if cfg.fmt == "json":
-        _emit(results, cfg.fmt)
+    if args.format == "json":
+        _emit(results, args.format)
     return EXIT_CLEAN if report.all_pass(results) else EXIT_VIOLATION
 
 
 def cmd_delta(args) -> int:
     from . import decalage
-    cfg = RunConfig(fmt=args.format, max_n=args.max_n)
+    if args.max_n < 1:
+        raise KernelError("bounds must be >= 1")
     gens = decalage.standard_generators()
-    if cfg.fmt == "text":
+    if args.format == "text":
         for name in ("comp", "unit", "inv"):
             plain = gens[name]
             shifted = gens[f"{name}_shift"]
             print(f"{name}: {plain}   shift: {shifted}")
-    results = decalage.check_shift_decalage(cfg.max_n)
+    results = decalage.check_shift_decalage(args.max_n)
 
     shift_matches = [
         report.passed("shift-generators", name)
@@ -145,7 +125,7 @@ def cmd_delta(args) -> int:
         for name in ("comp", "unit", "inv")
     ]
     results = shift_matches + results
-    _emit(results, cfg.fmt)
+    _emit(results, args.format)
     return EXIT_CLEAN if report.all_pass(results) else EXIT_VIOLATION
 
 
@@ -246,9 +226,6 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except json.JSONDecodeError as exc:
         print(f"input error: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DimOutOfRange as exc:
-        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except KernelError as exc:
         print(f"input error: {exc}", file=sys.stderr)

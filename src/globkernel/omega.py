@@ -78,58 +78,35 @@ _INVERSE_AXIOMS = (LEFT_INVERSE, RIGHT_INVERSE, INVERSE_COMPAT)
 
 @dataclass(frozen=True)
 class AxiomFlags:
-    """Selection of optional axioms; associativity and exchange always run."""
+    """Selection of optional axioms; associativity and exchange always run.
 
-    left_unit: bool = False
-    right_unit: bool = False
-    unit_compat: bool = False
-    left_inverse: bool = False
-    right_inverse: bool = False
+    ``optional`` holds the selected axioms in the order of ``_FLAG_TOKENS``.
+    """
+
+    optional: tuple[str, ...] = ()
 
     @classmethod
     def parse(cls, text: str) -> "AxiomFlags":
-        selected: set[str] = set()
-        for token in text.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if token not in _FLAG_TOKENS:
+        tokens = [token.strip() for token in text.split(",")]
+        for token in tokens:
+            if token and token not in _FLAG_TOKENS:
                 raise ValidationError(
                     f"unknown axiom flag {token!r}; expected l, r, f, li, ri"
                 )
-            selected.add(_FLAG_TOKENS[token])
-        return cls(
-            left_unit=LEFT_UNIT in selected,
-            right_unit=RIGHT_UNIT in selected,
-            unit_compat=UNIT_COMPAT in selected,
-            left_inverse=LEFT_INVERSE in selected,
-            right_inverse=RIGHT_INVERSE in selected,
-        )
+        return cls(tuple(axiom for token, axiom in _FLAG_TOKENS.items() if token in tokens))
 
     def axioms(self) -> tuple[str, ...]:
-        selected = [ASSOC, EXCHANGE]
-        if self.left_unit:
-            selected.append(LEFT_UNIT)
-        if self.right_unit:
-            selected.append(RIGHT_UNIT)
-        if self.unit_compat:
-            selected.append(UNIT_COMPAT)
-        if self.left_inverse:
-            selected.append(LEFT_INVERSE)
-        if self.right_inverse:
-            selected.append(RIGHT_INVERSE)
-        return tuple(selected)
+        return (ASSOC, EXCHANGE) + self.optional
 
     def needs_inverses(self) -> bool:
-        return self.left_inverse or self.right_inverse
+        return any(axiom in _INVERSE_AXIOMS for axiom in self.optional)
 
     def __str__(self) -> str:
-        tokens = [tok for tok, axiom in _FLAG_TOKENS.items() if axiom in self.axioms()]
-        return ",".join(tokens)
+        return ",".join(tok for tok, axiom in _FLAG_TOKENS.items() if axiom in self.optional)
 
 
-FULL_FLAGS = AxiomFlags(True, True, True, True, True)
-CATEGORICAL_FLAGS = AxiomFlags(True, True, True, False, False)
+FULL_FLAGS = AxiomFlags(tuple(_FLAG_TOKENS.values()))
+CATEGORICAL_FLAGS = AxiomFlags((LEFT_UNIT, RIGHT_UNIT, UNIT_COMPAT))
 
 
 @dataclass(frozen=True)
@@ -560,11 +537,8 @@ def check_structure(x: OmegaStructure, cap: int = 100) -> Report:
 
 
 def _axiom_subscripts(x: OmegaStructure, name: str):
+    """Every subscript tuple of axiom ``name``, in sweep order; the only ones it accepts."""
     n = x.truncation
-    if name in (ASSOC, LEFT_UNIT, RIGHT_UNIT, LEFT_INVERSE, RIGHT_INVERSE):
-        return [(i, j) for i in range(1, n + 1) for j in range(i)]
-    if name == UNIT_COMPAT:
-        return [(i, j) for i in range(1, n) for j in range(i)]
     if name == EXCHANGE:
         return [
             (i, j, k)
@@ -572,14 +546,11 @@ def _axiom_subscripts(x: OmegaStructure, name: str):
             for j in range(1, i)
             for k in range(j)
         ]
+    top = n - 1 if name == UNIT_COMPAT else n
+    pairs = [(i, j) for i in range(1, top + 1) for j in range(i)]
     if name == INVERSE_COMPAT:
-        return [
-            (i, j, jp)
-            for i in range(1, n + 1)
-            for j in range(i)
-            for jp in range(i)
-        ]
-    raise ValidationError(f"unknown axiom {name!r}; expected one of {AXIOMS}")
+        return [(i, j, jp) for i, j in pairs for jp in range(i)]
+    return pairs
 
 
 def _instances(t: IntTables, name: str, sub: tuple[int, ...]):
@@ -635,7 +606,6 @@ def _sides(ops, name: str, sub: tuple[int, ...], cells):
         if j == jp:
             return lhs, c(i, j, ops.inverse(i, jp, v), ops.inverse(i, jp, u))
         return lhs, c(i, j, ops.inverse(i, jp, u), ops.inverse(i, jp, v))
-    raise ValidationError(f"unknown axiom {name!r}")
 
 
 def _judge(x: OmegaStructure, name: str, sub: tuple[int, ...], witness) -> Violation | None:
@@ -656,18 +626,10 @@ def _validate_subscripts(x: OmegaStructure, name: str, sub: tuple[int, ...]) -> 
     expected = 3 if name in (EXCHANGE, INVERSE_COMPAT) else 2
     if len(sub) != expected:
         raise ValidationError(f"axiom {name} takes {expected} subscripts")
-    i = sub[0]
-    top = x.truncation - 1 if name == UNIT_COMPAT else x.truncation
-    if not 1 <= i <= top:
-        raise DimOutOfRange(f"axiom {name} subscript i={i} outside 1..{top}")
-    if name == EXCHANGE:
-        if not i > sub[1] > sub[2] >= 0:
-            raise DimOutOfRange(f"axiom {name} needs i > j > k >= 0, got {sub}")
-    elif name == INVERSE_COMPAT:
-        if not (0 <= sub[1] < i and 0 <= sub[2] < i):
-            raise DimOutOfRange(f"axiom {name} needs i > j, j' >= 0, got {sub}")
-    elif not 0 <= sub[1] < i:
-        raise DimOutOfRange(f"axiom {name} needs i > j >= 0, got {sub}")
+    if sub not in _axiom_subscripts(x, name):
+        raise DimOutOfRange(
+            f"axiom {name} has no subscripts {sub} at truncation {x.truncation}"
+        )
 
 
 def _axiom_violations(x: OmegaStructure, name: str, subs):

@@ -710,6 +710,80 @@ def ref_twisted_cells(x, level):
     return [TwistedCell(level, e) for e in brute_twisted_cells(x.base, level)]
 
 
+def ref_apex_naturality(x):
+    """``check_apex_naturality`` on names, per level ``i``.
+
+    The source of the top entry of each twisted boundary of a cell is
+    compared with the plain boundary of the source of the cell's top entry.
+    """
+    gs = x.base
+    results = []
+    for i in range(1, x.truncation):
+        failures = []
+        for cell in ref_twisted_cells(x, i):
+            apex = gs.src[i + 1][cell.entries[-1]]
+            for kind, face in (("src", ref_twisted_source), ("tgt", ref_twisted_target)):
+                if gs.src[i][face(x, cell).entries[-1]] != raw_boundary(gs, kind, i, i - 1, apex):
+                    failures.append(f"{kind} side at {cell.entries}")
+        results.append(verdict("apex-naturality", f"level={i}", failures))
+    return results
+
+
+def ref_endpoint_naturality(x):
+    """``check_endpoint_naturality`` on names: each twisted boundary of a cell
+    keeps the target of the cell's bottom entry."""
+    gs = x.base
+    results = []
+    for i in range(1, x.truncation):
+        failures = []
+        for cell in ref_twisted_cells(x, i):
+            for kind, face in (("src", ref_twisted_source), ("tgt", ref_twisted_target)):
+                if gs.tgt[1][face(x, cell).entries[0]] != gs.tgt[1][cell.entries[0]]:
+                    failures.append(f"{kind} side at {cell.entries}")
+        results.append(verdict("endpoint-naturality", f"level={i}", failures))
+    return results
+
+
+def ref_closed_unit_form(x, kind, j, cell):
+    """The level-``j`` ``kind`` boundary of ``cell`` taken up to its level by
+    units, in closed form: the entries up to dimension ``j + 1`` of the
+    boundary (glued at ``j + 1`` on the source side), then at each dimension
+    ``d`` above the iterated unit over the ``j``-boundary of entry ``d``."""
+    entries = list(cell.entries[: j + 1])
+    if kind == "src":
+        entries[j] = compose(x, j + 1, j, entries[j], x.base.tgt[j + 2][cell.entries[j + 1]])
+    for d in range(j + 2, cell.level + 2):
+        entries.append(iter_unit(x, j, d, raw_boundary(x.base, kind, d, j, cell.entries[d - 1])))
+    return ref_twisted_cell(x, cell.level, entries)
+
+
+def ref_unit_closed_forms(x):
+    """``check_unit_closed_forms`` on names, per level ``i`` and boundary level ``j``.
+
+    The twisted boundary is taken step by step and the twisted unit applied
+    ``i - j`` times; an error ends the cell with its text.
+    """
+    results = []
+    for i in range(1, x.truncation):
+        for j in range(i):
+            failures = []
+            for cell in ref_twisted_cells(x, i):
+                try:
+                    for kind in ("src", "tgt"):
+                        iterated = ref_twisted_boundary(x, kind, cell, j)
+                        for _ in range(i - j):
+                            iterated = ref_twisted_unit(x, iterated)
+                        closed = ref_closed_unit_form(x, kind, j, cell)
+                        if iterated != closed:
+                            failures.append(
+                                f"{kind} at {cell.entries}: {iterated.entries} != {closed.entries}"
+                            )
+                except (GluingViolation, NotComposable, ValidationError, MissingCell) as exc:
+                    failures.append(f"{cell.entries}: {exc}")
+            results.append(verdict("unit-closed-form", f"i={i},j={j}", failures))
+    return results
+
+
 def ref_build_twisted(x):
     """The twisted complex assembled cell by cell from the operations above."""
     n = x.truncation

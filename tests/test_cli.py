@@ -106,6 +106,35 @@ def test_bad_input_exit_two_without_traceback(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "{file}", "--cap", "0"],
+    ["decalage", "{file}", "--max-width", "0"],
+    ["delta", "--max-n", "0"],
+])
+def test_zero_bound_exit_two(z2_file, capsys, argv):
+    assert run([arg.format(file=z2_file) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", "input error: bounds must be >= 1\n")
+
+
+def test_decalage_without_inverse_tables_exit_two(tmp_path, capsys):
+    data = omega.omega_to_json(fixtures.delooping(fixtures.cyclic_table(2), 3))
+    del data["inv"]
+    path = tmp_path / "noinv.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(["decalage", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "input error: decalage sweeps need a structure with inverses\n")
+
+
+def test_not_utf8_input_exit_two(tmp_path, capsys):
+    path = _bad_input(tmp_path, "not-utf8")
+    assert run(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: not UTF-8 text: ")
+    assert "Traceback" not in captured.err
+
+
 def test_check_loads_neither_twist_nor_decalage_nor_testcat(z2_file):
     # -X importtime writes one line per module the process imports to stderr
     proc = run_process("-X", "importtime", "-m", "globkernel.cli", "check", str(z2_file))

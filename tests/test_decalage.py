@@ -30,13 +30,21 @@ from globkernel.decalage import (
     unit_lift_segment,
     unit_lift_tuple,
 )
-from globkernel.errors import DimOutOfRange, NotComposable, ValidationError
+from globkernel.errors import DimOutOfRange, KernelError, NotComposable, ValidationError
 from globkernel.globular import all_tables, globular_product, parse_table
 from globkernel.testcat import map_table
 from globkernel.twist import twisted_cell, twisted_cells
 
 from conftest import GHOST, POOL, faulted
-from oracles import all_functions, ref_check_section, ref_composition_sweep, ref_shift_squares
+from oracles import (
+    all_functions,
+    ref_apex_naturality,
+    ref_check_section,
+    ref_composition_sweep,
+    ref_endpoint_naturality,
+    ref_shift_squares,
+    ref_unit_closed_forms,
+)
 
 
 # -- projections and lifts -----------------------------------------------------
@@ -147,12 +155,15 @@ def test_check_section_fault_injection(sus_z2):
             assert len(res.failures) == len(expected_bad), str(table)
 
 
-def _outcome(check, x, table):
-    """``check(x, table)``, or the KeyError it raises on a unit table that lacks an entry."""
+def _outcome(check, *args):
+    """``check(*args)``, or the type and text of the kernel error it raises.
+
+    Any other exception escapes and fails the test.
+    """
     try:
-        return check(x, table)
-    except KeyError as exc:
-        return KeyError, str(exc)
+        return check(*args)
+    except KernelError as exc:
+        return type(exc), str(exc)
 
 
 @settings(max_examples=80, deadline=None)
@@ -246,6 +257,48 @@ def test_unit_closed_forms_cover_all_levels(z2_deep):
     results = check_unit_closed_forms(z2_deep)
     scopes = {r.scope for r in results}
     assert scopes == {"i=1,j=0", "i=2,j=0", "i=2,j=1", "i=3,j=0", "i=3,j=1", "i=3,j=2"}
+
+
+_SWEEPS = (
+    (check_apex_naturality, ref_apex_naturality),
+    (check_endpoint_naturality, ref_endpoint_naturality),
+    (check_unit_closed_forms, ref_unit_closed_forms),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(faulted(POOL))
+def test_naturality_and_closed_form_sweeps_match_reference_on_faulted_structures(x):
+    # same statuses and failures in order as the sweeps on names, or the same error
+    for sweep, reference in _SWEEPS:
+        assert _outcome(sweep, x) == _outcome(reference, x), sweep.__name__
+
+
+def _with_comp_entry(x, key, pair, value):
+    comp = {k: dict(t) for k, t in x.comp.items()}
+    comp[key][pair] = value
+    return omega.OmegaStructure(x.base, comp, x.unit, x.inv)
+
+
+@pytest.mark.parametrize("sweep, reference, name, key, pair, value, scope, witness", [
+    # in the delooping of Z/2, a 2-cell composite over level 1 that names the
+    # other cell moves the glued entry of the twisted source
+    (check_apex_naturality, ref_apex_naturality, "delooping_z2_3", (2, 1), ("0", "0"), "1",
+     "level=2", "src side at ('0', '0', '0')"),
+    (check_unit_closed_forms, ref_unit_closed_forms, "delooping_z2_3", (2, 1), ("0", "0"), "1",
+     "i=2,j=0", "src at ('0', '0', '0'): ('1', '0', '0') != ('0', '0', '0')"),
+    # on two discrete objects, a composite of 1-cells over a that lands on b
+    # moves the endpoint of the twisted source
+    (check_endpoint_naturality, ref_endpoint_naturality, "discrete_ab_3", (1, 0), ("a", "a"), "b",
+     "level=1", "src side at ('a', 'a')"),
+])
+def test_sweep_fails_on_a_hand_built_fault(sweep, reference, name, key, pair, value, scope,
+                                           witness):
+    x = _with_comp_entry(POOL[name], key, pair, value)
+    results = sweep(x)
+    assert results == reference(x)
+    first = next(r for r in results if r.status == "FAIL")
+    assert (first.scope, first.witness) == (scope, witness)
 
 
 # -- the finite shift category -------------------------------------------------------

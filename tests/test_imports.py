@@ -1,8 +1,10 @@
-"""Every name a module of ``globkernel`` imports is used in that module."""
+"""Every name a module of ``globkernel`` imports is used in that module, and every
+private function or method of the package is used somewhere in it."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,50 @@ def test_unused_imports_are_found():
     source = "import numpy as np\nimport os.path\nfrom .omega import compose, unit\n__all__ = ['unit']\n"
     assert unused_imports(source) == ["compose", "np", "os"]
     assert unused_imports(source + "np.zeros(os.sep, compose)\n") == []
+
+
+def _references(tree) -> Counter:
+    """How often each name is read, as a bare name or as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def unused_private_functions(sources: list[str]) -> list[str]:
+    """Underscore functions and methods that no source refers to outside their own body.
+
+    Names are matched by spelling, so a reference to any function of that
+    name keeps every one of them.
+    """
+    trees = [ast.parse(source) for source in sources]
+    everywhere = sum((_references(tree) for tree in trees), Counter())
+    unused = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+                continue
+            if everywhere[name] == _references(node)[name]:
+                unused.append(name)
+    return sorted(unused)
+
+
+def test_package_uses_every_private_function():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    assert unused_private_functions(sources) == []
+
+
+def test_unused_private_functions_are_found():
+    helpers = (
+        "def _dead(n):\n    return _dead(n - 1)\n"
+        "def _live():\n    pass\n"
+        "class C:\n    def __init__(self):\n        self._used()\n"
+        "    def _used(self):\n        pass\n    def _method(self):\n        pass\n"
+    )
+    assert unused_private_functions([helpers]) == ["_dead", "_live", "_method"]
+    callers = "from m import _live\n_live()\nC()._method\n"
+    assert unused_private_functions([helpers, callers]) == ["_dead"]

@@ -41,6 +41,8 @@ from globkernel.omega import (
     validate_omega,
 )
 
+from oracles import axiom_subscripts
+
 
 _KEEP = object()
 
@@ -231,6 +233,41 @@ def test_axiom_flags_parse():
     assert AxiomFlags.parse("l,r").axioms() == (ASSOC, EXCHANGE, LEFT_UNIT, RIGHT_UNIT)
     with pytest.raises(ValidationError):
         AxiomFlags.parse("l,bogus")
+
+
+_TOKEN_AXIOMS = (("l", LEFT_UNIT), ("r", RIGHT_UNIT), ("f", UNIT_COMPAT),
+                 ("li", LEFT_INVERSE), ("ri", RIGHT_INVERSE))
+
+
+def test_axiom_flags_round_trip_every_subset():
+    # every subset, in any order and with blanks, prints in canonical token order
+    for size in range(len(_TOKEN_AXIOMS) + 1):
+        for subset in itertools.combinations(_TOKEN_AXIOMS, size):
+            text = ",".join(token for token, _ in subset)
+            flags = AxiomFlags.parse(text)
+            assert str(flags) == text
+            assert AxiomFlags.parse(str(flags)) == flags
+            assert AxiomFlags.parse(" , ".join(reversed(text.split(","))) + ",") == flags
+            assert flags.axioms() == (ASSOC, EXCHANGE) + tuple(name for _, name in subset)
+            assert flags.needs_inverses() == any(t in ("li", "ri") for t, _ in subset)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_check_axiom_accepts_exactly_the_listed_subscripts(n):
+    x = fixtures.delooping(fixtures.cyclic_table(2), n)
+    for name in omega.AXIOMS:
+        listed = omega._axiom_subscripts(x, name)
+        assert listed == axiom_subscripts(n, name), name
+        arity = 3 if name in (EXCHANGE, INVERSE_COMPAT) else 2
+        for sub in itertools.product(range(-1, 6), repeat=arity):
+            if sub in listed:
+                assert check_axiom(x, name, sub) == [], (name, sub)
+            else:
+                with pytest.raises(DimOutOfRange):
+                    check_axiom(x, name, sub)
+        for wrong in set(range(5)) - {arity}:
+            with pytest.raises(ValidationError):
+                check_axiom(x, name, (1,) * wrong)
 
 
 def test_check_all_needs_inverses_for_inverse_flags(z2):
