@@ -196,15 +196,19 @@ def check_sections(x: OmegaStructure, max_width: int, max_dim: int) -> list[Chec
 
 def _naturality(x: OmegaStructure, check: str, project, along) -> list[CheckResult]:
     """Per level ``i``: ``project`` of each twisted boundary of a cell against
-    ``along(kind, i, -)`` of the cell's ``project``."""
+    ``along(kind, i, -)`` of the cell's ``project``; an error ends the cell
+    with its text."""
     results = []
     for i in range(1, x.truncation):
         failures = []
         for cell in twisted_cells(x, i):
-            here = project(x, cell)
-            for kind, boundary in ((SRC, twisted_source), (TGT, twisted_target)):
-                if project(x, boundary(x, cell)) != along(kind, i, here):
-                    failures.append(f"{kind} side at {cell.entries}")
+            try:
+                here = project(x, cell)
+                for kind, boundary in ((SRC, twisted_source), (TGT, twisted_target)):
+                    if project(x, boundary(x, cell)) != along(kind, i, here):
+                        failures.append(f"{kind} side at {cell.entries}")
+            except _EVAL_ERRORS as exc:
+                failures.append(f"{cell.entries}: {exc}")
         results.append(verdict(check, f"level={i}", failures))
     return results
 

@@ -2,11 +2,11 @@
 
 A category is held once, as an integer composition table on morphism ids:
 names come in through :func:`validate_category` and go out through ``comp``
-and JSON, and every law is checked on ids, in ``_category``.  Built on it:
-categories of elements, products, the finite-set category ``{0..n}`` with all
-maps, terminal objects (the sufficient asphericality criterion), nerve counts,
-separating intervals and the product comparison functor.  No weak
-equivalences are decided here.
+and JSON.  ``_category`` checks every law on ids in bounded blocks, and
+associativity only at generators (Light's test).  Built on it: categories of
+elements, products, the finite-set category ``{0..n}`` with all maps, terminal
+objects (the sufficient asphericality criterion), nerve counts, separating
+intervals and the product comparison functor; no weak equivalences are decided.
 """
 
 from __future__ import annotations
@@ -135,8 +135,17 @@ def validate_category(objects, morphisms, identity, comp) -> SmallCategory:
     return _category(objects, morphisms, identity, table, comp)
 
 
+_BLOCK = 1 << 15  # table entries gathered per numpy pass: bounds every law check's memory
+
+
+def _rows(ids: np.ndarray, width: int):
+    """``ids`` in slices of at most ``_BLOCK // width`` rows, one row at least."""
+    step = max(1, _BLOCK // max(width, 1))
+    return (ids[k : k + step] for k in range(0, len(ids), step))
+
+
 def _category(objects, morphisms, identity, table, comp=None) -> SmallCategory:
-    """Check every composition law of ``table``, on ids.
+    """Check every composition law of ``table``, on ids, in bounded blocks.
 
     The names must pass the checks of :func:`validate_category`.  ``comp``, the
     name-keyed composites ``table`` was read from, if any, names in the error
@@ -148,23 +157,30 @@ def _category(objects, morphisms, identity, table, comp=None) -> SmallCategory:
     ends = np.array([at[e] for p in morphisms.values() for e in p], dtype=np.int64)
     dom, cod = ends[0::2], ends[1::2]
     ident = np.array([index[identity[a]] for a in objects], dtype=np.int64)
+    into = [np.flatnonzero(cod == b) for b in range(len(objects))]
+    out_of = [np.flatnonzero(dom == b) for b in range(len(objects))]
 
-    f, g = np.nonzero(cod[:, None] == dom[None, :])  # f first, then g, as declared
-    h = table[g, f]
-    bad = (h < 0) | (dom[h] != dom[f]) | (cod[h] != cod[g])
-    if bad.any():
-        k = int(np.argmax(bad))
-        gname, fname = names[g[k]], names[f[k]]
-        if h[k] >= 0:
-            raise ValidationError(f"composite {names[h[k]]!r} has wrong endpoints")
+    # every f: _ -> b against every g: b -> _; the least failing pair f-major, as declared
+    failing = []
+    for firsts, lasts in zip(into, out_of):
+        for f in _rows(firsts, len(lasts)):
+            h = table[np.ix_(lasts, f)].T
+            bad = (h < 0) | (dom[h] != dom[f, None]) | (cod[h] != cod[lasts])
+            failing += [(f[i], lasts[j]) for i, j in np.argwhere(bad)[:1]]
+    if failing:
+        f, g = min(failing)
+        gname, fname, h = names[g], names[f], table[g, f]
+        if h >= 0:
+            raise ValidationError(f"composite {names[h]!r} has wrong endpoints")
         value = (comp or {}).get((gname, fname))
         if value is None:
             raise ValidationError(f"no composite for {gname!r} after {fname!r}")
         raise ValidationError(f"composite {value!r} of {gname!r} after {fname!r} is undeclared")
     # each composable pair has its entry by now, so any other entry or key is stray
-    stray = (table >= 0) & (dom[:, None] != cod[None, :])
-    strays = [(names[g], names[f]) for g, f in np.argwhere(stray)]
-    if comp is not None and len(comp) > len(h):
+    ids = np.arange(len(names))
+    strays = ((names[g[k]], names[f]) for g in _rows(ids, len(ids))
+              for k, f in np.argwhere((table[g] >= 0) & (dom[g, None] != cod)))
+    if comp is not None and len(comp) > sum(len(f) * len(g) for f, g in zip(into, out_of)):
         strays = comp  # in key order, with the keys the table cannot hold
     for g, f in strays:  # a key that is no pair raises here
         if f not in morphisms or g not in morphisms:
@@ -172,27 +188,44 @@ def _category(objects, morphisms, identity, table, comp=None) -> SmallCategory:
         if morphisms[f][1] != morphisms[g][0]:
             raise ValidationError(f"composite declared for non-composable {g!r}, {f!r}")
 
-    ids = np.arange(len(names))
     unit = (table[ids, ident[dom]] != ids) | (table[ident[cod], ids] != ids)
     if unit.any():
         raise ValidationError(f"unit law fails at {names[int(np.argmax(unit))]!r}")
 
-    # associativity, exhaustively over all composable triples; vectorized
-    # per middle morphism because hom-sets grow fast for all-maps categories
-    into = [np.flatnonzero(cod == a) for a in range(len(objects))]
-    out_of = [np.flatnonzero(dom == a) for a in range(len(objects))]
-    for g in ids:
-        firsts, lasts = into[dom[g]], out_of[cod[g]]  # f: _ -> dom g, h: cod g -> _
-        # whole rows first, then columns: much faster than one 2-d gather
-        lhs = table[table[lasts, g]][:, firsts]  # (h g) f
-        rhs = table[lasts][:, table[g, firsts]]  # h (g f)
-        if not np.array_equal(lhs, rhs):
-            hi, fi = map(int, np.argwhere(lhs != rhs)[0])
-            raise ValidationError(
-                f"associativity fails at ({names[lasts[hi]]!r}, "
-                f"{names[g]!r}, {names[firsts[fi]]!r})"
-            )
+    # associativity by Light's test: the middles g with (h g) f = h (g f) for all h, f
+    # contain the identities and are closed under composition, so the generators decide
+    # it; the least failing middle is a generator, or smaller ones, which pass, reach it
+    for g in _generators(table, ident, dom, cod):
+        witness = _middle(table, g, out_of[cod[g]], into[dom[g]])
+        if witness:
+            raise ValidationError(f"associativity fails at {tuple(names[list(witness)])}")
     return cat
+
+
+def _generators(table, ident, dom, cod) -> list[int]:
+    """Greedy in id order: each id not reached from the identities by the earlier ones."""
+    reached, gens = np.zeros(len(table), dtype=bool), []
+    reached[ident] = True
+    for x in range(len(table)):
+        if not reached[x]:
+            gens.append(x)
+            left, right = [x], np.flatnonzero(reached & (cod == dom[x]))
+            while len(right):  # x after all reached, then all taken after each made
+                before = reached.copy()
+                for g in _rows(np.array(left), len(right)):
+                    made = table[np.ix_(g, right)]
+                    reached[made[made >= 0]] = True
+                right, left = np.flatnonzero(reached & ~before), gens
+    return gens
+
+
+def _middle(table, g, lasts, firsts):
+    """The first ``(h, g, f)``, h-major, with ``(h g) f != h (g f)``, or None."""
+    for h in _rows(lasts, len(firsts)):
+        bad = table[np.ix_(table[h, g], firsts)] != table[np.ix_(h, table[g, firsts])]
+        for i, j in np.argwhere(bad)[:1]:
+            return h[i], g, firsts[j]
+    return None
 
 
 @dataclass(frozen=True)
@@ -230,14 +263,11 @@ def validate_presheaf(base: SmallCategory, values, action) -> Presheaf:
         for e in values[a]:
             if action[ident][e] != e:
                 raise ValidationError(f"identity action fails at {a!r}:{e!r}")
-    for g, f in itertools.product(base.morphisms, repeat=2):
-        if base.morphisms[f][1] == base.morphisms[g][0]:
-            h = base.compose(g, f)
-            for e in values[base.morphisms[g][1]]:
-                if action[h][e] != action[f][action[g][e]]:
-                    raise ValidationError(
-                        f"functoriality fails at ({g!r}, {f!r}) on {e!r}"
-                    )
+    for g, f in np.argwhere(base.table >= 0):  # the composable pairs, g-major
+        g, f, h = base._names[[g, f, base.table[g, f]]]
+        for e in values[base.morphisms[g][1]]:
+            if action[h][e] != action[f][action[g][e]]:
+                raise ValidationError(f"functoriality fails at ({g!r}, {f!r}) on {e!r}")
     return Presheaf(base, values, action)
 
 

@@ -44,6 +44,9 @@ from globkernel.omega import (
 from globkernel.report import verdict
 from globkernel.twist import MixedTuple, TwistedCell, TwistedSegment
 
+# what evaluating a cell or tuple can raise; each sweep reports it as that instance's failure
+_EVAL_ERRORS = (GluingViolation, NotComposable, ValidationError, MissingCell)
+
 
 def raw_boundary(gs, kind, i, j, u):
     table = gs.src if kind == "src" else gs.tgt
@@ -194,7 +197,7 @@ def ref_check_section(x, table):
             mixed = ref_unit_lift_tuple(x, table, gtuple)
             tops = [mixed.head.entries[-1]] + [segment.entries[-1] for segment in mixed.segments]
             back = globular_tuple(x.base, table, [x.base.src[d + 1][top] for d, top in zip(table.outer, tops)])
-        except (GluingViolation, NotComposable, ValidationError, MissingCell) as exc:
+        except _EVAL_ERRORS as exc:
             failures.append(f"{gtuple.entries}: {exc}")
             continue
         if back != gtuple:
@@ -259,6 +262,23 @@ def ref_validate_category(objects, morphisms, identity, comp):
                 if fcod == gdom and comp[(comp[(h, g)], f)] != comp[(h, comp[(g, f)])]:
                     raise ValidationError(f"associativity fails at ({h!r}, {g!r}, {f!r})")
     return objects, morphisms, identity, comp
+
+
+def ref_light_generators(morphisms, identity, comp):
+    """Light's generators on names: in declared order, each morphism not yet reached
+    from the identities by composing the generators before it on the left."""
+    reached, gens = set(identity.values()), []
+    for m in morphisms:
+        if m in reached:
+            continue
+        gens.append(m)
+        todo = [(m, e) for e in reached]
+        while todo:
+            g, e = todo.pop()
+            if morphisms[g][0] == morphisms[e][1] and comp[(g, e)] not in reached:
+                reached.add(comp[(g, e)])
+                todo += [(k, comp[(g, e)]) for k in gens]
+    return gens
 
 
 def ref_delta_truncated(m):
@@ -714,32 +734,40 @@ def ref_apex_naturality(x):
     """``check_apex_naturality`` on names, per level ``i``.
 
     The source of the top entry of each twisted boundary of a cell is
-    compared with the plain boundary of the source of the cell's top entry.
+    compared with the plain boundary of the source of the cell's top entry;
+    an error ends the cell with its text.
     """
     gs = x.base
     results = []
     for i in range(1, x.truncation):
         failures = []
         for cell in ref_twisted_cells(x, i):
-            apex = gs.src[i + 1][cell.entries[-1]]
-            for kind, face in (("src", ref_twisted_source), ("tgt", ref_twisted_target)):
-                if gs.src[i][face(x, cell).entries[-1]] != raw_boundary(gs, kind, i, i - 1, apex):
-                    failures.append(f"{kind} side at {cell.entries}")
+            try:
+                apex = gs.src[i + 1][cell.entries[-1]]
+                for kind, face in (("src", ref_twisted_source), ("tgt", ref_twisted_target)):
+                    top = face(x, cell).entries[-1]
+                    if gs.src[i][top] != raw_boundary(gs, kind, i, i - 1, apex):
+                        failures.append(f"{kind} side at {cell.entries}")
+            except _EVAL_ERRORS as exc:
+                failures.append(f"{cell.entries}: {exc}")
         results.append(verdict("apex-naturality", f"level={i}", failures))
     return results
 
 
 def ref_endpoint_naturality(x):
     """``check_endpoint_naturality`` on names: each twisted boundary of a cell
-    keeps the target of the cell's bottom entry."""
+    keeps the target of the cell's bottom entry; an error ends the cell with its text."""
     gs = x.base
     results = []
     for i in range(1, x.truncation):
         failures = []
         for cell in ref_twisted_cells(x, i):
-            for kind, face in (("src", ref_twisted_source), ("tgt", ref_twisted_target)):
-                if gs.tgt[1][face(x, cell).entries[0]] != gs.tgt[1][cell.entries[0]]:
-                    failures.append(f"{kind} side at {cell.entries}")
+            try:
+                for kind, face in (("src", ref_twisted_source), ("tgt", ref_twisted_target)):
+                    if gs.tgt[1][face(x, cell).entries[0]] != gs.tgt[1][cell.entries[0]]:
+                        failures.append(f"{kind} side at {cell.entries}")
+            except _EVAL_ERRORS as exc:
+                failures.append(f"{cell.entries}: {exc}")
         results.append(verdict("endpoint-naturality", f"level={i}", failures))
     return results
 
@@ -778,7 +806,7 @@ def ref_unit_closed_forms(x):
                             failures.append(
                                 f"{kind} at {cell.entries}: {iterated.entries} != {closed.entries}"
                             )
-                except (GluingViolation, NotComposable, ValidationError, MissingCell) as exc:
+                except _EVAL_ERRORS as exc:
                     failures.append(f"{cell.entries}: {exc}")
             results.append(verdict("unit-closed-form", f"i={i},j={j}", failures))
     return results

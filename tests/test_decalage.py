@@ -291,6 +291,12 @@ def _with_comp_entry(x, key, pair, value):
     # moves the endpoint of the twisted source
     (check_endpoint_naturality, ref_endpoint_naturality, "discrete_ab_3", (1, 0), ("a", "a"), "b",
      "level=1", "src side at ('a', 'a')"),
+    # a composite that names no cell: the twisted boundary cannot be taken,
+    # and the cell fails with the error's text
+    (check_apex_naturality, ref_apex_naturality, "delooping_z2_3", (1, 0), ("0", "0"), "ghost",
+     "level=1", "('0', '0'): entry 1: 'ghost' is not a 1-cell"),
+    (check_endpoint_naturality, ref_endpoint_naturality, "delooping_z2_3", (1, 0), ("0", "0"),
+     "ghost", "level=1", "('0', '0'): entry 1: 'ghost' is not a 1-cell"),
 ])
 def test_sweep_fails_on_a_hand_built_fault(sweep, reference, name, key, pair, value, scope,
                                            witness):

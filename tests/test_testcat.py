@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +40,7 @@ from oracles import (
     brute_chain_count,
     ref_category_of_elements,
     ref_delta_truncated,
+    ref_light_generators,
     ref_product_category,
     ref_validate_category,
 )
@@ -185,6 +189,79 @@ def test_validate_category_matches_reference_on_edge_cases():
         (objects, morphisms, {**identity, "b": "f"}, comp),
     ):
         assert_matches_reference(*case)
+
+
+@st.composite
+def reassociated(draw):
+    """The tables of a small category with one or two composites of non-identities
+    sent to another morphism with the same endpoints: only associativity can fail."""
+    objects, morphisms, identity, comp = tables(BASES[draw(st.sampled_from(["z3", "delta1", "delta2"]))])
+    comp, units = dict(comp), set(identity.values())
+    for key in draw(st.lists(st.sampled_from(sorted(k for k in comp if not units & set(k))),
+                             min_size=1, max_size=2)):
+        comp[key] = draw(st.sampled_from([m for m in morphisms if morphisms[m] == morphisms[comp[key]]]))
+    return objects, morphisms, identity, comp
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated() | reassociated(), st.sampled_from([1, 7, testcat._BLOCK]))
+def test_validate_category_matches_reference_in_any_block(args, block):
+    # one row per block, a few, or all: the first failure is the same
+    with mock.patch.object(testcat, "_BLOCK", block):
+        assert_matches_reference(*args)
+
+
+def fails_as_middle(g, morphisms, comp):
+    """Whether ``(h g) f != h (g f)`` for some composable ``h`` and ``f``, on names."""
+    return any(
+        comp[(comp[(h, g)], f)] != comp[(h, comp[(g, f)])]
+        for h, (dom, _) in morphisms.items() if dom == morphisms[g][1]
+        for f, (_, cod) in morphisms.items() if cod == morphisms[g][0]
+    )
+
+
+@pytest.mark.parametrize("block", [1, testcat._BLOCK])
+def test_associativity_fails_at_the_least_failing_middle(monkeypatch, block):
+    # 1>1:11 after 1>1:10 sent to 1>1:00: the least failing middle is the third
+    # generator, 1>0:00, a later generator fails too, and the witness at 1>0:00 has
+    # the last h of its rows; one row a block (block 1) puts it in the last block
+    objects, morphisms, identity, comp = tables(BASES["delta1"])
+    comp = {**comp, ("1>1:11", "1>1:10"): "1>1:00"}
+    generators = ref_light_generators(morphisms, identity, comp)
+    failing = [g for g in morphisms if fails_as_middle(g, morphisms, comp)]
+    assert [g for g in generators if g in failing] == ["1>0:00", "1>1:10"]
+    assert failing[0] == generators[2] == "1>0:00"
+    monkeypatch.setattr(testcat, "_BLOCK", block)
+    with pytest.raises(ValidationError, match=re.escape("at ('0>1:1', '1>0:00', '1>1:10')")):
+        validate_category(objects, morphisms, identity, comp)
+    assert_matches_reference(objects, morphisms, identity, comp)
+
+
+def test_light_checks_only_the_generators_as_middles(monkeypatch):
+    middles, middle = [], testcat._middle
+    monkeypatch.setattr(testcat, "_middle",
+                        lambda table, g, *rest: middles.append(g) or middle(table, g, *rest))
+    for cat in (*BASES.values(), one_object_group(5), delta_truncated(3)):
+        middles.clear()
+        testcat._category(cat.objects, cat.morphisms, cat.identity, cat.table)
+        names = list(cat.morphisms)
+        assert [names[g] for g in middles] == ref_light_generators(cat.morphisms, cat.identity, cat.comp)
+        assert len(middles) < len(cat.morphisms)
+    middles.clear()
+    elements = category_of_elements(representable(cat, "[1]"))
+    assert len(elements.morphisms) == 6528 and len(middles) < len(elements.morphisms)
+
+
+def test_law_core_peak_memory_is_bounded():
+    # the whole-table masks of the exhaustive check peaked at 5.0 MB on these tables
+    cat = delta_truncated(3)
+    tracemalloc.start()
+    try:
+        testcat._category(cat.objects, cat.morphisms, cat.identity, cat.table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
 
 
 def test_delta_truncated_matches_reference():
@@ -347,6 +424,14 @@ def test_presheaf_validation_catches_nonfunctorial():
     bad_action["ida"] = {"x": "y", "y": "x"}
     with pytest.raises(ValidationError):
         validate_presheaf(cat, values, bad_action)
+
+
+def test_presheaf_validation_reports_the_first_fault_g_major():
+    # on Z/3, 1 and 2 both act as the constant p: 1 after 2 and 2 after 1 both fail on q
+    const = {"p": "p", "q": "p"}
+    action = {"0": {"p": "p", "q": "q"}, "1": const, "2": const}
+    with pytest.raises(ValidationError, match=re.escape("fails at ('1', '2') on 'q'")):
+        validate_presheaf(one_object_group(3), {"*": ("p", "q")}, action)
 
 
 # -- nerve ----------------------------------------------------------------------
