@@ -32,31 +32,38 @@ class GroupTable:
 
 
 def validate_group(table: GroupTable) -> tuple[str, dict[str, str]]:
-    """Return the identity element and inverse map, or raise ``NotAGroup``."""
-    elems = table.elements
+    """Return the identity element and inverse map, or raise ``NotAGroup``.
+
+    The laws are checked on the ``n x n`` table of element ids, a row at a
+    time; each failure names the first failing elements in declaration order.
+    """
+    names = list(dict.fromkeys(table.elements))  # a repeated name is checked once
+    index = {a: k for k, a in enumerate(names)}
     mul = table.mul
-    for a, b in itertools.product(elems, repeat=2):
-        if mul.get((a, b)) not in elems:
-            raise NotAGroup(f"table not closed/total at ({a!r}, {b!r})")
-    for a, b, c in itertools.product(elems, repeat=3):
-        if mul[(mul[(a, b)], c)] != mul[(a, mul[(b, c)])]:
-            raise NotAGroup(f"not associative at ({a!r}, {b!r}, {c!r})")
-    identity = None
-    for e in elems:
-        if all(mul[(e, a)] == a and mul[(a, e)] == a for a in elems):
-            identity = e
-            break
+    rows = []
+    for a in names:
+        row = [index.get(mul.get((a, b)), -1) for b in names]
+        if -1 in row:
+            raise NotAGroup(f"table not closed/total at ({a!r}, {names[row.index(-1)]!r})")
+        rows.append(row)
+    for a, row in enumerate(rows):
+        left = [rows[ab] for ab in row]  # (a b) c, over all b and c
+        right = [[row[bc] for bc in r] for r in rows]  # a (b c)
+        if left != right:
+            b, c = next((b, c) for b, r in enumerate(right) for c, abc in enumerate(r)
+                        if left[b][c] != abc)
+            raise NotAGroup(f"not associative at ({names[a]!r}, {names[b]!r}, {names[c]!r})")
+    ids = list(range(len(names)))
+    identity = next((e for e in ids if rows[e] == ids and [r[e] for r in rows] == ids), None)
     if identity is None:
         raise NotAGroup("no two-sided identity")
     inverse: dict[str, str] = {}
-    for a in elems:
-        for b in elems:
-            if mul[(a, b)] == identity and mul[(b, a)] == identity:
-                inverse[a] = b
-                break
-        else:
-            raise NotAGroup(f"{a!r} has no inverse")
-    return identity, inverse
+    for a, row in enumerate(rows):
+        b = next((b for b, ab in enumerate(row) if ab == identity and rows[b][a] == identity), None)
+        if b is None:
+            raise NotAGroup(f"{names[a]!r} has no inverse")
+        inverse[names[a]] = names[b]
+    return names[identity], inverse
 
 
 def is_abelian(table: GroupTable) -> bool:
@@ -145,17 +152,14 @@ def one_object_tower(elements, mul, unit_elem, dim, trunc,
         tgt.append(dict(layer))
     base = validate_globular_set(cells, src, tgt)
 
+    products = {(g, h): mul[(g, h)] for g in elements for h in elements}
     comp = {}
     for i in range(1, trunc + 1):
         for j in range(i):
             if i < dim:
                 comp[(i, j)] = {("*", "*"): "*"}
             elif j < dim:
-                comp[(i, j)] = {
-                    (g, h): mul[(g, h)]
-                    for g in elements
-                    for h in elements
-                }
+                comp[(i, j)] = products  # validate_omega copies each table
             else:
                 comp[(i, j)] = {(g, g): g for g in elements}
 

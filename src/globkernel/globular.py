@@ -130,6 +130,15 @@ class GlobularSet:
             u = table[d][u]
         return u
 
+    def boundary_map(self, kind: str, i: int, j: int) -> dict[str, int]:
+        """The iterated boundary from dimension ``i`` down to ``j``: each
+        ``i``-cell's name to the id of its ``j``-cell, so ``index[j]`` at ``i == j``."""
+        table = self.src if kind == SRC else self.tgt
+        ids = self.index[j]
+        for d in range(j + 1, i + 1):
+            ids = {u: ids[v] for u, v in table[d].items()}
+        return ids
+
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cells)
 
@@ -173,10 +182,10 @@ def validate_globular_set(cells, src, tgt) -> GlobularSet:
             f"got {len(src)} and {len(tgt)}"
         )
 
+    gs = GlobularSet(truncation, cells, ({},) + tuple(src), ({},) + tuple(tgt))
     missing: list[str] = []
     for i in range(1, truncation + 1):
-        here = set(cells[i])
-        below = set(cells[i - 1])
+        here, below = gs.index[i], gs.index[i - 1]
         for label, table in (("src", src[i - 1]), ("tgt", tgt[i - 1])):
             for u in cells[i]:
                 if u not in table:
@@ -189,21 +198,19 @@ def validate_globular_set(cells, src, tgt) -> GlobularSet:
     if missing:
         raise MissingCell("; ".join(missing))
 
-    padded_src = ({},) + tuple(src)
-    padded_tgt = ({},) + tuple(tgt)
-
     violations = []
     for i in range(2, truncation + 1):
+        src_i, tgt_i = gs.src[i], gs.tgt[i]
+        sb, tb = gs.src[i - 1], gs.tgt[i - 1]
         for u in cells[i]:
-            s_u, t_u = padded_src[i][u], padded_tgt[i][u]
-            if padded_src[i - 1][s_u] != padded_src[i - 1][t_u]:
+            s_u, t_u = src_i[u], tgt_i[u]
+            if sb[s_u] != sb[t_u]:
                 violations.append((i, u, "s s != s t"))
-            if padded_tgt[i - 1][s_u] != padded_tgt[i - 1][t_u]:
+            if tb[s_u] != tb[t_u]:
                 violations.append((i, u, "t s != t t"))
     if violations:
         raise GlobularViolation(violations)
-
-    return GlobularSet(truncation, cells, padded_src, padded_tgt)
+    return gs
 
 
 def globular_set_to_json(gs: GlobularSet) -> dict:

@@ -192,17 +192,20 @@ def validate_omega(base: GlobularSet, comp, unit, inv=None) -> OmegaStructure:
     the composable domain, non-total unit or inverse tables.
     """
     n = base.truncation
+    index = base.index
     comp = {tuple(key): dict(table) for key, table in comp.items()}
     problems: list[str] = []
 
     for (i, j), table in comp.items():
         if not (0 <= j < i <= n):
             raise DimOutOfRange(f"composition table at ({i},{j}) outside 0 <= j < i <= {n}")
+        here = index[i]
+        s, t = base.boundary_map(SRC, i, j), base.boundary_map(TGT, i, j)
         for (u, v), w in table.items():
-            for name in (u, v, w):
-                if not base.has_cell(i, name):
-                    raise MissingCell(f"comp[{i},{j}] mentions {name!r}, not a {i}-cell")
-            if base.boundary(SRC, i, j, u) != base.boundary(TGT, i, j, v):
+            if u not in here or v not in here or w not in here:
+                name = next(name for name in (u, v, w) if name not in here)
+                raise MissingCell(f"comp[{i},{j}] mentions {name!r}, not a {i}-cell")
+            if s[u] != t[v]:
                 problems.append(
                     f"comp[{i},{j}] keyed on non-composable pair ({u!r}, {v!r})"
                 )
@@ -210,13 +213,14 @@ def validate_omega(base: GlobularSet, comp, unit, inv=None) -> OmegaStructure:
     if len(unit) != n:
         raise ValidationError(f"need {n} unit tables (dims 0..{n - 1}), got {len(unit)}")
     for i, table in enumerate(unit):
+        here, above = index[i], index[i + 1]
         for u in base.cells[i]:
             if u not in table:
                 problems.append(f"unit[{i}] undefined on {u!r}")
         for u, w in table.items():
-            if not base.has_cell(i, u):
+            if u not in here:
                 raise MissingCell(f"unit[{i}] keyed on {u!r}, not a {i}-cell")
-            if not base.has_cell(i + 1, w):
+            if w not in above:
                 raise MissingCell(f"unit[{i}]({u!r}) = {w!r}, not a {i + 1}-cell")
 
     if inv is not None:
@@ -228,11 +232,12 @@ def validate_omega(base: GlobularSet, comp, unit, inv=None) -> OmegaStructure:
         for (i, j), table in inv.items():
             if not (0 <= j < i <= n):
                 raise DimOutOfRange(f"inverse table at ({i},{j}) outside 0 <= j < i <= {n}")
+            here = index[i]
             for u in base.cells[i]:
                 if u not in table:
                     problems.append(f"inv[{i},{j}] undefined on {u!r}")
             for u, w in table.items():
-                if not base.has_cell(i, u) or not base.has_cell(i, w):
+                if u not in here or w not in here:
                     raise MissingCell(f"inv[{i},{j}] mentions a non-{i}-cell on {u!r}")
 
     if problems:

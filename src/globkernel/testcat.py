@@ -144,6 +144,13 @@ def _rows(ids: np.ndarray, width: int):
     return (ids[k : k + step] for k in range(0, len(ids), step))
 
 
+def _ends(objects, morphisms) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of each morphism's domain and codomain, in morphism id order."""
+    at = {a: k for k, a in enumerate(objects)}
+    ends = np.array([at[e] for p in morphisms.values() for e in p], dtype=np.int64)
+    return ends[0::2], ends[1::2]
+
+
 def _category(objects, morphisms, identity, table, comp=None) -> SmallCategory:
     """Check every composition law of ``table``, on ids, in bounded blocks.
 
@@ -153,9 +160,7 @@ def _category(objects, morphisms, identity, table, comp=None) -> SmallCategory:
     """
     cat = SmallCategory(objects, morphisms, identity, table)
     names, index = cat._names, cat._index
-    at = {a: k for k, a in enumerate(objects)}
-    ends = np.array([at[e] for p in morphisms.values() for e in p], dtype=np.int64)
-    dom, cod = ends[0::2], ends[1::2]
+    dom, cod = _ends(objects, morphisms)
     ident = np.array([index[identity[a]] for a in objects], dtype=np.int64)
     into = [np.flatnonzero(cod == b) for b in range(len(objects))]
     out_of = [np.flatnonzero(dom == b) for b in range(len(objects))]
@@ -244,30 +249,47 @@ class Presheaf:
 
 
 def validate_presheaf(base: SmallCategory, values, action) -> Presheaf:
+    """Check the names, intern the action on element ids, and check functoriality
+    on them, g-major in bounded blocks; raises the failure met first by name."""
     values = {a: tuple(v) for a, v in dict(values).items()}
     action = {f: dict(m) for f, m in dict(action).items()}
+    place = {}
     for a in base.objects:
         if a not in values:
             raise ValidationError(f"no value set for object {a!r}")
-        if len(set(values[a])) != len(values[a]):
+        place[a] = {e: k for k, e in enumerate(values[a])}
+        if len(place[a]) != len(values[a]):
             raise ValidationError(f"duplicate elements at {a!r}")
+    # acts[m][k]: the place in F(dom m) of m acting on the k-th element of F(cod m)
+    acts = []
     for f, (dom, cod) in base.morphisms.items():
         table = action.get(f)
         if table is None:
             raise ValidationError(f"no action for morphism {f!r}")
-        for e in values[cod]:
-            if table.get(e) not in values[dom]:
-                raise ValidationError(f"action of {f!r} not total into values({dom!r})")
+        acts.append(_ids(place[dom], [table.get(e) for e in values[cod]]))
+        if (acts[-1] < 0).any():
+            raise ValidationError(f"action of {f!r} not total into values({dom!r})")
     for a in base.objects:
-        ident = base.identity[a]
-        for e in values[a]:
-            if action[ident][e] != e:
-                raise ValidationError(f"identity action fails at {a!r}:{e!r}")
-    for g, f in np.argwhere(base.table >= 0):  # the composable pairs, g-major
-        g, f, h = base._names[[g, f, base.table[g, f]]]
-        for e in values[base.morphisms[g][1]]:
-            if action[h][e] != action[f][action[g][e]]:
-                raise ValidationError(f"functoriality fails at ({g!r}, {f!r}) on {e!r}")
+        act = acts[base._index[base.identity[a]]]
+        for k in np.flatnonzero(act != np.arange(len(act)))[:1]:
+            raise ValidationError(f"identity action fails at {a!r}:{values[a][k]!r}")
+
+    # the actions of the morphisms into each object b, stacked: one row each, |F(b)| long
+    dom, cod = _ends(base.objects, base.morphisms)
+    into = [np.flatnonzero(cod == b) for b in range(len(base.objects))]
+    rank, stacks = np.zeros(len(acts), dtype=np.int64), []
+    for b, a in enumerate(base.objects):
+        rank[into[b]] = np.arange(len(into[b]))
+        stack = np.array([acts[m] for m in into[b]], dtype=np.int64)
+        stacks.append(stack.reshape(len(into[b]), len(values[a])))
+    # F(g after f) = F(f) after F(g): g-major, on blocks of the f that g can follow
+    names = base._names
+    for g, act in enumerate(acts):
+        for f in _rows(into[dom[g]], len(act)):
+            bad = stacks[cod[g]][rank[base.table[g, f]]] != stacks[dom[g]][rank[f]][:, act]
+            for i, k in np.argwhere(bad)[:1]:
+                e = values[base.objects[cod[g]]][k]
+                raise ValidationError(f"functoriality fails at ({names[g]!r}, {names[f[i]]!r}) on {e!r}")
     return Presheaf(base, values, action)
 
 

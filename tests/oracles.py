@@ -18,13 +18,24 @@ import numpy as np
 from globkernel import decalage
 from globkernel.errors import (
     DimOutOfRange,
+    GlobularViolation,
     GluingViolation,
     InversesAbsent,
     MissingCell,
+    NotAGroup,
     NotComposable,
     ValidationError,
 )
-from globkernel.globular import GlobularTuple, TableOfDimensions, globular_tuple, validate_globular_set
+from globkernel.fixtures import GroupTable
+from globkernel.globular import (
+    SRC,
+    TGT,
+    GlobularSet,
+    GlobularTuple,
+    TableOfDimensions,
+    _check_cell_name,
+    globular_tuple,
+)
 from globkernel.omega import (
     ASSOC,
     EXCHANGE,
@@ -34,14 +45,15 @@ from globkernel.omega import (
     RIGHT_INVERSE,
     RIGHT_UNIT,
     UNIT_COMPAT,
+    OmegaStructure,
     Violation,
     compose,
     inverse,
     iter_unit,
     unit,
-    validate_omega,
 )
 from globkernel.report import verdict
+from globkernel.testcat import Presheaf, SmallCategory
 from globkernel.twist import MixedTuple, TwistedCell, TwistedSegment
 
 # what evaluating a cell or tuple can raise; each sweep reports it as that instance's failure
@@ -824,7 +836,7 @@ def ref_build_twisted(x):
     for i in range(1, n):
         src.append({names[i][c]: names[i - 1][ref_twisted_source(x, c)] for c in levels[i]})
         tgt.append({names[i][c]: names[i - 1][ref_twisted_target(x, c)] for c in levels[i]})
-    base = validate_globular_set(cells, src, tgt)
+    base = ref_validate_globular_set(cells, src, tgt)
     comp = {}
     for i in range(1, n):
         for j in range(i):
@@ -849,7 +861,7 @@ def ref_build_twisted(x):
             for j in range(i):
                 inv[(i, j)] = {names[i][c]: names[i][ref_twisted_inverse(x, j, c)]
                                for c in levels[i]}
-    return validate_omega(base, comp, units, inv)
+    return ref_validate_omega(base, comp, units, inv)
 
 
 def brute_twisted_product(x, table):
@@ -905,3 +917,179 @@ def brute_mixed_product(x, table):
             else:
                 out.append(MixedTuple(table, head, segments))
     return out
+
+
+# -- the validators as they were before they ran on ids, verbatim ------------------
+#
+# These loop over names: membership by ``has_cell`` or a scan of a tuple,
+# composability by two ``GlobularSet.boundary`` calls per entry.  The library's
+# validators call neither, so these stay independent of them.
+
+
+def ref_validate_group(table: GroupTable) -> tuple[str, dict[str, str]]:
+    """Return the identity element and inverse map, or raise ``NotAGroup``."""
+    elems = table.elements
+    mul = table.mul
+    for a, b in itertools.product(elems, repeat=2):
+        if mul.get((a, b)) not in elems:
+            raise NotAGroup(f"table not closed/total at ({a!r}, {b!r})")
+    for a, b, c in itertools.product(elems, repeat=3):
+        if mul[(mul[(a, b)], c)] != mul[(a, mul[(b, c)])]:
+            raise NotAGroup(f"not associative at ({a!r}, {b!r}, {c!r})")
+    identity = None
+    for e in elems:
+        if all(mul[(e, a)] == a and mul[(a, e)] == a for a in elems):
+            identity = e
+            break
+    if identity is None:
+        raise NotAGroup("no two-sided identity")
+    inverse: dict[str, str] = {}
+    for a in elems:
+        for b in elems:
+            if mul[(a, b)] == identity and mul[(b, a)] == identity:
+                inverse[a] = b
+                break
+        else:
+            raise NotAGroup(f"{a!r} has no inverse")
+    return identity, inverse
+
+
+def ref_validate_globular_set(cells, src, tgt) -> GlobularSet:
+    """Validate raw cell sets and boundary tables into a :class:`GlobularSet`.
+
+    ``cells`` is a sequence of per-dimension name sequences; ``src`` and
+    ``tgt`` are sequences of maps for dimensions ``1..N``.  Raises
+    :class:`MissingCell` if any map mentions an undeclared cell, and
+    :class:`GlobularViolation` listing every broken globular relation.
+    """
+    cells = tuple(tuple(_check_cell_name(u) for u in layer) for layer in cells)
+    if not cells:
+        raise ValidationError("at least dimension 0 must be declared")
+    truncation = len(cells) - 1
+    for i, layer in enumerate(cells):
+        if len(set(layer)) != len(layer):
+            raise ValidationError(f"duplicate cell names in dimension {i}")
+
+    src = [dict(m) for m in src]
+    tgt = [dict(m) for m in tgt]
+    if len(src) != truncation or len(tgt) != truncation:
+        raise ValidationError(
+            f"need exactly {truncation} source and target tables, "
+            f"got {len(src)} and {len(tgt)}"
+        )
+
+    missing: list[str] = []
+    for i in range(1, truncation + 1):
+        here = set(cells[i])
+        below = set(cells[i - 1])
+        for label, table in (("src", src[i - 1]), ("tgt", tgt[i - 1])):
+            for u in cells[i]:
+                if u not in table:
+                    missing.append(f"{label}_{i} undefined on {u!r}")
+            for u, v in table.items():
+                if u not in here:
+                    missing.append(f"{label}_{i} keyed on undeclared cell {u!r}")
+                elif v not in below:
+                    missing.append(f"{label}_{i}({u!r}) = {v!r} not a {i - 1}-cell")
+    if missing:
+        raise MissingCell("; ".join(missing))
+
+    padded_src = ({},) + tuple(src)
+    padded_tgt = ({},) + tuple(tgt)
+
+    violations = []
+    for i in range(2, truncation + 1):
+        for u in cells[i]:
+            s_u, t_u = padded_src[i][u], padded_tgt[i][u]
+            if padded_src[i - 1][s_u] != padded_src[i - 1][t_u]:
+                violations.append((i, u, "s s != s t"))
+            if padded_tgt[i - 1][s_u] != padded_tgt[i - 1][t_u]:
+                violations.append((i, u, "t s != t t"))
+    if violations:
+        raise GlobularViolation(violations)
+
+    return GlobularSet(truncation, cells, padded_src, padded_tgt)
+
+
+def ref_validate_omega(base: GlobularSet, comp, unit, inv=None) -> OmegaStructure:
+    """Shape-check raw operation tables against their declared domains.
+
+    Law checking is left to :func:`check_structure`; this only rejects
+    structurally malformed data: undeclared cells, composition keys outside
+    the composable domain, non-total unit or inverse tables.
+    """
+    n = base.truncation
+    comp = {tuple(key): dict(table) for key, table in comp.items()}
+    problems: list[str] = []
+
+    for (i, j), table in comp.items():
+        if not (0 <= j < i <= n):
+            raise DimOutOfRange(f"composition table at ({i},{j}) outside 0 <= j < i <= {n}")
+        for (u, v), w in table.items():
+            for name in (u, v, w):
+                if not base.has_cell(i, name):
+                    raise MissingCell(f"comp[{i},{j}] mentions {name!r}, not a {i}-cell")
+            if base.boundary(SRC, i, j, u) != base.boundary(TGT, i, j, v):
+                problems.append(
+                    f"comp[{i},{j}] keyed on non-composable pair ({u!r}, {v!r})"
+                )
+    unit = tuple(dict(m) for m in unit)
+    if len(unit) != n:
+        raise ValidationError(f"need {n} unit tables (dims 0..{n - 1}), got {len(unit)}")
+    for i, table in enumerate(unit):
+        for u in base.cells[i]:
+            if u not in table:
+                problems.append(f"unit[{i}] undefined on {u!r}")
+        for u, w in table.items():
+            if not base.has_cell(i, u):
+                raise MissingCell(f"unit[{i}] keyed on {u!r}, not a {i}-cell")
+            if not base.has_cell(i + 1, w):
+                raise MissingCell(f"unit[{i}]({u!r}) = {w!r}, not a {i + 1}-cell")
+
+    if inv is not None:
+        inv = {tuple(key): dict(table) for key, table in inv.items()}
+        for i in range(1, n + 1):
+            for j in range(i):
+                if (i, j) not in inv:
+                    problems.append(f"inverse table at ({i},{j}) missing")
+        for (i, j), table in inv.items():
+            if not (0 <= j < i <= n):
+                raise DimOutOfRange(f"inverse table at ({i},{j}) outside 0 <= j < i <= {n}")
+            for u in base.cells[i]:
+                if u not in table:
+                    problems.append(f"inv[{i},{j}] undefined on {u!r}")
+            for u, w in table.items():
+                if not base.has_cell(i, u) or not base.has_cell(i, w):
+                    raise MissingCell(f"inv[{i},{j}] mentions a non-{i}-cell on {u!r}")
+
+    if problems:
+        raise ValidationError("; ".join(problems))
+    return OmegaStructure(base, comp, unit, inv)
+
+
+def ref_validate_presheaf(base: SmallCategory, values, action) -> Presheaf:
+    values = {a: tuple(v) for a, v in dict(values).items()}
+    action = {f: dict(m) for f, m in dict(action).items()}
+    for a in base.objects:
+        if a not in values:
+            raise ValidationError(f"no value set for object {a!r}")
+        if len(set(values[a])) != len(values[a]):
+            raise ValidationError(f"duplicate elements at {a!r}")
+    for f, (dom, cod) in base.morphisms.items():
+        table = action.get(f)
+        if table is None:
+            raise ValidationError(f"no action for morphism {f!r}")
+        for e in values[cod]:
+            if table.get(e) not in values[dom]:
+                raise ValidationError(f"action of {f!r} not total into values({dom!r})")
+    for a in base.objects:
+        ident = base.identity[a]
+        for e in values[a]:
+            if action[ident][e] != e:
+                raise ValidationError(f"identity action fails at {a!r}:{e!r}")
+    for g, f in np.argwhere(base.table >= 0):  # the composable pairs, g-major
+        g, f, h = base._names[[g, f, base.table[g, f]]]
+        for e in values[base.morphisms[g][1]]:
+            if action[h][e] != action[f][action[g][e]]:
+                raise ValidationError(f"functoriality fails at ({g!r}, {f!r}) on {e!r}")
+    return Presheaf(base, values, action)

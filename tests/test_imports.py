@@ -1,9 +1,13 @@
-"""Every name a module of ``globkernel`` imports is used in that module, and every
-private function or method of the package is used somewhere in it."""
+"""Every name a module of ``globkernel`` imports is used in that module, every
+private function or method of the package is used somewhere in it, and the
+command line imports only the modules it always needs."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -86,3 +90,20 @@ def test_unused_private_functions_are_found():
     assert unused_private_functions([helpers]) == ["_dead", "_live", "_method"]
     callers = "from m import _live\n_live()\nC()._method\n"
     assert unused_private_functions([helpers, callers]) == ["_dead"]
+
+
+def test_cli_imports_only_its_floor():
+    """``import globkernel.cli`` loads exactly the modules every command needs.
+
+    Each CLI job is a fresh process, often without cached bytecode, so every
+    module it imports is compiled again; ``twist``, ``decalage`` and
+    ``testcat`` are imported only by the commands that use them.
+    """
+    probe = ("import sys, globkernel.cli; "
+             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'globkernel')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                                   os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout.split()
+    assert out == [f"globkernel{suffix}" for suffix in (
+        "", ".cli", ".errors", ".fixtures", ".globular", ".omega", ".report")]

@@ -264,6 +264,19 @@ def test_law_core_peak_memory_is_bounded():
     assert peak <= 1.5 * 2**20
 
 
+def test_presheaf_validation_peak_memory_is_bounded():
+    # one mask over the whole table and every composable pair as int64 peaked at 4.5 MB here
+    base = delta_truncated(3)
+    pre = representable(base, "[1]")
+    tracemalloc.start()
+    try:
+        validate_presheaf(base, pre.values, pre.action)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
+
+
 def test_delta_truncated_matches_reference():
     for m in range(4):
         got = tables(delta_truncated(m))
