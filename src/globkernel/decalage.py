@@ -127,8 +127,9 @@ def apex_tuple(x: OmegaStructure, mixed: MixedTuple) -> GlobularTuple:
 # -- element-side checks ---------------------------------------------------------
 
 
-def _lifts_back(x: OmegaStructure, table: TableOfDimensions, ids: np.ndarray) -> np.ndarray:
-    """Whether each product row of ``ids`` lifts, glues and projects back to itself.
+def _lifts_back(x: OmegaStructure, table: TableOfDimensions, block: list) -> np.ndarray:
+    """Whether each product row of the :func:`product_ids` block ``block`` lifts,
+    glues and projects back to itself.
 
     The steps of :func:`unit_lift_tuple` and :func:`apex_tuple` on ids: each
     component's lift is a row of the twisted complex, each seam glues on the
@@ -136,20 +137,24 @@ def _lifts_back(x: OmegaStructure, table: TableOfDimensions, ids: np.ndarray) ->
     step that gives -1 reads as False.
     """
     t, complex_ = x.tables, _complex(x)
-    ok = np.ones(len(ids), dtype=bool)
+    ids = np.asarray(block, dtype=np.int32)
+    ok = np.ones(ids.shape[1], dtype=bool)
+
+    def boundary(kind, i, j, u) -> np.ndarray:
+        return np.asarray(t.boundary(kind, i, j, u), dtype=np.int32)
+
     # component l lifts into the entries of dimensions low+1 .. high+1
     bounds = zip((0,) + tuple(seam + 1 for seam in table.inner), table.outer)
     for l, (low, high) in enumerate(bounds):
-        u = ids[:, l]
-        lift = np.column_stack(_lift_entries(t, low, high, u))
+        lift = _lift_entries(t, low, high, block[l])
         ok &= complex_.lookup(low, high, lift) >= 0
         if l:
             # cannot fail once the lookups and projections hold on a validated
             # globular base; compared because unit_lift_tuple compares it
             seam = low - 1
-            ok &= t.boundary(SRC, top_dim, seam, top) == t.boundary(TGT, low + 1, seam, lift[:, 0])
-        top, top_dim = lift[:, -1], high + 1
-        ok &= t.boundary(SRC, top_dim, high, top) == u
+            ok &= boundary(SRC, top_dim, seam, top) == boundary(TGT, low + 1, seam, lift[0])
+        top, top_dim = lift[-1], high + 1
+        ok &= boundary(SRC, top_dim, high, top) == ids[l]
     return ok
 
 
@@ -178,7 +183,7 @@ def check_section(x: OmegaStructure, table: TableOfDimensions) -> CheckResult:
                 continue
             if back != gtuple:
                 failures.append(f"{gtuple.entries} -> {back.entries}")
-        start += len(block)
+        start += len(block[0])
     return verdict("section", str(table), failures)
 
 

@@ -14,14 +14,15 @@ order everywhere, so output is deterministic.
 Glued tuples of every kind (globular products here, axiom instances in
 ``omega``, twisted cells and their products in ``twist``) are enumerated by
 one joiner, :func:`_glued`, over links built by :func:`_link` from boundary
-arrays of dense cell ids.
+maps of dense cell ids.  Everything here runs on plain Python lists; numpy
+is loaded only by the modules that build arrays from these blocks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import accumulate
 
 from .errors import (
     DimOutOfRange,
@@ -142,19 +143,20 @@ class GlobularSet:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cells)
 
-    def boundary_ids(self, kind: str, i: int, j: int) -> np.ndarray:
-        """The iterated boundary from dimension ``i`` down to ``j`` as an int32
-        array over the ``i``-cell ids, built once; -1 where a map has no cell."""
-        if i == j:
-            return np.arange(len(self.cells[i]), dtype=np.int32)
+    def boundary_ids(self, kind: str, i: int, j: int) -> list[int]:
+        """The iterated boundary from dimension ``i`` down to ``j`` as an id map
+        over the ``i``-cells (see :func:`_gather`), built once; -1 where a map
+        has no cell."""
         memo = self._boundary_ids
         key = (kind, i, j)
         if key not in memo:
-            table = (self.src if kind == SRC else self.tgt)[i]
-            below = self.index[i - 1]
-            face = np.array([below.get(table.get(u), -1) for u in self.cells[i]],
-                            dtype=np.int32)
-            memo[key] = _gather(self.boundary_ids(kind, i - 1, j), face)
+            if i == j:
+                memo[key] = [*range(len(self.cells[i])), -1]
+            else:
+                table = (self.src if kind == SRC else self.tgt)[i]
+                below = self.index[i - 1]
+                face = [below.get(table.get(u), -1) for u in self.cells[i]] + [-1]
+                memo[key] = _gather(self.boundary_ids(kind, i - 1, j), face)
         return memo[key]
 
 
@@ -240,67 +242,64 @@ def globular_set_from_json(data: dict) -> GlobularSet:
 
 # -- the joiner for glued tuples -------------------------------------------------
 
-# Glued tuples produced per numpy pass: bounds the memory of an enumeration.
+# Glued tuples per block: bounds the memory of an enumeration.
 _CHUNK = 1 << 13
 
 
-def _gather(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """``table[ids]``, with -1 wherever ``ids`` is -1."""
-    if not table.size:
-        return np.full(ids.shape, -1, dtype=np.int32)
-    return np.where(ids < 0, -1, table[ids])
+def _gather(table: list[int], ids) -> list[int]:
+    """``table[a]`` for each ``a`` of ``ids``.
+
+    An id map (:meth:`GlobularSet.boundary_ids`, the maps of
+    ``omega.IntTables``) is a list over the cells of one dimension with -1
+    appended, so the id -1 gathers that -1, never the entry of the last cell.
+    """
+    return list(map(table.__getitem__, ids))
 
 
-def _link(left: np.ndarray, right: np.ndarray):
+def _link(left, right) -> list:
     """Join each id ``a`` to the ids ``b`` with ``left[a] == right[b]``.
 
-    Returns ``(order, lo, count)``: the matches of ``a`` are
-    ``order[lo[a] : lo[a] + count[a]]``, in increasing order of ``b``.  The
-    ``right`` keys are boundaries, never -1, so a ``left`` key of -1 (a
-    boundary that is no cell) matches nothing.
+    Entry ``a`` is the bucket of ``left[a]`` in ``{boundary id: [b ascending]}``.
+    A key of -1 (a boundary that is no cell, or the appended -1 of an id map)
+    is no bucket, so it matches nothing.
     """
-    order = np.argsort(right, kind="stable").astype(np.int32)
-    ends = right[order]
-    lo = np.searchsorted(ends, left, "left")
-    return order, lo, np.searchsorted(ends, left, "right") - lo
+    buckets: dict[int, list[int]] = {}
+    for b, key in enumerate(right):
+        if key >= 0:
+            buckets.setdefault(key, []).append(b)
+    return [buckets.get(key, ()) for key in left]
 
 
-def _glued(first: np.ndarray, links):
-    """Glued tuples of ids, lexicographic, in blocks of about ``_CHUNK`` rows.
+def _glued(first, links):
+    """Glued tuples of ids, lexicographic, in blocks of at most ``_CHUNK`` rows.
 
     Column 0 runs over ``first``; link ``k`` (see :func:`_link`) extends a
-    row ending in ``a`` by each match of ``a``.
+    row ending in ``a`` by each id of ``links[k][a]``.  A block is a list of
+    columns, one list of ids per position, and is made only when asked for.
     """
-    def extend(rows: np.ndarray, k: int):
-        if k == len(links):
-            yield rows
-            return
-        order, lo, count = links[k]
-        last = rows[:, -1]
-        counts = count[last]
-        ends = np.cumsum(counts)
-        start = 0
-        while start < len(rows):
-            done = ends[start - 1] if start else 0
-            stop = max(int(np.searchsorted(ends, done + _CHUNK, "right")), start + 1)
-            part = counts[start:stop]
-            total = int(part.sum())
-            if total:
-                offsets = np.arange(total) - np.repeat(np.cumsum(part) - part, part)
-                matches = order[np.repeat(lo[last[start:stop]], part) + offsets]
-                parents = np.repeat(rows[start:stop], part, axis=0)
-                yield from extend(np.column_stack([parents, matches]), k + 1)
-            start = stop
-
+    first = list(first)
     for start in range(0, len(first), _CHUNK):
-        yield from extend(first[start:start + _CHUNK, None], 0)
+        yield from _extend([first[start:start + _CHUNK]], links)
 
 
-def _objects(items) -> np.ndarray:
-    """``items`` as a 1-d object array, for gathering by id."""
-    out = np.empty(len(items), dtype=object)
-    out[:] = items
-    return out
+def _extend(columns: list[list[int]], links):
+    """The rows of ``columns`` extended through ``links``, in blocks of at most ``_CHUNK`` rows."""
+    if not links:
+        for start in range(0, len(columns[0]), _CHUNK):
+            yield [column[start:start + _CHUNK] for column in columns]
+        return
+    link, last = links[0], columns[-1]
+    ends = list(accumulate(map(len, map(link.__getitem__, last))))
+    start = 0
+    while start < len(last):
+        done = ends[start - 1] if start else 0
+        stop = max(bisect_right(ends, done + _CHUNK, start), start + 1)
+        parents = [p for p in range(start, stop) for _ in link[last[p]]]
+        if parents:
+            matches = [b for a in last[start:stop] for b in link[a]]
+            yield from _extend([_gather(column, parents) for column in columns] + [matches],
+                               links[1:])
+        start = stop
 
 
 @dataclass(frozen=True)
@@ -396,7 +395,7 @@ def globular_tuple(gs: GlobularSet, table: TableOfDimensions, entries) -> Globul
 
 
 def product_ids(gs: GlobularSet, table: TableOfDimensions):
-    """The globular product of ``gs`` over ``table`` as blocks of rows of cell ids.
+    """The globular product of ``gs`` over ``table`` as blocks of :func:`_glued`.
 
     Column ``k`` holds ids of ``i_k``-cells.  Exhaustive, in lexicographic
     order of per-dimension cell indices.
@@ -410,7 +409,7 @@ def product_ids(gs: GlobularSet, table: TableOfDimensions):
         _link(gs.boundary_ids(SRC, outer[k], inner[k]), gs.boundary_ids(TGT, outer[k + 1], inner[k]))
         for k in range(table.width - 1)
     ]
-    return _glued(np.arange(len(gs.cells[outer[0]]), dtype=np.int32), links)
+    return _glued(range(len(gs.cells[outer[0]])), links)
 
 
 def globular_product(gs: GlobularSet, table: TableOfDimensions) -> tuple[GlobularTuple, ...]:
@@ -419,10 +418,10 @@ def globular_product(gs: GlobularSet, table: TableOfDimensions) -> tuple[Globula
     Exhaustive, in lexicographic order of per-dimension cell indices.
     """
     blocks = product_ids(gs, table)
-    names = [_objects(gs.cells[d]) for d in table.outer]
+    names = [gs.cells[d] for d in table.outer]
     results: list[GlobularTuple] = []
     for block in blocks:
-        columns = (names[k][block[:, k]] for k in range(table.width))
+        columns = (map(names[k].__getitem__, column) for k, column in enumerate(block))
         results.extend(GlobularTuple(table, entries) for entries in zip(*columns))
     return tuple(results)
 

@@ -14,18 +14,18 @@ every counterexample up to a configurable cap.  Violations are data, never
 exceptions.
 
 The sweeps run on the structure's tables over interned integer cell ids
-(:class:`IntTables`): instances are enumerated as sort/``searchsorted`` joins
-on boundary arrays and both sides of each law are evaluated as numpy
-gathers.  Only the instances that do not pass go through the scalar
-evaluators, which build the violations, so witnesses keep declaration order
-and their text is that of the scalar code.
+(:class:`IntTables`): instances are enumerated by the joiner of ``globular``
+as blocks of id columns, and both sides of each law are evaluated a column
+at a time, by list gathers and dict lookups.  Only the instances that do not
+pass go through the scalar evaluators, which build the violations, so
+witnesses keep declaration order and their text is that of the scalar code.
+Nothing here needs numpy, so neither does ``check``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import count, repeat
 
 from .errors import (
     DimOutOfRange,
@@ -301,18 +301,20 @@ def inverse(x: OmegaStructure, i: int, j: int, u: str) -> str:
 
 # -- integer tables -------------------------------------------------------------
 #
-# The sweeps run on int32 cell ids.  Every vector operation below mirrors one
-# scalar evaluator above and yields -1 exactly where its input is -1, or where
-# the scalar evaluator would raise or return a name that is no cell of its
-# dimension.  So an instance whose two sides are both >= 0 and equal is one
+# The sweeps run on columns of cell ids.  Every column operation below mirrors
+# one scalar evaluator above and yields -1 exactly where its input is -1, or
+# where the scalar evaluator would raise or return a name that is no cell of
+# its dimension.  So an instance whose two sides are both >= 0 and equal is one
 # the scalar evaluators pass, and every other instance is handed back to them.
 
 
 class IntTables:
     """The tables of one structure over dense cell ids, built on first use.
 
-    Cell ``k`` of dimension ``i`` is ``base.cells[i][k]``.  A table entry
-    that is missing, or that names no cell of its dimension, reads as -1.
+    Cell ``k`` of dimension ``i`` is ``base.cells[i][k]``.  The maps are id
+    maps (see :func:`globular._gather`), so a -1 id gathers -1.  A table
+    entry that is missing, or that names no cell of its dimension, reads as
+    -1.  The evaluators map columns (lists of ids) to lists.
     """
 
     def __init__(self, x: OmegaStructure):
@@ -326,75 +328,73 @@ class IntTables:
             value = self._cache[key] = build()
         return value
 
-    def _ids(self, table: dict, i: int, k: int) -> np.ndarray:
-        """``table`` on the ``i``-cells, as ids of ``k``-cells."""
+    def _ids(self, table: dict, i: int, k: int) -> list[int]:
+        """``table`` on the ``i``-cells, as an id map into the ``k``-cells."""
         index = self.x.base.index[k]
-        return np.array([index.get(table.get(u), -1) for u in self.x.base.cells[i]],
-                        dtype=np.int32)
+        return [index.get(table.get(u), -1) for u in self.x.base.cells[i]] + [-1]
 
-    def face(self, kind: str, i: int) -> np.ndarray:
-        """``src_i`` or ``tgt_i`` as an array over the ``i``-cells."""
+    def face(self, kind: str, i: int) -> list[int]:
+        """``src_i`` or ``tgt_i`` as an id map over the ``i``-cells."""
         return self.x.base.boundary_ids(kind, i, i - 1)
 
-    def unit_map(self, i: int) -> np.ndarray:
+    def unit_map(self, i: int) -> list[int]:
         return self._memo(("unit", i), lambda: self._ids(self.x.unit[i], i, i + 1))
 
-    def inverse_map(self, i: int, j: int) -> np.ndarray:
+    def inverse_map(self, i: int, j: int) -> list[int]:
         return self._memo(("inv", i, j),
                           lambda: self._ids(self.x.inv.get((i, j), {}), i, i))
 
-    def _comp_entries(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Table ``(i, j)`` as sorted keys ``u * n_i + v`` and the values under them."""
+    def _comp_entries(self, i: int, j: int) -> dict:
+        """Table ``(i, j)`` keyed by pairs of ``i``-cell ids; keys that are no cells are dropped."""
         index = self.x.base.index[i]
-        rows = [
-            (index.get(u, -1), index.get(v, -1), index.get(w, -1))
-            for (u, v), w in self.x.comp.get((i, j), {}).items()
-        ]
-        rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
-        rows = rows[(rows[:, 0] >= 0) & (rows[:, 1] >= 0)]
-        keys = rows[:, 0] * self.sizes[i] + rows[:, 1]
-        order = np.argsort(keys)
-        return keys[order], rows[order, 2].astype(np.int32)
+        entries = {}
+        for (u, v), w in self.x.comp.get((i, j), {}).items():
+            key = index.get(u, -1), index.get(v, -1)
+            if -1 not in key:
+                entries[key] = index.get(w, -1)
+        return entries
 
-    def entry(self, i: int, j: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def _composites(self, i: int, j: int) -> dict:
+        """The entries of table ``(i, j)`` on glued pairs, the only ones :meth:`compose` reads."""
+        entries = self._memo(("comp", i, j), lambda: self._comp_entries(i, j))
+        s = self.x.base.boundary_ids(SRC, i, j)
+        t = self.x.base.boundary_ids(TGT, i, j)
+        glued = {key: w for key, w in entries.items() if s[key[0]] == t[key[1]]}
+        return entries if len(glued) == len(entries) else glued
+
+    def entry(self, i: int, j: int, u, v) -> list[int]:
         """The raw value of table ``(i, j)`` at each pair, composable or not."""
-        keys, values = self._memo(("comp", i, j), lambda: self._comp_entries(i, j))
-        if not keys.size:
-            return np.full(u.shape, -1, dtype=np.int32)
-        want = u.astype(np.int64) * self.sizes[i] + v
-        pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-        hit = (u >= 0) & (v >= 0) & (keys[pos] == want)
-        return np.where(hit, values[pos], -1)
+        entries = self._memo(("comp", i, j), lambda: self._comp_entries(i, j))
+        return list(map(entries.get, zip(u, v), repeat(-1)))
 
-    def link(self, i: int, j: int):
+    def link(self, i: int, j: int) -> list:
         """Join of ``i``-cells ``a`` to the ``b`` with ``s^i_j(a) = t^i_j(b)``, for :func:`_glued`."""
         return self._memo(("link", i, j), lambda: _link(self.x.base.boundary_ids(SRC, i, j),
                                                          self.x.base.boundary_ids(TGT, i, j)))
 
-    # the vector evaluators, with the signatures of _Named's
+    # the column evaluators, with the signatures of _Named's
 
-    def compose(self, i: int, j: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        glued = (_gather(self.x.base.boundary_ids(SRC, i, j), u)
-                 == _gather(self.x.base.boundary_ids(TGT, i, j), v))
-        return np.where(glued, self.entry(i, j, u, v), -1)
+    def compose(self, i: int, j: int, u, v) -> list[int]:
+        glued = self._memo(("glued", i, j), lambda: self._composites(i, j))
+        return list(map(glued.get, zip(u, v), repeat(-1)))
 
-    def unit(self, i: int, u: np.ndarray) -> np.ndarray:
+    def unit(self, i: int, u) -> list[int]:
         return _gather(self.unit_map(i), u)
 
-    def iter_unit(self, j: int, i: int, u: np.ndarray) -> np.ndarray:
+    def iter_unit(self, j: int, i: int, u) -> list[int]:
         for d in range(j, i):
             u = self.unit(d, u)
         return u
 
-    def inverse(self, i: int, j: int, u: np.ndarray) -> np.ndarray:
+    def inverse(self, i: int, j: int, u) -> list[int]:
         return _gather(self.inverse_map(i, j), u)
 
-    def boundary(self, kind: str, i: int, j: int, u: np.ndarray) -> np.ndarray:
+    def boundary(self, kind: str, i: int, j: int, u) -> list[int]:
         return _gather(self.x.base.boundary_ids(kind, i, j), u)
 
 
 class _Named:
-    """The scalar evaluators over cell names; they raise where a vector one gives -1."""
+    """The scalar evaluators over cell names; they raise where a column one gives -1."""
 
     def __init__(self, x: OmegaStructure):
         self.x = x
@@ -421,8 +421,8 @@ def composable_pairs(x: OmegaStructure, i: int, j: int):
         raise DimOutOfRange(f"composable pairs at ({i},{j}) outside 0 <= j <= i <= {x.truncation}")
     t = x.tables
     names = x.base.cells[i]
-    for block in _glued(np.arange(t.sizes[i], dtype=np.int32), [t.link(i, j)]):
-        for a, b in block.tolist():
+    for u, v in _glued(range(t.sizes[i]), [t.link(i, j)]):
+        for a, b in zip(u, v):
             yield names[a], names[b]
 
 
@@ -479,6 +479,13 @@ def _inv_laws(x: OmegaStructure, i: int, j: int, u: str) -> list[Violation]:
     return []
 
 
+def _failing(lhs: list[int], rhs: list[int]) -> list[int]:
+    """Positions where the two sides differ, or both are -1: the instances an id sweep does not pass."""
+    if lhs == rhs and -1 not in lhs:  # the common case, decided without a Python loop
+        return []
+    return [k for k, a, b in zip(count(), lhs, rhs) if a != b or a < 0]
+
+
 def _collect(violations, cap: int) -> Report:
     """The first ``cap`` of ``violations``, reading one more to set ``truncated``."""
     report = Report(cap=cap)
@@ -496,40 +503,42 @@ def _structure_violations(x: OmegaStructure):
     t = x.tables
     n = x.truncation
     names = x.base.cells
+
+    def broken(w, want_s, want_t, i):
+        """Positions where the ``i``-cell ``w`` is -1 or has boundaries other than the wanted ones."""
+        src, tgt = t.boundary(SRC, i, i - 1, w), t.boundary(TGT, i, i - 1, w)
+        return [k for k, c, s, s0, g, g0 in zip(count(), w, src, want_s, tgt, want_t)
+                if c < 0 or s != s0 or g != g0]
+
     for i in range(1, n + 1):
-        src, tgt = t.face(SRC, i), t.face(TGT, i)
         for j in range(i):
-            for block in _glued(np.arange(t.sizes[i], dtype=np.int32), [t.link(i, j)]):
-                u, v = block.T
+            for u, v in _glued(range(t.sizes[i]), [t.link(i, j)]):
                 w = t.entry(i, j, u, v)
                 if j == i - 1:
-                    want_s, want_t = src[v], tgt[u]
+                    want_s, want_t = t.boundary(SRC, i, j, v), t.boundary(TGT, i, j, u)
                 else:
-                    want_s = t.entry(i - 1, j, src[u], src[v])
-                    want_t = t.entry(i - 1, j, tgt[u], tgt[v])
-                bad = (w < 0) | (_gather(src, w) != want_s) | (_gather(tgt, w) != want_t)
-                for k in np.flatnonzero(bad):
+                    want_s = t.entry(i - 1, j, t.boundary(SRC, i, i - 1, u),
+                                     t.boundary(SRC, i, i - 1, v))
+                    want_t = t.entry(i - 1, j, t.boundary(TGT, i, i - 1, u),
+                                     t.boundary(TGT, i, i - 1, v))
+                for k in broken(w, want_s, want_t, i):
                     yield from _comp_laws(x, i, j, names[i][u[k]], names[i][v[k]])
 
     for i in range(n):
-        u = np.arange(t.sizes[i], dtype=np.int32)
-        w = t.unit_map(i)
-        bad = (_gather(t.face(SRC, i + 1), w) != u) | (_gather(t.face(TGT, i + 1), w) != u)
-        for k in np.flatnonzero(bad):
+        u = range(t.sizes[i])
+        for k in broken(t.unit(i, u), u, u, i + 1):
             yield from _unit_laws(x, i, names[i][k])
 
     if x.inv is not None:
         for i in range(1, n + 1):
-            src, tgt = t.face(SRC, i), t.face(TGT, i)
+            u = range(t.sizes[i])
+            src, tgt = t.boundary(SRC, i, i - 1, u), t.boundary(TGT, i, i - 1, u)
             for j in range(i):
-                w = t.inverse_map(i, j)
                 if j == i - 1:
                     want_s, want_t = tgt, src
                 else:
-                    below = t.inverse_map(i - 1, j)
-                    want_s, want_t = _gather(below, src), _gather(below, tgt)
-                bad = (w < 0) | (_gather(src, w) != want_s) | (_gather(tgt, w) != want_t)
-                for k in np.flatnonzero(bad):
+                    want_s, want_t = t.inverse(i - 1, j, src), t.inverse(i - 1, j, tgt)
+                for k in broken(t.inverse(i, j, u), want_s, want_t, i):
                     yield from _inv_laws(x, i, j, names[i][k])
 
 
@@ -561,7 +570,7 @@ def _axiom_subscripts(x: OmegaStructure, name: str):
 def _instances(t: IntTables, name: str, sub: tuple[int, ...]):
     """The instances of an axiom at fixed subscripts: blocks of ``i``-cell tuples."""
     i, j = sub[0], sub[1]
-    cells = np.arange(t.sizes[i], dtype=np.int32)
+    cells = range(t.sizes[i])
     if name == ASSOC:
         return _glued(cells, [t.link(i, j), t.link(i, j)])
     if name == EXCHANGE:
@@ -647,9 +656,8 @@ def _axiom_violations(x: OmegaStructure, name: str, subs):
     for sub in subs:
         names = x.base.cells[sub[0]]
         for block in _instances(t, name, sub):
-            lhs, rhs = _sides(t, name, sub, block.T)
-            for k in np.flatnonzero((lhs < 0) | (rhs < 0) | (lhs != rhs)):
-                violation = _judge(x, name, sub, tuple(names[a] for a in block[k]))
+            for k in _failing(*_sides(t, name, sub, block)):
+                violation = _judge(x, name, sub, tuple(names[column[k]] for column in block))
                 if violation is not None:
                     yield violation
 

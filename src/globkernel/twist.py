@@ -28,11 +28,11 @@ what those entries give.
 The complex runs on interned ids (:class:`TwistedComplex`): each level is
 enumerated once, by the joiner of ``globular``, into rows of base-cell ids,
 and a tuple is a valid cell exactly when it is a row, so validating a cell
-is one index lookup.  Sources, targets and iterated boundaries are arrays
-over the rows, computed a level at a time with the gathers of
-``omega.IntTables``.  Wherever an id step gives -1, or a tuple that is no
-row, the scalar code on names runs instead and raises the error that
-describes the failure.
+is one index lookup.  Sources, targets and iterated boundaries are int32
+arrays over the rows, computed a level at a time with the column evaluators
+of ``omega.IntTables``, whose lists become arrays here.  Wherever an id step
+gives -1, or a tuple that is no row, the scalar code on names runs instead
+and raises the error that describes the failure.
 
 The paired and mixed products of the most recently enumerated table are
 held with the canonical bijection between them (:class:`Product`), computed
@@ -64,10 +64,29 @@ from .globular import (
     _gather,
     _glued,
     _link,
-    _objects,
     validate_globular_set,
 )
 from .omega import OmegaStructure, _Named, validate_omega
+
+
+def _objects(items) -> np.ndarray:
+    """``items`` as a 1-d object array, for gathering by id."""
+    out = np.empty(len(items), dtype=object)
+    out[:] = items
+    return out
+
+
+def _take(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``table[ids]``, with -1 wherever ``ids`` is -1."""
+    if not table.size:
+        return np.full(ids.shape, -1, dtype=np.int32)
+    return np.where(ids < 0, -1, table[ids])
+
+
+def _stack(blocks, width: int) -> np.ndarray:
+    """The rows of the :func:`globular._glued` blocks ``blocks`` as one int32 array of ``width`` columns."""
+    return np.concatenate([np.empty((0, width), dtype=np.int32),
+                           *(np.asarray(block, dtype=np.int32).T for block in blocks)])
 
 
 def _glue(ops, k: int, a, b):
@@ -200,23 +219,24 @@ class TwistedComplex:
             return np.arange(n, dtype=np.int32)[:, None], None, None
         prev = self.rows(low, high - 1)
         # the gluing s_k(x_k) = t_k t_{k+1}(x_{k+1}) at k = high
-        link = _link(self.t.face(SRC, high)[prev[:, -1]],
+        link = _link(_gather(self.t.face(SRC, high), prev[:, -1].tolist()),
                      self.x.base.boundary_ids(TGT, high + 1, high - 1))
-        blocks = list(_glued(np.arange(len(prev), dtype=np.int32), [link]))
-        pairs = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int32)
+        pairs = _stack(_glued(range(len(prev)), [link]), 2)
         parent, last = pairs[:, 0], pairs[:, 1]
         return np.column_stack([prev[parent], last]), parent, parent.astype(np.int64) * n + last
 
     def rows(self, low: int, high: int) -> np.ndarray:
         return self._shape(low, high)[0]
 
-    def lookup(self, low: int, high: int, ids: np.ndarray) -> np.ndarray:
-        """Row ids of shape ``(low, high)`` of the id tuples in ``ids``; -1 where one is no segment."""
-        found = ids[:, 0]
+    def lookup(self, low: int, high: int, columns) -> np.ndarray:
+        """Row ids of shape ``(low, high)`` of the id tuples whose entries at each
+        position are ``columns[c]``; -1 where one is no segment."""
+        ids = np.asarray(columns, dtype=np.int32)
+        found = ids[0]
         for c in range(1, high - low + 1):
-            keys, last = self._shape(low, low + c)[2], ids[:, c]
+            keys, last = self._shape(low, low + c)[2], ids[c]
             if not keys.size:
-                return np.full(len(ids), -1, dtype=np.int32)
+                return np.full(len(found), -1, dtype=np.int32)
             want = found.astype(np.int64) * self.t.sizes[low + c + 1] + last
             pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
             # a -1 entry must not read as the last cell under the previous parent
@@ -261,7 +281,7 @@ class TwistedComplex:
         return self._memo(("src", i), self._source, i)
 
     def _source(self, i: int) -> np.ndarray:
-        return self.lookup(0, i - 1, np.column_stack(_source_entries(self.t, i, self.rows(0, i).T)))
+        return self.lookup(0, i - 1, _source_entries(self.t, i, self.rows(0, i).T.tolist()))
 
     def boundary(self, kind: str, i: int, j: int) -> np.ndarray:
         """Iterated twisted boundary from level ``i`` down to ``j`` over the level-``i`` rows."""
@@ -271,7 +291,7 @@ class TwistedComplex:
         if i == j:
             return np.arange(len(self.rows(0, i)), dtype=np.int32)
         step = self.source(i) if kind == SRC else self._shape(0, i)[1]
-        return _gather(self.boundary(kind, i - 1, j), step)
+        return _take(self.boundary(kind, i - 1, j), step)
 
 
 def _complex(x: OmegaStructure) -> TwistedComplex:
@@ -600,14 +620,13 @@ def _raise_first_unglued(x: OmegaStructure, table: TableOfDimensions, ends, link
     visited depth first, so the first failure is the least such prefix.
     """
     first = None
-    start = np.arange(len(ends[0]), dtype=np.int32) if ends else None
     for k, end in enumerate(ends):
         if not (end < 0).any():
             continue
-        for block in _glued(start, links[:k]):
-            bad = np.flatnonzero(end[block[:, -1]] < 0)
+        for block in _glued(range(len(ends[0])), links[:k]):
+            bad = np.flatnonzero(end[block[-1]] < 0)
             if bad.size:
-                prefix = tuple(block[bad[0]].tolist())
+                prefix = tuple(column[bad[0]] for column in block)
                 if first is None or prefix < first:
                     first = prefix
                 break
@@ -621,7 +640,8 @@ def _paired_links(complex_: TwistedComplex, table: TableOfDimensions):
     """Twisted source boundaries that glue each position to the next, and their links."""
     outer, inner = table.outer, table.inner
     ends = [complex_.boundary(SRC, outer[k], inner[k]) for k in range(table.width - 1)]
-    return ends, [_link(end, complex_.boundary(TGT, outer[k + 1], inner[k])) for k, end in enumerate(ends)]
+    return ends, [_link(end.tolist(), complex_.boundary(TGT, outer[k + 1], inner[k]).tolist())
+                  for k, end in enumerate(ends)]
 
 
 def _segment_bounds(table: TableOfDimensions) -> list[tuple[int, int]]:
@@ -632,14 +652,14 @@ def _segment_bounds(table: TableOfDimensions) -> list[tuple[int, int]]:
 def _mixed_links(complex_: TwistedComplex, table: TableOfDimensions):
     """Links of the seams of the mixed product, on base boundaries of the outermost entries."""
     base = complex_.x.base
-    last = complex_.rows(0, table.outer[0])[:, -1]
+    last = complex_.rows(0, table.outer[0])[:, -1].tolist()
     top_dim = table.outer[0] + 1
     links = []
     for low, high in _segment_bounds(table):
         rows = complex_.rows(low, high)
-        links.append(_link(base.boundary_ids(SRC, top_dim, low - 1)[last],
-                           base.boundary_ids(TGT, low + 1, low - 1)[rows[:, 0]]))
-        last, top_dim = rows[:, -1], high + 1
+        links.append(_link(_gather(base.boundary_ids(SRC, top_dim, low - 1), last),
+                           _gather(base.boundary_ids(TGT, low + 1, low - 1), rows[:, 0].tolist())))
+        last, top_dim = rows[:, -1].tolist(), high + 1
     return links
 
 
@@ -653,21 +673,21 @@ def _enumerate_product(complex_: TwistedComplex, table: TableOfDimensions) -> Pr
     map, so the scalar code answers it.
     """
     outer, bounds = table.outer, _segment_bounds(table)
-    first = np.arange(len(complex_.rows(0, outer[0])), dtype=np.int32)
+    first = range(len(complex_.rows(0, outer[0])))
 
     def enumerate_rows(links) -> np.ndarray:
-        return np.concatenate([np.empty((0, table.width), dtype=np.int32), *_glued(first, links)])
+        return _stack(_glued(first, links), table.width)
 
     paired_ids = enumerate_rows(_paired_links(complex_, table)[1])
     mixed_ids = enumerate_rows(_mixed_links(complex_, table))
     contracted, expanded = [paired_ids[:, 0]], [mixed_ids[:, 0]]
     for l, (low, high) in enumerate(bounds):
-        contracted.append(complex_.lookup(low, high, complex_.rows(0, high)[paired_ids[:, l + 1], low:]))
+        contracted.append(complex_.lookup(low, high, complex_.rows(0, high)[paired_ids[:, l + 1], low:].T))
         # the cell expanded last, its target at level low = seam + 1, and that target's source
-        below = _gather(complex_.boundary(TGT, outer[l], low), expanded[-1])
-        prefix = _gather(complex_.source(low), below)
+        below = _take(complex_.boundary(TGT, outer[l], low), expanded[-1])
+        prefix = _take(complex_.source(low), below)
         segment = complex_.rows(low, high)[mixed_ids[:, l + 1]]
-        entries = np.column_stack([complex_.rows(0, low - 1)[prefix], segment])
+        entries = np.concatenate([complex_.rows(0, low - 1)[prefix].T, segment.T])
         expanded.append(np.where(prefix < 0, -1, complex_.lookup(0, high, entries)))
 
     columns = [_objects(complex_.cells(level)) for level in outer]
@@ -755,30 +775,29 @@ def build_twisted(x: OmegaStructure) -> OmegaStructure:
         rows = complex_.rows(0, i)
         for j in range(i):
             pairs = {}
-            link = _link(complex_.boundary(SRC, i, j), complex_.boundary(TGT, i, j))
-            for block in _glued(np.arange(len(rows), dtype=np.int32), [link]):
-                left, right = rows[block[:, 0]].T, rows[block[:, 1]].T
-                ids = complex_.lookup(0, i, np.column_stack(_compose_entries(t, i, j, left, right)))
+            link = _link(complex_.boundary(SRC, i, j).tolist(), complex_.boundary(TGT, i, j).tolist())
+            for u, v in _glued(range(len(rows)), [link]):
+                left, right = rows[u].T.tolist(), rows[v].T.tolist()
+                ids = complex_.lookup(0, i, _compose_entries(t, i, j, left, right))
                 bad = _first_failure(ids)
                 if bad is not None:
                     cells_i = complex_.cells(i)
-                    _raise_scalar(twisted_compose, x, j, cells_i[block[bad, 0]], cells_i[block[bad, 1]])
-                pairs.update(zip(zip(names[i][block[:, 0]], names[i][block[:, 1]]), names[i][ids]))
+                    _raise_scalar(twisted_compose, x, j, cells_i[u[bad]], cells_i[v[bad]])
+                pairs.update(zip(zip(names[i][u], names[i][v]), names[i][ids]))
             comp[(i, j)] = pairs
 
     unit_tables = []
     for i in range(n - 1):
-        entries = _unit_entries(t, i, complex_.rows(0, i).T)
-        ids = complex_.lookup(0, i + 1, np.column_stack(entries))
+        ids = complex_.lookup(0, i + 1, _unit_entries(t, i, complex_.rows(0, i).T.tolist()))
         unit_tables.append(table(i, i + 1, ids, twisted_unit, x))
 
     inv = None
     if x.inv is not None:
         inv = {}
         for i in range(1, n):
-            columns = complex_.rows(0, i).T
+            columns = complex_.rows(0, i).T.tolist()
             for j in range(i):
-                ids = complex_.lookup(0, i, np.column_stack(_inverse_entries(t, i, j, columns)))
+                ids = complex_.lookup(0, i, _inverse_entries(t, i, j, columns))
                 inv[(i, j)] = table(i, i, ids, twisted_inverse, x, j)
 
     return validate_omega(base, comp, unit_tables, inv)

@@ -1,10 +1,14 @@
 """Every name a module of ``globkernel`` imports is used in that module, every
 private function or method of the package is used somewhere in it, and the
-command line imports only the modules it always needs."""
+command line imports only the modules it always needs: ``check`` runs, with
+its golden output, where numpy cannot be imported."""
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -92,18 +96,69 @@ def test_unused_private_functions_are_found():
     assert unused_private_functions([helpers, callers]) == ["_dead"]
 
 
+def _python(code: str, *args: str) -> str:
+    """Standard output of a fresh interpreter running ``code`` with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                                   os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=300).stdout
+
+
 def test_cli_imports_only_its_floor():
-    """``import globkernel.cli`` loads exactly the modules every command needs.
+    """``import globkernel.cli`` loads exactly the modules every command needs, and no numpy.
 
     Each CLI job is a fresh process, often without cached bytecode, so every
     module it imports is compiled again; ``twist``, ``decalage`` and
-    ``testcat`` are imported only by the commands that use them.
+    ``testcat`` are imported only by the commands that use them, and only
+    they import numpy.
     """
     probe = ("import sys, globkernel.cli; "
-             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'globkernel')))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent),
-                                                                   os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout.split()
-    assert out == [f"globkernel{suffix}" for suffix in (
+             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'globkernel')))\n"
+             "print('numpy' in sys.modules)")
+    modules, numpy_loaded = _python(probe).splitlines()
+    assert modules.split() == [f"globkernel{suffix}" for suffix in (
         "", ".cli", ".errors", ".fixtures", ".globular", ".omega", ".report")]
+    assert numpy_loaded == "False"
+
+
+# Runs ``cli.main`` on each argument list of a JSON object and prints the exit
+# codes and standard outputs, with every import of numpy made to fail.
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from globkernel import cli
+results = {}
+for key, argv in json.loads(sys.argv[1]).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    results[key] = [code, out.getvalue()]
+print(json.dumps(results))
+"""
+
+
+def test_check_runs_without_numpy(tmp_path):
+    """``check`` gives every golden output, and a fault's capped witness lists, with numpy unimportable."""
+    from globkernel import cli, omega
+    from test_golden import CASES, FORMATS, GOLDEN, _comp_fault
+
+    jobs, want = {}, {}
+    for name, x in CASES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(omega.omega_to_json(x)), encoding="utf-8")
+        for fmt in FORMATS:
+            golden = (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+            jobs[f"{name}.{fmt}"] = ["check", str(path), "--format", fmt]
+            want[f"{name}.{fmt}"] = [1 if "FAIL" in golden else 0, golden]
+    # a fault that breaks the structure and four axioms, at the smallest and the default cap
+    fault = _comp_fault(CASES["delooping_z3_3"], 1, 0, "1", "2", "1")
+    path = tmp_path / "fault.json"
+    path.write_text(json.dumps(omega.omega_to_json(fault)), encoding="utf-8")
+    for cap in ("1", "100"):
+        for fmt in FORMATS:
+            argv = ["check", str(path), "--cap", cap, "--format", fmt]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            jobs[f"fault.{cap}.{fmt}"], want[f"fault.{cap}.{fmt}"] = argv, [code, out.getvalue()]
+    assert json.loads(_python(_WITHOUT_NUMPY, json.dumps(jobs))) == want

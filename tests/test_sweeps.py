@@ -5,16 +5,23 @@ table of a structure of ``conftest.POOL``, the corpus and one twisted
 suspension (``conftest.faulted``).  The sweeps must give
 the oracle's violation list cut at the cap, down to the witnesses and their
 detail text, and flag the cut exactly; where the oracle raises, they must
-raise the same error.
+raise the same error.  The same comparison runs with blocks of one and of
+three rows, so instances sit at every block edge, and on pinned faults that
+a sweep reading a -1 id as the last cell, or composing a pair that does not
+glue, would pass.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings
 
-from globkernel import omega
+from globkernel import globular, omega
+from globkernel.globular import SRC, TGT
 
-from conftest import POOL, faulted
+from conftest import GHOST, POOL, faulted
 from oracles import brute_axiom_violations, brute_structure_violations
 
 CAPS = (1, 3, 100)
@@ -37,9 +44,7 @@ def _report(report):
     return KeyError if report is KeyError else (report.violations, report.truncated)
 
 
-@settings(max_examples=150, deadline=None)
-@given(faulted(POOL))
-def test_sweeps_match_oracle_on_single_faults(x):
+def _match_oracle(x):
     full = _run(lambda: brute_structure_violations(x))
     for cap in CAPS:
         got = _report(_run(lambda: omega.check_structure(x, cap)))
@@ -49,6 +54,82 @@ def test_sweeps_match_oracle_on_single_faults(x):
         for cap in CAPS:
             got = _report(omega.axiom_report(x, name, None, cap))
             assert got == _capped(full, cap), (name, cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(faulted(POOL))
+def test_sweeps_match_oracle_on_single_faults(x):
+    _match_oracle(x)
+
+
+@pytest.mark.parametrize("chunk", (1, 3))
+@settings(max_examples=100, deadline=None)
+@given(x=faulted(POOL))
+def test_sweeps_match_oracle_across_blocks(chunk, x):
+    # instances enumerated one or three rows at a time, so the first and last
+    # instance of every link bucket and every first column sit on block edges
+    with mock.patch.object(globular, "_CHUNK", chunk):
+        _match_oracle(x)
+
+
+def test_id_evaluators_send_minus_one_to_minus_one():
+    # every id map ends in a -1, so the id -1 gathers -1 and never the entry
+    # of the last cell; composition reads no key with a -1 in it
+    for name, x in POOL.items():
+        t, n = x.tables, x.truncation
+        for i in range(n + 1):
+            for j in range(i + 1):
+                for kind in (SRC, TGT):
+                    assert t.boundary(kind, i, j, [-1, 0]) == [-1, t.boundary(kind, i, j, [0])[0]], name
+                assert t.iter_unit(j, i, [-1]) == [-1], name
+            for j in range(i):
+                assert t.compose(i, j, [-1, 0], [0, -1]) == [-1, -1], name
+                assert t.entry(i, j, [-1, 0], [0, -1]) == [-1, -1], name
+                if x.inv is not None:
+                    assert t.inverse(i, j, [-1]) == [-1], name
+            if i < n:
+                assert t.unit(i, [-1]) == [-1], name
+
+
+def _with_entries(x, comp=(), unit=()):
+    """``x`` with the given ``((i, j), key, value)`` comp and ``(i, key, value)`` unit
+    entries set, or deleted where the value is None, built without validation."""
+    tables = {key: dict(t) for key, t in x.comp.items()}
+    units = [dict(t) for t in x.unit]
+    edits = [(tables[ij], key, w) for ij, key, w in comp] + [(units[i], key, w) for i, key, w in unit]
+    for table, key, value in edits:
+        if value is None:
+            table.pop(key)
+        else:
+            table[key] = value
+    return omega.OmegaStructure(x.base, tables, tuple(units), x.inv)
+
+
+@pytest.mark.parametrize("value", (GHOST, None))
+@pytest.mark.parametrize("where", ((1, 0), (2, 1)))
+def test_composite_that_is_no_cell_is_not_read_as_the_last_cell(where, value):
+    # b *_j b is b, the last cell of its dimension, and the unit of b composes
+    # with itself to itself: with that composite a ghost or missing, a gather
+    # that read the id -1 as the last cell would give both sides of
+    # unit_compat as the unit of b, and pass
+    i, j = where
+    y = _with_entries(POOL["discrete_ab_3"], comp=[(where, ("b", "b"), value)])
+    got = omega.check_axiom(y, omega.UNIT_COMPAT)
+    assert got == brute_axiom_violations(y, omega.UNIT_COMPAT)
+    assert [(v.where, v.witness) for v in got] == [((i, j), ("b", "b"))]
+    assert got[0].detail.startswith("not evaluable: ")
+
+
+def test_pair_that_does_not_glue_is_not_composed():
+    # the unit of the 0-cell a made b, so left_unit at (1, 0) on a composes
+    # b with a, which do not glue; a table entry b *_0 a = a must not be read,
+    # or the law would hold
+    x = POOL["discrete_ab_3"]
+    y = _with_entries(x, comp=[((1, 0), ("b", "a"), "a")], unit=[(0, "a", "b")])
+    got = omega.check_axiom(y, omega.LEFT_UNIT)
+    assert got == brute_axiom_violations(y, omega.LEFT_UNIT)
+    assert got[0].witness == ("a",)
+    assert got[0].detail == "not evaluable: s^1_0(b) = b but t^1_0(a) = a"
 
 
 def test_sweeps_match_oracle_on_clean_corpus():
