@@ -147,7 +147,7 @@ def _lifts_back(x: OmegaStructure, table: TableOfDimensions, block: list) -> np.
     bounds = zip((0,) + tuple(seam + 1 for seam in table.inner), table.outer)
     for l, (low, high) in enumerate(bounds):
         lift = _lift_entries(t, low, high, block[l])
-        ok &= complex_.lookup(low, high, lift) >= 0
+        ok &= np.asarray(complex_.lookup(low, high, lift)) >= 0
         if l:
             # cannot fail once the lookups and projections hold on a validated
             # globular base; compared because unit_lift_tuple compares it

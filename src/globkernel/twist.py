@@ -28,11 +28,13 @@ what those entries give.
 The complex runs on interned ids (:class:`TwistedComplex`): each level is
 enumerated once, by the joiner of ``globular``, into rows of base-cell ids,
 and a tuple is a valid cell exactly when it is a row, so validating a cell
-is one index lookup.  Sources, targets and iterated boundaries are int32
-arrays over the rows, computed a level at a time with the column evaluators
-of ``omega.IntTables``, whose lists become arrays here.  Wherever an id step
-gives -1, or a tuple that is no row, the scalar code on names runs instead
-and raises the error that describes the failure.
+is one index lookup.  Rows, sources, targets and iterated boundaries are id
+maps, plain lists with -1 appended (see :func:`globular._gather`), computed
+a level at a time with the column evaluators of ``omega.IntTables``; a row
+is found from its parent and its last entry by one dict lookup.  Wherever
+an id step gives -1, or a tuple that is no row, the scalar code on names
+runs instead and raises the error that describes the failure.  Nothing
+here needs numpy.
 
 The paired and mixed products of the most recently enumerated table are
 held with the canonical bijection between them (:class:`Product`), computed
@@ -45,9 +47,7 @@ cell.  Any other input runs the scalar checks and gets their error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-
-import numpy as np
+from itertools import compress, repeat
 
 from .errors import (
     DimOutOfRange,
@@ -69,24 +69,21 @@ from .globular import (
 from .omega import OmegaStructure, _Named, validate_omega
 
 
-def _objects(items) -> np.ndarray:
-    """``items`` as a 1-d object array, for gathering by id."""
-    out = np.empty(len(items), dtype=object)
-    out[:] = items
-    return out
+def _stack(blocks, width: int) -> list[list[int]]:
+    """The :func:`globular._glued` blocks ``blocks`` joined into ``width`` columns."""
+    columns = [[] for _ in range(width)]
+    for block in blocks:
+        for column, part in zip(columns, block):
+            column += part
+    return columns
 
 
-def _take(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """``table[ids]``, with -1 wherever ``ids`` is -1."""
-    if not table.size:
-        return np.full(ids.shape, -1, dtype=np.int32)
-    return np.where(ids < 0, -1, table[ids])
-
-
-def _stack(blocks, width: int) -> np.ndarray:
-    """The rows of the :func:`globular._glued` blocks ``blocks`` as one int32 array of ``width`` columns."""
-    return np.concatenate([np.empty((0, width), dtype=np.int32),
-                           *(np.asarray(block, dtype=np.int32).T for block in blocks)])
+def _first_failure(ids: list, stop: int | None = None):
+    """Position of the first -1 among the first ``stop`` of ``ids`` (all of them by default), or None."""
+    try:
+        return ids.index(-1, 0, len(ids) if stop is None else stop)
+    except ValueError:
+        return None
 
 
 def _glue(ops, k: int, a, b):
@@ -169,12 +166,14 @@ class TwistedComplex:
     """The twisted complex of one structure over base-cell ids, built per level on first use.
 
     The segments of shape ``(low, high)`` (twisted cells are ``(0, level)``)
-    are the rows of an int32 matrix whose column ``c`` holds ids of
-    ``(low + 1 + c)``-cells, in lexicographic order; a segment's id is its
-    row.  A row of two or more entries extends its *parent*, the row of its
-    entries but the last, so a tuple is found from its parent and its last
-    entry by a search in the sorted keys ``parent * n + last``.  The
-    enumeration is exhaustive: a tuple that is not a row is not a segment.
+    are rows, in lexicographic order, held as a list of columns: column
+    ``c`` is an id map over the rows into the ``(low + 1 + c)``-cells, so a
+    row id of -1 gathers -1 in every column.  A segment's id is its row.  A
+    row of two or more entries extends its *parent*, the row of its entries
+    but the last, so a tuple is found from its parent and its last entry in
+    the dict ``{(parent, last): row}`` of its shape, which holds no key with
+    a -1.  The enumeration is exhaustive: a tuple that is not a row is not a
+    segment.
     """
 
     def __init__(self, x: OmegaStructure):
@@ -206,7 +205,7 @@ class TwistedComplex:
         return value
 
     def _shape(self, low: int, high: int):
-        """Rows, parent ids and search keys of the segments of shape ``(low, high)``."""
+        """Rows, parent ids and lookup dict of the segments of shape ``(low, high)``."""
         return self._memo(("shape", low, high), self._enumerate, low, high)
 
     def _enumerate(self, low: int, high: int):
@@ -214,34 +213,33 @@ class TwistedComplex:
             raise DimOutOfRange(
                 f"level {high} needs dimension {high + 1} <= truncation {self.x.truncation}"
             )
-        n = self.t.sizes[high + 1]
         if high == low:
-            return np.arange(n, dtype=np.int32)[:, None], None, None
+            return [[*range(self.t.sizes[high + 1]), -1]], None, None
         prev = self.rows(low, high - 1)
         # the gluing s_k(x_k) = t_k t_{k+1}(x_{k+1}) at k = high
-        link = _link(_gather(self.t.face(SRC, high), prev[:, -1].tolist()),
+        link = _link(_gather(self.t.face(SRC, high), prev[-1]),
                      self.x.base.boundary_ids(TGT, high + 1, high - 1))
-        pairs = _stack(_glued(range(len(prev)), [link]), 2)
-        parent, last = pairs[:, 0], pairs[:, 1]
-        return np.column_stack([prev[parent], last]), parent, parent.astype(np.int64) * n + last
+        parent, last = _stack(_glued(range(self.count(low, high - 1)), [link]), 2)
+        keys = dict(zip(zip(parent, last), range(len(last))))
+        parent.append(-1)
+        last.append(-1)
+        return [*(_gather(column, parent) for column in prev), last], parent, keys
 
-    def rows(self, low: int, high: int) -> np.ndarray:
+    def rows(self, low: int, high: int) -> list[list[int]]:
         return self._shape(low, high)[0]
 
-    def lookup(self, low: int, high: int, columns) -> np.ndarray:
+    def count(self, low: int, high: int) -> int:
+        """How many segments of shape ``(low, high)`` there are."""
+        return len(self.rows(low, high)[0]) - 1
+
+    def lookup(self, low: int, high: int, columns) -> list[int]:
         """Row ids of shape ``(low, high)`` of the id tuples whose entries at each
         position are ``columns[c]``; -1 where one is no segment."""
-        ids = np.asarray(columns, dtype=np.int32)
-        found = ids[0]
+        found = list(columns[0])
         for c in range(1, high - low + 1):
-            keys, last = self._shape(low, low + c)[2], ids[c]
-            if not keys.size:
-                return np.full(len(found), -1, dtype=np.int32)
-            want = found.astype(np.int64) * self.t.sizes[low + c + 1] + last
-            pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-            # a -1 entry must not read as the last cell under the previous parent
-            found = np.where((found >= 0) & (last >= 0) & (keys[pos] == want), pos, -1)
-        return found.astype(np.int32)
+            keys = self._shape(low, low + c)[2]
+            found = list(map(keys.get, zip(found, columns[c]), repeat(-1)))
+        return found
 
     def index(self, low: int, high: int) -> dict:
         """Entries, as a tuple of names, to row id."""
@@ -249,9 +247,9 @@ class TwistedComplex:
 
     def _index(self, low: int, high: int) -> dict:
         cells = self.x.base.cells
-        rows = self.rows(low, high)
-        columns = [_objects(cells[low + 1 + c])[rows[:, c]] for c in range(high - low + 1)]
-        return {entries: k for k, entries in enumerate(zip(*columns))}
+        columns = (map(cells[low + 1 + c].__getitem__, column)
+                   for c, column in enumerate(self.rows(low, high)))
+        return {entries: k for k, entries in zip(range(self.count(low, high)), zip(*columns))}
 
     def find(self, low: int, high: int, entries) -> int | None:
         """Row id of ``entries`` in shape ``(low, high)``, or None when it is no segment."""
@@ -276,22 +274,25 @@ class TwistedComplex:
         head = (high,) if kind is TwistedCell else (low, high)
         return tuple(kind(*head, entries) for entries in self.index(low, high))
 
-    def source(self, i: int) -> np.ndarray:
-        """Twisted source of each level-``i`` cell as a level ``i - 1`` row id, -1 for none."""
+    def source(self, i: int) -> list[int]:
+        """Twisted source of each level-``i`` cell as a level ``i - 1`` row id, -1 for
+        none, as an id map over the level-``i`` rows."""
         return self._memo(("src", i), self._source, i)
 
-    def _source(self, i: int) -> np.ndarray:
-        return self.lookup(0, i - 1, _source_entries(self.t, i, self.rows(0, i).T.tolist()))
+    def _source(self, i: int) -> list[int]:
+        # the rows' trailing -1 evaluates to -1, so the result is an id map
+        return self.lookup(0, i - 1, _source_entries(self.t, i, self.rows(0, i)))
 
-    def boundary(self, kind: str, i: int, j: int) -> np.ndarray:
-        """Iterated twisted boundary from level ``i`` down to ``j`` over the level-``i`` rows."""
+    def boundary(self, kind: str, i: int, j: int) -> list[int]:
+        """Iterated twisted boundary from level ``i`` down to ``j``, as an id map over
+        the level-``i`` rows."""
         return self._memo(("boundary", kind, i, j), self._boundary, kind, i, j)
 
-    def _boundary(self, kind: str, i: int, j: int) -> np.ndarray:
+    def _boundary(self, kind: str, i: int, j: int) -> list[int]:
         if i == j:
-            return np.arange(len(self.rows(0, i)), dtype=np.int32)
+            return [*range(self.count(0, i)), -1]
         step = self.source(i) if kind == SRC else self._shape(0, i)[1]
-        return _take(self.boundary(kind, i - 1, j), step)
+        return _gather(self.boundary(kind, i - 1, j), step)
 
 
 def _complex(x: OmegaStructure) -> TwistedComplex:
@@ -616,17 +617,18 @@ def _raise_first_unglued(x: OmegaStructure, table: TableOfDimensions, ends, link
     """Raise the error of the first cell, in enumeration order, whose gluing boundary fails.
 
     ``ends[k]`` is the twisted source boundary that glues position ``k`` to
-    the next one; it is -1 where the scalar boundary raises.  Positions are
-    visited depth first, so the first failure is the least such prefix.
+    the next one, an id map; it is -1 where the scalar boundary raises.
+    Positions are visited depth first, so the first failure is the least
+    such prefix.
     """
     first = None
     for k, end in enumerate(ends):
-        if not (end < 0).any():
+        if _first_failure(end, len(end) - 1) is None:
             continue
-        for block in _glued(range(len(ends[0])), links[:k]):
-            bad = np.flatnonzero(end[block[-1]] < 0)
-            if bad.size:
-                prefix = tuple(column[bad[0]] for column in block)
+        for block in _glued(range(len(ends[0]) - 1), links[:k]):
+            bad = _first_failure(_gather(end, block[-1]))
+            if bad is not None:
+                prefix = tuple(column[bad] for column in block)
                 if first is None or prefix < first:
                     first = prefix
                 break
@@ -640,7 +642,7 @@ def _paired_links(complex_: TwistedComplex, table: TableOfDimensions):
     """Twisted source boundaries that glue each position to the next, and their links."""
     outer, inner = table.outer, table.inner
     ends = [complex_.boundary(SRC, outer[k], inner[k]) for k in range(table.width - 1)]
-    return ends, [_link(end.tolist(), complex_.boundary(TGT, outer[k + 1], inner[k]).tolist())
+    return ends, [_link(end, complex_.boundary(TGT, outer[k + 1], inner[k]))
                   for k, end in enumerate(ends)]
 
 
@@ -652,14 +654,14 @@ def _segment_bounds(table: TableOfDimensions) -> list[tuple[int, int]]:
 def _mixed_links(complex_: TwistedComplex, table: TableOfDimensions):
     """Links of the seams of the mixed product, on base boundaries of the outermost entries."""
     base = complex_.x.base
-    last = complex_.rows(0, table.outer[0])[:, -1].tolist()
+    last = complex_.rows(0, table.outer[0])[-1]
     top_dim = table.outer[0] + 1
     links = []
     for low, high in _segment_bounds(table):
         rows = complex_.rows(low, high)
         links.append(_link(_gather(base.boundary_ids(SRC, top_dim, low - 1), last),
-                           _gather(base.boundary_ids(TGT, low + 1, low - 1), rows[:, 0].tolist())))
-        last, top_dim = rows[:, -1].tolist(), high + 1
+                           _gather(base.boundary_ids(TGT, low + 1, low - 1), rows[0])))
+        last, top_dim = rows[-1], high + 1
     return links
 
 
@@ -669,41 +671,40 @@ def _enumerate_product(complex_: TwistedComplex, table: TableOfDimensions) -> Pr
     The contraction looks up the entries of each later cell above its seam
     as a segment.  The expansion is computed on its own: each next cell is
     the twisted source of the previous cell's target at level ``seam + 1``,
-    followed by the segment.  A row where a step gives -1 stays out of its
-    map, so the scalar code answers it.
+    followed by the segment.  Every step gathers through id maps, so a -1
+    stays -1 to the end, and a row where a step gives -1 stays out of its
+    map: the scalar code answers it.
     """
     outer, bounds = table.outer, _segment_bounds(table)
-    first = range(len(complex_.rows(0, outer[0])))
-
-    def enumerate_rows(links) -> np.ndarray:
-        return _stack(_glued(first, links), table.width)
-
-    paired_ids = enumerate_rows(_paired_links(complex_, table)[1])
-    mixed_ids = enumerate_rows(_mixed_links(complex_, table))
-    contracted, expanded = [paired_ids[:, 0]], [mixed_ids[:, 0]]
+    first = range(complex_.count(0, outer[0]))
+    paired_ids = _stack(_glued(first, _paired_links(complex_, table)[1]), table.width)
+    mixed_ids = _stack(_glued(first, _mixed_links(complex_, table)), table.width)
+    contracted, expanded = [paired_ids[0]], [mixed_ids[0]]
     for l, (low, high) in enumerate(bounds):
-        contracted.append(complex_.lookup(low, high, complex_.rows(0, high)[paired_ids[:, l + 1], low:].T))
+        above = complex_.rows(0, high)[low:]
+        contracted.append(complex_.lookup(low, high, [_gather(c, paired_ids[l + 1]) for c in above]))
         # the cell expanded last, its target at level low = seam + 1, and that target's source
-        below = _take(complex_.boundary(TGT, outer[l], low), expanded[-1])
-        prefix = _take(complex_.source(low), below)
-        segment = complex_.rows(low, high)[mixed_ids[:, l + 1]]
-        entries = np.concatenate([complex_.rows(0, low - 1)[prefix].T, segment.T])
-        expanded.append(np.where(prefix < 0, -1, complex_.lookup(0, high, entries)))
+        below = _gather(complex_.boundary(TGT, outer[l], low), expanded[-1])
+        prefix = _gather(complex_.source(low), below)
+        entries = [_gather(c, prefix) for c in complex_.rows(0, low - 1)]
+        entries += [_gather(c, mixed_ids[l + 1]) for c in complex_.rows(low, high)]
+        expanded.append(complex_.lookup(0, high, entries))
 
-    columns = [_objects(complex_.cells(level)) for level in outer]
-    parts = columns[:1] + [_objects(complex_.segments(low, high)) for low, high in bounds]
+    columns = [complex_.cells(level) for level in outer]
+    parts = columns[:1] + [complex_.segments(low, high) for low, high in bounds]
 
     def cell_tuples(ids) -> list:
-        return list(zip(*(columns[k][ids[:, k]] for k in range(table.width))))
+        return list(zip(*map(_gather, columns, ids)))
 
     def mixed_tuples(ids) -> list:
         return [MixedTuple(table, head, tuple(segments))
-                for head, *segments in zip(*(parts[k][ids[:, k]] for k in range(table.width)))]
+                for head, *segments in zip(*map(_gather, parts, ids))]
 
     def bijection(keys, ids, values) -> dict:
-        ids = np.column_stack(ids)
-        good = (ids >= 0).all(axis=1)
-        return dict(zip(compress(keys, good), values(ids[good])))
+        if any(-1 in column for column in ids):
+            good = [-1 not in row for row in zip(*ids)]
+            keys, ids = compress(keys, good), [list(compress(column, good)) for column in ids]
+        return dict(zip(keys, values(ids)))
 
     paired, mixed = cell_tuples(paired_ids), mixed_tuples(mixed_ids)
     return Product(table, tuple(paired), tuple(mixed),
@@ -731,12 +732,6 @@ def twisted_name(entries) -> str:
     return "(" + "|".join(entries) + ")"
 
 
-def _first_failure(ids: np.ndarray):
-    """Position of the first -1 in ``ids``, or None."""
-    bad = np.flatnonzero(ids < 0)
-    return int(bad[0]) if bad.size else None
-
-
 def build_twisted(x: OmegaStructure) -> OmegaStructure:
     """Assemble the twisted complex of ``x`` as a structure truncated at N - 1.
 
@@ -750,18 +745,19 @@ def build_twisted(x: OmegaStructure) -> OmegaStructure:
         raise DimOutOfRange("twisting needs truncation >= 1")
     complex_ = _complex(x)
     t = x.tables
-    names = [_objects([twisted_name(e) for e in complex_.index(0, i)]) for i in range(n)]
+    names = [[twisted_name(e) for e in complex_.index(0, i)] for i in range(n)]
     cells = [tuple(layer) for layer in names]
 
-    def table(level: int, into: int, ids: np.ndarray, op, *args) -> dict:
-        """Level-``level`` names to the level-``into`` names of ``ids``.
+    def table(level: int, into: int, ids: list[int], op, *args) -> dict:
+        """Level-``level`` names to the level-``into`` names of the id map ``ids``.
 
-        At the first -1, the scalar ``op(*args, cell)`` raises the error.
+        At the first -1 before the trailing one, the scalar ``op(*args, cell)``
+        raises the error.
         """
-        bad = _first_failure(ids)
+        bad = _first_failure(ids, len(cells[level]))
         if bad is not None:
             _raise_scalar(op, *args, complex_.cells(level)[bad])
-        return dict(zip(cells[level], names[into][ids]))
+        return dict(zip(cells[level], map(names[into].__getitem__, ids)))
 
     src, tgt = [], []
     for i in range(1, n):
@@ -772,32 +768,31 @@ def build_twisted(x: OmegaStructure) -> OmegaStructure:
     # every twisted source is a cell by now, so every iterated boundary is too
     comp = {}
     for i in range(1, n):
-        rows = complex_.rows(0, i)
+        rows, named = complex_.rows(0, i), names[i].__getitem__
         for j in range(i):
             pairs = {}
-            link = _link(complex_.boundary(SRC, i, j).tolist(), complex_.boundary(TGT, i, j).tolist())
-            for u, v in _glued(range(len(rows)), [link]):
-                left, right = rows[u].T.tolist(), rows[v].T.tolist()
+            link = _link(complex_.boundary(SRC, i, j), complex_.boundary(TGT, i, j))
+            for u, v in _glued(range(len(cells[i])), [link]):
+                left, right = [_gather(c, u) for c in rows], [_gather(c, v) for c in rows]
                 ids = complex_.lookup(0, i, _compose_entries(t, i, j, left, right))
                 bad = _first_failure(ids)
                 if bad is not None:
                     cells_i = complex_.cells(i)
                     _raise_scalar(twisted_compose, x, j, cells_i[u[bad]], cells_i[v[bad]])
-                pairs.update(zip(zip(names[i][u], names[i][v]), names[i][ids]))
+                pairs.update(zip(zip(map(named, u), map(named, v)), map(named, ids)))
             comp[(i, j)] = pairs
 
     unit_tables = []
     for i in range(n - 1):
-        ids = complex_.lookup(0, i + 1, _unit_entries(t, i, complex_.rows(0, i).T.tolist()))
+        ids = complex_.lookup(0, i + 1, _unit_entries(t, i, complex_.rows(0, i)))
         unit_tables.append(table(i, i + 1, ids, twisted_unit, x))
 
     inv = None
     if x.inv is not None:
         inv = {}
         for i in range(1, n):
-            columns = complex_.rows(0, i).T.tolist()
             for j in range(i):
-                ids = complex_.lookup(0, i, _inverse_entries(t, i, j, columns))
+                ids = complex_.lookup(0, i, _inverse_entries(t, i, j, complex_.rows(0, i)))
                 inv[(i, j)] = table(i, i, ids, twisted_inverse, x, j)
 
     return validate_omega(base, comp, unit_tables, inv)

@@ -1,12 +1,14 @@
 """Every name a module of ``globkernel`` imports is used in that module, every
 private function or method of the package is used somewhere in it, and the
-command line imports only the modules it always needs: ``check`` runs, with
-its golden output, where numpy cannot be imported."""
+command line imports only the modules it always needs: ``check`` and
+``twist`` run, with their golden output, and the criterion-6 round trip runs,
+where numpy cannot be imported."""
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -110,7 +112,7 @@ def test_cli_imports_only_its_floor():
     Each CLI job is a fresh process, often without cached bytecode, so every
     module it imports is compiled again; ``twist``, ``decalage`` and
     ``testcat`` are imported only by the commands that use them, and only
-    they import numpy.
+    ``decalage`` and ``testcat`` import numpy.
     """
     probe = ("import sys, globkernel.cli; "
              "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'globkernel')))\n"
@@ -121,8 +123,36 @@ def test_cli_imports_only_its_floor():
     assert numpy_loaded == "False"
 
 
-# Runs ``cli.main`` on each argument list of a JSON object and prints the exit
-# codes and standard outputs, with every import of numpy made to fail.
+def test_twist_imports_no_numpy():
+    """The twisted complex and its products run on plain lists: importing them loads no numpy."""
+    assert _python("import sys, globkernel.twist; print('numpy' in sys.modules)") == "False\n"
+
+
+def _round_trip(path: str) -> list[int]:
+    """Criterion 6 on the structure in ``path``, over every table of width and
+    entries up to 3 below its truncation: the number of tables, paired and mixed
+    tuples, and of tuples that contract and expand (or expand and contract) to
+    something other than themselves."""
+    from globkernel import omega, twist
+    from globkernel.globular import all_tables
+
+    with open(path, encoding="utf-8") as handle:
+        x = omega.omega_from_json(json.load(handle))
+    tables = all_tables(3, min(3, x.truncation - 1))
+    paired = mixed = mismatches = 0
+    for table in tables:
+        tuples, mixed_tuples = twist.twisted_product(x, table), twist.mixed_product(x, table)
+        paired, mixed = paired + len(tuples), mixed + len(mixed_tuples)
+        mismatches += sum(twist.expand_product(x, twist.contract_product(x, table, tup)) != tup
+                          for tup in tuples)
+        mismatches += sum(twist.contract_product(x, table, twist.expand_product(x, m)) != m
+                          for m in mixed_tuples)
+    return [len(tables), paired, mixed, mismatches]
+
+
+# Runs ``cli.main`` on each argument list of a JSON object and ``_round_trip``
+# on each further path, and prints the exit codes and standard outputs, and
+# the round trips' counts, with every import of numpy made to fail.
 _WITHOUT_NUMPY = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None
@@ -133,6 +163,9 @@ for key, argv in json.loads(sys.argv[1]).items():
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     results[key] = [code, out.getvalue()]
+""" + inspect.getsource(_round_trip) + """
+for path in sys.argv[2:]:
+    results[path] = _round_trip(path)
 print(json.dumps(results))
 """
 
@@ -162,3 +195,30 @@ def test_check_runs_without_numpy(tmp_path):
                 code = cli.main(argv)
             jobs[f"fault.{cap}.{fmt}"], want[f"fault.{cap}.{fmt}"] = argv, [code, out.getvalue()]
     assert json.loads(_python(_WITHOUT_NUMPY, json.dumps(jobs))) == want
+
+
+def test_twist_runs_without_numpy(tmp_path):
+    """``twist`` writes every golden file, the twice-twisted chains included, and
+    the criterion-6 round trip on delooping Z/3 gives the counts it gives here,
+    with numpy unimportable."""
+    from globkernel import omega
+    from test_golden import GOLDEN, TWIST_CASES
+
+    jobs, want, written = {}, {}, {}
+    for name, (x, depth) in TWIST_CASES.items():
+        path = tmp_path / f"{name}_k0.json"
+        path.write_text(json.dumps(omega.omega_to_json(x)), encoding="utf-8")
+        for k in range(1, depth + 1):
+            out = tmp_path / f"{name}_k{k}.json"
+            jobs[out.name] = ["twist", str(path), "-o", str(out)]
+            want[out.name] = [0, f"wrote twisted structure (truncation {x.truncation - k}) to {out}\n"]
+            path = out
+        written[name] = path
+    trip = str(tmp_path / "delooping_z3_3_k0.json")
+    results = json.loads(_python(_WITHOUT_NUMPY, json.dumps(jobs), trip))
+    assert {key: results[key] for key in jobs} == want
+    for name, path in written.items():
+        assert path.read_bytes() == (GOLDEN / f"twist_{name}.json").read_bytes(), name
+    tables, paired, mixed, mismatches = results[trip]
+    assert mismatches == 0 and paired == mixed > 0
+    assert results[trip] == _round_trip(trip)

@@ -9,7 +9,10 @@ Every twisted operation must give the value the reference in
 the enumerations must equal the brute-force ones, in order.  The
 contraction and expansion are compared on every member of each product,
 once before the product is enumerated and once after, when the maps the
-complex holds answer them.
+complex holds answer them.  The faulted comparisons run again with blocks
+of one and of three rows, so rows sit at every block edge of the joiner,
+and on a pinned fault whose twisted source is no row, where reading the id
+-1 as the last row would give a wrong boundary and a wrong expansion.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ import dataclasses
 import itertools
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from globkernel import omega, twist
-from globkernel.globular import SRC, TableOfDimensions, all_tables
+from globkernel import globular, omega, twist
+from globkernel.globular import SRC, TGT, TableOfDimensions, all_tables
 
 from conftest import CORPUS, GHOST, POOL, faulted
 from oracles import (
@@ -161,6 +165,17 @@ def faulted_with_table(draw):
 def test_twisted_complex_matches_reference_on_single_faults(case):
     x, table, rng = case
     check_against_reference(x, table, rng)
+
+
+@pytest.mark.parametrize("chunk", (1, 3))
+@settings(max_examples=30, deadline=None)
+@given(case=faulted_with_table())
+def test_twisted_complex_matches_reference_across_blocks(chunk, case):
+    # levels, products and composable pairs enumerated one or three rows at a
+    # time, so the first and last row of every link bucket sit on block edges
+    x, table, rng = case
+    with mock.patch.object(globular, "_CHUNK", chunk):
+        check_against_reference(x, table, rng)
 
 
 def test_twisted_complex_matches_reference_on_clean_pool():
@@ -307,6 +322,48 @@ def faulted_with_tables(draw):
 @given(faulted_with_tables(), st.randoms(use_true_random=False))
 def test_product_bijection_matches_reference_on_single_faults(case, rng):
     check_bijection_against_reference(*case, rng)
+
+
+@pytest.mark.parametrize("chunk", (1, 3))
+@settings(max_examples=25, deadline=None)
+@given(case=faulted_with_tables(), rng=st.randoms(use_true_random=False))
+def test_product_bijection_matches_reference_across_blocks(chunk, case, rng):
+    with mock.patch.object(globular, "_CHUNK", chunk):
+        check_bijection_against_reference(*case, rng)
+
+
+@pytest.mark.parametrize("where", ((1, 0), (2, 1)))
+def test_twisted_source_that_is_no_row_is_not_read_as_the_last_row(where):
+    # 1 *_j 1 is no cell, so each level-i cell whose twisted source composes
+    # it has a source that is no row.  A gather that read that -1 as the last
+    # row would give such a cell a source boundary: at (2, 1), its iterated
+    # boundary to level 0, through the level-1 ones.  At (1, 0) it would also
+    # rebuild, in the expansion across a seam at 0, a cell from the last
+    # level-0 row's entries; in a delooping every 1-cell glues, so that cell
+    # exists, and the held map would answer with it
+    i, j = where
+    x = CORPUS["delooping_z3_3"]
+    comp = {key: dict(t) for key, t in x.comp.items()}
+    comp[where][("1", "1")] = GHOST
+    y = omega.OmegaStructure(x.base, comp, x.unit, x.inv)
+    complex_ = twist._complex(y)
+    no_source = [cell for cell, row in zip(twist.twisted_cells(y, i), complex_.source(i)) if row < 0]
+    assert no_source
+
+    for level in range(y.truncation):
+        for cell in ref_twisted_cells(y, level):
+            for kind in (SRC, TGT):
+                for below in range(level + 1):
+                    same(twist.twisted_boundary, ref_twisted_boundary, y, kind, cell, below)
+    tables = all_tables(3, 2)
+    for table in tables:
+        check_twisted_product(y, table)
+    # the members whose expansion passes through such a source each raise
+    table = TableOfDimensions((i, i), (i - 1,))
+    unexpanded = [m for m in twist.mixed_product(y, table) if m not in complex_.product(table).expand]
+    assert {m.head for m in unexpanded} == set(no_source)
+    assert all(outcome(ref_expand_product, y, m)[0] == "raises" for m in unexpanded)
+    check_bijection_against_reference(y, tables, random.Random(0))
 
 
 def test_product_bijection_check_catches_a_rolled_segment_column(monkeypatch):
