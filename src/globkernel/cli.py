@@ -6,9 +6,9 @@ sweeps), ``delta`` (finite shift-category demonstration), ``fixture``
 (write a stock structure), ``sum`` (enumerate a globular product).
 
 Exit codes: 0 clean, 1 mathematical violation, 2 input error.  ``twist``
-and ``decalage`` are imported only by the commands that use them; only
-``decalage`` and ``delta`` load numpy, so ``check``, ``twist``, ``fixture``
-and ``sum`` run on the standard library alone.
+and ``decalage`` are imported only by the commands that use them.  Only
+``testcat`` loads numpy, and no command imports it, so every command runs
+on the standard library alone.
 """
 
 from __future__ import annotations

@@ -8,25 +8,23 @@ the level, and the checker for that fact must exhibit a witness.  The section
 sweep runs on interned ids: each product is enumerated as rows of cell ids,
 each component's lift is a row of unit and boundary gathers validated by one
 lookup in the twisted complex, and seams and projections are compared on the
-base boundary arrays.  Only a row where some step fails goes through the
-scalar lift and projection on names, which give the failure text.
+base boundary maps, all on plain lists.  Only a row where some step fails
+goes through the scalar lift and projection on names, for the failure text.
 
 Finite-set side: the category with objects ``{0..n}`` and all maps between
 them carries a shift endofunctor ``D`` appending a fresh top element, with
 the inclusion as natural transformation, the constant-top point, and the
 clamping retraction ``k -> min(k, n)``.  ``check_shift_decalage`` verifies
-all of this exhaustively on whole map tables.  The composition sweep, whose
-pair count grows as fast as the map count squared, compares the two sides
-one coordinate column at a time over blocks of composable pairs, so it never
-holds a block of whole shifted rows.
+all of this on maps held as tuples of their values; functoriality is decided
+at a generating set, and swept pair by pair only where that fails.  Only
+``testcat`` loads numpy; nothing here does.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
+from operator import eq
 
 from .errors import (
     DimOutOfRange,
@@ -47,7 +45,6 @@ from .globular import (
 )
 from .omega import OmegaStructure, _Named
 from .report import CheckResult, verdict
-from .testcat import map_table
 from .twist import (
     MixedTuple,
     TwistedCell,
@@ -127,35 +124,28 @@ def apex_tuple(x: OmegaStructure, mixed: MixedTuple) -> GlobularTuple:
 # -- element-side checks ---------------------------------------------------------
 
 
-def _lifts_back(x: OmegaStructure, table: TableOfDimensions, block: list) -> np.ndarray:
-    """Whether each product row of the :func:`product_ids` block ``block`` lifts,
-    glues and projects back to itself.
-
-    The steps of :func:`unit_lift_tuple` and :func:`apex_tuple` on ids: each
-    component's lift is a row of the twisted complex, each seam glues on the
-    base boundaries, and the source of each top entry is the input cell.  A
-    step that gives -1 reads as False.
+def _lifts_back(x: OmegaStructure, table: TableOfDimensions, block: list) -> list[int]:
+    """Positions of the rows of the :func:`product_ids` block ``block`` that do
+    not lift, glue and project back to themselves: the steps of
+    :func:`unit_lift_tuple` and :func:`apex_tuple` on ids, where each lift is
+    a row of the twisted complex and a step that gives -1 fails.
     """
     t, complex_ = x.tables, _complex(x)
-    ids = np.asarray(block, dtype=np.int32)
-    ok = np.ones(ids.shape[1], dtype=bool)
-
-    def boundary(kind, i, j, u) -> np.ndarray:
-        return np.asarray(t.boundary(kind, i, j, u), dtype=np.int32)
-
+    tests = []
     # component l lifts into the entries of dimensions low+1 .. high+1
     bounds = zip((0,) + tuple(seam + 1 for seam in table.inner), table.outer)
     for l, (low, high) in enumerate(bounds):
         lift = _lift_entries(t, low, high, block[l])
-        ok &= np.asarray(complex_.lookup(low, high, lift)) >= 0
+        tests.append([row >= 0 for row in complex_.lookup(low, high, lift)])
         if l:
             # cannot fail once the lookups and projections hold on a validated
             # globular base; compared because unit_lift_tuple compares it
             seam = low - 1
-            ok &= boundary(SRC, top_dim, seam, top) == boundary(TGT, low + 1, seam, lift[0])
+            tests.append(map(eq, t.boundary(SRC, top_dim, seam, top),
+                             t.boundary(TGT, low + 1, seam, lift[0])))
         top, top_dim = lift[-1], high + 1
-        ok &= boundary(SRC, top_dim, high, top) == ids[l]
-    return ok
+        tests.append(map(eq, t.boundary(SRC, top_dim, high, top), block[l]))
+    return [k for k, passed in enumerate(zip(*tests)) if not all(passed)]
 
 
 def check_section(x: OmegaStructure, table: TableOfDimensions) -> CheckResult:
@@ -174,7 +164,7 @@ def check_section(x: OmegaStructure, table: TableOfDimensions) -> CheckResult:
     failures = []
     start = 0
     for block in product_ids(x.base, table):
-        for k in np.flatnonzero(~_lifts_back(x, table, block)).tolist():
+        for k in _lifts_back(x, table, block):
             gtuple = gtuples[start + k]
             try:
                 back = apex_tuple(x, unit_lift_tuple(x, table, gtuple))
@@ -337,16 +327,26 @@ def identity_map(n: int) -> SimplexMap:
     return SimplexMap(n, n, tuple(range(n + 1)))
 
 
+def _after(g: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
+    """The values of ``g`` after ``f``, each a map given by its values."""
+    return tuple(map(g.__getitem__, f))
+
+
 def compose_maps(g: SimplexMap, f: SimplexMap) -> SimplexMap:
     """``g`` after ``f``."""
     if f.cod != g.dom:
         raise NotComposable(f"cannot compose {g} after {f}")
-    return SimplexMap(f.dom, g.cod, tuple(g.table[v] for v in f.table))
+    return SimplexMap(f.dom, g.cod, _after(g.table, f.table))
+
+
+def _shift(row: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The shift of a map into ``{0..n}``: keep its values, send the new top to the new top."""
+    return row + (n + 1,)
 
 
 def shift_map(phi: SimplexMap) -> SimplexMap:
-    """The shift endofunctor on maps: keep all values, send the new top to the new top."""
-    return SimplexMap(phi.dom + 1, phi.cod + 1, phi.table + (phi.cod + 1,))
+    """The shift endofunctor on maps."""
+    return SimplexMap(phi.dom + 1, phi.cod + 1, _shift(phi.table, phi.cod))
 
 
 def top_inclusion(n: int) -> SimplexMap:
@@ -381,58 +381,71 @@ def standard_generators() -> dict[str, SimplexMap]:
     }
 
 
-def _shift_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """``shift_map`` on maps into ``{0..n}`` held as rows along the last axis."""
-    top = np.full(rows.shape[:-1] + (1,), n + 1, dtype=rows.dtype)
-    return np.concatenate([rows, top], axis=-1)
+def _maps(m: int, n: int):
+    """Every map ``{0..m} -> {0..n}`` as a tuple of its values, in lexicographic order."""
+    return itertools.product(range(n + 1), repeat=m + 1)
 
 
-# Composable pairs compared per numpy pass: bounds the memory of the shift sweep.
-_PAIRS = 1 << 18
+def _generators(max_n: int) -> dict[int, list[tuple[int, ...]]]:
+    """G by codomain, for ``k <= max_n``: the adjacent transpositions of ``{0..k}``, the map
+    ``{0..k} -> {0..k-1}`` sending ``k`` to ``k - 1`` and the inclusion ``{0..k} -> {0..k+1}``."""
+    gens = {k: [] for k in range(max_n + 1)}
+    for k in gens:
+        ident = tuple(range(k + 1))
+        gens[k] += [ident[:i] + (i + 1, i) + ident[i + 2:] for i in range(k)]
+        if k:
+            gens[k - 1].append(ident[:-1] + (k - 1,))
+        if k < max_n:
+            gens[k + 1].append(ident)
+    return gens
+
+
+def _functor_at_generators(max_n: int) -> int | None:
+    """The pairs compared in deciding at G that the shift is a functor on maps
+    between the ``{0..k}``, ``k <= max_n``, or None when that fails: ``D(id) = id``,
+    the closure of the identities under right composition with G reaches every
+    map, and ``D(psi g) = D(psi) D(g)`` for each ``psi`` reached and ``g`` into its
+    domain, so ``D(psi phi' g) = D(psi phi') D(g) = D(psi) D(phi' g)`` by induction
+    on word length (Mac Lane, *Categories for the Working Mathematician*, §§II.7-8).
+    """
+    into = {cod: [(g, _shift(g, cod)) for g in gs] for cod, gs in _generators(max_n).items()}
+    pairs = 0
+    for p in range(max_n + 1):
+        ident = tuple(range(p + 1))
+        shifted = {ident: _shift(ident, p)}
+        if shifted[ident] != ident + (p + 1,):
+            return None
+        reached = [ident]
+        for psi in reached:
+            d_psi = shifted[psi]
+            for g, d_g in into[len(psi) - 1]:
+                composite = _after(psi, g)
+                if composite not in shifted:
+                    shifted[composite] = _shift(composite, p)
+                    reached.append(composite)
+                if shifted[composite] != _after(d_psi, d_g):
+                    return None
+                pairs += 1
+        if len(reached) != sum((p + 1) ** (m + 1) for m in range(max_n + 1)):
+            return None
+    return pairs
 
 
 def _composition_sweep(max_n: int, cap: int) -> list[str]:
-    """Exhaustive check that the shift respects all compositions.
-
-    For every composable pair, ``shift(psi after phi)`` is compared with
-    ``shift(psi) after shift(phi)`` one coordinate column at a time, over
-    blocks of pairs.  Where ``_shift_rows`` appends ``p + 1`` to the
-    composite, the left side is read off the composite's columns; the
-    composites it treats otherwise (``odd``, by rank, none when the shift is
-    right) are compared whole against their row of the shifted table, so the
-    verdict is that of shifting both sides.  Reading every pair's left side
-    off the shifted table by rank would need one path only, but its per-pair
-    rank and gathers cost more than the rest of the sweep together.
-    """
+    """The first ``cap`` pairs, by ``(m, n, p)``, ``psi``, ``phi``, where ``shift(psi after phi)``
+    is not ``shift(psi) after shift(phi)``; swept only when :func:`_functor_at_generators` fails."""
     failures: list[str] = []
+    if _functor_at_generators(max_n) is not None:
+        return failures
     for m, n, p in itertools.product(range(max_n + 1), repeat=3):
-        a, b = map_table(m, n), map_table(n, p)
-        a_shift, b_shift = _shift_rows(a, n), _shift_rows(b, p)
-        c = map_table(m, p)
-        c_shift = _shift_rows(c, p)
-        odd = (c_shift[:, :-1] != c).any(axis=1) | (c_shift[:, -1] != p + 1)
-        block = max(1, _PAIRS // len(a))
-        for start in range(0, len(b), block):
-            psi, psi_shift = b[start : start + block], b_shift[start : start + block]
-            bad = psi_shift[:, a_shift[:, m + 1]] != p + 1
-            for k in range(m + 1):
-                bad |= psi[:, a[:, k]] != psi_shift[:, a_shift[:, k]]
-            if odd.any():
-                rank = np.zeros(bad.shape, dtype=np.int64)  # of psi after phi in c
-                for k in range(m + 1):
-                    rank = rank * (p + 1) + psi[:, a[:, k]]
-                gi, fi = np.nonzero(odd[rank])
-                rhs = psi_shift[gi[:, None], a_shift[fi]]
-                bad[gi, fi] = (c_shift[rank[gi, fi]] != rhs).any(axis=1)
-            if not bad.any():
-                continue
-            for gi, fi in np.argwhere(bad)[: cap - len(failures)]:
-                failures.append(
-                    f"phi={tuple(int(v) for v in a[fi])}:[{m}]->[{n}] "
-                    f"psi={tuple(int(v) for v in b[start + gi])}:[{n}]->[{p}]"
-                )
-            if len(failures) >= cap:
-                return failures
+        phis = [(phi, _shift(phi, n)) for phi in _maps(m, n)]
+        for psi in _maps(n, p):
+            d_psi = _shift(psi, p)
+            for phi, d_phi in phis:
+                if _shift(_after(psi, phi), p) != _after(d_psi, d_phi):
+                    failures.append(f"phi={phi}:[{m}]->[{n}] psi={psi}:[{n}]->[{p}]")
+                    if len(failures) >= cap:
+                        return failures
     return failures
 
 
@@ -443,38 +456,24 @@ def check_shift_decalage(max_n: int, cap: int = 100) -> list[CheckResult]:
     if max_n > 5:
         # the composition sweep covers ((n+1)^(m+1))^2 pairs per size triple
         raise ValidationError("max_n above 5 is combinatorially out of reach")
-    results = []
-
-    id_failures = [
-        f"n={n}"
-        for n in range(max_n + 1)
-        if shift_map(identity_map(n)) != identity_map(n + 1)
-    ]
-    scope = f"n<={max_n}"
-    results.append(verdict("shift-identity", scope, id_failures))
-
-    comp_failures = _composition_sweep(max_n, cap)
-    scope = f"m,n,p<={max_n}"
-    results.append(verdict("shift-composition", scope, comp_failures))
-
-    # both squares on whole tables: every phi: [m] -> [n] at once, one per row
+    sizes = range(max_n + 1)
+    id_failures = [f"n={n}" for n in sizes if shift_map(identity_map(n)) != identity_map(n + 1)]
     incl_failures, point_failures = [], []
-    for m, n in itertools.product(range(max_n + 1), repeat=2):
-        phis = map_table(m, n)
-        shifted = _shift_rows(phis, n)
-        incl = shifted[:, top_inclusion(m).table] != np.array(top_inclusion(n).table)[phis]
-        point = shifted[:, base_point(m).table] != base_point(n).table
-        for failures, bad in ((incl_failures, incl), (point_failures, point)):
-            failures += [str(SimplexMap(m, n, phis[r])) for r in np.flatnonzero(bad.any(axis=1))]
-    scope = f"m,n<={max_n}"
-    results.append(verdict("shift-inclusion-square", scope, incl_failures))
-    results.append(verdict("shift-point-square", scope, point_failures))
-
-    retr_failures = [
-        f"n={n}"
-        for n in range(max_n + 1)
-        if compose_maps(clamp_retraction(n), top_inclusion(n)) != identity_map(n)
+    for m, n in itertools.product(sizes, repeat=2):
+        incl_m, incl_n = top_inclusion(m).table, top_inclusion(n).table
+        point_m, point_n = base_point(m).table, base_point(n).table
+        for phi in _maps(m, n):
+            shifted = _shift(phi, n)
+            if _after(shifted, incl_m) != _after(incl_n, phi):
+                incl_failures.append(str(SimplexMap(m, n, phi)))
+            if _after(shifted, point_m) != point_n:
+                point_failures.append(str(SimplexMap(m, n, phi)))
+    retr_failures = [f"n={n}" for n in sizes
+                     if compose_maps(clamp_retraction(n), top_inclusion(n)) != identity_map(n)]
+    return [
+        verdict("shift-identity", f"n<={max_n}", id_failures),
+        verdict("shift-composition", f"m,n,p<={max_n}", _composition_sweep(max_n, cap)),
+        verdict("shift-inclusion-square", f"m,n<={max_n}", incl_failures),
+        verdict("shift-point-square", f"m,n<={max_n}", point_failures),
+        verdict("shift-retraction", f"n<={max_n}", retr_failures),
     ]
-    scope = f"n<={max_n}"
-    results.append(verdict("shift-retraction", scope, retr_failures))
-    return results

@@ -196,7 +196,8 @@ class TwistedComplex:
     def held(self, table) -> Product | None:
         """The held products when they are those of ``table``."""
         product = self._product
-        return product if product is not None and product.table == table else None
+        same = product is not None and (product.table is table or product.table == table)
+        return product if same else None
 
     def _memo(self, key, build, *args):
         value = self._cache.get(key)

@@ -141,30 +141,23 @@ def ref_shift_squares(max_n):
 
 
 def ref_composition_sweep(max_n, cap):
-    """The shift's composition sweep on whole shifted rows.
+    """The shift's composition sweep over every composable pair, on whole shifted rows.
 
-    Every block of composable pairs holds both sides as ``(B, A, m + 2)``
-    arrays, compared row by row.  ``_shift_rows`` is read from ``decalage``
-    at call time, so a test may replace it.
+    Pairs come by ``(m, n, p)``, then ``psi``, then ``phi``, and both sides
+    are shifted and composed for each pair on its own.  ``_shift`` is read
+    from ``decalage`` at call time, so a test may replace it.
     """
     failures = []
     for m, n, p in itertools.product(range(max_n + 1), repeat=3):
-        a = np.array(all_functions(m, n), dtype=np.int8)
-        b = np.array(all_functions(n, p), dtype=np.int8)
-        a_shift, b_shift = decalage._shift_rows(a, n), decalage._shift_rows(b, p)
-        block = max(1, 30_000_000 // (len(a) * (m + 2)))
-        for start in range(0, len(b), block):
-            lhs = decalage._shift_rows(b[start : start + block][:, a], p)  # shift(psi after phi)
-            rhs = b_shift[start : start + block][:, a_shift]  # shift psi after shift phi
-            if np.array_equal(lhs, rhs):
-                continue
-            for gi, fi in np.argwhere((lhs != rhs).any(axis=2))[: cap - len(failures)]:
-                failures.append(
-                    f"phi={tuple(int(v) for v in a[fi])}:[{m}]->[{n}] "
-                    f"psi={tuple(int(v) for v in b[start + gi])}:[{n}]->[{p}]"
-                )
-            if len(failures) >= cap:
-                return failures
+        for psi in all_functions(n, p):
+            for phi in all_functions(m, n):
+                lhs = decalage._shift(tuple(psi[v] for v in phi), p)  # shift(psi after phi)
+                shift_psi, shift_phi = decalage._shift(psi, p), decalage._shift(phi, n)
+                rhs = tuple(shift_psi[v] for v in shift_phi)  # shift psi after shift phi
+                if lhs != rhs:
+                    failures.append(f"phi={phi}:[{m}]->[{n}] psi={psi}:[{n}]->[{p}]")
+                    if len(failures) >= cap:
+                        return failures
     return failures
 
 

@@ -380,13 +380,15 @@ def test_shift_decalage_rejects_bad_bound():
 
 def test_function_counts_against_oracle():
     # |maps [m] -> [n]| = (n+1)^(m+1), cross-checked by raw enumeration; the
-    # rows of map_table come in the enumeration's lexicographic order
+    # rows of map_table and the tuples of decalage's enumeration come in the
+    # enumeration's lexicographic order
     for m in range(4):
         for n in range(4):
             maps = map_table(m, n)
             assert maps.dtype == np.int8
             assert len(maps) == len(all_functions(m, n)) == (n + 1) ** (m + 1)
             assert [tuple(row) for row in maps.tolist()] == all_functions(m, n)
+            assert list(decalage._maps(m, n)) == all_functions(m, n)
 
 
 def test_shift_squares_match_reference_on_faulty_structure_maps(monkeypatch):
@@ -402,32 +404,109 @@ def test_shift_squares_match_reference_on_faulty_structure_maps(monkeypatch):
     assert failures["shift-point-square"] == tuple(point)
 
 
-_SHIFT = decalage._shift_rows
+_SHIFT = decalage._shift
+_GENERATORS = decalage._generators
 
 
-def _shift_new_top_to_zero(rows, n):
+def _shift_new_top_to_zero(row, n):
     """A shift that sends the new top to 0 on maps whose first value is 0."""
-    out = _SHIFT(rows, n)
-    out[..., -1] = np.where(rows[..., 0] == 0, 0, n + 1)
-    return out
+    return _SHIFT(row, n)[:-1] + ((0 if row[0] == 0 else n + 1),)
 
 
-def _shift_first_value_to_top(rows, n):
+def _shift_first_value_to_top(row, n):
     """A shift that also moves the first value to the new top on maps ending in ``n``."""
-    out = _SHIFT(rows, n)
-    out[..., 0] = np.where(rows[..., -1] == n, n + 1, rows[..., 0])
-    return out
+    out = _SHIFT(row, n)
+    return (n + 1,) + out[1:] if row[-1] == n else out
 
 
-@pytest.mark.parametrize("shift", [_shift_new_top_to_zero, _shift_first_value_to_top])
-def test_composition_sweep_matches_reference_under_faulty_shifts(monkeypatch, shift):
-    monkeypatch.setattr(decalage, "_shift_rows", shift)
+def _shift_one_map_top_to_zero(row, n):
+    """A shift that sends the new top to 0 on the map ``(0, 1, 1)`` into ``{0..2}`` alone."""
+    return _SHIFT(row, n)[:-1] + ((0 if (row, n) == ((0, 1, 1), 2) else n + 1),)
+
+
+def _shift_identity_top_down(row, n):
+    """A shift with ``D(id) != id``: the new top goes to ``n`` on the identity of ``{0..n}``, ``n >= 1``."""
+    return _SHIFT(row, n)[:-1] + ((n if n and row == tuple(range(n + 1)) else n + 1),)
+
+
+def _shift_non_injective_top_to_zero(row, n):
+    """A shift that sends the new top to 0 on the maps that are not injective."""
+    return _SHIFT(row, n)[:-1] + ((0 if len(set(row)) < len(row) else n + 1),)
+
+
+def _without_collapses(max_n):
+    """G without the maps ``{0..k} -> {0..k-1}``: its closure holds only injective maps."""
+    return {cod: [g for g in gens if len(g) <= cod + 1] for cod, gens in _GENERATORS(max_n).items()}
+
+
+def _compose(g, f):
+    return tuple(g[v] for v in f)
+
+
+@pytest.mark.parametrize("shift, generators", [
+    pytest.param(shift, generators, id=shift.__name__) for shift, generators in (
+        (_shift_new_top_to_zero, _GENERATORS),
+        (_shift_first_value_to_top, _GENERATORS),
+        (_shift_one_map_top_to_zero, _GENERATORS),
+        (_shift_identity_top_down, _GENERATORS),
+        (_shift_non_injective_top_to_zero, _without_collapses),
+    )
+])
+def test_composition_sweep_matches_reference_under_faulty_shifts(monkeypatch, shift, generators):
+    monkeypatch.setattr(decalage, "_shift", shift)
+    monkeypatch.setattr(decalage, "_generators", generators)
+    assert decalage._functor_at_generators(3) is None  # so the pair sweep runs
     full = ref_composition_sweep(3, 10**9)
     assert len(full) > 100
     for cap in (1, 7, 100):
         got = decalage._composition_sweep(3, cap)
         assert got == ref_composition_sweep(3, cap) == full[:cap], cap
     assert decalage._composition_sweep(3, 10**9) == full
+
+
+def test_faulty_shifts_fail_where_the_generators_cannot_tell():
+    # the first failing pair of the one-map fault is of two maps outside G
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decalage, "_shift", _shift_one_map_top_to_zero)
+        first = ref_composition_sweep(3, 1)
+    assert first == ["phi=(0,):[0]->[2] psi=(0, 1, 1):[2]->[2]"]
+    assert {(0,), (0, 1, 1)}.isdisjoint(_GENERATORS(3)[2])  # G's maps into {0..2}
+    # under G without the collapses, the non-injective fault holds on every pair of
+    # an injective psi and a generator, and the identities shift to identities: only
+    # the closure, which reaches no other map, says that this G does not generate
+    shift = _shift_non_injective_top_to_zero
+    for cod, gens in _without_collapses(3).items():
+        for p in range(4):
+            assert shift(tuple(range(p + 1)), p) == tuple(range(p + 2))
+            for psi in all_functions(cod, p):
+                if len(set(psi)) == len(psi):
+                    for g in gens:
+                        assert shift(_compose(psi, g), p) == _compose(shift(psi, p), shift(g, cod))
+
+
+def test_real_shift_is_decided_at_generators(monkeypatch):
+    # each of the 18 generators is paired once with each map out of its
+    # codomain, and the pair sweep, which enumerates maps, never runs
+    gens = _GENERATORS(4)
+    assert sum(map(len, gens.values())) == 18
+    pairs = sum(len(gs) * len(all_functions(cod, p)) for cod, gs in gens.items() for p in range(5))
+    assert decalage._functor_at_generators(4) == pairs == 28_100
+    monkeypatch.setattr(decalage, "_maps", None)
+    for max_n in range(1, 5):
+        assert decalage._composition_sweep(max_n, 100) == []
+
+
+@pytest.mark.parametrize("shift", [_shift_new_top_to_zero, _shift_first_value_to_top])
+def test_every_shift_check_applies_the_one_shift(monkeypatch, shift):
+    # a faulty shift shows alike in the identity check, both squares and the sweep
+    monkeypatch.setattr(decalage, "_shift", shift)
+    failures = {r.check: r.failures for r in check_shift_decalage(3)}
+    incl, point = ref_shift_squares(3)
+    assert incl or point
+    assert failures["shift-identity"] == ("n=0", "n=1", "n=2", "n=3")
+    assert failures["shift-inclusion-square"] == tuple(incl)
+    assert failures["shift-point-square"] == tuple(point)
+    assert failures["shift-composition"] == tuple(ref_composition_sweep(3, 100))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,8 @@
 """Every name a module of ``globkernel`` imports is used in that module, every
 private function or method of the package is used somewhere in it, and the
-command line imports only the modules it always needs: ``check`` and
-``twist`` run, with their golden output, and the criterion-6 round trip runs,
-where numpy cannot be imported."""
+command line imports only the modules it always needs: ``check``, ``twist``,
+``decalage`` and ``delta`` run, with their golden output, and the criterion-6
+round trip runs, where numpy cannot be imported."""
 
 from __future__ import annotations
 
@@ -112,7 +112,7 @@ def test_cli_imports_only_its_floor():
     Each CLI job is a fresh process, often without cached bytecode, so every
     module it imports is compiled again; ``twist``, ``decalage`` and
     ``testcat`` are imported only by the commands that use them, and only
-    ``decalage`` and ``testcat`` import numpy.
+    ``testcat`` imports numpy.
     """
     probe = ("import sys, globkernel.cli; "
              "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'globkernel')))\n"
@@ -124,8 +124,11 @@ def test_cli_imports_only_its_floor():
 
 
 def test_twist_imports_no_numpy():
-    """The twisted complex and its products run on plain lists: importing them loads no numpy."""
-    assert _python("import sys, globkernel.twist; print('numpy' in sys.modules)") == "False\n"
+    """The twisted complex, its products and the décalage sweeps run on plain lists
+    and tuples: importing ``twist``, or ``decalage``, loads neither numpy nor ``testcat``."""
+    for module in ("twist", "decalage"):
+        probe = f"import sys, globkernel.{module}; print({{'numpy', 'globkernel.testcat'}} & set(sys.modules))"
+        assert _python(probe) == "set()\n", module
 
 
 def _round_trip(path: str) -> list[int]:
@@ -222,3 +225,24 @@ def test_twist_runs_without_numpy(tmp_path):
     tables, paired, mixed, mismatches = results[trip]
     assert mismatches == 0 and paired == mixed > 0
     assert results[trip] == _round_trip(trip)
+
+
+def test_decalage_runs_without_numpy(tmp_path):
+    """``decalage`` on every corpus structure and ``delta`` at every golden size,
+    in both formats, give their golden output with numpy unimportable."""
+    from globkernel import omega
+    from test_golden import CASES, DELTA_SIZES, FORMATS, GOLDEN, corpus
+
+    jobs, want = {}, {}
+    for name in corpus():
+        x = CASES[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(omega.omega_to_json(x)), encoding="utf-8")
+        jobs[name] = ["decalage", str(path), "--max-dim", str(x.truncation - 1)]
+        want[name] = (GOLDEN / f"decalage_{name}.text").read_text(encoding="utf-8")
+    for max_n in DELTA_SIZES:
+        for fmt in FORMATS:
+            jobs[f"delta_{max_n}.{fmt}"] = ["delta", "--max-n", str(max_n), "--format", fmt]
+            want[f"delta_{max_n}.{fmt}"] = (GOLDEN / f"delta_{max_n}.{fmt}").read_text(encoding="utf-8")
+    want = {key: [1 if "FAIL" in golden else 0, golden] for key, golden in want.items()}
+    assert json.loads(_python(_WITHOUT_NUMPY, json.dumps(jobs))) == want
