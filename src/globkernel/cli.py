@@ -5,10 +5,11 @@ Subcommands: ``check`` (structure and axiom sweeps on a file), ``twist``
 sweeps), ``delta`` (finite shift-category demonstration), ``fixture``
 (write a stock structure), ``sum`` (enumerate a globular product).
 
-Exit codes: 0 clean, 1 mathematical violation, 2 input error.  ``twist``
-and ``decalage`` are imported only by the commands that use them.  Only
-``testcat`` loads numpy, and no command imports it, so every command runs
-on the standard library alone.
+Exit codes: 0 clean, 1 mathematical violation, 2 input error.  ``twist``,
+``decalage`` and ``fixtures`` are imported only by the commands that use
+them (``fixtures`` only by ``fixture``), so the verdict commands load no
+more than they run.  Only ``testcat`` loads numpy, and no command imports
+it, so every command runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -17,13 +18,17 @@ import argparse
 import json
 import sys
 
-from . import fixtures, omega, report
+from . import omega, report
 from .errors import KernelError
 from .globular import globular_product, parse_table
 
 EXIT_CLEAN = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+
+# the sorted names of ``fixtures.NAMED_GROUPS``, held here so that building
+# the parser does not import ``fixtures``
+GROUP_NAMES = ("s3", "z2", "z2xz2", "z3", "z4")
 
 
 def _load_structure(path: str) -> omega.OmegaStructure:
@@ -132,6 +137,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_fixture(args) -> int:
+    from . import fixtures
     trunc = args.trunc
     if args.kind == "discrete":
         x = fixtures.discrete(tuple(args.names.split(",")), trunc)
@@ -199,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fix = sub.add_parser("fixture", help="write a stock structure file")
     p_fix.add_argument("kind", choices=("discrete", "delooping", "suspension", "product"))
-    p_fix.add_argument("--group", choices=sorted(fixtures.NAMED_GROUPS), default="z2")
+    p_fix.add_argument("--group", choices=GROUP_NAMES, default="z2")
     p_fix.add_argument("--names", default="a,b")
     p_fix.add_argument("--dim", type=int, default=1)
     p_fix.add_argument("--trunc", type=int, default=3)

@@ -23,7 +23,6 @@ at a generating set, and swept pair by pair only where that fails.  Only
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import eq
 
 from .errors import (
@@ -31,6 +30,7 @@ from .errors import (
     GluingViolation,
     MissingCell,
     NotComposable,
+    Record,
     ValidationError,
 )
 from .globular import (
@@ -295,25 +295,22 @@ def check_unit_closed_forms(x: OmegaStructure) -> list[CheckResult]:
 # -- the category of finite sets {0..n} with all maps ----------------------------
 
 
-@dataclass(frozen=True)
-class SimplexMap:
+class SimplexMap(Record):
     """Total map ``{0..dom} -> {0..cod}``, not necessarily order-preserving."""
 
-    dom: int
-    cod: int
-    table: tuple[int, ...]
+    _fields = ("dom", "cod", "table")
 
-    def __post_init__(self):
-        table = tuple(int(v) for v in self.table)
-        object.__setattr__(self, "table", table)
-        if self.dom < 0 or self.cod < 0:
+    def __init__(self, dom: int, cod: int, table):
+        table = tuple(int(v) for v in table)
+        self.__dict__.update(dom=dom, cod=cod, table=table)
+        if dom < 0 or cod < 0:
             raise ValidationError("object sizes must be naturals")
-        if len(table) != self.dom + 1:
+        if len(table) != dom + 1:
             raise ValidationError(
-                f"map on {{0..{self.dom}}} needs {self.dom + 1} values, got {len(table)}"
+                f"map on {{0..{dom}}} needs {dom + 1} values, got {len(table)}"
             )
-        if any(not 0 <= v <= self.cod for v in table):
-            raise ValidationError(f"values {table} outside 0..{self.cod}")
+        if any(not 0 <= v <= cod for v in table):
+            raise ValidationError(f"values {table} outside 0..{cod}")
 
     def __call__(self, k: int) -> int:
         return self.table[k]

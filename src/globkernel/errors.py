@@ -1,10 +1,59 @@
-"""Exception types shared by every module of the kernel.
+"""Exception types shared by every module of the kernel, and its record base.
 
 Errors are reserved for malformed inputs and out-of-range requests.  Law
 violations found by the checkers are data (reports), not exceptions.
+
+:class:`Record` is the immutable value type the other modules build their
+cells, tables and results on.  It lives here because every command loads
+this module, and it keeps ``dataclasses`` (with ``inspect`` and ``ast``
+behind it) out of every command's import floor.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
+
+
+class Record:
+    """Immutable record: equality, hash and repr over the attributes in ``_fields``.
+
+    Each subclass names its fields, in order, in ``_fields`` and sets them in
+    its own ``__init__`` through ``self.__dict__``.  Two records are equal
+    when they are of the same class and their fields are equal, and the hash
+    is that of the tuple of fields, so a record holding a dict has none.
+    Assigning or deleting any attribute raises ``AttributeError``.  Other
+    attributes (derived data and caches) stay out of equality and repr.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if len(cls._fields) == 1:  # attrgetter of one name gives the value, not a tuple
+            one = attrgetter(*cls._fields)
+            cls._values = staticmethod(lambda record: (one(record),))
+        else:
+            cls._values = staticmethod(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other is self:  # equal fields, as a tuple compares its items by identity first
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class KernelError(Exception):

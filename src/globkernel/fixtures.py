@@ -16,19 +16,19 @@ Every public fixture passes ``check_structure`` and the full axiom sweep:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .errors import NotAbelian, NotAGroup, ValidationError
+from .errors import NotAbelian, NotAGroup, Record, ValidationError
 from .globular import validate_globular_set
 from .omega import OmegaStructure, validate_omega
 
 
-@dataclass(frozen=True)
-class GroupTable:
+class GroupTable(Record):
     """Finite multiplication table; validated by :func:`validate_group`."""
 
-    elements: tuple[str, ...]
-    mul: dict[tuple[str, str], str]
+    _fields = ("elements", "mul")
+
+    def __init__(self, elements: tuple[str, ...], mul: dict[tuple[str, str], str]):
+        self.__dict__.update(elements=elements, mul=mul)
 
 
 def validate_group(table: GroupTable) -> tuple[str, dict[str, str]]:

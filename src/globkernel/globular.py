@@ -21,7 +21,6 @@ is loaded only by the modules that build arrays from these blocks.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .errors import (
@@ -31,6 +30,7 @@ from .errors import (
     IndexOutOfRange,
     MissingCell,
     ParseError,
+    Record,
     ShapeViolation,
     ValidationError,
 )
@@ -72,27 +72,24 @@ def split_pair_key(key: str) -> tuple[str, str]:
     raise ValidationError(f"composition key {key!r} has no top-level '|'")
 
 
-@dataclass(frozen=True)
-class GlobularSet:
+class GlobularSet(Record):
     """Validated globular set, truncated at dimension ``truncation``.
 
     ``src[i]`` and ``tgt[i]`` are the boundary maps ``X_i -> X_{i-1}`` for
     ``1 <= i <= truncation``; index 0 holds an empty placeholder.
     ``index[i]`` interns the ``i``-cells: it maps each name to its position
-    in ``cells[i]``, the dense id the integer tables use.
-    :meth:`boundary_ids` gives the boundary maps over those ids.
+    in ``cells[i]``, the dense id the integer tables use; it is derived, so
+    it stays out of equality and repr.  :meth:`boundary_ids` gives the
+    boundary maps over those ids.
     """
 
-    truncation: int
-    cells: tuple[tuple[str, ...], ...]
-    src: tuple[dict[str, str], ...]
-    tgt: tuple[dict[str, str], ...]
-    index: tuple[dict[str, int], ...] = field(init=False, repr=False, compare=False)
+    _fields = ("truncation", "cells", "src", "tgt")
 
-    def __post_init__(self):
-        index = tuple({u: k for k, u in enumerate(layer)} for layer in self.cells)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_boundary_ids", {})
+    def __init__(self, truncation: int, cells: tuple[tuple[str, ...], ...],
+                 src: tuple[dict[str, str], ...], tgt: tuple[dict[str, str], ...]):
+        self.__dict__.update(truncation=truncation, cells=cells, src=src, tgt=tgt,
+                             index=tuple({u: k for k, u in enumerate(layer)} for layer in cells),
+                             _boundary_ids={})
 
     def check_dim(self, i: int) -> int:
         if not 0 <= i <= self.truncation:
@@ -302,18 +299,15 @@ def _extend(columns: list[list[int]], links):
         start = stop
 
 
-@dataclass(frozen=True)
-class TableOfDimensions:
+class TableOfDimensions(Record):
     """Shape datum ``(i_1, .., i_n; i'_1, .., i'_{n-1})`` of a globular product."""
 
-    outer: tuple[int, ...]
-    inner: tuple[int, ...]
+    _fields = ("outer", "inner")
 
-    def __post_init__(self):
-        outer = tuple(int(v) for v in self.outer)
-        inner = tuple(int(v) for v in self.inner)
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
+    def __init__(self, outer, inner):
+        outer = tuple(int(v) for v in outer)
+        inner = tuple(int(v) for v in inner)
+        self.__dict__.update(outer=outer, inner=inner)
         if len(outer) < 1:
             raise ShapeViolation(0, "width must be at least 1")
         if len(inner) != len(outer) - 1:
@@ -359,12 +353,13 @@ def parse_table(text: str) -> TableOfDimensions:
     return TableOfDimensions(tuple(values[0::2]), tuple(values[1::2]))
 
 
-@dataclass(frozen=True)
-class GlobularTuple:
+class GlobularTuple(Record):
     """Element of a globular product: entries glued along iterated boundaries."""
 
-    table: TableOfDimensions
-    entries: tuple[str, ...]
+    _fields = ("table", "entries")
+
+    def __init__(self, table: TableOfDimensions, entries: tuple[str, ...]):
+        self.__dict__.update(table=table, entries=entries)
 
 
 def globular_tuple(gs: GlobularSet, table: TableOfDimensions, entries) -> GlobularTuple:

@@ -24,7 +24,6 @@ Nothing here needs numpy, so neither does ``check``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count, repeat
 
 from .errors import (
@@ -32,6 +31,7 @@ from .errors import (
     InversesAbsent,
     MissingCell,
     NotComposable,
+    Record,
     ValidationError,
 )
 from .globular import (
@@ -76,14 +76,16 @@ _FLAG_TOKENS = {
 _INVERSE_AXIOMS = (LEFT_INVERSE, RIGHT_INVERSE, INVERSE_COMPAT)
 
 
-@dataclass(frozen=True)
-class AxiomFlags:
+class AxiomFlags(Record):
     """Selection of optional axioms; associativity and exchange always run.
 
     ``optional`` holds the selected axioms in the order of ``_FLAG_TOKENS``.
     """
 
-    optional: tuple[str, ...] = ()
+    _fields = ("optional",)
+
+    def __init__(self, optional: tuple[str, ...] = ()):
+        self.__dict__["optional"] = optional
 
     @classmethod
     def parse(cls, text: str) -> "AxiomFlags":
@@ -109,12 +111,12 @@ FULL_FLAGS = AxiomFlags(tuple(_FLAG_TOKENS.values()))
 CATEGORICAL_FLAGS = AxiomFlags((LEFT_UNIT, RIGHT_UNIT, UNIT_COMPAT))
 
 
-@dataclass(frozen=True)
-class OmegaStructure:
-    base: GlobularSet
-    comp: dict[tuple[int, int], dict[tuple[str, str], str]]
-    unit: tuple[dict[str, str], ...]
-    inv: dict[tuple[int, int], dict[str, str]] | None = None
+class OmegaStructure(Record):
+    _fields = ("base", "comp", "unit", "inv")
+
+    def __init__(self, base: GlobularSet, comp: dict[tuple[int, int], dict[tuple[str, str], str]],
+                 unit: tuple[dict[str, str], ...], inv: dict[tuple[int, int], dict[str, str]] | None = None):
+        self.__dict__.update(base=base, comp=comp, unit=unit, inv=inv)
 
     @property
     def truncation(self) -> int:
@@ -137,14 +139,13 @@ class OmegaStructure:
         return self.base.boundary(kind, i, j, u)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One counterexample: which law, at which subscripts, on which cells."""
 
-    law: str
-    where: tuple[int, ...]
-    witness: tuple[str, ...]
-    detail: str
+    _fields = ("law", "where", "witness", "detail")
+
+    def __init__(self, law: str, where: tuple[int, ...], witness: tuple[str, ...], detail: str):
+        self.__dict__.update(law=law, where=where, witness=witness, detail=detail)
 
     def __str__(self) -> str:
         subs = ",".join(map(str, self.where))
@@ -152,16 +153,22 @@ class Violation:
         return f"{self.law}({subs}) on [{cells}]: {self.detail}"
 
 
-@dataclass
-class Report:
+class Report(Record):
     """Violations gathered by a checker, truncated at ``cap`` entries.
 
     ``truncated`` is set exactly when more than ``cap`` violations exist.
+    Unlike other records a report is filled in place, so it has no hash.
     """
 
-    violations: list[Violation] = field(default_factory=list)
-    cap: int = 100
-    truncated: bool = False
+    _fields = ("violations", "cap", "truncated")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, violations: list[Violation] | None = None, cap: int = 100, truncated: bool = False):
+        self.violations = [] if violations is None else violations
+        self.cap = cap
+        self.truncated = truncated
 
     @property
     def ok(self) -> bool:

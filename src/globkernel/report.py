@@ -13,16 +13,17 @@ JSON mirror: a list of ``{"check", "scope", "status", "witness"}`` objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .errors import Record
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check: str
-    scope: str
-    status: str  # "PASS", "FAIL" or "SKIP"
-    witness: str | None = None
-    failures: tuple[str, ...] = ()
+class CheckResult(Record):
+    """One checked scope; ``status`` is "PASS", "FAIL" or "SKIP"."""
+
+    _fields = ("check", "scope", "status", "witness", "failures")
+
+    def __init__(self, check: str, scope: str, status: str, witness: str | None = None,
+                 failures: tuple[str, ...] = ()):
+        self.__dict__.update(check=check, scope=scope, status=status, witness=witness, failures=failures)
 
     @property
     def ok(self) -> bool:

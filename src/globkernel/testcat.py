@@ -12,26 +12,26 @@ intervals and the product comparison functor; no weak equivalences are decided.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import NotNatural, ValidationError
+from .errors import NotNatural, Record, ValidationError
 
 
-@dataclass(frozen=True)
-class SmallCategory:
+class SmallCategory(Record):
     """Finite category: named objects and morphisms, composition on ids.
 
-    Morphism ``k`` is the ``k``-th key of ``morphisms``; ``table[g, f]`` is
-    the id of ``g`` after ``f``, and -1 where the pair does not compose.
+    Morphism ``k`` is the ``k``-th key of ``morphisms``, which maps each name
+    to its ``(dom, cod)``; ``table[g, f]`` is the id of ``g`` after ``f``,
+    and -1 where the pair does not compose.
     """
 
-    objects: tuple[str, ...]
-    morphisms: dict[str, tuple[str, str]]  # name -> (dom, cod)
-    identity: dict[str, str]
-    table: np.ndarray
+    _fields = ("objects", "morphisms", "identity", "table")
+
+    def __init__(self, objects: tuple[str, ...], morphisms: dict[str, tuple[str, str]],
+                 identity: dict[str, str], table: np.ndarray):
+        self.__dict__.update(objects=objects, morphisms=morphisms, identity=identity, table=table)
 
     @cached_property
     def _names(self) -> np.ndarray:
@@ -53,6 +53,8 @@ class SmallCategory:
             return NotImplemented
         fields = ("objects", "morphisms", "identity", "comp")
         return all(getattr(self, k) == getattr(other, k) for k in fields)
+
+    __hash__ = Record.__hash__  # a category holds dicts, so this raises TypeError
 
     def hom(self, a: str, b: str) -> tuple[str, ...]:
         return tuple(
@@ -233,13 +235,18 @@ def _middle(table, g, lasts, firsts):
     return None
 
 
-@dataclass(frozen=True)
-class Presheaf:
-    """Contravariant set-valued functor on a finite category."""
+class Presheaf(Record):
+    """Contravariant set-valued functor on a finite category.
 
-    base: SmallCategory
-    values: dict[str, tuple[str, ...]]  # object -> elements
-    action: dict[str, dict[str, str]]  # morphism f: a -> b gives F(b) -> F(a)
+    ``values`` maps each object to its elements; ``action`` maps each
+    morphism ``f: a -> b`` to its ``F(b) -> F(a)``.
+    """
+
+    _fields = ("base", "values", "action")
+
+    def __init__(self, base: SmallCategory, values: dict[str, tuple[str, ...]],
+                 action: dict[str, dict[str, str]]):
+        self.__dict__.update(base=base, values=values, action=action)
 
     def value(self, a: str) -> tuple[str, ...]:
         return self.values[a]
@@ -366,10 +373,11 @@ def has_terminal(cat: SmallCategory):
     return None
 
 
-@dataclass(frozen=True)
-class NerveCounts:
-    total: tuple[int, ...]
-    nondegenerate: tuple[int, ...]
+class NerveCounts(Record):
+    _fields = ("total", "nondegenerate")
+
+    def __init__(self, total: tuple[int, ...], nondegenerate: tuple[int, ...]):
+        self.__dict__.update(total=total, nondegenerate=nondegenerate)
 
 
 def nerve(cat: SmallCategory, depth: int) -> NerveCounts:
@@ -434,12 +442,13 @@ def product_category(c: SmallCategory, d: SmallCategory) -> SmallCategory:
     return _category(objects, morphisms, identity, table.reshape(n, n))
 
 
-@dataclass(frozen=True)
-class FunctorData:
-    source: SmallCategory
-    target: SmallCategory
-    object_map: dict[str, str]
-    morphism_map: dict[str, str]
+class FunctorData(Record):
+    _fields = ("source", "target", "object_map", "morphism_map")
+
+    def __init__(self, source: SmallCategory, target: SmallCategory,
+                 object_map: dict[str, str], morphism_map: dict[str, str]):
+        self.__dict__.update(source=source, target=target, object_map=object_map,
+                             morphism_map=morphism_map)
 
 
 def validate_functor(data: FunctorData) -> FunctorData:

@@ -38,16 +38,17 @@ here needs numpy.
 
 The paired and mixed products of the most recently enumerated table are
 held with the canonical bijection between them (:class:`Product`), computed
-on the rows, each direction on its own.  ``contract_product`` and
-``expand_product`` answer a member of a held product by one dict lookup:
-membership of an enumerated product is the validation, as a row is for a
-cell.  Any other input runs the scalar checks and gets their error.
+on the rows, each direction on its own, as maps from row to row.
+``contract_product`` and ``expand_product`` answer a member of a held
+product with a member of the other: membership of an enumerated product is
+the validation, as a row is for a cell.  A member passed as itself is found
+by its ``id``, so a round trip hashes nothing.  Any other input runs the
+scalar checks and gets their error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import repeat
 
 from .errors import (
     DimOutOfRange,
@@ -55,6 +56,7 @@ from .errors import (
     InversesAbsent,
     MissingCell,
     NotComposable,
+    Record,
     ValidationError,
 )
 from .globular import (
@@ -113,53 +115,80 @@ def _inverse_entries(ops, i: int, j: int, entries) -> list:
     return [*entries[:j], glued, *(ops.inverse(c + 1, j, entries[c]) for c in range(j + 1, i + 1))]
 
 
-@dataclass(frozen=True)
-class TwistedCell:
+class TwistedCell(Record):
     """Tuple ``(x_1, .., x_{i+1})`` of level ``i = len(entries) - 1``."""
 
-    level: int
-    entries: tuple[str, ...]
+    _fields = ("level", "entries")
+
+    def __init__(self, level: int, entries: tuple[str, ...]):
+        self.__dict__.update(level=level, entries=entries)
 
     def top(self) -> str:
         return self.entries[-1]
 
 
-@dataclass(frozen=True)
-class TwistedSegment:
+class TwistedSegment(Record):
     """Entries of dimensions ``low+1 .. high+1``, same gluing, shifted."""
 
-    low: int
-    high: int
-    entries: tuple[str, ...]
+    _fields = ("low", "high", "entries")
+
+    def __init__(self, low: int, high: int, entries: tuple[str, ...]):
+        self.__dict__.update(low=low, high=high, entries=entries)
 
 
-@dataclass(frozen=True)
-class MixedTuple:
+class MixedTuple(Record):
     """A twisted product with the rebuildable prefixes dropped.
 
     ``head`` is a full twisted cell of level ``i_1``; segment ``l`` keeps
     the entries of dimensions ``i'_l + 2 .. i_{l+1} + 1`` of factor ``l + 1``.
     """
 
-    table: TableOfDimensions
-    head: TwistedCell
-    segments: tuple[TwistedSegment, ...]
+    _fields = ("table", "head", "segments")
+
+    def __init__(self, table: TableOfDimensions, head: TwistedCell, segments: tuple[TwistedSegment, ...]):
+        self.__dict__.update(table=table, head=head, segments=segments)
 
 
-@dataclass(frozen=True)
-class Product:
-    """The paired and mixed products of one table, and the canonical bijection between them.
+class _Rows:
+    """Row of an object among ``members``, -1 when it is none.
 
-    ``contract`` maps paired tuples to mixed ones and ``expand`` mixed
-    tuples to paired ones; each holds exactly the members on which the id
-    computation succeeds.
+    A member passed as itself is found by its ``id``; anything else by
+    equality, through a dict built at the first such lookup.
     """
 
-    table: TableOfDimensions
-    paired: tuple[tuple[TwistedCell, ...], ...]
-    mixed: tuple[MixedTuple, ...]
-    contract: dict
-    expand: dict
+    def __init__(self, members: tuple):
+        self.members = members
+        self.by_id = dict(zip(map(id, members), range(len(members))))
+        self.by_value = None
+
+    def __call__(self, obj) -> int:
+        row = self.by_id.get(id(obj))
+        if row is not None and self.members[row] is obj:
+            return row
+        if self.by_value is None:
+            self.by_value = dict(zip(self.members, range(len(self.members))))
+        try:
+            return self.by_value.get(obj, -1)
+        except TypeError:  # unhashable, so no member
+            return -1
+
+
+class Product(Record):
+    """The paired and mixed products of one table, and the canonical bijection between them.
+
+    ``to_mixed[k]`` is the row in ``mixed`` of the contraction of
+    ``paired[k]``, and ``to_paired[k]`` the row in ``paired`` of the
+    expansion of ``mixed[k]``: id maps, with -1 appended, that hold -1 where
+    the id computation fails or gives no member.  ``paired_rows`` and
+    ``mixed_rows`` find the row of a member.
+    """
+
+    _fields = ("table", "paired", "mixed", "to_mixed", "to_paired")
+
+    def __init__(self, table: TableOfDimensions, paired: tuple[tuple[TwistedCell, ...], ...],
+                 mixed: tuple[MixedTuple, ...], to_mixed: list[int], to_paired: list[int]):
+        self.__dict__.update(table=table, paired=paired, mixed=mixed, to_mixed=to_mixed,
+                             to_paired=to_paired, paired_rows=_Rows(paired), mixed_rows=_Rows(mixed))
 
 
 class TwistedComplex:
@@ -476,10 +505,9 @@ def contract_product(x: OmegaStructure, table: TableOfDimensions, cells) -> Mixe
     """
     held = _complex(x).held(table)
     if held is not None:
-        try:
-            return held.contract[cells]
-        except (KeyError, TypeError):  # no member, or unhashable
-            pass
+        row = held.to_mixed[held.paired_rows(cells)]
+        if row >= 0:
+            return held.mixed[row]
     cells = tuple(cells)
     outer, inner = table.outer, table.inner
     if len(cells) != len(outer):
@@ -515,10 +543,9 @@ def expand_product(x: OmegaStructure, mixed: MixedTuple) -> tuple[TwistedCell, .
     table = mixed.table
     held = _complex(x).held(table)
     if held is not None:
-        try:
-            return held.expand[mixed]
-        except (KeyError, TypeError):  # no member, or unhashable
-            pass
+        row = held.to_paired[held.mixed_rows(mixed)]
+        if row >= 0:
+            return held.paired[row]
     outer, inner = table.outer, table.inner
     if len(mixed.segments) != len(inner):
         raise ValidationError(
@@ -673,8 +700,8 @@ def _enumerate_product(complex_: TwistedComplex, table: TableOfDimensions) -> Pr
     as a segment.  The expansion is computed on its own: each next cell is
     the twisted source of the previous cell's target at level ``seam + 1``,
     followed by the segment.  Every step gathers through id maps, so a -1
-    stays -1 to the end, and a row where a step gives -1 stays out of its
-    map: the scalar code answers it.
+    stays -1 to the end, and a row where a step gives -1, or ids of no
+    member, maps to -1: the scalar code answers it.
     """
     outer, bounds = table.outer, _segment_bounds(table)
     first = range(complex_.count(0, outer[0]))
@@ -693,23 +720,16 @@ def _enumerate_product(complex_: TwistedComplex, table: TableOfDimensions) -> Pr
 
     columns = [complex_.cells(level) for level in outer]
     parts = columns[:1] + [complex_.segments(low, high) for low, high in bounds]
+    paired = tuple(zip(*map(_gather, columns, paired_ids)))
+    mixed = tuple(MixedTuple(table, head, tuple(segments))
+                  for head, *segments in zip(*map(_gather, parts, mixed_ids)))
+    return Product(table, paired, mixed, _row_map(contracted, mixed_ids), _row_map(expanded, paired_ids))
 
-    def cell_tuples(ids) -> list:
-        return list(zip(*map(_gather, columns, ids)))
 
-    def mixed_tuples(ids) -> list:
-        return [MixedTuple(table, head, tuple(segments))
-                for head, *segments in zip(*map(_gather, parts, ids))]
-
-    def bijection(keys, ids, values) -> dict:
-        if any(-1 in column for column in ids):
-            good = [-1 not in row for row in zip(*ids)]
-            keys, ids = compress(keys, good), [list(compress(column, good)) for column in ids]
-        return dict(zip(keys, values(ids)))
-
-    paired, mixed = cell_tuples(paired_ids), mixed_tuples(mixed_ids)
-    return Product(table, tuple(paired), tuple(mixed),
-                   bijection(paired, contracted, mixed_tuples), bijection(mixed, expanded, cell_tuples))
+def _row_map(ids, rows) -> list[int]:
+    """Id map from the tuples with columns ``ids`` to their rows among the columns ``rows``."""
+    where = dict(zip(zip(*rows), range(len(rows[0]))))
+    return [*map(where.get, zip(*ids), repeat(-1)), -1]
 
 
 def twisted_product(x: OmegaStructure, table: TableOfDimensions):

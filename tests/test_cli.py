@@ -40,6 +40,17 @@ def test_check_json_format(z2_file, capsys):
     assert {"check", "scope", "status", "witness"} == set(payload[0])
 
 
+def test_fixture_unknown_group_exit_two(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["fixture", "delooping", "--group", "z5", "-o", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --group: invalid choice: 'z5'" in err
+    assert "[--group {s3,z2,z2xz2,z3,z4}]" in err
+    assert not out.exists()
+
+
 def test_check_invalid_json_exit_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

@@ -2,7 +2,8 @@
 private function or method of the package is used somewhere in it, and the
 command line imports only the modules it always needs: ``check``, ``twist``,
 ``decalage`` and ``delta`` run, with their golden output, and the criterion-6
-round trip runs, where numpy cannot be imported."""
+round trip runs, where numpy cannot be imported.  No module imports
+``dataclasses``, so no command loads it, or ``inspect`` behind it."""
 
 from __future__ import annotations
 
@@ -107,19 +108,19 @@ def _python(code: str, *args: str) -> str:
 
 
 def test_cli_imports_only_its_floor():
-    """``import globkernel.cli`` loads exactly the modules every command needs, and no numpy.
+    """``import globkernel.cli`` loads exactly the modules every verdict command needs, and no numpy.
 
     Each CLI job is a fresh process, often without cached bytecode, so every
-    module it imports is compiled again; ``twist``, ``decalage`` and
-    ``testcat`` are imported only by the commands that use them, and only
-    ``testcat`` imports numpy.
+    module it imports is compiled again; ``twist``, ``decalage``,
+    ``fixtures`` and ``testcat`` are imported only by the commands that use
+    them, and only ``testcat`` imports numpy.
     """
     probe = ("import sys, globkernel.cli; "
              "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'globkernel')))\n"
              "print('numpy' in sys.modules)")
     modules, numpy_loaded = _python(probe).splitlines()
     assert modules.split() == [f"globkernel{suffix}" for suffix in (
-        "", ".cli", ".errors", ".fixtures", ".globular", ".omega", ".report")]
+        "", ".cli", ".errors", ".globular", ".omega", ".report")]
     assert numpy_loaded == "False"
 
 
@@ -129,6 +130,42 @@ def test_twist_imports_no_numpy():
     for module in ("twist", "decalage"):
         probe = f"import sys, globkernel.{module}; print({{'numpy', 'globkernel.testcat'}} & set(sys.modules))"
         assert _python(probe) == "set()\n", module
+
+
+@pytest.mark.parametrize("module", ("cli", "twist", "decalage"))
+def test_commands_load_no_dataclasses(module):
+    """``dataclasses`` costs every job its import and ``inspect``'s behind it."""
+    probe = f"import sys, globkernel.{module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    assert _python(probe) == "[]\n"
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules a source imports, relative imports left out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_imported_modules_are_found():
+    source = "import os.path, dataclasses as dc\nfrom dataclasses import field\nfrom .errors import Record\n"
+    assert imported_modules(source) == {"os", "dataclasses"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_module_imports_no_dataclasses(path):
+    assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_cli_group_names_are_the_named_groups():
+    """``cli`` holds the ``--group`` choices itself, so that building its parser
+    imports no ``fixtures``; they must be the groups ``fixtures`` names."""
+    from globkernel import cli, fixtures
+
+    assert cli.GROUP_NAMES == tuple(sorted(fixtures.NAMED_GROUPS))
 
 
 def _round_trip(path: str) -> list[int]:

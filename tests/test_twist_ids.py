@@ -12,12 +12,14 @@ once before the product is enumerated and once after, when the maps the
 complex holds answer them.  The faulted comparisons run again with blocks
 of one and of three rows, so rows sit at every block edge of the joiner,
 and on a pinned fault whose twisted source is no row, where reading the id
--1 as the last row would give a wrong boundary and a wrong expansion.
+-1 as the last row would give a wrong boundary and a wrong expansion.  The
+held maps answer members passed as themselves, as copies and as lists, and
+give the same answers when members are found by equality alone.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import itertools
 import json
 import random
@@ -281,7 +283,9 @@ def check_bijection_against_reference(x, tables, rng: random.Random):
     The calls run on a copy of ``x`` with a complex of its own, on each table
     before its products are enumerated there, when the scalar code answers,
     and after, when the held maps answer members.  The members come from a
-    second copy.
+    second copy, so they are found by equality; after the enumeration the
+    members of the copy's own products, found by identity, get the same
+    answers.
     """
     source, y = (omega.OmegaStructure(x.base, x.comp, x.unit, x.inv) for _ in range(2))
     complex_ = twist._complex(y)
@@ -298,6 +302,12 @@ def check_bijection_against_reference(x, tables, rng: random.Random):
             assert (complex_.held(table) is not None) == enumerated
             for (fn, _, args), expected in zip(calls, want):
                 assert outcome(fn, *args) == expected, (fn.__name__, str(table), args[1:])
+        own = complex_.held(table)
+        members = [(twist.contract_product, (y, table, tup)) for tup in own.paired]
+        members += [(twist.expand_product, (y, m)) for m in own.mixed]
+        assert len(members) == len(product.paired) + len(product.mixed)
+        for (fn, args), expected in zip(members, want):
+            assert outcome(fn, *args) == expected, (fn.__name__, str(table), args[1:])
 
 
 def test_product_bijection_matches_reference_on_clean_corpus():
@@ -305,10 +315,15 @@ def test_product_bijection_matches_reference_on_clean_corpus():
     for x in CORPUS.values():
         tables = all_tables(3, min(3, x.truncation - 1))
         check_bijection_against_reference(x, tables, rng)
-        # on lawful structures every step succeeds, so the maps answer every member
+        # on lawful structures every step succeeds, so the maps answer every member,
+        # and they are inverse bijections
         for table in tables:
             product = twist._complex(x).product(table)
-            assert len(product.contract) == len(product.paired) == len(product.expand) == len(product.mixed)
+            rows = list(range(len(product.paired)))
+            assert len(product.mixed) == len(rows)
+            assert sorted(product.to_mixed[:-1]) == rows and product.to_mixed[-1] == -1
+            assert [product.to_paired[k] for k in product.to_mixed[:-1]] == rows
+            assert product.to_paired[-1] == -1
 
 
 @st.composite
@@ -360,7 +375,8 @@ def test_twisted_source_that_is_no_row_is_not_read_as_the_last_row(where):
         check_twisted_product(y, table)
     # the members whose expansion passes through such a source each raise
     table = TableOfDimensions((i, i), (i - 1,))
-    unexpanded = [m for m in twist.mixed_product(y, table) if m not in complex_.product(table).expand]
+    product = complex_.product(table)
+    unexpanded = [m for m, row in zip(product.mixed, product.to_paired) if row < 0]
     assert {m.head for m in unexpanded} == set(no_source)
     assert all(outcome(ref_expand_product, y, m)[0] == "raises" for m in unexpanded)
     check_bijection_against_reference(y, tables, random.Random(0))
@@ -368,15 +384,18 @@ def test_twisted_source_that_is_no_row_is_not_read_as_the_last_row(where):
 
 def test_product_bijection_check_catches_a_rolled_segment_column(monkeypatch):
     # the contraction map of each enumerated product gets its first segment
-    # column rolled by one row, so members map to the segments of their neighbours
+    # column rolled by one row, so members map to the members, where there are
+    # such, with the segments of their neighbours
     enumerate_product = twist._enumerate_product
 
     def rolled(complex_, table):
         product = enumerate_product(complex_, table)
-        keys, values = list(product.contract), list(product.contract.values())
-        values = [dataclasses.replace(v, segments=(values[k - 1].segments[0],) + v.segments[1:])
+        values = [product.mixed[row] for row in product.to_mixed[:-1]]
+        values = [twist.MixedTuple(v.table, v.head, (values[k - 1].segments[0],) + v.segments[1:])
                   if v.segments else v for k, v in enumerate(values)]
-        return dataclasses.replace(product, contract=dict(zip(keys, values)))
+        rows = {m: k for k, m in enumerate(product.mixed)}
+        to_mixed = [rows.get(v, -1) for v in values] + [-1]
+        return twist.Product(product.table, product.paired, product.mixed, to_mixed, product.to_paired)
 
     monkeypatch.setattr(twist, "_enumerate_product", rolled)
     x = CORPUS["delooping_z2_3"]
@@ -398,3 +417,32 @@ def test_product_bijection_matches_reference_on_wrong_composites():
             comp[(2, 1)][key] = value
             y = omega.OmegaStructure(x.base, comp, x.unit, x.inv)
             check_bijection_against_reference(y, tables, rng)
+
+
+@pytest.mark.parametrize("by_id", (True, False), ids=("by_id", "by_value"))
+def test_held_products_answer_members_as_themselves_as_copies_and_as_lists(by_id):
+    # a member passed as itself gets the held member of the other product; a
+    # deep copy, found by equality, the same member; a list, which has no
+    # hash, the scalar answer.  With the identity maps emptied every member
+    # is found by equality, with the same answers
+    for x in POOL.values():
+        y = omega.OmegaStructure(x.base, x.comp, x.unit, x.inv)
+        for table in all_tables(2, min(2, x.truncation - 1)):
+            product = twist._complex(y).product(table)
+            if not by_id:
+                product.paired_rows.by_id.clear()
+                product.mixed_rows.by_id.clear()
+            for tup, row in zip(product.paired, product.to_mixed):
+                want = ref_contract_product(y, table, tup)
+                for given in (tup, copy.deepcopy(tup)):
+                    got = twist.contract_product(y, table, given)
+                    assert got is product.mixed[row] and got == want
+                assert twist.contract_product(y, table, list(tup)) == want
+            for m, row in zip(product.mixed, product.to_paired):
+                want = ref_expand_product(y, m)
+                for given in (m, copy.deepcopy(m)):
+                    got = twist.expand_product(y, given)
+                    assert got is product.paired[row] and got == want
+                as_list = twist.MixedTuple(m.table, m.head, list(m.segments))
+                assert twist.expand_product(y, as_list) == want
+            assert twist._complex(y).held(table) is product
