@@ -8,8 +8,8 @@ sweeps), ``delta`` (finite shift-category demonstration), ``fixture``
 Exit codes: 0 clean, 1 mathematical violation, 2 input error.  ``twist``,
 ``decalage`` and ``fixtures`` are imported only by the commands that use
 them (``fixtures`` only by ``fixture``), so the verdict commands load no
-more than they run.  Only ``testcat`` loads numpy, and no command imports
-it, so every command runs on the standard library alone.
+more than they run.  No command imports ``testcat``, and every command, like
+the whole package, runs on the standard library alone.
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ them carries a shift endofunctor ``D`` appending a fresh top element, with
 the inclusion as natural transformation, the constant-top point, and the
 clamping retraction ``k -> min(k, n)``.  ``check_shift_decalage`` verifies
 all of this on maps held as tuples of their values; functoriality is decided
-at a generating set, and swept pair by pair only where that fails.  Only
-``testcat`` loads numpy; nothing here does.
+at a generating set, and swept pair by pair only where that fails.
+``testcat`` holds the same category with the same tuples, for its laws and
+criterion 8; neither module imports the other.
 """
 
 from __future__ import annotations

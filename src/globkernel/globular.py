@@ -14,8 +14,7 @@ order everywhere, so output is deterministic.
 Glued tuples of every kind (globular products here, axiom instances in
 ``omega``, twisted cells and their products in ``twist``) are enumerated by
 one joiner, :func:`_glued`, over links built by :func:`_link` from boundary
-maps of dense cell ids.  Everything here runs on plain Python lists; numpy
-is loaded only by the modules that build arrays from these blocks.
+maps of dense cell ids.  Everything here runs on plain Python lists.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ as blocks of id columns, and both sides of each law are evaluated a column
 at a time, by list gathers and dict lookups.  Only the instances that do not
 pass go through the scalar evaluators, which build the violations, so
 witnesses keep declaration order and their text is that of the scalar code.
-Nothing here needs numpy, so neither does ``check``.
 """
 
 from __future__ import annotations

@@ -1,20 +1,20 @@
 """Finite small categories and set-valued presheaves at desk scale.
 
-A category is held once, as an integer composition table on morphism ids:
-names come in through :func:`validate_category` and go out through ``comp``
-and JSON.  ``_category`` checks every law on ids in bounded blocks, and
+A category is held once, as one composition row per morphism on morphism
+ids: names come in through :func:`validate_category` and go out through
+``comp`` and JSON.  ``_category`` checks every law on the rows, and
 associativity only at generators (Light's test).  Built on it: categories of
 elements, products, the finite-set category ``{0..n}`` with all maps, terminal
 objects (the sufficient asphericality criterion), nerve counts, separating
 intervals and the product comparison functor; no weak equivalences are decided.
+Everything here runs on plain Python tuples and lists.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-
-import numpy as np
+from operator import itemgetter
 
 from .errors import NotNatural, Record, ValidationError
 
@@ -23,30 +23,35 @@ class SmallCategory(Record):
     """Finite category: named objects and morphisms, composition on ids.
 
     Morphism ``k`` is the ``k``-th key of ``morphisms``, which maps each name
-    to its ``(dom, cod)``; ``table[g, f]`` is the id of ``g`` after ``f``,
-    and -1 where the pair does not compose.
+    to its ``(dom, cod)``.  ``rows[g][i]`` is the id of ``g`` after the
+    ``i``-th morphism into ``dom g``, in id order: a row holds exactly the
+    composable pairs with ``g`` on the left.
     """
 
-    _fields = ("objects", "morphisms", "identity", "table")
+    _fields = ("objects", "morphisms", "identity", "rows")
 
     def __init__(self, objects: tuple[str, ...], morphisms: dict[str, tuple[str, str]],
-                 identity: dict[str, str], table: np.ndarray):
-        self.__dict__.update(objects=objects, morphisms=morphisms, identity=identity, table=table)
+                 identity: dict[str, str], rows: list[tuple[int, ...]]):
+        self.__dict__.update(objects=objects, morphisms=morphisms, identity=identity, rows=rows)
 
     @cached_property
-    def _names(self) -> np.ndarray:
-        return np.array(list(self.morphisms), dtype=object)
+    def _names(self) -> list[str]:
+        return list(self.morphisms)
 
     @cached_property
     def _index(self) -> dict[str, int]:
         return {name: k for k, name in enumerate(self.morphisms)}
 
     @cached_property
+    def _layout(self):
+        return _layout_of(self.objects, self.morphisms)
+
+    @cached_property
     def comp(self) -> dict[tuple[str, str], str]:
-        """``(g, f) -> g after f`` by name, g-major: a read-only view of ``table``."""
-        g, f = np.nonzero(self.table >= 0)
-        names = self._names
-        return _ReadOnly(zip(zip(names[g], names[f]), names[self.table[g, f]]))
+        """``(g, f) -> g after f`` by name, g-major: a read-only view of ``rows``."""
+        names, (dom, _, into, _) = self._names, self._layout
+        return _ReadOnly(((names[g], names[f]), names[h])
+                         for g, row in enumerate(self.rows) for f, h in zip(into[dom[g]], row))
 
     def __eq__(self, other):
         if not isinstance(other, SmallCategory):
@@ -69,10 +74,11 @@ class SmallCategory(Record):
 
     def compose(self, g: str, f: str) -> str:
         """``g`` after ``f``; ``KeyError`` where the pair does not compose."""
-        h = self.table[self._index[g], self._index[f]]
-        if h < 0:
+        g_id, f_id = self._index[g], self._index[f]
+        dom, cod, _, place = self._layout
+        if cod[f_id] != dom[g_id]:
             raise KeyError((g, f))
-        return self._names[h]
+        return self._names[self.rows[g_id][place[f_id]]]
 
 
 class _ReadOnly(dict):
@@ -83,26 +89,37 @@ class _ReadOnly(dict):
     __reduce__ = lambda self: (_ReadOnly, (dict(self),))  # copies and pickles made whole
 
 
-_NONE = object()  # a name no category declares, for a ``comp`` key that is no pair
+def _layout_of(objects, morphisms):
+    """``dom`` and ``cod`` of each morphism as object ids, the ids ``into`` each object
+    in id order, and each morphism's ``place`` there: ``rows[g][place[f]]`` is g after f."""
+    at = {a: k for k, a in enumerate(objects)}
+    dom = [at[a] for a, _ in morphisms.values()]
+    cod = [at[b] for _, b in morphisms.values()]
+    into, place = [[] for _ in objects], []
+    for f, b in enumerate(cod):
+        place.append(len(into[b]))
+        into[b].append(f)
+    return dom, cod, into, place
 
 
-def _id(index: dict, name) -> int:
-    try:
-        return index.get(name, -1)
-    except TypeError:  # not hashable, so not declared
-        return -1
+def _getter(idx):
+    """A function of a sequence: its items at the indices ``idx``, as a tuple."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda seq: tuple(seq[i] for i in idx)  # itemgetter gives one item bare
 
 
-def _ids(index: dict, names: list) -> np.ndarray:
-    """The id of each name in ``index``, or -1 where it has none."""
-    try:
-        return np.array([index.get(name, -1) for name in names], dtype=np.int64)
-    except TypeError:
-        return np.array([_id(index, name) for name in names], dtype=np.int64)
+def _gather(seq, idx) -> tuple:
+    return _getter(idx)(seq)
+
+
+def _mismatch(left, right) -> int:
+    """The first place where two sequences differ."""
+    return next(k for k, (x, y) in enumerate(zip(left, right)) if x != y)
 
 
 def validate_category(objects, morphisms, identity, comp) -> SmallCategory:
-    """Check the names, intern ``comp`` as a table, and check the laws on it.
+    """Check the names, read ``comp`` into rows, and check the laws on them.
 
     Raises the failure the name-keyed loops of ``tests/oracles.py`` meet first.
     """
@@ -113,13 +130,9 @@ def validate_category(objects, morphisms, identity, comp) -> SmallCategory:
 
     if len(set(objects)) != len(objects):
         raise ValidationError("duplicate object names")
-    names = list(morphisms)
-    index = {name: k for k, name in enumerate(names)}
-    ends = _ids({a: k for k, a in enumerate(objects)}, [e for p in morphisms.values() for e in p])
-    undeclared = (ends.reshape(-1, 2) < 0).any(axis=1)
-    if undeclared.any():
-        name = names[int(np.argmax(undeclared))]
-        raise ValidationError(f"morphism {name!r} has undeclared endpoint")
+    for name, ends in morphisms.items():
+        if not all(end in objects for end in ends):
+            raise ValidationError(f"morphism {name!r} has undeclared endpoint")
     for a in objects:
         ident = identity.get(a)
         if ident is None or ident not in morphisms:
@@ -127,111 +140,104 @@ def validate_category(objects, morphisms, identity, comp) -> SmallCategory:
         if morphisms[ident] != (a, a):
             raise ValidationError(f"identity of {a!r} is not an endomorphism")
 
-    # table[g, f] = g after f, or -1 where comp has no declared morphism
-    pairs = [name for k in comp for name in (k if len(k) == 2 else (_NONE, _NONE))]
-    key_g, key_f = _ids(index, pairs).reshape(-1, 2).T
-    known = (key_g >= 0) & (key_f >= 0)
-    values = _ids(index, list(comp.values()))
-    table = np.full((len(names), len(names)), -1, dtype=np.int32)
-    table[key_g[known], key_f[known]] = values[known]
-    return _category(objects, morphisms, identity, table, comp)
+    # rows[g][place[f]] = g after f, or -1 where comp has no declared morphism
+    index = {name: k for k, name in enumerate(morphisms)}
+    dom, cod, into, place = _layout_of(objects, morphisms)
+    rows = [[-1] * len(into[a]) for a in dom]
+    for key, value in comp.items():
+        g, f = (index.get(name, -1) for name in key) if len(key) == 2 else (-1, -1)
+        if g >= 0 and f >= 0 and cod[f] == dom[g]:
+            try:
+                rows[g][place[f]] = index.get(value, -1)
+            except TypeError:  # an unhashable value names no morphism
+                pass
+    return _category(objects, morphisms, identity, [tuple(row) for row in rows], comp)
 
 
-_BLOCK = 1 << 15  # table entries gathered per numpy pass: bounds every law check's memory
-
-
-def _rows(ids: np.ndarray, width: int):
-    """``ids`` in slices of at most ``_BLOCK // width`` rows, one row at least."""
-    step = max(1, _BLOCK // max(width, 1))
-    return (ids[k : k + step] for k in range(0, len(ids), step))
-
-
-def _ends(objects, morphisms) -> tuple[np.ndarray, np.ndarray]:
-    """The ids of each morphism's domain and codomain, in morphism id order."""
-    at = {a: k for k, a in enumerate(objects)}
-    ends = np.array([at[e] for p in morphisms.values() for e in p], dtype=np.int64)
-    return ends[0::2], ends[1::2]
-
-
-def _category(objects, morphisms, identity, table, comp=None) -> SmallCategory:
-    """Check every composition law of ``table``, on ids, in bounded blocks.
+def _category(objects, morphisms, identity, rows, comp=None) -> SmallCategory:
+    """Check every composition law of ``rows``, on ids.
 
     The names must pass the checks of :func:`validate_category`.  ``comp``, the
-    name-keyed composites ``table`` was read from, if any, names in the error
-    text what the table cannot hold: a name that is no morphism.
+    name-keyed composites ``rows`` were read from, if any, names in the error
+    text what the rows cannot hold: a name that is no morphism, a stray key.
     """
-    cat = SmallCategory(objects, morphisms, identity, table)
+    cat = SmallCategory(objects, morphisms, identity, rows)
     names, index = cat._names, cat._index
-    dom, cod = _ends(objects, morphisms)
-    ident = np.array([index[identity[a]] for a in objects], dtype=np.int64)
-    into = [np.flatnonzero(cod == b) for b in range(len(objects))]
-    out_of = [np.flatnonzero(dom == b) for b in range(len(objects))]
+    dom, cod, into, place = cat._layout
+    ident = [index[identity[a]] for a in objects]
 
-    # every f: _ -> b against every g: b -> _; the least failing pair f-major, as declared
+    # g after the i-th f into dom g runs from dom f to cod g; -1, no composite, gathers -1
+    doms, cods = dom + [-1], cod + [-1]
+    wanted = [_gather(dom, firsts) for firsts in into]
     failing = []
-    for firsts, lasts in zip(into, out_of):
-        for f in _rows(firsts, len(lasts)):
-            h = table[np.ix_(lasts, f)].T
-            bad = (h < 0) | (dom[h] != dom[f, None]) | (cod[h] != cod[lasts])
-            failing += [(f[i], lasts[j]) for i, j in np.argwhere(bad)[:1]]
+    for g, row in enumerate(rows):
+        ends = _getter(row)
+        if ends(doms) != wanted[dom[g]] or ends(cods).count(cod[g]) != len(row):
+            i = _mismatch(zip(ends(doms), ends(cods)), [(a, cod[g]) for a in wanted[dom[g]]])
+            failing.append((into[dom[g]][i], g))
     if failing:
-        f, g = min(failing)
-        gname, fname, h = names[g], names[f], table[g, f]
+        f, g = min(failing)  # the least failing pair f-major, as declared
+        gname, fname, h = names[g], names[f], rows[g][place[f]]
         if h >= 0:
             raise ValidationError(f"composite {names[h]!r} has wrong endpoints")
         value = (comp or {}).get((gname, fname))
         if value is None:
             raise ValidationError(f"no composite for {gname!r} after {fname!r}")
         raise ValidationError(f"composite {value!r} of {gname!r} after {fname!r} is undeclared")
-    # each composable pair has its entry by now, so any other entry or key is stray
-    ids = np.arange(len(names))
-    strays = ((names[g[k]], names[f]) for g in _rows(ids, len(ids))
-              for k, f in np.argwhere((table[g] >= 0) & (dom[g, None] != cod)))
-    if comp is not None and len(comp) > sum(len(f) * len(g) for f, g in zip(into, out_of)):
-        strays = comp  # in key order, with the keys the table cannot hold
-    for g, f in strays:  # a key that is no pair raises here
-        if f not in morphisms or g not in morphisms:
-            raise ValidationError(f"composite declared on undeclared morphisms ({g!r}, {f!r})")
-        if morphisms[f][1] != morphisms[g][0]:
-            raise ValidationError(f"composite declared for non-composable {g!r}, {f!r}")
+    # each composable pair has its entry by now, so any other key of comp is stray
+    if comp is not None and len(comp) > sum(map(len, rows)):
+        for g, f in comp:  # in key order; a key that is no pair raises here
+            if f not in morphisms or g not in morphisms:
+                raise ValidationError(f"composite declared on undeclared morphisms ({g!r}, {f!r})")
+            if morphisms[f][1] != morphisms[g][0]:
+                raise ValidationError(f"composite declared for non-composable {g!r}, {f!r}")
 
-    unit = (table[ids, ident[dom]] != ids) | (table[ident[cod], ids] != ids)
-    if unit.any():
-        raise ValidationError(f"unit law fails at {names[int(np.argmax(unit))]!r}")
+    for f, row in enumerate(rows):
+        if row[place[ident[dom[f]]]] != f or rows[ident[cod[f]]][place[f]] != f:
+            raise ValidationError(f"unit law fails at {names[f]!r}")
 
     # associativity by Light's test: the middles g with (h g) f = h (g f) for all h, f
     # contain the identities and are closed under composition, so the generators decide
     # it; the least failing middle is a generator, or smaller ones, which pass, reach it
-    for g in _generators(table, ident, dom, cod):
-        witness = _middle(table, g, out_of[cod[g]], into[dom[g]])
+    out_of = [[] for _ in objects]
+    for g, a in enumerate(dom):
+        out_of[a].append(g)
+    for g in _generators(rows, ident, dom, cod, place):
+        witness = _middle(rows, g, place, out_of[cod[g]])
         if witness:
-            raise ValidationError(f"associativity fails at {tuple(names[list(witness)])}")
+            h, i = witness
+            raise ValidationError(f"associativity fails at {(names[h], names[g], names[into[dom[g]][i]])}")
     return cat
 
 
-def _generators(table, ident, dom, cod) -> list[int]:
+def _generators(rows, ident, dom, cod, place) -> list[int]:
     """Greedy in id order: each id not reached from the identities by the earlier ones."""
-    reached, gens = np.zeros(len(table), dtype=bool), []
-    reached[ident] = True
-    for x in range(len(table)):
+    reached, gens, todo = [False] * len(rows), [], list(ident)
+    reached_into = [[] for _ in ident]  # the reached ids into each object
+    gens_out = [[] for _ in ident]  # the generators out of each object
+    for x in range(len(rows)):
+        while todo:  # close the reached ids under the generators so far, on the left
+            h = todo.pop()
+            if not reached[h]:
+                reached[h] = True
+                reached_into[cod[h]].append(h)
+                todo += [rows[k][place[h]] for k in gens_out[cod[h]]]
         if not reached[x]:
             gens.append(x)
-            left, right = [x], np.flatnonzero(reached & (cod == dom[x]))
-            while len(right):  # x after all reached, then all taken after each made
-                before = reached.copy()
-                for g in _rows(np.array(left), len(right)):
-                    made = table[np.ix_(g, right)]
-                    reached[made[made >= 0]] = True
-                right, left = np.flatnonzero(reached & ~before), gens
+            gens_out[dom[x]].append(x)
+            todo = [rows[x][place[e]] for e in reached_into[dom[x]]]
     return gens
 
 
-def _middle(table, g, lasts, firsts):
-    """The first ``(h, g, f)``, h-major, with ``(h g) f != h (g f)``, or None."""
-    for h in _rows(lasts, len(firsts)):
-        bad = table[np.ix_(table[h, g], firsts)] != table[np.ix_(h, table[g, firsts])]
-        for i, j in np.argwhere(bad)[:1]:
-            return h[i], g, firsts[j]
+def _middle(rows, g, place, lasts):
+    """The first ``h`` of ``lasts`` and place ``i`` with ``(h g) f != h (g f)``, where ``f``
+    is the ``i``-th morphism into ``dom g``, or None."""
+    at, k = _getter(_gather(place, rows[g])), place[g]  # h (g f) reads row h at g f
+    for h in lasts:
+        row = rows[h]
+        left, right = rows[row[k]], at(row)
+        if left != right:
+            return h, _mismatch(left, right)
     return None
 
 
@@ -256,8 +262,8 @@ class Presheaf(Record):
 
 
 def validate_presheaf(base: SmallCategory, values, action) -> Presheaf:
-    """Check the names, intern the action on element ids, and check functoriality
-    on them, g-major in bounded blocks; raises the failure met first by name."""
+    """Check the names, read the action as element ids, and check functoriality
+    on them, g-major; raises the failure met first by name."""
     values = {a: tuple(v) for a, v in dict(values).items()}
     action = {f: dict(m) for f, m in dict(action).items()}
     place = {}
@@ -273,30 +279,26 @@ def validate_presheaf(base: SmallCategory, values, action) -> Presheaf:
         table = action.get(f)
         if table is None:
             raise ValidationError(f"no action for morphism {f!r}")
-        acts.append(_ids(place[dom], [table.get(e) for e in values[cod]]))
-        if (acts[-1] < 0).any():
+        try:
+            act = tuple(map(place[dom].get, map(table.get, values[cod])))
+        except TypeError:  # an unhashable value is no element
+            act = (None,)
+        if None in act:
             raise ValidationError(f"action of {f!r} not total into values({dom!r})")
+        acts.append(act)
     for a in base.objects:
-        act = acts[base._index[base.identity[a]]]
-        for k in np.flatnonzero(act != np.arange(len(act)))[:1]:
-            raise ValidationError(f"identity action fails at {a!r}:{values[a][k]!r}")
+        act, ids = acts[base._index[base.identity[a]]], tuple(range(len(values[a])))
+        if act != ids:
+            raise ValidationError(f"identity action fails at {a!r}:{values[a][_mismatch(act, ids)]!r}")
 
-    # the actions of the morphisms into each object b, stacked: one row each, |F(b)| long
-    dom, cod = _ends(base.objects, base.morphisms)
-    into = [np.flatnonzero(cod == b) for b in range(len(base.objects))]
-    rank, stacks = np.zeros(len(acts), dtype=np.int64), []
-    for b, a in enumerate(base.objects):
-        rank[into[b]] = np.arange(len(into[b]))
-        stack = np.array([acts[m] for m in into[b]], dtype=np.int64)
-        stacks.append(stack.reshape(len(into[b]), len(values[a])))
-    # F(g after f) = F(f) after F(g): g-major, on blocks of the f that g can follow
-    names = base._names
-    for g, act in enumerate(acts):
-        for f in _rows(into[dom[g]], len(act)):
-            bad = stacks[cod[g]][rank[base.table[g, f]]] != stacks[dom[g]][rank[f]][:, act]
-            for i, k in np.argwhere(bad)[:1]:
-                e = values[base.objects[cod[g]]][k]
-                raise ValidationError(f"functoriality fails at ({names[g]!r}, {names[f[i]]!r}) on {e!r}")
+    # F(g after f) = F(f) after F(g): g-major, over the f that g can follow
+    names, (dom, cod, into, _) = base._names, base._layout
+    for g, (row, act) in enumerate(zip(base.rows, acts)):
+        pull = _getter(act)
+        for f, h in zip(into[dom[g]], row):
+            if acts[h] != pull(acts[f]):
+                e = values[base.objects[cod[g]]][_mismatch(acts[h], pull(acts[f]))]
+                raise ValidationError(f"functoriality fails at ({names[g]!r}, {names[f]!r}) on {e!r}")
     return Presheaf(base, values, action)
 
 
@@ -343,26 +345,24 @@ def category_of_elements(f: Presheaf) -> SmallCategory:
     """
     base = f.base
     objects = tuple(f"({a},{x})" for a in base.objects for x in f.values[a])
-    place = {a: {x: k for k, x in enumerate(f.values[a])} for a in base.objects}
     morphisms = {}
     identity = {}
-    first, rows = [], []  # a row per m[x]: m's id, x's place, F(m)(x)'s place
+    first = []
     for m, (dom, cod) in base.morphisms.items():
         first.append(len(morphisms))
-        for k, x in enumerate(f.values[cod]):
-            pulled = f.action[m][x]
-            name = f"{m}[{x}]"
-            morphisms[name] = (f"({dom},{pulled})", f"({cod},{x})")
-            rows.append((len(first) - 1, k, place[dom][pulled]))
+        for x in f.values[cod]:
+            morphisms[f"{m}[{x}]"] = (f"({dom},{f.action[m][x]})", f"({cod},{x})")
     for a in base.objects:
         for x in f.values[a]:
             identity[f"({a},{x})"] = f"{base.identity[a]}[{x}]"
-    over, x_at, pulled_at = np.array(rows, dtype=np.int64).reshape(-1, 3).T
-    first = np.array(first, dtype=np.int64)
-    g, m = np.nonzero(base.table[over] >= 0)  # row g is n[x]; m runs over what n can follow
-    table = np.full((len(morphisms), len(morphisms)), -1, dtype=np.int32)
-    table[g, first[m] + pulled_at[g]] = first[base.table[over[g], m]] + x_at[g]
-    return _category(objects, morphisms, identity, table)
+    # the row of n[x] holds (n m)[x] for each m that n can follow; the (n m)[x] for all x
+    # are a run of ids, so the rows of n are the columns of those runs, sharing their ints
+    ids = list(range(len(morphisms)))
+    rows = []
+    for row, (_, cod) in zip(base.rows, base.morphisms.values()):
+        size = len(f.values[cod])
+        rows += zip(*[ids[first[h]:first[h] + size] for h in row])
+    return _category(objects, morphisms, identity, rows)
 
 
 def has_terminal(cat: SmallCategory):
@@ -425,7 +425,7 @@ def check_separating_interval(interval: Presheaf, point0, point1) -> bool:
 
 
 def product_category(c: SmallCategory, d: SmallCategory) -> SmallCategory:
-    """``(m1,m2)`` has id ``m1 * len(d.morphisms) + m2``; its table pairs the factors'."""
+    """``(m1,m2)`` has id ``m1 * len(d.morphisms) + m2``; its rows pair the factors'."""
     objects = tuple(f"({a},{b})" for a in c.objects for b in d.objects)
     morphisms = {}
     for m1, (dom1, cod1) in c.morphisms.items():
@@ -436,10 +436,10 @@ def product_category(c: SmallCategory, d: SmallCategory) -> SmallCategory:
         for a in c.objects
         for b in d.objects
     }
-    left, right = c.table[:, None, :, None], d.table[None, :, None, :]
-    table = np.where((left >= 0) & (right >= 0), left * len(d.morphisms) + right, -1)
-    n = len(morphisms)
-    return _category(objects, morphisms, identity, table.reshape(n, n))
+    # (g1,g2) after (f1,f2) is (g1 f1, g2 f2), and the (f1,f2) into an object come f1-major
+    n = len(d.morphisms)
+    rows = [tuple(h1 * n + h2 for h1 in row1 for h2 in row2) for row1 in c.rows for row2 in d.rows]
+    return _category(objects, morphisms, identity, rows)
 
 
 class FunctorData(Record):
@@ -465,12 +465,13 @@ def validate_functor(data: FunctorData) -> FunctorData:
     for a in src.objects:
         if data.morphism_map[src.identity[a]] != tgt.identity[data.object_map[a]]:
             raise ValidationError(f"identity not preserved at {a!r}")
-    names = src._names
-    for g, f in np.argwhere(src.table >= 0):
-        lhs = data.morphism_map[names[src.table[g, f]]]
-        rhs = tgt.compose(data.morphism_map[names[g]], data.morphism_map[names[f]])
-        if lhs != rhs:
-            raise ValidationError(f"composition not preserved at ({names[g]!r}, {names[f]!r})")
+    names, (dom, _, into, _) = src._names, src._layout
+    for g, row in enumerate(src.rows):
+        for f, h in zip(into[dom[g]], row):
+            lhs = data.morphism_map[names[h]]
+            rhs = tgt.compose(data.morphism_map[names[g]], data.morphism_map[names[f]])
+            if lhs != rhs:
+                raise ValidationError(f"composition not preserved at ({names[g]!r}, {names[f]!r})")
     return data
 
 
@@ -495,49 +496,32 @@ def product_comparison(f: Presheaf, g: Presheaf) -> FunctorData:
     return validate_functor(FunctorData(source, target, object_map, morphism_map))
 
 
-def map_table(m: int, n: int) -> np.ndarray:
-    """Every map ``{0..m} -> {0..n}`` as a row of its values, in lexicographic order.
-
-    Row ``r`` holds the base-``(n + 1)`` digits of ``r``, most significant
-    first, so the rank of a row is its base-``(n + 1)`` value.
-    """
-    grid = np.indices((n + 1,) * (m + 1), dtype=np.int8)
-    return np.ascontiguousarray(grid.reshape(m + 1, -1).T)
-
-
-def _rank(rows: np.ndarray, n: int) -> np.ndarray:
-    """The rank in ``map_table(_, n)`` of each row along the last axis."""
-    weights = (n + 1) ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
-    return rows.astype(np.int64) @ weights
-
-
 def delta_truncated(m: int) -> SmallCategory:
     """Objects ``[0] .. [m]``, morphisms all maps between the finite sets.
 
-    The map ``a>b:<values>`` has id ``offset[a, b]`` plus its rank in
-    ``map_table(a, b)``; the composites of each triple of objects are ranked
-    back from one gather, straight into the table.
+    A map ``{0..a} -> {0..b}`` is the tuple of its values, named
+    ``a>b:<values>``.  Ids run over the hom-sets ``(a, b)`` a-major, and
+    within one in lexicographic order of the values; a composite is read off
+    as a tuple and ranked back by one dict per codomain.
     """
     if m < 0:
         raise ValidationError("m must be >= 0")
     sizes = range(m + 1)
     objects = tuple(f"[{n}]" for n in sizes)
-    tables = {(a, b): map_table(a, b) for a in sizes for b in sizes}
-    offset, morphisms = {}, {}
-    for (a, b), rows in tables.items():
-        offset[a, b] = len(morphisms)
-        for row in rows.tolist():
-            morphisms[f"{a}>{b}:" + "".join(map(str, row))] = (objects[a], objects[b])
+    homs = {(a, b): list(itertools.product(range(b + 1), repeat=a + 1)) for a in sizes for b in sizes}
+    morphisms = {f"{a}>{b}:" + "".join(map(str, values)): (objects[a], objects[b])
+                 for (a, b), hom in homs.items() for values in hom}
     identity = {objects[a]: f"{a}>{a}:" + "".join(map(str, range(a + 1))) for a in sizes}
-
-    table = np.full((len(morphisms), len(morphisms)), -1, dtype=np.int32)
-    for a, b, c in itertools.product(sizes, repeat=3):
-        # every g: [b] -> [c] after every f: [a] -> [b]
-        after, first = tables[b, c], tables[a, b]
-        rows = offset[b, c] + np.arange(len(after))
-        columns = offset[a, b] + np.arange(len(first))
-        table[np.ix_(rows, columns)] = offset[a, c] + _rank(after[:, first], c)
-    return _category(objects, morphisms, identity, table)
+    rank, first = [{} for _ in sizes], 0  # rank[b][values]: the id of that map into [b]
+    for (_, b), hom in homs.items():
+        rank[b].update(zip(hom, range(first, first + len(hom))))
+        first += len(hom)
+    # g after f is g read at the values of f: per f into [a], a column over the g of a hom-set
+    reads = [[_getter(values) for a in sizes for values in homs[a, b]] for b in sizes]
+    rows = []
+    for (a, b), hom in homs.items():
+        rows += zip(*[map(rank[b].__getitem__, map(read, hom)) for read in reads[a]])
+    return _category(objects, morphisms, identity, rows)
 
 
 # serialization ------------------------------------------------------------------
@@ -568,7 +552,7 @@ def category_from_json(data: dict) -> SmallCategory:
         return validate_category(
             data["objects"], data["morphisms"], data["identity"], comp
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed category data: {exc}") from exc
 
 
@@ -584,5 +568,5 @@ def presheaf_from_json(data: dict) -> Presheaf:
     try:
         base = category_from_json(data["category"])
         return validate_presheaf(base, data["values"], data["action"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed presheaf data: {exc}") from exc

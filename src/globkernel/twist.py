@@ -33,8 +33,7 @@ maps, plain lists with -1 appended (see :func:`globular._gather`), computed
 a level at a time with the column evaluators of ``omega.IntTables``; a row
 is found from its parent and its last entry by one dict lookup.  Wherever
 an id step gives -1, or a tuple that is no row, the scalar code on names
-runs instead and raises the error that describes the failure.  Nothing
-here needs numpy.
+runs instead and raises the error that describes the failure.
 
 The paired and mixed products of the most recently enumerated table are
 held with the canonical bijection between them (:class:`Product`), computed

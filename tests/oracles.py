@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from globkernel import decalage
 from globkernel.errors import (
     DimOutOfRange,
@@ -1080,8 +1078,7 @@ def ref_validate_presheaf(base: SmallCategory, values, action) -> Presheaf:
         for e in values[a]:
             if action[ident][e] != e:
                 raise ValidationError(f"identity action fails at {a!r}:{e!r}")
-    for g, f in np.argwhere(base.table >= 0):  # the composable pairs, g-major
-        g, f, h = base._names[[g, f, base.table[g, f]]]
+    for (g, f), h in base.comp.items():  # the composable pairs, g-major
         for e in values[base.morphisms[g][1]]:
             if action[h][e] != action[f][action[g][e]]:
                 raise ValidationError(f"functoriality fails at ({g!r}, {f!r}) on {e!r}")

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +31,7 @@ from globkernel.decalage import (
 )
 from globkernel.errors import DimOutOfRange, KernelError, NotComposable, ValidationError
 from globkernel.globular import all_tables, globular_product, parse_table
-from globkernel.testcat import map_table
+from globkernel.testcat import delta_truncated
 from globkernel.twist import twisted_cell, twisted_cells
 
 from conftest import GHOST, POOL, faulted
@@ -380,15 +379,16 @@ def test_shift_decalage_rejects_bad_bound():
 
 def test_function_counts_against_oracle():
     # |maps [m] -> [n]| = (n+1)^(m+1), cross-checked by raw enumeration; the
-    # rows of map_table and the tuples of decalage's enumeration come in the
-    # enumeration's lexicographic order
+    # tuples of decalage's enumeration and the morphisms of delta_truncated
+    # come in the enumeration's lexicographic order
+    names = []
     for m in range(4):
         for n in range(4):
-            maps = map_table(m, n)
-            assert maps.dtype == np.int8
-            assert len(maps) == len(all_functions(m, n)) == (n + 1) ** (m + 1)
-            assert [tuple(row) for row in maps.tolist()] == all_functions(m, n)
-            assert list(decalage._maps(m, n)) == all_functions(m, n)
+            maps = all_functions(m, n)
+            assert len(maps) == (n + 1) ** (m + 1)
+            assert list(decalage._maps(m, n)) == maps
+            names += [f"{m}>{n}:" + "".join(map(str, values)) for values in maps]
+    assert list(delta_truncated(3).morphisms) == names
 
 
 def test_shift_squares_match_reference_on_faulty_structure_maps(monkeypatch):

@@ -3,7 +3,8 @@ private function or method of the package is used somewhere in it, and the
 command line imports only the modules it always needs: ``check``, ``twist``,
 ``decalage`` and ``delta`` run, with their golden output, and the criterion-6
 round trip runs, where numpy cannot be imported.  No module imports
-``dataclasses``, so no command loads it, or ``inspect`` behind it."""
+``dataclasses``, so no command loads it, or ``inspect`` behind it, and no
+module imports numpy."""
 
 from __future__ import annotations
 
@@ -113,7 +114,7 @@ def test_cli_imports_only_its_floor():
     Each CLI job is a fresh process, often without cached bytecode, so every
     module it imports is compiled again; ``twist``, ``decalage``,
     ``fixtures`` and ``testcat`` are imported only by the commands that use
-    them, and only ``testcat`` imports numpy.
+    them.
     """
     probe = ("import sys, globkernel.cli; "
              "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'globkernel')))\n"
@@ -125,11 +126,15 @@ def test_cli_imports_only_its_floor():
 
 
 def test_twist_imports_no_numpy():
-    """The twisted complex, its products and the décalage sweeps run on plain lists
-    and tuples: importing ``twist``, or ``decalage``, loads neither numpy nor ``testcat``."""
-    for module in ("twist", "decalage"):
-        probe = f"import sys, globkernel.{module}; print({{'numpy', 'globkernel.testcat'}} & set(sys.modules))"
-        assert _python(probe) == "set()\n", module
+    """The twisted complex, its products, the décalage sweeps and the finite categories
+    run on plain lists and tuples: importing ``twist`` or ``decalage`` loads neither
+    numpy nor ``testcat``, and importing ``testcat`` loads neither numpy nor the
+    omega-groupoid modules, so a criterion-8 job compiles none of them."""
+    for module, banned in (("twist", "testcat"), ("decalage", "testcat"),
+                           ("testcat", "decalage omega twist")):
+        banned = {"numpy", *(f"globkernel.{name}" for name in banned.split())}
+        probe = f"import sys, globkernel.{module}; print(sorted({banned!r} & set(sys.modules)))"
+        assert _python(probe) == "[]\n", module
 
 
 @pytest.mark.parametrize("module", ("cli", "twist", "decalage"))
@@ -157,7 +162,8 @@ def test_imported_modules_are_found():
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_module_imports_no_dataclasses(path):
-    assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
+    # nor numpy, which no part of the package needs
+    assert not {"dataclasses", "numpy"} & imported_modules(path.read_text(encoding="utf-8"))
 
 
 def test_cli_group_names_are_the_named_groups():

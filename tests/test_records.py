@@ -46,7 +46,7 @@ TWINS = {
     twist.Product: twin("Product", "table paired mixed to_mixed to_paired"),
     decalage.SimplexMap: twin("SimplexMap", "dom cod table"),
     fixtures.GroupTable: twin("GroupTable", "elements mul"),
-    testcat.SmallCategory: twin("SmallCategory", "objects morphisms identity table"),
+    testcat.SmallCategory: twin("SmallCategory", "objects morphisms identity rows"),
     testcat.Presheaf: twin("Presheaf", "base values action"),
     testcat.NerveCounts: twin("NerveCounts", "total nondegenerate"),
     testcat.FunctorData: twin("FunctorData", "source target object_map morphism_map"),

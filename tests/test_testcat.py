@@ -4,7 +4,6 @@ import copy
 import pickle
 import re
 import tracemalloc
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -204,11 +203,9 @@ def reassociated(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(mutated() | reassociated(), st.sampled_from([1, 7, testcat._BLOCK]))
-def test_validate_category_matches_reference_in_any_block(args, block):
-    # one row per block, a few, or all: the first failure is the same
-    with mock.patch.object(testcat, "_BLOCK", block):
-        assert_matches_reference(*args)
+@given(reassociated())
+def test_validate_category_matches_reference_on_reassociated(args):
+    assert_matches_reference(*args)
 
 
 def fails_as_middle(g, morphisms, comp):
@@ -220,18 +217,16 @@ def fails_as_middle(g, morphisms, comp):
     )
 
 
-@pytest.mark.parametrize("block", [1, testcat._BLOCK])
-def test_associativity_fails_at_the_least_failing_middle(monkeypatch, block):
+def test_associativity_fails_at_the_least_failing_middle():
     # 1>1:11 after 1>1:10 sent to 1>1:00: the least failing middle is the third
     # generator, 1>0:00, a later generator fails too, and the witness at 1>0:00 has
-    # the last h of its rows; one row a block (block 1) puts it in the last block
+    # the last h of its rows
     objects, morphisms, identity, comp = tables(BASES["delta1"])
     comp = {**comp, ("1>1:11", "1>1:10"): "1>1:00"}
     generators = ref_light_generators(morphisms, identity, comp)
     failing = [g for g in morphisms if fails_as_middle(g, morphisms, comp)]
     assert [g for g in generators if g in failing] == ["1>0:00", "1>1:10"]
     assert failing[0] == generators[2] == "1>0:00"
-    monkeypatch.setattr(testcat, "_BLOCK", block)
     with pytest.raises(ValidationError, match=re.escape("at ('0>1:1', '1>0:00', '1>1:10')")):
         validate_category(objects, morphisms, identity, comp)
     assert_matches_reference(objects, morphisms, identity, comp)
@@ -240,10 +235,10 @@ def test_associativity_fails_at_the_least_failing_middle(monkeypatch, block):
 def test_light_checks_only_the_generators_as_middles(monkeypatch):
     middles, middle = [], testcat._middle
     monkeypatch.setattr(testcat, "_middle",
-                        lambda table, g, *rest: middles.append(g) or middle(table, g, *rest))
+                        lambda rows, g, *rest: middles.append(g) or middle(rows, g, *rest))
     for cat in (*BASES.values(), one_object_group(5), delta_truncated(3)):
         middles.clear()
-        testcat._category(cat.objects, cat.morphisms, cat.identity, cat.table)
+        testcat._category(cat.objects, cat.morphisms, cat.identity, cat.rows)
         names = list(cat.morphisms)
         assert [names[g] for g in middles] == ref_light_generators(cat.morphisms, cat.identity, cat.comp)
         assert len(middles) < len(cat.morphisms)
@@ -257,7 +252,7 @@ def test_law_core_peak_memory_is_bounded():
     cat = delta_truncated(3)
     tracemalloc.start()
     try:
-        testcat._category(cat.objects, cat.morphisms, cat.identity, cat.table)
+        testcat._category(cat.objects, cat.morphisms, cat.identity, cat.rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -311,26 +306,19 @@ def test_product_category_matches_reference():
         assert ordered(tables(product_category(c, d))) == ordered(ref_product_category(c, d))
 
 
-def test_constructors_are_checked_by_the_law_core(monkeypatch):
-    # one composite of the triple [1] -> [1] -> [1] ranked onto another map [1] -> [1]
-    rank = testcat._rank
-
-    def misrank(rows, n):
-        ranks = rank(rows, n)
-        if rows.shape == (4, 4, 2):
-            ranks[0, 2] = (ranks[0, 2] + 1) % 4
-        return ranks
-
-    delta_truncated(2)
-    monkeypatch.setattr(testcat, "_rank", misrank)
+def test_constructors_are_checked_by_the_law_core():
+    # one composite of the triple [1] -> [1] -> [1] ranked onto another map [1] -> [1]:
+    # 1>1:00 after 1>1:10 is 1>1:00, not 1>1:01
+    cat = delta_truncated(2)
+    names, rows = list(cat.morphisms), list(cat.rows)
+    into = [f for f in names if cat.morphisms[f][1] == "[1]"]
+    g = names.index("1>1:00")
+    row = list(rows[g])
+    assert names[row[into.index("1>1:10")]] == "1>1:00"
+    row[into.index("1>1:10")] = names.index("1>1:01")
+    rows[g] = tuple(row)
     with pytest.raises(ValidationError):
-        delta_truncated(2)
-    # an entry off the composable pairs, which a table built on ids could hold
-    cat = arrow_category()
-    table = cat.table.copy()
-    table[2, 2] = 2  # f after f
-    with pytest.raises(ValidationError, match="composite declared for non-composable 'f', 'f'"):
-        testcat._category(cat.objects, cat.morphisms, cat.identity, table)
+        testcat._category(cat.objects, cat.morphisms, cat.identity, rows)
 
 
 def test_separating_interval_path_never_names_the_composites():
@@ -351,7 +339,7 @@ def test_equality_compares_composites_whatever_the_ids():
         return validate_category(["*"], {m: ("*", "*") for m in names}, {"*": "e"}, comp)
 
     idempotent, reordered = monoid("a"), monoid("a", ("a", "e"))
-    assert idempotent.table.tolist() != reordered.table.tolist()  # other ids, the same composites
+    assert idempotent.rows != reordered.rows  # other ids, the same composites
     assert idempotent == reordered
     assert monoid("e") != idempotent and monoid("e", ("a", "e")) != idempotent
     assert idempotent.comp and copy.deepcopy(idempotent) == idempotent  # a made view copies too
@@ -612,6 +600,15 @@ def test_presheaf_json_round_trip():
 def test_category_json_rejects_malformed():
     with pytest.raises(ValidationError):
         category_from_json({"objects": ["a"]})
+    data = category_to_json(arrow_category())
+    for ends in (["a", "a", "a"], []):  # a morphism that is no (dom, cod) pair
+        with pytest.raises(ValidationError, match="^malformed category data: "):
+            category_from_json({**data, "morphisms": {**data["morphisms"], "f": ends}})
+    good = presheaf_to_json(representable(arrow_category(), "b"))
+    for bad in ({"action": {**good["action"], "f": [["a", "b", "c"]]}},  # an action entry of three
+                {"values": [["x"]]}):  # values as a list of one-element lists
+        with pytest.raises(ValidationError, match="^malformed presheaf data: "):
+            presheaf_from_json({**good, **bad})
 
 
 def test_comp_key_without_separator_is_a_validation_error():

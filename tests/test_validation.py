@@ -322,9 +322,7 @@ def test_validate_presheaf_matches_reference(args):
     assert_same(validate_presheaf, ref_validate_presheaf, *args)
 
 
-@pytest.mark.parametrize("block", [1, 7, testcat._BLOCK])
-def test_validate_presheaf_matches_reference_in_any_block(monkeypatch, block):
-    monkeypatch.setattr(testcat, "_BLOCK", block)
+def test_validate_presheaf_matches_reference_at_the_last_morphism():
     base = CATEGORIES["delta2"]
     pre = testcat.representable(base, "[2]")
     action = {m: dict(t) for m, t in pre.action.items()}
