@@ -145,14 +145,11 @@ def cmd_fixture(args) -> int:
         x = fixtures.delooping(fixtures.NAMED_GROUPS[args.group](), trunc)
     elif args.kind == "suspension":
         x = fixtures.suspension(fixtures.NAMED_GROUPS[args.group](), args.dim, trunc)
-    elif args.kind == "product":
+    else:  # "product", the last kind argparse admits
         if len(args.files) != 2:
             print("input error: product needs exactly two files", file=sys.stderr)
             return EXIT_INPUT
         x = fixtures.product(_load_structure(args.files[0]), _load_structure(args.files[1]))
-    else:
-        print(f"input error: unknown fixture kind {args.kind!r}", file=sys.stderr)
-        return EXIT_INPUT
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(omega.omega_to_json(x), handle, indent=2)
         handle.write("\n")

@@ -127,15 +127,6 @@ class GlobularSet(Record):
             u = table[d][u]
         return u
 
-    def boundary_map(self, kind: str, i: int, j: int) -> dict[str, int]:
-        """The iterated boundary from dimension ``i`` down to ``j``: each
-        ``i``-cell's name to the id of its ``j``-cell, so ``index[j]`` at ``i == j``."""
-        table = self.src if kind == SRC else self.tgt
-        ids = self.index[j]
-        for d in range(j + 1, i + 1):
-            ids = {u: ids[v] for u, v in table[d].items()}
-        return ids
-
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cells)
 

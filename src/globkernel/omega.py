@@ -13,17 +13,18 @@ satisfy; ``check_axiom``/``check_all`` enumerate the coherence axioms
 every counterexample up to a configurable cap.  Violations are data, never
 exceptions.
 
-The sweeps run on the structure's tables over interned integer cell ids
-(:class:`IntTables`): instances are enumerated by the joiner of ``globular``
-as blocks of id columns, and both sides of each law are evaluated a column
-at a time, by list gathers and dict lookups.  Only the instances that do not
-pass go through the scalar evaluators, which build the violations, so
-witnesses keep declaration order and their text is that of the scalar code.
+Each law, boundary law or axiom, is written once as a function of an
+evaluator, and one sweep runs them all on the tables over interned integer
+cell ids (:class:`IntTables`): instances come from the joiner of ``globular``
+as blocks of id columns, and each law is evaluated a column at a time, by
+list gathers and dict lookups.  Only the instances that do not pass are
+evaluated again on names, which builds the violations, so witnesses keep
+declaration order and their text is that of the scalar code.
 """
 
 from __future__ import annotations
 
-from itertools import count, repeat
+from itertools import chain, count, repeat
 
 from .errors import (
     DimOutOfRange,
@@ -73,6 +74,10 @@ _FLAG_TOKENS = {
     "ri": RIGHT_INVERSE,
 }
 _INVERSE_AXIOMS = (LEFT_INVERSE, RIGHT_INVERSE, INVERSE_COMPAT)
+
+# the boundary laws check_structure sweeps; _COMP gives comp_total, comp_src_law, comp_tgt_law
+_COMP, _UNIT, _INV = "comp", "unit_law", "inv_law"
+_BOUNDARY_LAWS = (_COMP, _UNIT, _INV)
 
 
 class AxiomFlags(Record):
@@ -206,12 +211,12 @@ def validate_omega(base: GlobularSet, comp, unit, inv=None) -> OmegaStructure:
         if not (0 <= j < i <= n):
             raise DimOutOfRange(f"composition table at ({i},{j}) outside 0 <= j < i <= {n}")
         here = index[i]
-        s, t = base.boundary_map(SRC, i, j), base.boundary_map(TGT, i, j)
+        s, t = base.boundary_ids(SRC, i, j), base.boundary_ids(TGT, i, j)
         for (u, v), w in table.items():
             if u not in here or v not in here or w not in here:
                 name = next(name for name in (u, v, w) if name not in here)
                 raise MissingCell(f"comp[{i},{j}] mentions {name!r}, not a {i}-cell")
-            if s[u] != t[v]:
+            if s[here[u]] != t[here[v]]:
                 problems.append(
                     f"comp[{i},{j}] keyed on non-composable pair ({u!r}, {v!r})"
                 )
@@ -308,10 +313,11 @@ def inverse(x: OmegaStructure, i: int, j: int, u: str) -> str:
 # -- integer tables -------------------------------------------------------------
 #
 # The sweeps run on columns of cell ids.  Every column operation below mirrors
-# one scalar evaluator above and yields -1 exactly where its input is -1, or
-# where the scalar evaluator would raise or return a name that is no cell of
-# its dimension.  So an instance whose two sides are both >= 0 and equal is one
-# the scalar evaluators pass, and every other instance is handed back to them.
+# one name evaluator (``_Named``, ``_Raw``) and yields -1 exactly where its
+# input is -1, or where the name evaluator would raise, find no entry or return
+# a name that is no cell of its dimension.  So an instance whose two sides are
+# both >= 0 and equal is one the name evaluators pass, and every other instance
+# is handed back to them.
 
 
 class IntTables:
@@ -363,8 +369,7 @@ class IntTables:
     def _composites(self, i: int, j: int) -> dict:
         """The entries of table ``(i, j)`` on glued pairs, the only ones :meth:`compose` reads."""
         entries = self._memo(("comp", i, j), lambda: self._comp_entries(i, j))
-        s = self.x.base.boundary_ids(SRC, i, j)
-        t = self.x.base.boundary_ids(TGT, i, j)
+        s, t = self.x.base.boundary_ids(SRC, i, j), self.x.base.boundary_ids(TGT, i, j)
         glued = {key: w for key, w in entries.items() if s[key[0]] == t[key[1]]}
         return entries if len(glued) == len(entries) else glued
 
@@ -378,7 +383,7 @@ class IntTables:
         return self._memo(("link", i, j), lambda: _link(self.x.base.boundary_ids(SRC, i, j),
                                                          self.x.base.boundary_ids(TGT, i, j)))
 
-    # the column evaluators, with the signatures of _Named's
+    # the column evaluators, with the signatures of _Named's and _Raw's
 
     def compose(self, i: int, j: int, u, v) -> list[int]:
         glued = self._memo(("glued", i, j), lambda: self._composites(i, j))
@@ -421,6 +426,29 @@ class _Named:
         return self.x.base.boundary(kind, i, j, u)
 
 
+class _Raw:
+    """Plain reads of the tables by name for the boundary laws: ``.get`` for a composite,
+    indexing for every other entry, so a table that is not total raises KeyError."""
+
+    def __init__(self, x: OmegaStructure):
+        self.x = x
+
+    def entry(self, i, j, u, v):
+        return self.x.comp.get((i, j), {}).get((u, v))
+
+    def unit(self, i, u):
+        return self.x.unit[i][u]
+
+    def inverse(self, i, j, u):
+        return self.x.inv[(i, j)][u]
+
+    def boundary(self, kind, i, j, u):
+        table = self.x.base.src if kind == SRC else self.x.base.tgt
+        for d in range(i, j, -1):
+            u = table[d][u]
+        return u
+
+
 def composable_pairs(x: OmegaStructure, i: int, j: int):
     """All pairs ``(u, v)`` with ``s^i_j(u) = t^i_j(v)``, in declaration order."""
     if not 0 <= j <= i <= x.truncation:
@@ -432,64 +460,13 @@ def composable_pairs(x: OmegaStructure, i: int, j: int):
             yield names[a], names[b]
 
 
-# -- structure laws -------------------------------------------------------------
-
-
-def _comp_laws(x: OmegaStructure, i: int, j: int, u: str, v: str) -> list[Violation]:
-    base = x.base
-    w = x.comp.get((i, j), {}).get((u, v))
-    if w is None:
-        return [Violation("comp_total", (i, j), (u, v), "composable pair has no table entry")]
-    s_w, t_w = base.src[i][w], base.tgt[i][w]
-    if j == i - 1:
-        want_s, want_t = base.src[i][v], base.tgt[i][u]
-    else:
-        below = x.comp.get((i - 1, j), {})
-        want_s = below.get((base.src[i][u], base.src[i][v]))
-        want_t = below.get((base.tgt[i][u], base.tgt[i][v]))
-    found = []
-    if s_w != want_s:
-        found.append(Violation("comp_src_law", (i, j), (u, v),
-                               f"s({w}) = {s_w}, expected {want_s}"))
-    if t_w != want_t:
-        found.append(Violation("comp_tgt_law", (i, j), (u, v),
-                               f"t({w}) = {t_w}, expected {want_t}"))
-    return found
-
-
-def _unit_laws(x: OmegaStructure, i: int, u: str) -> list[Violation]:
-    base = x.base
-    w = x.unit[i][u]
-    if base.src[i + 1][w] != u or base.tgt[i + 1][w] != u:
-        return [Violation(
-            "unit_law", (i,), (u,),
-            f"unit {w} has boundaries "
-            f"({base.src[i + 1][w]}, {base.tgt[i + 1][w]}), expected ({u}, {u})",
-        )]
-    return []
-
-
-def _inv_laws(x: OmegaStructure, i: int, j: int, u: str) -> list[Violation]:
-    base = x.base
-    w = x.inv[(i, j)][u]
-    s_w, t_w = base.src[i][w], base.tgt[i][w]
-    if j == i - 1:
-        want_s, want_t = base.tgt[i][u], base.src[i][u]
-    else:
-        want_s = x.inv[(i - 1, j)][base.src[i][u]]
-        want_t = x.inv[(i - 1, j)][base.tgt[i][u]]
-    if s_w != want_s or t_w != want_t:
-        return [Violation("inv_law", (i, j), (u,),
-                          f"inverse {w} has boundaries ({s_w}, {t_w}), "
-                          f"expected ({want_s}, {want_t})")]
-    return []
-
-
-def _failing(lhs: list[int], rhs: list[int]) -> list[int]:
-    """Positions where the two sides differ, or both are -1: the instances an id sweep does not pass."""
-    if lhs == rhs and -1 not in lhs:  # the common case, decided without a Python loop
-        return []
-    return [k for k, a, b in zip(count(), lhs, rhs) if a != b or a < 0]
+def _failing(lhs: list[list[int]], rhs: list[list[int]]) -> list[int]:
+    """Rows where a column of ``lhs`` differs from ``rhs`` or holds -1: the instances not passed."""
+    rows = set()
+    for a, b in zip(lhs, rhs):
+        if a != b or -1 in a:  # the common case is decided without a Python loop
+            rows.update(k for k, x, y in zip(count(), a, b) if x != y or x < 0)
+    return sorted(rows)
 
 
 def _collect(violations, cap: int) -> Report:
@@ -501,71 +478,19 @@ def _collect(violations, cap: int) -> Report:
     return report
 
 
-def _structure_violations(x: OmegaStructure):
-    """Every violation of a boundary law, in sweep order.
-
-    Instances are screened on ids; only those that may fail are judged on names.
-    """
-    t = x.tables
-    n = x.truncation
-    names = x.base.cells
-
-    def broken(w, want_s, want_t, i):
-        """Positions where the ``i``-cell ``w`` is -1 or has boundaries other than the wanted ones."""
-        src, tgt = t.boundary(SRC, i, i - 1, w), t.boundary(TGT, i, i - 1, w)
-        return [k for k, c, s, s0, g, g0 in zip(count(), w, src, want_s, tgt, want_t)
-                if c < 0 or s != s0 or g != g0]
-
-    for i in range(1, n + 1):
-        for j in range(i):
-            for u, v in _glued(range(t.sizes[i]), [t.link(i, j)]):
-                w = t.entry(i, j, u, v)
-                if j == i - 1:
-                    want_s, want_t = t.boundary(SRC, i, j, v), t.boundary(TGT, i, j, u)
-                else:
-                    want_s = t.entry(i - 1, j, t.boundary(SRC, i, i - 1, u),
-                                     t.boundary(SRC, i, i - 1, v))
-                    want_t = t.entry(i - 1, j, t.boundary(TGT, i, i - 1, u),
-                                     t.boundary(TGT, i, i - 1, v))
-                for k in broken(w, want_s, want_t, i):
-                    yield from _comp_laws(x, i, j, names[i][u[k]], names[i][v[k]])
-
-    for i in range(n):
-        u = range(t.sizes[i])
-        for k in broken(t.unit(i, u), u, u, i + 1):
-            yield from _unit_laws(x, i, names[i][k])
-
-    if x.inv is not None:
-        for i in range(1, n + 1):
-            u = range(t.sizes[i])
-            src, tgt = t.boundary(SRC, i, i - 1, u), t.boundary(TGT, i, i - 1, u)
-            for j in range(i):
-                if j == i - 1:
-                    want_s, want_t = tgt, src
-                else:
-                    want_s, want_t = t.inverse(i - 1, j, src), t.inverse(i - 1, j, tgt)
-                for k in broken(t.inverse(i, j, u), want_s, want_t, i):
-                    yield from _inv_laws(x, i, j, names[i][k])
-
-
-def check_structure(x: OmegaStructure, cap: int = 100) -> Report:
-    """Exhaustively verify the boundary laws of the operation tables."""
-    return _collect(_structure_violations(x), cap)
-
-
-# -- axioms -----------------------------------------------------------------------
+# -- the sweep ------------------------------------------------------------------
+#
+# One loop runs every law, boundary law or axiom: its subscripts, its instances
+# at each, its formula on id columns to screen them, and a judge on names.
 
 
 def _axiom_subscripts(x: OmegaStructure, name: str):
-    """Every subscript tuple of axiom ``name``, in sweep order; the only ones it accepts."""
+    """Every subscript tuple of law ``name``, in sweep order; the only ones it accepts."""
     n = x.truncation
+    if name == _UNIT:
+        return [(i,) for i in range(n)]
     if name == EXCHANGE:
-        return [
-            (i, j, k)
-            for i in range(2, n + 1)
-            for j in range(1, i)
-            for k in range(j)
-        ]
+        return [(i, j, k) for i in range(2, n + 1) for j in range(1, i) for k in range(j)]
     top = n - 1 if name == UNIT_COMPAT else n
     pairs = [(i, j) for i in range(1, top + 1) for j in range(i)]
     if name == INVERSE_COMPAT:
@@ -574,16 +499,45 @@ def _axiom_subscripts(x: OmegaStructure, name: str):
 
 
 def _instances(t: IntTables, name: str, sub: tuple[int, ...]):
-    """The instances of an axiom at fixed subscripts: blocks of ``i``-cell tuples."""
-    i, j = sub[0], sub[1]
+    """The instances of a law at fixed subscripts: blocks of ``i``-cell tuples."""
+    i = sub[0]
     cells = range(t.sizes[i])
     if name == ASSOC:
-        return _glued(cells, [t.link(i, j), t.link(i, j)])
+        return _glued(cells, [t.link(i, sub[1]), t.link(i, sub[1])])
     if name == EXCHANGE:
-        return _glued(cells, [t.link(i, j), t.link(i, sub[2]), t.link(i, j)])
-    if name in (UNIT_COMPAT, INVERSE_COMPAT):
-        return _glued(cells, [t.link(i, j)])
+        return _glued(cells, [t.link(i, sub[1]), t.link(i, sub[2]), t.link(i, sub[1])])
+    if name in (UNIT_COMPAT, INVERSE_COMPAT, _COMP):
+        return _glued(cells, [t.link(i, sub[1])])
     return _glued(cells, [])
+
+
+def _boundary_law(ops, name: str, sub: tuple[int, ...], cells):
+    """One instance of a boundary law: the table value ``w`` it is about, the
+    dimension of ``w``, and the source and target the law wants ``w`` to have.
+
+    ``ops`` is :class:`_Raw` on a tuple of names or :class:`IntTables` on columns of ids.
+    """
+    i = sub[0]
+    if name == _UNIT:
+        (u,) = cells
+        return ops.unit(i, u), i + 1, u, u
+    j = sub[1]
+
+    def face(kind, u):
+        return ops.boundary(kind, i, i - 1, u)
+
+    if name == _COMP:
+        u, v = cells
+        w = ops.entry(i, j, u, v)
+        if j == i - 1:
+            return w, i, face(SRC, v), face(TGT, u)
+        return (w, i, ops.entry(i - 1, j, face(SRC, u), face(SRC, v)),
+                ops.entry(i - 1, j, face(TGT, u), face(TGT, v)))
+    (u,) = cells
+    w = ops.inverse(i, j, u)
+    if j == i - 1:
+        return w, i, face(TGT, u), face(SRC, u)
+    return w, i, ops.inverse(i - 1, j, face(SRC, u)), ops.inverse(i - 1, j, face(TGT, u))
 
 
 def _sides(ops, name: str, sub: tuple[int, ...], cells):
@@ -600,10 +554,7 @@ def _sides(ops, name: str, sub: tuple[int, ...], cells):
     if name == EXCHANGE:
         k = sub[2]
         u, up, v, vp = cells
-        return (
-            c(i, k, c(i, j, u, up), c(i, j, v, vp)),
-            c(i, j, c(i, k, u, v), c(i, k, up, vp)),
-        )
+        return c(i, k, c(i, j, u, up), c(i, j, v, vp)), c(i, j, c(i, k, u, v), c(i, k, up, vp))
     if name == LEFT_UNIT:
         (u,) = cells
         return c(i, j, ops.iter_unit(j, i, ops.boundary(TGT, i, j, u)), u), u
@@ -628,18 +579,59 @@ def _sides(ops, name: str, sub: tuple[int, ...], cells):
         return lhs, c(i, j, ops.inverse(i, jp, u), ops.inverse(i, jp, v))
 
 
-def _judge(x: OmegaStructure, name: str, sub: tuple[int, ...], witness) -> Violation | None:
-    """Evaluate one instance on names; its violation, or None when it holds."""
+def _screen(t: IntTables, name: str, sub: tuple[int, ...], block):
+    """Both sides of every instance of ``block``, on ids, as lists of columns for :func:`_failing`."""
+    if name in _BOUNDARY_LAWS:
+        w, d, want_s, want_t = _boundary_law(t, name, sub, block)
+        return [t.boundary(SRC, d, d - 1, w), t.boundary(TGT, d, d - 1, w)], [want_s, want_t]
+    lhs, rhs = _sides(t, name, sub, block)
+    return [lhs], [rhs]
+
+
+def _judge(x: OmegaStructure, name: str, sub: tuple[int, ...], witness) -> list[Violation]:
+    """Evaluate one instance on names: its violations, none when it holds."""
+    if name in _BOUNDARY_LAWS:
+        w, d, want_s, want_t = _boundary_law(_Raw(x), name, sub, witness)
+        if name == _COMP and w is None:
+            return [Violation("comp_total", sub, witness, "composable pair has no table entry")]
+        s_w, t_w = x.base.src[d][w], x.base.tgt[d][w]
+        if name == _COMP:
+            return [Violation(law, sub, witness, f"{kind}({w}) = {got}, expected {want}")
+                    for law, kind, got, want in (("comp_src_law", "s", s_w, want_s),
+                                                 ("comp_tgt_law", "t", t_w, want_t))
+                    if got != want]
+        what = "unit" if name == _UNIT else "inverse"
+        detail = f"{what} {w} has boundaries ({s_w}, {t_w}), expected ({want_s}, {want_t})"
+        return [] if (s_w, t_w) == (want_s, want_t) else [Violation(name, sub, witness, detail)]
     # a NotComposable or missing entry inside an axiom instance means the
     # structure is lawless enough that the instance cannot be evaluated;
     # report it rather than crash the sweep
     try:
         lhs, rhs = _sides(_Named(x), name, sub, witness)
     except (NotComposable, ValidationError, KeyError) as exc:
-        return Violation(name, sub, witness, f"not evaluable: {exc}")
-    if lhs != rhs:
-        return Violation(name, sub, witness, f"{lhs} != {rhs}")
-    return None
+        return [Violation(name, sub, witness, f"not evaluable: {exc}")]
+    return [Violation(name, sub, witness, f"{lhs} != {rhs}")] if lhs != rhs else []
+
+
+def _violations(x: OmegaStructure, name: str, subs):
+    """Every violation of one law at the given subscripts, in sweep order.
+
+    Each block of instances is screened on ids; only the instances it does
+    not pass are judged again on names, which builds their violations.
+    """
+    t = x.tables
+    for sub in subs:
+        names = x.base.cells[sub[0]]
+        for block in _instances(t, name, sub):
+            for k in _failing(*_screen(t, name, sub, block)):
+                yield from _judge(x, name, sub, tuple(names[column[k]] for column in block))
+
+
+def check_structure(x: OmegaStructure, cap: int = 100) -> Report:
+    """Exhaustively verify the boundary laws of the operation tables."""
+    laws = _BOUNDARY_LAWS if x.inv is not None else _BOUNDARY_LAWS[:2]
+    return _collect(chain.from_iterable(_violations(x, law, _axiom_subscripts(x, law))
+                                        for law in laws), cap)
 
 
 def _validate_subscripts(x: OmegaStructure, name: str, sub: tuple[int, ...]) -> None:
@@ -647,25 +639,7 @@ def _validate_subscripts(x: OmegaStructure, name: str, sub: tuple[int, ...]) -> 
     if len(sub) != expected:
         raise ValidationError(f"axiom {name} takes {expected} subscripts")
     if sub not in _axiom_subscripts(x, name):
-        raise DimOutOfRange(
-            f"axiom {name} has no subscripts {sub} at truncation {x.truncation}"
-        )
-
-
-def _axiom_violations(x: OmegaStructure, name: str, subs):
-    """Every violation of one axiom at the given subscripts, in sweep order.
-
-    Each block of instances is evaluated on ids; only the instances it does
-    not pass are evaluated again on names, which builds their violations.
-    """
-    t = x.tables
-    for sub in subs:
-        names = x.base.cells[sub[0]]
-        for block in _instances(t, name, sub):
-            for k in _failing(*_sides(t, name, sub, block)):
-                violation = _judge(x, name, sub, tuple(names[column[k]] for column in block))
-                if violation is not None:
-                    yield violation
+        raise DimOutOfRange(f"axiom {name} has no subscripts {sub} at truncation {x.truncation}")
 
 
 def axiom_report(x: OmegaStructure, name: str, subscripts=None, cap: int = 100) -> Report:
@@ -679,7 +653,7 @@ def axiom_report(x: OmegaStructure, name: str, subscripts=None, cap: int = 100) 
         _validate_subscripts(x, name, subs[0])
     else:
         subs = _axiom_subscripts(x, name)
-    return _collect(_axiom_violations(x, name, subs), cap)
+    return _collect(_violations(x, name, subs), cap)
 
 
 def check_axiom(x: OmegaStructure, name: str, subscripts=None, cap: int = 100) -> list[Violation]:

@@ -528,27 +528,40 @@ def delta_truncated(m: int) -> SmallCategory:
 
 
 def category_to_json(cat: SmallCategory) -> dict:
+    comp = {f"{g}|{f}": h for (g, f), h in cat.comp.items()}
+    if any("|" in m for m in cat.morphisms):  # only then can a key read back as another pair
+        for g, f in cat.comp:
+            key = f"{g}|{f}"
+            back = _comp_key(key, cat.morphisms)
+            if back != (g, f):
+                raise ValidationError(f"composition key {key!r} of {(g, f)} would read back as {back}")
     return {
         "objects": list(cat.objects),
         "morphisms": {m: list(ends) for m, ends in cat.morphisms.items()},
         "identity": dict(cat.identity),
-        "comp": {f"{g}|{f}": h for (g, f), h in cat.comp.items()},
+        "comp": comp,
     }
 
 
-def _comp_key(key: str) -> tuple[str, str]:
-    """A serialized ``"g|f"`` composition key as the pair ``(g, f)``."""
-    g, sep, f = key.partition("|")
-    if not sep:
+def _comp_key(key: str, morphisms) -> tuple[str, str]:
+    """A serialized ``"g|f"`` composition key as the pair ``(g, f)``.
+
+    Names may hold ``|``: the key splits at its first ``|`` with a declared
+    morphism on each side, or else at its first ``|``.
+    """
+    cuts = [k for k, ch in enumerate(key) if ch == "|"]
+    if not cuts:
         raise ValidationError(f"composition key {key!r} has no '|'")
-    return g, f
+    declared = morphisms if isinstance(morphisms, dict) else {}
+    k = next((k for k in cuts if key[:k] in declared and key[k + 1:] in declared), cuts[0])
+    return key[:k], key[k + 1:]
 
 
 def category_from_json(data: dict) -> SmallCategory:
     try:
         if not isinstance(data["comp"], dict):
             raise ValidationError("'comp' must be an object")
-        comp = {_comp_key(key): v for key, v in data["comp"].items()}
+        comp = {_comp_key(key, data.get("morphisms")): v for key, v in data["comp"].items()}
         return validate_category(
             data["objects"], data["morphisms"], data["identity"], comp
         )

@@ -267,6 +267,32 @@ def ref_validate_category(objects, morphisms, identity, comp):
     return objects, morphisms, identity, comp
 
 
+def ref_validate_functor(data):
+    """The functor laws checked by loops over names; raises what ``validate_functor`` must.
+
+    Composites are read from the name-keyed ``comp`` of both categories, and
+    pairs ``(g, f)`` come g-major, each in declaration order.
+    """
+    src, tgt = data.source, data.target
+    objects, morphisms = data.object_map, data.morphism_map
+    for a in src.objects:
+        if objects.get(a) not in tgt.objects:
+            raise ValidationError(f"object map undefined or out of range at {a!r}")
+    for m, (dom, cod) in src.morphisms.items():
+        if morphisms.get(m) not in tgt.morphisms:
+            raise ValidationError(f"morphism map undefined at {m!r}")
+        if tgt.morphisms[morphisms[m]] != (objects[dom], objects[cod]):
+            raise ValidationError(f"morphism map breaks endpoints at {m!r}")
+    for a in src.objects:
+        if morphisms[src.identity[a]] != tgt.identity[objects[a]]:
+            raise ValidationError(f"identity not preserved at {a!r}")
+    for g, (gdom, _) in src.morphisms.items():
+        for f, (_, fcod) in src.morphisms.items():
+            if fcod == gdom and morphisms[src.comp[(g, f)]] != tgt.comp[(morphisms[g], morphisms[f])]:
+                raise ValidationError(f"composition not preserved at ({g!r}, {f!r})")
+    return data
+
+
 def ref_light_generators(morphisms, identity, comp):
     """Light's generators on names: in declared order, each morphism not yet reached
     from the identities by composing the generators before it on the left."""

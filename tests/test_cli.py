@@ -117,6 +117,20 @@ def test_bad_input_exit_two_without_traceback(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("field, value, message", [
+    (None, [], "a structure file must hold a JSON object"),
+    (None, 3, "a structure file must hold a JSON object"),
+    *[(key, {}, f"'{key}' must be an array") for key in ("cells", "src", "tgt", "unit")],
+    *[(key, [], f"'{key}' must be an object") for key in ("comp", "inv")],
+])
+def test_wrong_typed_field_exit_two(tmp_path, capsys, field, value, message):
+    data = omega.omega_to_json(fixtures.delooping(fixtures.cyclic_table(2), 2))
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(value if field is None else {**data, field: value}), encoding="utf-8")
+    assert run(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "{file}", "--cap", "0"],
     ["decalage", "{file}", "--max-width", "0"],
@@ -244,6 +258,13 @@ def test_fixture_command_product(tmp_path, z2_file):
     assert run(["fixture", "product", "--files", str(z2_file), str(other),
                 "-o", str(out_path)]) == 0
     assert run(["check", str(out_path)]) == 0
+
+
+def test_fixture_product_of_one_file_exit_two(tmp_path, z2_file, capsys):
+    out_path = tmp_path / "prod.json"
+    assert run(["fixture", "product", "--files", str(z2_file), "-o", str(out_path)]) == 2
+    assert capsys.readouterr() == ("", "input error: product needs exactly two files\n")
+    assert not out_path.exists()
 
 
 def test_sum_command(z2_file, capsys):

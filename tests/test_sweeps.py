@@ -91,18 +91,20 @@ def test_id_evaluators_send_minus_one_to_minus_one():
                 assert t.unit(i, [-1]) == [-1], name
 
 
-def _with_entries(x, comp=(), unit=()):
-    """``x`` with the given ``((i, j), key, value)`` comp and ``(i, key, value)`` unit
-    entries set, or deleted where the value is None, built without validation."""
+def _with_entries(x, comp=(), unit=(), inv=()):
+    """``x`` with the given ``((i, j), key, value)`` comp and inv and ``(i, key, value)``
+    unit entries set, or deleted where the value is None, built without validation."""
     tables = {key: dict(t) for key, t in x.comp.items()}
     units = [dict(t) for t in x.unit]
-    edits = [(tables[ij], key, w) for ij, key, w in comp] + [(units[i], key, w) for i, key, w in unit]
+    inverses = None if x.inv is None else {key: dict(t) for key, t in x.inv.items()}
+    edits = ([(tables[ij], key, w) for ij, key, w in comp] + [(units[i], key, w) for i, key, w in unit]
+             + [(inverses[ij], key, w) for ij, key, w in inv])
     for table, key, value in edits:
         if value is None:
             table.pop(key)
         else:
             table[key] = value
-    return omega.OmegaStructure(x.base, tables, tuple(units), x.inv)
+    return omega.OmegaStructure(x.base, tables, tuple(units), inverses)
 
 
 @pytest.mark.parametrize("value", (GHOST, None))
@@ -130,6 +132,35 @@ def test_pair_that_does_not_glue_is_not_composed():
     assert got == brute_axiom_violations(y, omega.LEFT_UNIT)
     assert got[0].witness == ("a",)
     assert got[0].detail == "not evaluable: s^1_0(b) = b but t^1_0(a) = a"
+
+
+def _one_sided(x, i, w, keep):
+    """An ``i``-cell with the ``keep`` boundary of ``w`` and not its other one, or None."""
+    same, other = (x.base.src[i], x.base.tgt[i]) if keep == SRC else (x.base.tgt[i], x.base.src[i])
+    return next((c for c in x.base.cells[i] if same[c] == same[w] and other[c] != other[w]), None)
+
+
+def test_one_sided_boundary_faults_match_oracle():
+    # an entry of each table moved to a cell that keeps its source and
+    # changes its target, or the other way round: a screen that compared one
+    # side only would pass it, and a judge that swapped the wanted source and
+    # target, or read a unit in the wrong dimension, would misreport it
+    laws = set()
+    for name, x in POOL.items():
+        tables = ([("comp", ij, ij[0], t) for ij, t in x.comp.items()]
+                  + [("unit", i, i + 1, t) for i, t in enumerate(x.unit)]
+                  + [("inv", ij, ij[0], t) for ij, t in (x.inv or {}).items()])
+        for kind, where, dim, table in tables:
+            # an entry whose boundaries differ where there is one, so a swap shows
+            key, w = min(table.items(), key=lambda kv: x.base.src[dim][kv[1]] == x.base.tgt[dim][kv[1]])
+            for keep in (SRC, TGT):
+                value = _one_sided(x, dim, w, keep)
+                if value is not None:
+                    y = _with_entries(x, **{kind: [(where, key, value)]})
+                    got = omega.check_structure(y).violations
+                    assert got == brute_structure_violations(y), (name, kind, where, keep)
+                    laws.update(v.law for v in got)
+    assert laws == {"comp_src_law", "comp_tgt_law", "unit_law", "inv_law"}
 
 
 def test_sweeps_match_oracle_on_clean_corpus():

@@ -42,6 +42,7 @@ from oracles import (
     ref_light_generators,
     ref_product_category,
     ref_validate_category,
+    ref_validate_functor,
 )
 
 
@@ -576,6 +577,56 @@ def test_validate_functor_catches_bad_maps():
         validate_functor(data)
 
 
+def identity_functor(cat: SmallCategory) -> FunctorData:
+    return FunctorData(cat, cat, {a: a for a in cat.objects}, {m: m for m in cat.morphisms})
+
+
+FUNCTORS = {
+    **{name: identity_functor(BASES[name]) for name in ("arrow", "z3", "delta1")},
+    "comparison": product_comparison(representable(BASES["delta1"], "[0]"),
+                                     representable(BASES["delta1"], "[1]")),
+}
+FUNCTOR_FAILURES = ("object map undefined or out of range", "morphism map undefined",
+                    "morphism map breaks endpoints", "identity not preserved",
+                    "composition not preserved")
+
+
+def redirected(data: FunctorData):
+    """``data`` with one entry of its object or morphism map sent to each other value, or dropped."""
+    for field, values in (("object_map", data.target.objects),
+                          ("morphism_map", tuple(data.target.morphisms))):
+        for key, old in getattr(data, field).items():
+            for value in (*values, None):
+                if value != old:
+                    table = {k: v for k, v in getattr(data, field).items() if k != key}
+                    if value is not None:
+                        table[key] = value
+                    yield FunctorData(data.source, data.target, **{
+                        "object_map": data.object_map, "morphism_map": data.morphism_map, field: table})
+
+
+def test_validate_functor_matches_reference_on_redirected_maps():
+    # each of the five failures must be met at the first failing object, morphism
+    # or pair the reference meets, and a redirect that keeps a functor must pass
+    seen = set()
+    for name, data in FUNCTORS.items():
+        assert verdict(validate_functor, data) == ("accepts", data), name
+        for bad in redirected(data):
+            got = verdict(validate_functor, bad)
+            assert got == verdict(ref_validate_functor, bad), name
+            if got[0] == "raises":
+                seen.add((got[1], got[2].split(" at ", 1)[0]))
+    assert seen == {(ValidationError, kind) for kind in FUNCTOR_FAILURES}
+
+
+def test_validate_functor_names_the_first_pair_not_preserved():
+    # 1 sent to 2 keeps endpoints and the identity, but 1 + 1 = 2 goes to 2 and 2 + 2 = 1
+    data = identity_functor(BASES["z3"])
+    bad = FunctorData(data.source, data.target, data.object_map, {**data.morphism_map, "1": "2"})
+    with pytest.raises(ValidationError, match=re.escape("composition not preserved at ('1', '1')")):
+        validate_functor(bad)
+
+
 def test_product_category_counts():
     cat = arrow_category()
     prod = product_category(cat, cat)
@@ -609,6 +660,32 @@ def test_category_json_rejects_malformed():
                 {"values": [["x"]]}):  # values as a list of one-element lists
         with pytest.raises(ValidationError, match="^malformed presheaf data: "):
             presheaf_from_json({**good, **bad})
+
+
+def test_category_json_round_trips_names_holding_a_bar():
+    cat = validate_category(
+        ["a", "b"],
+        {"ida": ("a", "a"), "idb": ("b", "b"), "f|g": ("a", "b")},
+        {"a": "ida", "b": "idb"},
+        {("ida", "ida"): "ida", ("idb", "idb"): "idb", ("f|g", "ida"): "f|g", ("idb", "f|g"): "f|g"},
+    )
+    data = category_to_json(cat)
+    assert sorted(data["comp"]) == ["f|g|ida", "ida|ida", "idb|f|g", "idb|idb"]
+    assert category_from_json(data) == cat
+    # a key with no declared morphism on both sides of any '|' splits at its first
+    data["comp"]["x|y|z"] = "ida"
+    with pytest.raises(ValidationError, match=re.escape("undeclared morphisms ('x', 'y|z')")):
+        category_from_json(data)
+
+
+def test_category_json_refuses_keys_that_collide():
+    # Z/5 with elements named so that ("1", "2|3") and ("1|2", "3") both write "1|2|3"
+    names = ["0", "1", "2|3", "1|2", "3"]
+    z5 = validate_category(["*"], {m: ("*", "*") for m in names}, {"*": "0"},
+                           {(names[a], names[b]): names[(a + b) % 5] for a in range(5) for b in range(5)})
+    with pytest.raises(ValidationError, match=re.escape(
+            "composition key '1|2|3' of ('1|2', '3') would read back as ('1', '2|3')")):
+        category_to_json(z5)
 
 
 def test_comp_key_without_separator_is_a_validation_error():
