@@ -24,7 +24,7 @@ criterion 8; neither module imports the other.
 from __future__ import annotations
 
 import itertools
-from operator import eq
+from operator import eq, itemgetter
 
 from .errors import (
     DimOutOfRange,
@@ -325,16 +325,19 @@ def identity_map(n: int) -> SimplexMap:
     return SimplexMap(n, n, tuple(range(n + 1)))
 
 
-def _after(g: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
-    """The values of ``g`` after ``f``, each a map given by its values."""
-    return tuple(map(g.__getitem__, f))
+def _reader(f: tuple[int, ...]):
+    """Composition with ``f`` by reading: ``_reader(f)(g)`` is ``g`` after ``f``, each a
+    map given by its values, as a tuple."""
+    if len(f) > 1:
+        return itemgetter(*f)
+    return lambda g: tuple(g[k] for k in f)  # itemgetter gives one item bare
 
 
 def compose_maps(g: SimplexMap, f: SimplexMap) -> SimplexMap:
     """``g`` after ``f``."""
     if f.cod != g.dom:
         raise NotComposable(f"cannot compose {g} after {f}")
-    return SimplexMap(f.dom, g.cod, _after(g.table, f.table))
+    return SimplexMap(f.dom, g.cod, _reader(f.table)(g.table))
 
 
 def _shift(row: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -406,7 +409,8 @@ def _functor_at_generators(max_n: int) -> int | None:
     domain, so ``D(psi phi' g) = D(psi phi') D(g) = D(psi) D(phi' g)`` by induction
     on word length (Mac Lane, *Categories for the Working Mathematician*, §§II.7-8).
     """
-    into = {cod: [(g, _shift(g, cod)) for g in gs] for cod, gs in _generators(max_n).items()}
+    into = {cod: [(_reader(g), _reader(_shift(g, cod))) for g in gs]
+            for cod, gs in _generators(max_n).items()}
     pairs = 0
     for p in range(max_n + 1):
         ident = tuple(range(p + 1))
@@ -416,12 +420,12 @@ def _functor_at_generators(max_n: int) -> int | None:
         reached = [ident]
         for psi in reached:
             d_psi = shifted[psi]
-            for g, d_g in into[len(psi) - 1]:
-                composite = _after(psi, g)
+            for read_g, read_d_g in into[len(psi) - 1]:
+                composite = read_g(psi)
                 if composite not in shifted:
                     shifted[composite] = _shift(composite, p)
                     reached.append(composite)
-                if shifted[composite] != _after(d_psi, d_g):
+                if shifted[composite] != read_d_g(d_psi):
                     return None
                 pairs += 1
         if len(reached) != sum((p + 1) ** (m + 1) for m in range(max_n + 1)):
@@ -435,15 +439,16 @@ def _composition_sweep(max_n: int, cap: int) -> list[str]:
     failures: list[str] = []
     if _functor_at_generators(max_n) is not None:
         return failures
-    for m, n, p in itertools.product(range(max_n + 1), repeat=3):
-        phis = [(phi, _shift(phi, n)) for phi in _maps(m, n)]
-        for psi in _maps(n, p):
-            d_psi = _shift(psi, p)
-            for phi, d_phi in phis:
-                if _shift(_after(psi, phi), p) != _after(d_psi, d_phi):
-                    failures.append(f"phi={phi}:[{m}]->[{n}] psi={psi}:[{n}]->[{p}]")
-                    if len(failures) >= cap:
-                        return failures
+    for m, n in itertools.product(range(max_n + 1), repeat=2):
+        phis = [(phi, _reader(phi), _reader(_shift(phi, n))) for phi in _maps(m, n)]
+        for p in range(max_n + 1):
+            for psi in _maps(n, p):
+                d_psi = _shift(psi, p)
+                for phi, read_phi, read_d_phi in phis:
+                    if _shift(read_phi(psi), p) != read_d_phi(d_psi):
+                        failures.append(f"phi={phi}:[{m}]->[{n}] psi={psi}:[{n}]->[{p}]")
+                        if len(failures) >= cap:
+                            return failures
     return failures
 
 
@@ -457,14 +462,15 @@ def check_shift_decalage(max_n: int, cap: int = 100) -> list[CheckResult]:
     sizes = range(max_n + 1)
     id_failures = [f"n={n}" for n in sizes if shift_map(identity_map(n)) != identity_map(n + 1)]
     incl_failures, point_failures = [], []
+    after_incl = [_reader(top_inclusion(m).table) for m in sizes]
+    after_point = [_reader(base_point(m).table) for m in sizes]
     for m, n in itertools.product(sizes, repeat=2):
-        incl_m, incl_n = top_inclusion(m).table, top_inclusion(n).table
-        point_m, point_n = base_point(m).table, base_point(n).table
+        incl_n, point_n = top_inclusion(n).table, base_point(n).table
         for phi in _maps(m, n):
             shifted = _shift(phi, n)
-            if _after(shifted, incl_m) != _after(incl_n, phi):
+            if after_incl[m](shifted) != _reader(phi)(incl_n):
                 incl_failures.append(str(SimplexMap(m, n, phi)))
-            if _after(shifted, point_m) != point_n:
+            if after_point[m](shifted) != point_n:
                 point_failures.append(str(SimplexMap(m, n, phi)))
     retr_failures = [f"n={n}" for n in sizes
                      if compose_maps(clamp_retraction(n), top_inclusion(n)) != identity_map(n)]

@@ -345,10 +345,6 @@ class IntTables:
         index = self.x.base.index[k]
         return [index.get(table.get(u), -1) for u in self.x.base.cells[i]] + [-1]
 
-    def face(self, kind: str, i: int) -> list[int]:
-        """``src_i`` or ``tgt_i`` as an id map over the ``i``-cells."""
-        return self.x.base.boundary_ids(kind, i, i - 1)
-
     def unit_map(self, i: int) -> list[int]:
         return self._memo(("unit", i), lambda: self._ids(self.x.unit[i], i, i + 1))
 

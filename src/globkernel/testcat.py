@@ -436,9 +436,10 @@ def product_category(c: SmallCategory, d: SmallCategory) -> SmallCategory:
         for a in c.objects
         for b in d.objects
     }
-    # (g1,g2) after (f1,f2) is (g1 f1, g2 f2), and the (f1,f2) into an object come f1-major
-    n = len(d.morphisms)
-    rows = [tuple(h1 * n + h2 for h1 in row1 for h2 in row2) for row1 in c.rows for row2 in d.rows]
+    # (g1,g2) after (f1,f2) is (g1 f1, g2 f2), and the (f1,f2) into an object come f1-major;
+    # the rows index one list of ids, so equal entries share their ints
+    n, ids = len(d.morphisms), list(range(len(morphisms)))
+    rows = [tuple(ids[h1 * n + h2] for h1 in row1 for h2 in row2) for row1 in c.rows for row2 in d.rows]
     return _category(objects, morphisms, identity, rows)
 
 

@@ -39,10 +39,10 @@ The paired and mixed products of the most recently enumerated table are
 held with the canonical bijection between them (:class:`Product`), computed
 on the rows, each direction on its own, as maps from row to row.
 ``contract_product`` and ``expand_product`` answer a member of a held
-product with a member of the other: membership of an enumerated product is
-the validation, as a row is for a cell.  A member passed as itself is found
-by its ``id``, so a round trip hashes nothing.  Any other input runs the
-scalar checks and gets their error.
+product, passed as itself and found by its ``id``, with a member of the
+other: membership of an enumerated product is the validation, as a row is
+for a cell, and a round trip hashes nothing.  Any other input, an equal copy
+too, runs the scalar checks, which give an equal value or raise the error.
 """
 
 from __future__ import annotations
@@ -149,27 +149,17 @@ class MixedTuple(Record):
 
 
 class _Rows:
-    """Row of an object among ``members``, -1 when it is none.
+    """Row of a member of ``members`` passed as itself, -1 for any other object, an equal copy too.
 
-    A member passed as itself is found by its ``id``; anything else by
-    equality, through a dict built at the first such lookup.
+    The members live as long as this map, so no other object has the id of one of them.
     """
 
     def __init__(self, members: tuple):
         self.members = members
         self.by_id = dict(zip(map(id, members), range(len(members))))
-        self.by_value = None
 
     def __call__(self, obj) -> int:
-        row = self.by_id.get(id(obj))
-        if row is not None and self.members[row] is obj:
-            return row
-        if self.by_value is None:
-            self.by_value = dict(zip(self.members, range(len(self.members))))
-        try:
-            return self.by_value.get(obj, -1)
-        except TypeError:  # unhashable, so no member
-            return -1
+        return self.by_id.get(id(obj), -1)
 
 
 class Product(Record):
@@ -179,7 +169,7 @@ class Product(Record):
     ``paired[k]``, and ``to_paired[k]`` the row in ``paired`` of the
     expansion of ``mixed[k]``: id maps, with -1 appended, that hold -1 where
     the id computation fails or gives no member.  ``paired_rows`` and
-    ``mixed_rows`` find the row of a member.
+    ``mixed_rows`` find the row of a member passed as itself.
     """
 
     _fields = ("table", "paired", "mixed", "to_mixed", "to_paired")
@@ -246,7 +236,7 @@ class TwistedComplex:
             return [[*range(self.t.sizes[high + 1]), -1]], None, None
         prev = self.rows(low, high - 1)
         # the gluing s_k(x_k) = t_k t_{k+1}(x_{k+1}) at k = high
-        link = _link(_gather(self.t.face(SRC, high), prev[-1]),
+        link = _link(_gather(self.x.base.boundary_ids(SRC, high, high - 1), prev[-1]),
                      self.x.base.boundary_ids(TGT, high + 1, high - 1))
         parent, last = _stack(_glued(range(self.count(low, high - 1)), [link]), 2)
         keys = dict(zip(zip(parent, last), range(len(last))))
@@ -303,15 +293,6 @@ class TwistedComplex:
         head = (high,) if kind is TwistedCell else (low, high)
         return tuple(kind(*head, entries) for entries in self.index(low, high))
 
-    def source(self, i: int) -> list[int]:
-        """Twisted source of each level-``i`` cell as a level ``i - 1`` row id, -1 for
-        none, as an id map over the level-``i`` rows."""
-        return self._memo(("src", i), self._source, i)
-
-    def _source(self, i: int) -> list[int]:
-        # the rows' trailing -1 evaluates to -1, so the result is an id map
-        return self.lookup(0, i - 1, _source_entries(self.t, i, self.rows(0, i)))
-
     def boundary(self, kind: str, i: int, j: int) -> list[int]:
         """Iterated twisted boundary from level ``i`` down to ``j``, as an id map over
         the level-``i`` rows."""
@@ -320,8 +301,12 @@ class TwistedComplex:
     def _boundary(self, kind: str, i: int, j: int) -> list[int]:
         if i == j:
             return [*range(self.count(0, i)), -1]
-        step = self.source(i) if kind == SRC else self._shape(0, i)[1]
-        return _gather(self.boundary(kind, i - 1, j), step)
+        if i > j + 1:
+            return _gather(self.boundary(kind, j + 1, j), self.boundary(kind, i, j + 1))
+        if kind == TGT:
+            return self._shape(0, i)[1]
+        # the rows' trailing -1 evaluates to -1, so the result is an id map
+        return self.lookup(0, j, _source_entries(self.t, i, self.rows(0, i)))
 
 
 def _complex(x: OmegaStructure) -> TwistedComplex:
@@ -428,49 +413,36 @@ def segment_cells(x: OmegaStructure, low: int, high: int) -> tuple[TwistedSegmen
     return _complex(x).segments(low, high)
 
 
-def _interned_boundary(x: OmegaStructure, kind: str, cell: TwistedCell, level: int):
-    """The iterated twisted boundary read off the arrays, or None where they cannot give it."""
-    complex_ = _complex(x)
-    row = complex_.find(0, cell.level, cell.entries)
-    if row is None:
-        return None
-    found = complex_.boundary(kind, cell.level, level)[row]
-    return complex_.cells(level)[found] if found >= 0 else None
-
-
 def twisted_source(x: OmegaStructure, cell: TwistedCell) -> TwistedCell:
     """Level ``i - 1``: compose the entry below the top into the boundary."""
-    i = cell.level
-    if i < 1:
+    if cell.level < 1:
         raise DimOutOfRange("level-0 twisted cells have no source")
-    found = _interned_boundary(x, SRC, cell, i - 1)
-    if found is not None:
-        return found
-    return twisted_cell(x, i - 1, _source_entries(_Named(x), i, cell.entries))
+    return twisted_boundary(x, SRC, cell, cell.level - 1)
 
 
 def twisted_target(x: OmegaStructure, cell: TwistedCell) -> TwistedCell:
     """Level ``i - 1``: drop the top entry."""
     if cell.level < 1:
         raise DimOutOfRange("level-0 twisted cells have no target")
-    found = _interned_boundary(x, TGT, cell, cell.level - 1)
-    if found is not None:
-        return found
-    return twisted_cell(x, cell.level - 1, cell.entries[:-1])
+    return twisted_boundary(x, TGT, cell, cell.level - 1)
 
 
 def twisted_boundary(x: OmegaStructure, kind: str, cell: TwistedCell, level: int) -> TwistedCell:
-    """Iterated twisted boundary down to the given level."""
+    """Iterated twisted boundary down to the given level: read off the id maps where they
+    give a cell, else stepped down on names, each step validated as a twisted cell."""
     if not 0 <= level <= cell.level:
         raise DimOutOfRange(f"boundary level {level} outside 0..{cell.level}")
-    if kind not in ("src", "tgt"):
+    if kind not in (SRC, TGT):
         raise ValidationError(f"boundary kind must be 'src' or 'tgt', got {kind!r}")
-    found = _interned_boundary(x, kind, cell, level)
-    if found is not None:
-        return found
-    step = twisted_source if kind == "src" else twisted_target
-    for _ in range(cell.level - level):
-        cell = step(x, cell)
+    complex_ = _complex(x)
+    row = complex_.find(0, cell.level, cell.entries)
+    if row is not None:
+        found = complex_.boundary(kind, cell.level, level)[row]
+        if found >= 0:
+            return complex_.cells(level)[found]
+    for i in range(cell.level, level, -1):
+        entries = _source_entries(_Named(x), i, cell.entries) if kind == SRC else cell.entries[:-1]
+        cell = twisted_cell(x, i - 1, entries)
     return cell
 
 
@@ -640,20 +612,20 @@ def _check_level(x: OmegaStructure, table: TableOfDimensions) -> None:
         )
 
 
-def _raise_first_unglued(x: OmegaStructure, table: TableOfDimensions, ends, links) -> None:
+def _raise_first_unglued(complex_: TwistedComplex, table: TableOfDimensions, ends) -> None:
     """Raise the error of the first cell, in enumeration order, whose gluing boundary fails.
 
     ``ends[k]`` is the twisted source boundary that glues position ``k`` to
     the next one, an id map; it is -1 where the scalar boundary raises.
     Positions are visited depth first, so the first failure is the least
-    such prefix.
+    such prefix.  The links are built only when some end fails.
     """
+    failing = [k for k, end in enumerate(ends) if _first_failure(end, len(end) - 1) is not None]
+    links = _paired_links(complex_, table) if failing else []
     first = None
-    for k, end in enumerate(ends):
-        if _first_failure(end, len(end) - 1) is None:
-            continue
+    for k in failing:
         for block in _glued(range(len(ends[0]) - 1), links[:k]):
-            bad = _first_failure(_gather(end, block[-1]))
+            bad = _first_failure(_gather(ends[k], block[-1]))
             if bad is not None:
                 prefix = tuple(column[bad] for column in block)
                 if first is None or prefix < first:
@@ -661,16 +633,19 @@ def _raise_first_unglued(x: OmegaStructure, table: TableOfDimensions, ends, link
                 break
     if first is not None:
         k = len(first) - 1
-        cell = _complex(x).cells(table.outer[k])[first[-1]]
-        _raise_scalar(twisted_boundary, x, "src", cell, table.inner[k])
+        cell = complex_.cells(table.outer[k])[first[-1]]
+        _raise_scalar(twisted_boundary, complex_.x, SRC, cell, table.inner[k])
 
 
-def _paired_links(complex_: TwistedComplex, table: TableOfDimensions):
-    """Twisted source boundaries that glue each position to the next, and their links."""
-    outer, inner = table.outer, table.inner
-    ends = [complex_.boundary(SRC, outer[k], inner[k]) for k in range(table.width - 1)]
-    return ends, [_link(end, complex_.boundary(TGT, outer[k + 1], inner[k]))
-                  for k, end in enumerate(ends)]
+def _gluing_ends(complex_: TwistedComplex, table: TableOfDimensions) -> list[list[int]]:
+    """Twisted source boundaries that glue each position to the next, as id maps."""
+    return [complex_.boundary(SRC, level, seam) for level, seam in zip(table.outer, table.inner)]
+
+
+def _paired_links(complex_: TwistedComplex, table: TableOfDimensions) -> list:
+    """Links of the gluing ends to the twisted target boundaries of the next positions."""
+    return [_link(end, complex_.boundary(TGT, level, seam))
+            for end, level, seam in zip(_gluing_ends(complex_, table), table.outer[1:], table.inner)]
 
 
 def _segment_bounds(table: TableOfDimensions) -> list[tuple[int, int]]:
@@ -704,7 +679,7 @@ def _enumerate_product(complex_: TwistedComplex, table: TableOfDimensions) -> Pr
     """
     outer, bounds = table.outer, _segment_bounds(table)
     first = range(complex_.count(0, outer[0]))
-    paired_ids = _stack(_glued(first, _paired_links(complex_, table)[1]), table.width)
+    paired_ids = _stack(_glued(first, _paired_links(complex_, table)), table.width)
     mixed_ids = _stack(_glued(first, _mixed_links(complex_, table)), table.width)
     contracted, expanded = [paired_ids[0]], [mixed_ids[0]]
     for l, (low, high) in enumerate(bounds):
@@ -712,7 +687,7 @@ def _enumerate_product(complex_: TwistedComplex, table: TableOfDimensions) -> Pr
         contracted.append(complex_.lookup(low, high, [_gather(c, paired_ids[l + 1]) for c in above]))
         # the cell expanded last, its target at level low = seam + 1, and that target's source
         below = _gather(complex_.boundary(TGT, outer[l], low), expanded[-1])
-        prefix = _gather(complex_.source(low), below)
+        prefix = _gather(complex_.boundary(SRC, low, low - 1), below)
         entries = [_gather(c, prefix) for c in complex_.rows(0, low - 1)]
         entries += [_gather(c, mixed_ids[l + 1]) for c in complex_.rows(low, high)]
         expanded.append(complex_.lookup(0, high, entries))
@@ -735,7 +710,7 @@ def twisted_product(x: OmegaStructure, table: TableOfDimensions):
     """All tuples of twisted cells glued by iterated twisted boundaries."""
     _check_level(x, table)
     complex_ = _complex(x)
-    _raise_first_unglued(x, table, *_paired_links(complex_, table))
+    _raise_first_unglued(complex_, table, _gluing_ends(complex_, table))
     return complex_.product(table).paired
 
 
@@ -781,7 +756,7 @@ def build_twisted(x: OmegaStructure) -> OmegaStructure:
 
     src, tgt = [], []
     for i in range(1, n):
-        src.append(table(i, i - 1, complex_.source(i), twisted_source, x))
+        src.append(table(i, i - 1, complex_.boundary(SRC, i, i - 1), twisted_source, x))
         tgt.append(table(i, i - 1, complex_.boundary(TGT, i, i - 1), twisted_target, x))
     base = validate_globular_set(cells, src, tgt)
 

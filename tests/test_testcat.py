@@ -307,6 +307,18 @@ def test_product_category_matches_reference():
         assert ordered(tables(product_category(c, d))) == ordered(ref_product_category(c, d))
 
 
+def test_product_category_rows_share_their_ids():
+    # past 256 the interpreter caches no ints, so equal entries are one object
+    # only when the rows index one list of ids
+    arrow, group = BASES["arrow"], one_object_group(90)
+    prod = product_category(arrow, group)
+    assert len(prod.morphisms) > 256
+    first = {}
+    for row in prod.rows:
+        assert all(first.setdefault(h, h) is h for h in row)
+    assert ordered(tables(prod)) == ordered(ref_product_category(arrow, group))
+
+
 def test_constructors_are_checked_by_the_law_core():
     # one composite of the triple [1] -> [1] -> [1] ranked onto another map [1] -> [1]:
     # 1>1:00 after 1>1:10 is 1>1:00, not 1>1:01
