@@ -6,8 +6,8 @@ sweeps), ``delta`` (finite shift-category demonstration), ``fixture``
 (write a stock structure), ``sum`` (enumerate a globular product).
 
 Exit codes: 0 clean, 1 mathematical violation, 2 input error.  ``twist``,
-``decalage`` and ``fixtures`` are imported only by the commands that use
-them (``fixtures`` only by ``fixture``), so the verdict commands load no
+``decalage``, ``finsets`` and ``fixtures`` are imported only by the commands
+that use them (``delta`` only ``finsets``), so the verdict commands load no
 more than they run.  No command imports ``testcat``, and every command, like
 the whole package, runs on the standard library alone.
 """
@@ -114,20 +114,20 @@ def cmd_decalage(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    from . import decalage
+    from . import finsets
     if args.max_n < 1:
         raise KernelError("bounds must be >= 1")
-    gens = decalage.standard_generators()
+    gens = finsets.standard_generators()
     if args.format == "text":
         for name in ("comp", "unit", "inv"):
             plain = gens[name]
             shifted = gens[f"{name}_shift"]
             print(f"{name}: {plain}   shift: {shifted}")
-    results = decalage.check_shift_decalage(args.max_n)
+    results = finsets.check_shift_decalage(args.max_n)
 
     shift_matches = [
         report.passed("shift-generators", name)
-        if decalage.shift_map(gens[name]) == gens[f"{name}_shift"]
+        if finsets.shift_map(gens[name]) == gens[f"{name}_shift"]
         else report.failed("shift-generators", name, ["table mismatch"])
         for name in ("comp", "unit", "inv")
     ]

@@ -295,14 +295,13 @@ class TableOfDimensions(Record):
     _fields = ("outer", "inner")
 
     def __init__(self, outer, inner):
-        outer = tuple(int(v) for v in outer)
-        inner = tuple(int(v) for v in inner)
+        outer, inner = tuple(outer), tuple(inner)
         self.__dict__.update(outer=outer, inner=inner)
         if len(outer) < 1:
             raise ShapeViolation(0, "width must be at least 1")
         if len(inner) != len(outer) - 1:
             raise ShapeViolation(0, f"{len(outer)} outer entries need {len(outer) - 1} inner entries")
-        if any(v < 0 for v in outer + inner):
+        if any(type(v) is not int or v < 0 for v in outer + inner):  # bool too
             raise ShapeViolation(0, "dimensions must be naturals")
         for k in range(len(inner)):
             if outer[k] <= inner[k]:

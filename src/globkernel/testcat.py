@@ -7,16 +7,16 @@ associativity only at generators (Light's test).  Built on it: categories of
 elements, products, the finite-set category ``{0..n}`` with all maps, terminal
 objects (the sufficient asphericality criterion), nerve counts, separating
 intervals and the product comparison functor; no weak equivalences are decided.
-Everything here runs on plain Python tuples and lists.
+Everything here runs on plain Python tuples and lists, the maps of the
+finite-set category and every gather on the encoding of ``finsets``.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
-from operator import itemgetter
 
 from .errors import NotNatural, Record, ValidationError
+from .finsets import _maps, _reader
 
 
 class SmallCategory(Record):
@@ -102,17 +102,6 @@ def _layout_of(objects, morphisms):
     return dom, cod, into, place
 
 
-def _getter(idx):
-    """A function of a sequence: its items at the indices ``idx``, as a tuple."""
-    if len(idx) > 1:
-        return itemgetter(*idx)
-    return lambda seq: tuple(seq[i] for i in idx)  # itemgetter gives one item bare
-
-
-def _gather(seq, idx) -> tuple:
-    return _getter(idx)(seq)
-
-
 def _mismatch(left, right) -> int:
     """The first place where two sequences differ."""
     return next(k for k, (x, y) in enumerate(zip(left, right)) if x != y)
@@ -168,10 +157,10 @@ def _category(objects, morphisms, identity, rows, comp=None) -> SmallCategory:
 
     # g after the i-th f into dom g runs from dom f to cod g; -1, no composite, gathers -1
     doms, cods = dom + [-1], cod + [-1]
-    wanted = [_gather(dom, firsts) for firsts in into]
+    wanted = [_reader(firsts)(dom) for firsts in into]
     failing = []
     for g, row in enumerate(rows):
-        ends = _getter(row)
+        ends = _reader(row)
         if ends(doms) != wanted[dom[g]] or ends(cods).count(cod[g]) != len(row):
             i = _mismatch(zip(ends(doms), ends(cods)), [(a, cod[g]) for a in wanted[dom[g]]])
             failing.append((into[dom[g]][i], g))
@@ -232,7 +221,7 @@ def _generators(rows, ident, dom, cod, place) -> list[int]:
 def _middle(rows, g, place, lasts):
     """The first ``h`` of ``lasts`` and place ``i`` with ``(h g) f != h (g f)``, where ``f``
     is the ``i``-th morphism into ``dom g``, or None."""
-    at, k = _getter(_gather(place, rows[g])), place[g]  # h (g f) reads row h at g f
+    at, k = _reader(_reader(rows[g])(place)), place[g]  # h (g f) reads row h at g f
     for h in lasts:
         row = rows[h]
         left, right = rows[row[k]], at(row)
@@ -294,7 +283,7 @@ def validate_presheaf(base: SmallCategory, values, action) -> Presheaf:
     # F(g after f) = F(f) after F(g): g-major, over the f that g can follow
     names, (dom, cod, into, _) = base._names, base._layout
     for g, (row, act) in enumerate(zip(base.rows, acts)):
-        pull = _getter(act)
+        pull = _reader(act)
         for f, h in zip(into[dom[g]], row):
             if acts[h] != pull(acts[f]):
                 e = values[base.objects[cod[g]]][_mismatch(acts[h], pull(acts[f]))]
@@ -500,8 +489,8 @@ def product_comparison(f: Presheaf, g: Presheaf) -> FunctorData:
 def delta_truncated(m: int) -> SmallCategory:
     """Objects ``[0] .. [m]``, morphisms all maps between the finite sets.
 
-    A map ``{0..a} -> {0..b}`` is the tuple of its values, named
-    ``a>b:<values>``.  Ids run over the hom-sets ``(a, b)`` a-major, and
+    A map ``{0..a} -> {0..b}`` is the tuple of its values, as in ``finsets``,
+    named ``a>b:<values>``.  Ids run over the hom-sets ``(a, b)`` a-major, and
     within one in lexicographic order of the values; a composite is read off
     as a tuple and ranked back by one dict per codomain.
     """
@@ -509,7 +498,7 @@ def delta_truncated(m: int) -> SmallCategory:
         raise ValidationError("m must be >= 0")
     sizes = range(m + 1)
     objects = tuple(f"[{n}]" for n in sizes)
-    homs = {(a, b): list(itertools.product(range(b + 1), repeat=a + 1)) for a in sizes for b in sizes}
+    homs = {(a, b): list(_maps(a, b)) for a in sizes for b in sizes}
     morphisms = {f"{a}>{b}:" + "".join(map(str, values)): (objects[a], objects[b])
                  for (a, b), hom in homs.items() for values in hom}
     identity = {objects[a]: f"{a}>{a}:" + "".join(map(str, range(a + 1))) for a in sizes}
@@ -518,7 +507,7 @@ def delta_truncated(m: int) -> SmallCategory:
         rank[b].update(zip(hom, range(first, first + len(hom))))
         first += len(hom)
     # g after f is g read at the values of f: per f into [a], a column over the g of a hom-set
-    reads = [[_getter(values) for a in sizes for values in homs[a, b]] for b in sizes]
+    reads = [[_reader(values) for a in sizes for values in homs[a, b]] for b in sizes]
     rows = []
     for (a, b), hom in homs.items():
         rows += zip(*[map(rank[b].__getitem__, map(read, hom)) for read in reads[a]])

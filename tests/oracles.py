@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from globkernel import decalage
+from globkernel import finsets
 from globkernel.errors import (
     DimOutOfRange,
     GlobularViolation,
@@ -121,19 +121,19 @@ def ref_shift_squares(max_n):
     """Failures of the shift's inclusion and point squares, checked map by map.
 
     Each failing map is named by its ``str``.  The structure maps are read
-    from ``decalage`` at call time, so a test may replace them.
+    from ``finsets`` at call time, so a test may replace them.
     """
     incl, point = [], []
     for m in range(max_n + 1):
         for n in range(max_n + 1):
             for values in all_functions(m, n):
-                phi = decalage.SimplexMap(m, n, values)
-                shifted = decalage.shift_map(phi)
-                if decalage.compose_maps(shifted, decalage.top_inclusion(m)) != (
-                    decalage.compose_maps(decalage.top_inclusion(n), phi)
+                phi = finsets.SimplexMap(m, n, values)
+                shifted = finsets.shift_map(phi)
+                if finsets.compose_maps(shifted, finsets.top_inclusion(m)) != (
+                    finsets.compose_maps(finsets.top_inclusion(n), phi)
                 ):
                     incl.append(str(phi))
-                if decalage.compose_maps(shifted, decalage.base_point(m)) != decalage.base_point(n):
+                if finsets.compose_maps(shifted, finsets.base_point(m)) != finsets.base_point(n):
                     point.append(str(phi))
     return incl, point
 
@@ -143,14 +143,14 @@ def ref_composition_sweep(max_n, cap):
 
     Pairs come by ``(m, n, p)``, then ``psi``, then ``phi``, and both sides
     are shifted and composed for each pair on its own.  ``_shift`` is read
-    from ``decalage`` at call time, so a test may replace it.
+    from ``finsets`` at call time, so a test may replace it.
     """
     failures = []
     for m, n, p in itertools.product(range(max_n + 1), repeat=3):
         for psi in all_functions(n, p):
             for phi in all_functions(m, n):
-                lhs = decalage._shift(tuple(psi[v] for v in phi), p)  # shift(psi after phi)
-                shift_psi, shift_phi = decalage._shift(psi, p), decalage._shift(phi, n)
+                lhs = finsets._shift(tuple(psi[v] for v in phi), p)  # shift(psi after phi)
+                shift_psi, shift_phi = finsets._shift(psi, p), finsets._shift(phi, n)
                 rhs = tuple(shift_psi[v] for v in shift_phi)  # shift psi after shift phi
                 if lhs != rhs:
                     failures.append(f"phi={phi}:[{m}]->[{n}] psi={psi}:[{n}]->[{p}]")

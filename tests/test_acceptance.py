@@ -9,7 +9,7 @@ from __future__ import annotations
 import time
 
 
-from globkernel import decalage, fixtures, omega, report, twist
+from globkernel import decalage, finsets, fixtures, omega, report, twist
 from globkernel.globular import all_tables
 from globkernel.omega import (
     INVERSE_COMPAT,
@@ -149,7 +149,7 @@ def test_criterion_6_canonical_isomorphism():
 
 def test_criterion_7_shift_category_tables():
     start = time.perf_counter()
-    gens = decalage.standard_generators()
+    gens = finsets.standard_generators()
     ok = gens["comp"].table == (0, 2) and (gens["comp"].dom, gens["comp"].cod) == (1, 2)
     ok = ok and gens["unit"].table == (0, 0) and gens["unit"].cod == 0
     ok = ok and gens["inv"].table == (1, 0) and gens["inv"].cod == 1
@@ -157,10 +157,10 @@ def test_criterion_7_shift_category_tables():
     ok = ok and gens["unit_shift"].table == (0, 0, 1)
     ok = ok and gens["inv_shift"].table == (1, 0, 2)
     for name in ("comp", "unit", "inv"):
-        ok = ok and decalage.shift_map(gens[name]) == gens[f"{name}_shift"]
-    ok = ok and decalage.top_inclusion(2).table == (0, 1, 2)
-    ok = ok and decalage.base_point(2).table == (3,)
-    ok = ok and report.all_pass(decalage.check_shift_decalage(4))
+        ok = ok and finsets.shift_map(gens[name]) == gens[f"{name}_shift"]
+    ok = ok and finsets.top_inclusion(2).table == (0, 1, 2)
+    ok = ok and finsets.base_point(2).table == (3,)
+    ok = ok and report.all_pass(finsets.check_shift_decalage(4))
     elapsed = time.perf_counter() - start
     announce(7, "shift category tables", ok and elapsed < 5.0, elapsed)
 

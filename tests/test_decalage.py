@@ -4,32 +4,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from globkernel import decalage, fixtures, globular, omega, report, twist
+from globkernel import decalage, finsets, fixtures, globular, omega, report, twist
 from globkernel.decalage import (
-    SimplexMap,
     apex_source,
     apex_tuple,
     base_endpoint,
-    base_point,
     check_apex_naturality,
     check_endpoint_naturality,
     check_lift_non_naturality,
     check_section,
     check_sections,
-    check_shift_decalage,
     check_unit_closed_forms,
-    clamp_retraction,
-    compose_maps,
     find_lift_naturality_failure,
-    identity_map,
-    shift_map,
-    standard_generators,
-    top_inclusion,
     unit_lift,
     unit_lift_segment,
     unit_lift_tuple,
 )
 from globkernel.errors import DimOutOfRange, KernelError, NotComposable, ValidationError
+from globkernel.finsets import (
+    SimplexMap,
+    base_point,
+    check_shift_decalage,
+    clamp_retraction,
+    compose_maps,
+    identity_map,
+    shift_map,
+    standard_generators,
+    top_inclusion,
+)
 from globkernel.globular import all_tables, globular_product, parse_table
 from globkernel.testcat import delta_truncated
 from globkernel.twist import twisted_cell, twisted_cells
@@ -316,6 +318,22 @@ def test_simplex_map_validation():
         SimplexMap(1, 1, (0, 2))
     m = SimplexMap(1, 2, (0, 2))
     assert m(1) == 2
+    # sizes and values are ints, not floats, strings or bools, and nothing is coerced
+    for dom, cod, table in ((1, 2, (0, 2.7)), (1.0, 2, (0, 1)), (1, 2.0, (0, 1)),
+                            (1, 2, (0, "x")), (1, 2, (0, True)), (True, 2, (0, 1))):
+        with pytest.raises(ValidationError):
+            SimplexMap(dom, cod, table)
+
+
+def test_reader_gathers_any_number_of_indices():
+    # an empty gather gives (): testcat.validate_presheaf gathers over empty value sets
+    assert finsets._reader(())("abc") == ()
+    assert finsets._reader((2,))("abc") == ("c",)
+    assert finsets._reader((2, 0, 2))("abc") == ("c", "a", "c")
+
+
+def test_decalage_names_the_one_shift_check():
+    assert decalage.check_shift_decalage is finsets.check_shift_decalage
 
 
 def test_compose_maps():
@@ -379,23 +397,23 @@ def test_shift_decalage_rejects_bad_bound():
 
 def test_function_counts_against_oracle():
     # |maps [m] -> [n]| = (n+1)^(m+1), cross-checked by raw enumeration; the
-    # tuples of decalage's enumeration and the morphisms of delta_truncated
+    # tuples of finsets' enumeration and the morphisms of delta_truncated
     # come in the enumeration's lexicographic order
     names = []
     for m in range(4):
         for n in range(4):
             maps = all_functions(m, n)
             assert len(maps) == (n + 1) ** (m + 1)
-            assert list(decalage._maps(m, n)) == maps
+            assert list(finsets._maps(m, n)) == maps
             names += [f"{m}>{n}:" + "".join(map(str, values)) for values in maps]
     assert list(delta_truncated(3).morphisms) == names
 
 
 def test_shift_squares_match_reference_on_faulty_structure_maps(monkeypatch):
     # an inclusion that sends 0 to the top, and a point that lands on 0 for odd n
-    monkeypatch.setattr(decalage, "top_inclusion",
+    monkeypatch.setattr(finsets, "top_inclusion",
                         lambda n: SimplexMap(n, n + 1, (n + 1,) + tuple(range(1, n + 1))))
-    monkeypatch.setattr(decalage, "base_point",
+    monkeypatch.setattr(finsets, "base_point",
                         lambda n: SimplexMap(0, n + 1, (0 if n % 2 else n + 1,)))
     failures = {r.check: r.failures for r in check_shift_decalage(3)}
     incl, point = ref_shift_squares(3)
@@ -404,8 +422,8 @@ def test_shift_squares_match_reference_on_faulty_structure_maps(monkeypatch):
     assert failures["shift-point-square"] == tuple(point)
 
 
-_SHIFT = decalage._shift
-_GENERATORS = decalage._generators
+_SHIFT = finsets._shift
+_GENERATORS = finsets._generators
 
 
 def _shift_new_top_to_zero(row, n):
@@ -453,21 +471,21 @@ def _compose(g, f):
     )
 ])
 def test_composition_sweep_matches_reference_under_faulty_shifts(monkeypatch, shift, generators):
-    monkeypatch.setattr(decalage, "_shift", shift)
-    monkeypatch.setattr(decalage, "_generators", generators)
-    assert decalage._functor_at_generators(3) is None  # so the pair sweep runs
+    monkeypatch.setattr(finsets, "_shift", shift)
+    monkeypatch.setattr(finsets, "_generators", generators)
+    assert finsets._functor_at_generators(3) is None  # so the pair sweep runs
     full = ref_composition_sweep(3, 10**9)
     assert len(full) > 100
     for cap in (1, 7, 100):
-        got = decalage._composition_sweep(3, cap)
+        got = finsets._composition_sweep(3, cap)
         assert got == ref_composition_sweep(3, cap) == full[:cap], cap
-    assert decalage._composition_sweep(3, 10**9) == full
+    assert finsets._composition_sweep(3, 10**9) == full
 
 
 def test_faulty_shifts_fail_where_the_generators_cannot_tell():
     # the first failing pair of the one-map fault is of two maps outside G
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(decalage, "_shift", _shift_one_map_top_to_zero)
+        patch.setattr(finsets, "_shift", _shift_one_map_top_to_zero)
         first = ref_composition_sweep(3, 1)
     assert first == ["phi=(0,):[0]->[2] psi=(0, 1, 1):[2]->[2]"]
     assert {(0,), (0, 1, 1)}.isdisjoint(_GENERATORS(3)[2])  # G's maps into {0..2}
@@ -490,16 +508,16 @@ def test_real_shift_is_decided_at_generators(monkeypatch):
     gens = _GENERATORS(4)
     assert sum(map(len, gens.values())) == 18
     pairs = sum(len(gs) * len(all_functions(cod, p)) for cod, gs in gens.items() for p in range(5))
-    assert decalage._functor_at_generators(4) == pairs == 28_100
-    monkeypatch.setattr(decalage, "_maps", None)
+    assert finsets._functor_at_generators(4) == pairs == 28_100
+    monkeypatch.setattr(finsets, "_maps", None)
     for max_n in range(1, 5):
-        assert decalage._composition_sweep(max_n, 100) == []
+        assert finsets._composition_sweep(max_n, 100) == []
 
 
 @pytest.mark.parametrize("shift", [_shift_new_top_to_zero, _shift_first_value_to_top])
 def test_every_shift_check_applies_the_one_shift(monkeypatch, shift):
     # a faulty shift shows alike in the identity check, both squares and the sweep
-    monkeypatch.setattr(decalage, "_shift", shift)
+    monkeypatch.setattr(finsets, "_shift", shift)
     failures = {r.check: r.failures for r in check_shift_decalage(3)}
     incl, point = ref_shift_squares(3)
     assert incl or point

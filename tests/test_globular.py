@@ -140,6 +140,12 @@ def test_parse_table_examples():
     assert err.value.position == 1
 
 
+def test_table_entries_must_be_natural_ints():
+    for outer, inner in (((2.9, 1.5), (0.2,)), ((2, 1), (0.0,)), (("2",), ()), ((True,), ())):
+        with pytest.raises(ShapeViolation):
+            TableOfDimensions(outer, inner)
+
+
 def test_parse_table_errors():
     with pytest.raises(ParseError):
         parse_table("")

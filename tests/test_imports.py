@@ -125,12 +125,49 @@ def test_cli_imports_only_its_floor():
     assert numpy_loaded == "False"
 
 
+# Runs ``cli.main`` on the argument list in ``sys.argv[1]`` and prints its exit
+# code, then the sorted names of the package's modules it loaded.
+_COMMAND = """
+import contextlib, io, json, sys
+from globkernel import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'globkernel'))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    pytest.param(argv, loaded, id=argv[0]) for argv, loaded in (
+        (["check", "{file}"], ""),
+        (["twist", "{file}", "-o", "{out}"], "twist"),
+        (["decalage", "{file}", "--max-dim", "2"], "decalage finsets twist"),
+        (["delta", "--max-n", "3"], "finsets"),
+    )
+])
+def test_each_command_imports_only_its_floor(tmp_path, argv, loaded):
+    """A command job loads the floor of ``import globkernel.cli`` and the modules it
+    runs, and no other module of the package: ``delta`` runs only ``finsets``."""
+    from globkernel import fixtures, omega
+
+    path = tmp_path / "z2.json"
+    x = fixtures.delooping(fixtures.NAMED_GROUPS["z2"](), 3)
+    path.write_text(json.dumps(omega.omega_to_json(x)), encoding="utf-8")
+    argv = [arg.format(file=path, out=tmp_path / "out.json") for arg in argv]
+    code, *modules = _python(_COMMAND, json.dumps(argv)).split()
+    assert code == "0"
+    floor = ("", ".cli", ".errors", ".globular", ".omega", ".report")
+    assert modules == sorted([f"globkernel{suffix}" for suffix in floor]
+                             + [f"globkernel.{name}" for name in loaded.split()])
+
+
 def test_twist_imports_no_numpy():
     """The twisted complex, its products, the décalage sweeps and the finite categories
     run on plain lists and tuples: importing ``twist`` or ``decalage`` loads neither
-    numpy nor ``testcat``, and importing ``testcat`` loads neither numpy nor the
+    numpy nor ``testcat``, importing ``finsets`` loads none of the omega-groupoid
+    modules and no ``testcat``, and importing ``testcat`` loads neither numpy nor the
     omega-groupoid modules, so a criterion-8 job compiles none of them."""
     for module, banned in (("twist", "testcat"), ("decalage", "testcat"),
+                           ("finsets", "decalage omega testcat twist"),
                            ("testcat", "decalage omega twist")):
         banned = {"numpy", *(f"globkernel.{name}" for name in banned.split())}
         probe = f"import sys, globkernel.{module}; print(sorted({banned!r} & set(sys.modules)))"

@@ -20,7 +20,7 @@ import itertools
 
 import pytest
 
-from globkernel import decalage, fixtures, globular, omega, report, testcat, twist
+from globkernel import decalage, finsets, fixtures, globular, omega, report, testcat, twist
 from globkernel.errors import Record
 from globkernel.globular import TableOfDimensions, all_tables
 
@@ -44,7 +44,7 @@ TWINS = {
     twist.TwistedSegment: twin("TwistedSegment", "low high entries"),
     twist.MixedTuple: twin("MixedTuple", "table head segments"),
     twist.Product: twin("Product", "table paired mixed to_mixed to_paired"),
-    decalage.SimplexMap: twin("SimplexMap", "dom cod table"),
+    finsets.SimplexMap: twin("SimplexMap", "dom cod table"),
     fixtures.GroupTable: twin("GroupTable", "elements mul"),
     testcat.SmallCategory: twin("SmallCategory", "objects morphisms identity rows"),
     testcat.Presheaf: twin("Presheaf", "base values action"),
@@ -91,8 +91,8 @@ def corpus_records() -> dict[type, list]:
         twist.TwistedSegment: [*twist.segment_cells(z3, 1, 2)[:2], *twist.segment_cells(sus, 1, 2)[:2]],
         twist.MixedTuple: [*twist.mixed_product(z3, tables[1])[:2], *twist.mixed_product(sus, tables[2])[:2]],
         twist.Product: [twist._complex(z3).product(tables[1]), twist._complex(sus).product(tables[2])],
-        decalage.SimplexMap: [decalage.identity_map(2), decalage.clamp_retraction(1),
-                              *decalage.standard_generators().values()],
+        finsets.SimplexMap: [finsets.identity_map(2), finsets.clamp_retraction(1),
+                             *finsets.standard_generators().values()],
         fixtures.GroupTable: [fixtures.cyclic_table(2), fixtures.cyclic_table(3), fixtures.symmetric3_table()],
         testcat.SmallCategory: [delta, testcat.delta_truncated(0), testcat.category_of_elements(simplex)],
         testcat.Presheaf: [point, simplex, testcat.product_presheaf(point, simplex)],
