@@ -47,21 +47,14 @@ def _emit(results: list[report.CheckResult], fmt: str, out=None) -> None:
             out.write(report.format_line(r) + "\n")
 
 
-def _violations_to_results(kind: str, violations) -> list[report.CheckResult]:
-    return [report.verdict(kind, "all", [str(v) for v in violations])]
-
-
 def cmd_check(args) -> int:
     flags = omega.AxiomFlags.parse(args.axioms)
     if args.cap < 1:
         raise KernelError("bounds must be >= 1")
     x = _load_structure(args.file)
-    results = []
-    structure = omega.check_structure(x, cap=args.cap)
-    results.extend(_violations_to_results("structure", structure.violations))
-    by_axiom = omega.check_all(x, flags, cap=args.cap)
-    for name, violations in by_axiom.items():
-        results.extend(_violations_to_results(f"axiom:{name}", violations))
+    results = [report.swept("structure", omega.check_structure(x, cap=args.cap))]
+    results += [report.swept(f"axiom:{name}", sweep)
+                for name, sweep in omega.check_all(x, flags, cap=args.cap).items()]
     _emit(results, args.format)
     return EXIT_CLEAN if report.all_pass(results) else EXIT_VIOLATION
 
@@ -90,7 +83,7 @@ def cmd_decalage(args) -> int:
         return EXIT_INPUT
     structure = omega.check_structure(x, cap=args.cap)
     axioms = omega.check_all(x, omega.FULL_FLAGS, cap=args.cap)
-    if structure.violations or not omega.all_clean(axioms):
+    if not all(r.ok for r in (structure, *axioms.values())):
         print("input error: structure fails its own axiom suite; fix it first", file=sys.stderr)
         return EXIT_INPUT
 
@@ -126,9 +119,8 @@ def cmd_delta(args) -> int:
     results = finsets.check_shift_decalage(args.max_n)
 
     shift_matches = [
-        report.passed("shift-generators", name)
-        if finsets.shift_map(gens[name]) == gens[f"{name}_shift"]
-        else report.failed("shift-generators", name, ["table mismatch"])
+        report.verdict("shift-generators", name,
+                       [] if finsets.shift_map(gens[name]) == gens[f"{name}_shift"] else ["table mismatch"])
         for name in ("comp", "unit", "inv")
     ]
     results = shift_matches + results

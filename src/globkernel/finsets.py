@@ -25,7 +25,10 @@ class SimplexMap(Record):
     _fields = ("dom", "cod", "table")
 
     def __init__(self, dom: int, cod: int, table):
-        table = tuple(table)
+        try:
+            table = tuple(table)
+        except TypeError:
+            raise ValidationError(f"values {table!r} must be a sequence") from None
         self.__dict__.update(dom=dom, cod=cod, table=table)
         if any(type(v) is not int for v in (dom, cod, *table)) or min(dom, cod) < 0:  # bool too
             raise ValidationError(f"sizes {dom!r}, {cod!r} and values {table!r} must be natural ints")

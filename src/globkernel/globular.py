@@ -295,7 +295,10 @@ class TableOfDimensions(Record):
     _fields = ("outer", "inner")
 
     def __init__(self, outer, inner):
-        outer, inner = tuple(outer), tuple(inner)
+        try:
+            outer, inner = tuple(outer), tuple(inner)
+        except TypeError:
+            raise ShapeViolation(0, "outer and inner dimensions must be sequences") from None
         self.__dict__.update(outer=outer, inner=inner)
         if len(outer) < 1:
             raise ShapeViolation(0, "width must be at least 1")

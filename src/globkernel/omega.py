@@ -7,11 +7,12 @@ An :class:`OmegaStructure` carries, on top of a globular set truncated at N:
 * total unit maps ``unit[i] : X_i -> X_{i+1}`` for ``0 <= i < N``,
 * optional total inverse maps ``inv[(i, j)] : X_i -> X_i``.
 
-``check_structure`` verifies the boundary laws every such structure must
-satisfy; ``check_axiom``/``check_all`` enumerate the coherence axioms
-(associativity, exchange, units, unit functoriality, inverses) and return
-every counterexample up to a configurable cap.  Violations are data, never
-exceptions.
+``check_structure`` sweeps the boundary laws every such structure must
+satisfy, ``check_axiom`` one coherence axiom (associativity, exchange, units,
+unit functoriality, inverses), and ``check_all`` every flagged axiom.  Each
+sweep gives one :class:`Report`: the counterexamples up to a configurable
+cap, whether the cap cut them, and the instances screened.  Violations are
+data, never exceptions.
 
 Each law, boundary law or axiom, is written once as a function of an
 evaluator, and one sweep runs them all on the tables over interned integer
@@ -158,33 +159,28 @@ class Violation(Record):
 
 
 class Report(Record):
-    """Violations gathered by a checker, truncated at ``cap`` entries.
+    """One sweep's violations, cut at its cap, and the instances it screened.
 
-    ``truncated`` is set exactly when more than ``cap`` violations exist.
-    Unlike other records a report is filled in place, so it has no hash.
+    ``truncated`` is set exactly when more violations exist than were kept.
+    ``instances`` counts the instances screened before the sweep stopped: all
+    of them when ``truncated`` is false, fewer when the cap cut the sweep short.
     """
 
-    _fields = ("violations", "cap", "truncated")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    _fields = ("violations", "truncated", "instances")
 
-    def __init__(self, violations: list[Violation] | None = None, cap: int = 100, truncated: bool = False):
-        self.violations = [] if violations is None else violations
-        self.cap = cap
-        self.truncated = truncated
+    def __init__(self, violations: list[Violation], truncated: bool, instances: int):
+        self.__dict__.update(violations=violations, truncated=truncated, instances=instances)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    def add(self, violation: Violation) -> bool:
-        """Record a violation; when ``cap`` are already held, mark truncated, return False."""
-        if len(self.violations) >= self.cap:
-            self.truncated = True
-            return False
-        self.violations.append(violation)
-        return True
+    # the benchmark's tracer and tests read check_axiom's result as a list of violations
+    def __len__(self) -> int:
+        return len(self.violations)
+
+    def __getitem__(self, k):
+        return self.violations[k]
 
     def __str__(self) -> str:
         if self.ok:
@@ -465,13 +461,17 @@ def _failing(lhs: list[list[int]], rhs: list[list[int]]) -> list[int]:
     return sorted(rows)
 
 
-def _collect(violations, cap: int) -> Report:
-    """The first ``cap`` of ``violations``, reading one more to set ``truncated``."""
-    report = Report(cap=cap)
-    for violation in violations:
-        if not report.add(violation):
-            break
-    return report
+def _collect(blocks, cap: int) -> Report:
+    """The first ``cap`` violations of ``blocks`` (per block of instances, its size and
+    its violations), reading one more to set ``truncated``; counts the instances read."""
+    violations, instances = [], 0
+    for size, found in blocks:
+        instances += size
+        for violation in found:
+            if len(violations) == cap:
+                return Report(violations, True, instances)
+            violations.append(violation)
+    return Report(violations, False, instances)
 
 
 # -- the sweep ------------------------------------------------------------------
@@ -609,18 +609,21 @@ def _judge(x: OmegaStructure, name: str, sub: tuple[int, ...], witness) -> list[
     return [Violation(name, sub, witness, f"{lhs} != {rhs}")] if lhs != rhs else []
 
 
-def _violations(x: OmegaStructure, name: str, subs):
-    """Every violation of one law at the given subscripts, in sweep order.
+def _judge_rows(x: OmegaStructure, name: str, sub: tuple[int, ...], block, rows):
+    """The violations of the instances of ``block`` at ``rows``, judged on names as read."""
+    names = x.base.cells[sub[0]]
+    for k in rows:
+        yield from _judge(x, name, sub, tuple(names[column[k]] for column in block))
 
-    Each block of instances is screened on ids; only the instances it does
-    not pass are judged again on names, which builds their violations.
-    """
+
+def _violations(x: OmegaStructure, name: str, subs):
+    """Per block of instances of one law at the given subscripts, in sweep order,
+    its size and its violations.  Each block is screened on ids; only the instances
+    it does not pass are judged again on names, which builds their violations."""
     t = x.tables
     for sub in subs:
-        names = x.base.cells[sub[0]]
         for block in _instances(t, name, sub):
-            for k in _failing(*_screen(t, name, sub, block)):
-                yield from _judge(x, name, sub, tuple(names[column[k]] for column in block))
+            yield len(block[0]), _judge_rows(x, name, sub, block, _failing(*_screen(t, name, sub, block)))
 
 
 def check_structure(x: OmegaStructure, cap: int = 100) -> Report:
@@ -638,8 +641,9 @@ def _validate_subscripts(x: OmegaStructure, name: str, sub: tuple[int, ...]) -> 
         raise DimOutOfRange(f"axiom {name} has no subscripts {sub} at truncation {x.truncation}")
 
 
-def axiom_report(x: OmegaStructure, name: str, subscripts=None, cap: int = 100) -> Report:
-    """Counterexamples to one axiom, in declaration order, as a capped report."""
+def check_axiom(x: OmegaStructure, name: str, subscripts=None, cap: int = 100) -> Report:
+    """Counterexamples to one axiom, at given or all meaningful subscripts, in
+    declaration order, as a capped report with its instance count."""
     if name not in AXIOMS:
         raise ValidationError(f"unknown axiom {name!r}; expected one of {AXIOMS}")
     if name in _INVERSE_AXIOMS and x.inv is None:
@@ -652,24 +656,15 @@ def axiom_report(x: OmegaStructure, name: str, subscripts=None, cap: int = 100) 
     return _collect(_violations(x, name, subs), cap)
 
 
-def check_axiom(x: OmegaStructure, name: str, subscripts=None, cap: int = 100) -> list[Violation]:
-    """All counterexamples to one axiom, at given or all meaningful subscripts."""
-    return axiom_report(x, name, subscripts, cap).violations
-
-
 def check_all(x: OmegaStructure, flags: AxiomFlags = FULL_FLAGS,
-              cap: int = 100) -> dict[str, list[Violation]]:
+              cap: int = 100) -> dict[str, Report]:
     """Run associativity, exchange, and every flagged axiom.
 
-    Returns a map from axiom name to its violation list, in axiom order.
+    Returns a map from axiom name to its report, in axiom order.
     """
     if flags.needs_inverses() and x.inv is None:
         raise InversesAbsent("flags request inverse axioms but structure has no inverses")
     return {name: check_axiom(x, name, None, cap) for name in flags.axioms()}
-
-
-def all_clean(results: dict[str, list[Violation]]) -> bool:
-    return all(not v for v in results.values())
 
 
 # -- serialization ------------------------------------------------------------

@@ -470,6 +470,15 @@ def brute_structure_violations(x):
     return found
 
 
+def brute_structure_instances(x):
+    """How many instances the boundary laws have: composable pairs, unit and inverse entries."""
+    n, base = x.truncation, x.base
+    pairs = sum(1 for i in range(1, n + 1) for j in range(i) for _ in _pairs(base, i, j))
+    units = sum(len(base.cells[i]) for i in range(n))
+    inverses = 0 if x.inv is None else sum(i * len(base.cells[i]) for i in range(1, n + 1))
+    return pairs + units + inverses
+
+
 def axiom_subscripts(n, name):
     if name in (ASSOC, LEFT_UNIT, RIGHT_UNIT, LEFT_INVERSE, RIGHT_INVERSE):
         return [(i, j) for i in range(1, n + 1) for j in range(i)]
@@ -545,6 +554,11 @@ def _axiom_instances(x, name, sub):
                     inverse(x, i, jp, compose(x, i, j, u, v)),
                     compose(x, i, j, inverse(x, i, jp, u), inverse(x, i, jp, v)),
                 )
+
+
+def brute_axiom_instances(x, name):
+    """How many instances one axiom has over all its subscripts."""
+    return sum(1 for sub in axiom_subscripts(x.truncation, name) for _ in _axiom_instances(x, name, sub))
 
 
 def brute_axiom_violations(x, name):

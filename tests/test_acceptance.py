@@ -15,7 +15,6 @@ from globkernel.omega import (
     INVERSE_COMPAT,
     AxiomFlags,
     FULL_FLAGS,
-    all_clean,
     check_all,
     check_axiom,
     check_structure,
@@ -38,7 +37,7 @@ def test_criterion_1_fixture_soundness():
     ok = True
     for name, x in CORPUS.items():
         start = time.perf_counter()
-        clean = check_structure(x).ok and all_clean(check_all(x, FULL_FLAGS))
+        clean = check_structure(x).ok and all(r.ok for r in check_all(x, FULL_FLAGS).values())
         elapsed = time.perf_counter() - start
         worst = max(worst, elapsed)
         ok = ok and clean and elapsed < 10.0
@@ -53,10 +52,10 @@ def test_criterion_2_twisted_transport():
             continue
         tx = twist.build_twisted(x)
         ok = ok and tx.truncation == x.truncation - 1
-        ok = ok and check_structure(tx).ok and all_clean(check_all(tx, FULL_FLAGS))
+        ok = ok and check_structure(tx).ok and all(r.ok for r in check_all(tx, FULL_FLAGS).values())
     deep = fixtures.delooping(fixtures.cyclic_table(2), 4)
     twice = twist.build_twisted(twist.build_twisted(deep))
-    ok = ok and check_structure(twice).ok and all_clean(check_all(twice, FULL_FLAGS))
+    ok = ok and check_structure(twice).ok and all(r.ok for r in check_all(twice, FULL_FLAGS).values())
     elapsed = time.perf_counter() - start
     announce(2, "twisted transport", ok and elapsed < 30.0, elapsed)
 
@@ -68,8 +67,8 @@ def test_criterion_3_conditional_propositions():
     # derived axiom: on every fixture satisfying the hypothesis set, inverse
     # compatibility holds
     for name, x in CORPUS.items():
-        assert all_clean(check_all(x, hypotheses)), name
-        ok = ok and check_axiom(x, INVERSE_COMPAT) == []
+        assert all(r.ok for r in check_all(x, hypotheses).values()), name
+        ok = ok and check_axiom(x, INVERSE_COMPAT).violations == []
 
     # fault injections: each corrupted table is caught by the matching axiom,
     # and the uncorrupted twin stays clean (no spurious passes either way)
@@ -96,7 +95,7 @@ def test_criterion_3_conditional_propositions():
         (omega.RIGHT_INVERSE, inv_fault(z3, 1, 0, "1", "1")),
     ]
     for axiom, bad in injections:
-        caught = check_axiom(bad, axiom)
+        caught = check_axiom(bad, axiom).violations
         ok = ok and len(caught) >= 1 and all(v.law == axiom for v in caught)
     elapsed = time.perf_counter() - start
     announce(3, "conditional propositions", ok, elapsed)

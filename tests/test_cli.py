@@ -37,7 +37,39 @@ def test_check_json_format(z2_file, capsys):
     assert run(["check", str(z2_file), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert all(entry["status"] == "PASS" for entry in payload)
-    assert {"check", "scope", "status", "witness"} == set(payload[0])
+    assert {"check", "scope", "status", "witness", "failures", "instances", "capped"} == set(payload[0])
+    assert all(entry["failures"] == [] and entry["instances"] > 0 and not entry["capped"]
+               for entry in payload)
+
+
+def test_check_json_shows_a_pass_over_no_instances(tmp_path, capsys):
+    # a 1-truncated structure has no 2-cells: exchange and unit functoriality
+    # pass without checking anything, and say so
+    path = tmp_path / "z3.json"
+    assert run(["fixture", "delooping", "--group", "z3", "--trunc", "1", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["check", str(path), "--format", "json"]) == 0
+    counts = {entry["check"]: entry["instances"] for entry in json.loads(capsys.readouterr().out)}
+    assert {check for check, n in counts.items() if n == 0} == {"axiom:exchange", "axiom:unit_compat"}
+    assert all(n > 0 for check, n in counts.items() if check not in ("axiom:exchange", "axiom:unit_compat"))
+
+
+def test_check_json_flags_a_capped_sweep(tmp_path, capsys):
+    x = fixtures.delooping(fixtures.cyclic_table(3), 2)
+    data = omega.omega_to_json(x)
+    data["comp"]["1,0"]["0|2"] = "1"  # left unit broken at 2; associativity fails seven times
+    path = tmp_path / "fault.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    rows = {}
+    for cap in (1, 100):
+        assert run(["check", str(path), "--cap", str(cap), "--format", "json"]) == 1
+        rows[cap] = {entry["check"]: entry for entry in json.loads(capsys.readouterr().out)}
+    capped, full = rows[1]["axiom:assoc"], rows[100]["axiom:assoc"]
+    assert capped["capped"] and capped["failures"] == [capped["witness"]]
+    assert not full["capped"] and len(full["failures"]) == 7 and full["failures"][0] == capped["witness"]
+    # the cut sweep stopped early, so it screened fewer instances
+    assert 0 < capped["instances"] < full["instances"]
+    assert not rows[1]["axiom:left_unit"]["capped"] and not rows[1]["axiom:exchange"]["capped"]
 
 
 def test_fixture_unknown_group_exit_two(tmp_path, capsys):
@@ -236,8 +268,8 @@ def test_delta_command(capsys):
 def test_delta_json_parses(capsys):
     assert run(["delta", "--max-n", "2", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload[0] == {"check": "shift-generators", "scope": "comp",
-                          "status": "PASS", "witness": None}
+    assert payload[0] == {"check": "shift-generators", "scope": "comp", "status": "PASS", "witness": None,
+                          "failures": [], "instances": None, "capped": None}
 
 
 def test_fixture_command_suspension(tmp_path, capsys):

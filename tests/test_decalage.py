@@ -320,7 +320,8 @@ def test_simplex_map_validation():
     assert m(1) == 2
     # sizes and values are ints, not floats, strings or bools, and nothing is coerced
     for dom, cod, table in ((1, 2, (0, 2.7)), (1.0, 2, (0, 1)), (1, 2.0, (0, 1)),
-                            (1, 2, (0, "x")), (1, 2, (0, True)), (True, 2, (0, 1))):
+                            (1, 2, (0, "x")), (1, 2, (0, True)), (True, 2, (0, 1)),
+                            (1, 2, None), (1, 2, 5)):
         with pytest.raises(ValidationError):
             SimplexMap(dom, cod, table)
 

@@ -141,7 +141,8 @@ def test_parse_table_examples():
 
 
 def test_table_entries_must_be_natural_ints():
-    for outer, inner in (((2.9, 1.5), (0.2,)), ((2, 1), (0.0,)), (("2",), ()), ((True,), ())):
+    for outer, inner in (((2.9, 1.5), (0.2,)), ((2, 1), (0.0,)), (("2",), ()), ((True,), ()),
+                         (None, ()), (3, ()), ((1,), None)):
         with pytest.raises(ShapeViolation):
             TableOfDimensions(outer, inner)
 

@@ -216,13 +216,13 @@ def test_validate_omega_requires_total_units(z2):
 def test_all_axioms_hold_on_suspension_z2(fixture_corpus):
     x = fixture_corpus["suspension_z2_1_3"]
     for name in omega.AXIOMS:
-        assert check_axiom(x, name) == [], name
+        assert check_axiom(x, name).violations == [], name
 
 
 def test_suspension_z4_clean():
     x = fixtures.suspension(fixtures.cyclic_table(4), 2, 3)
     assert check_structure(x).ok
-    assert omega.all_clean(check_all(x, FULL_FLAGS))
+    assert all(r.ok for r in check_all(x, FULL_FLAGS).values())
 
 
 def test_axiom_flags_parse():
@@ -261,7 +261,7 @@ def test_check_axiom_accepts_exactly_the_listed_subscripts(n):
         arity = 3 if name in (EXCHANGE, INVERSE_COMPAT) else 2
         for sub in itertools.product(range(-1, 6), repeat=arity):
             if sub in listed:
-                assert check_axiom(x, name, sub) == [], (name, sub)
+                assert check_axiom(x, name, sub).violations == [], (name, sub)
             else:
                 with pytest.raises(DimOutOfRange):
                     check_axiom(x, name, sub)
@@ -274,7 +274,7 @@ def test_check_all_needs_inverses_for_inverse_flags(z2):
     no_inv = rebuild(z2, inv=None)
     with pytest.raises(InversesAbsent):
         check_all(no_inv, FULL_FLAGS)
-    assert omega.all_clean(check_all(no_inv, AxiomFlags.parse("l,r,f")))
+    assert all(r.ok for r in check_all(no_inv, AxiomFlags.parse("l,r,f")).values())
     with pytest.raises(InversesAbsent):
         check_axiom(no_inv, INVERSE_COMPAT)
 
@@ -288,22 +288,22 @@ def test_assoc_violation_on_subtraction_magma():
         for b in elems
     }
     x = fixtures.one_object_tower(elems, mul, "0", 1, 1)
-    violations = check_axiom(x, ASSOC)
+    violations = check_axiom(x, ASSOC).violations
     assert violations
     u, v, w = (int(c) for c in violations[0].witness)
     assert ((u - v) - w) % 3 != (u - (v - w)) % 3
     # and right units hold while left units fail
-    assert check_axiom(x, RIGHT_UNIT) == []
-    assert check_axiom(x, LEFT_UNIT) != []
+    assert check_axiom(x, RIGHT_UNIT).violations == []
+    assert check_axiom(x, LEFT_UNIT).violations != []
 
 
 def test_inverse_compat_abelian_case(z2):
     # at j = j' the inverse reverses the factors; abelian, so both orders agree
-    assert check_axiom(z2, INVERSE_COMPAT, (1, 0, 0)) == []
+    assert check_axiom(z2, INVERSE_COMPAT, (1, 0, 0)).violations == []
 
 
 def test_inverse_compat_full_sweep_on_s3(fixture_corpus):
-    assert check_axiom(fixture_corpus["delooping_s3_3"], INVERSE_COMPAT) == []
+    assert check_axiom(fixture_corpus["delooping_s3_3"], INVERSE_COMPAT).violations == []
 
 
 def test_exchange_requires_commutativity():
@@ -314,8 +314,7 @@ def test_exchange_requires_commutativity():
     identity, _ = fixtures.validate_group(s3)
     tower = fixtures.one_object_tower(s3.elements, s3.mul, identity, 2, 3)
     assert check_structure(tower).ok
-    violations = check_axiom(tower, EXCHANGE)
-    assert violations
+    assert not check_axiom(tower, EXCHANGE).ok
 
 
 def test_not_a_group():
@@ -328,9 +327,11 @@ def test_not_a_group():
 def test_cap_limits_violations(z3):
     bad = with_comp_fault(z3, 1, 0, "1", "1", "0")
     capped = check_axiom(bad, ASSOC, cap=1)
-    assert len(capped) == 1
+    assert len(capped.violations) == 1
     full = check_axiom(bad, ASSOC, cap=1000)
-    assert len(full) > 1
+    assert len(full.violations) > 1
+    # a cut sweep screened no more instances than the whole one
+    assert capped.instances <= full.instances
 
 
 def test_report_truncated_exactly_when_more_than_cap(z3):
@@ -340,10 +341,10 @@ def test_report_truncated_exactly_when_more_than_cap(z3):
     assert check_structure(bad, cap=1).truncated
     assert check_structure(bad, cap=total - 1).truncated
     assert not check_structure(bad, cap=total).truncated
-    capped = omega.axiom_report(bad, ASSOC, cap=1)
+    capped = check_axiom(bad, ASSOC, cap=1)
     assert capped.truncated and len(capped.violations) == 1
-    total = len(check_axiom(bad, ASSOC, cap=1000))
-    assert not omega.axiom_report(bad, ASSOC, cap=total).truncated
+    total = len(check_axiom(bad, ASSOC, cap=1000).violations)
+    assert not check_axiom(bad, ASSOC, cap=total).truncated
 
 
 def test_entry_on_pair_that_does_not_compose_is_not_evaluable():
@@ -353,7 +354,7 @@ def test_entry_on_pair_that_does_not_compose_is_not_evaluable():
     comp = {key: dict(table) for key, table in x.comp.items()}
     comp[(1, 0)][("b", "a")] = "a"
     bad = rebuild(x, comp=comp, unit_tables=[{"a": "b", "b": "b"}])
-    (violation,) = check_axiom(bad, LEFT_UNIT, (1, 0))
+    (violation,) = check_axiom(bad, LEFT_UNIT, (1, 0)).violations
     assert violation.witness == ("a",)
     assert violation.detail.startswith("not evaluable: s^1_0(b) = b but t^1_0(a) = a")
 
@@ -364,44 +365,45 @@ def test_entry_on_pair_that_does_not_compose_is_not_evaluable():
 def test_fault_left_unit(z3):
     # corrupt the composite of the identity with "2"
     bad = with_comp_fault(z3, 1, 0, "0", "2", "1")
-    assert check_axiom(bad, LEFT_UNIT)
-    assert all(v.law == LEFT_UNIT for v in check_axiom(bad, LEFT_UNIT))
+    found = check_axiom(bad, LEFT_UNIT).violations
+    assert found
+    assert all(v.law == LEFT_UNIT for v in found)
 
 
 def test_fault_right_unit(z3):
     bad = with_comp_fault(z3, 1, 0, "2", "0", "1")
-    assert check_axiom(bad, RIGHT_UNIT)
+    assert not check_axiom(bad, RIGHT_UNIT).ok
 
 
 def test_fault_assoc(z3):
     bad = with_comp_fault(z3, 1, 0, "1", "1", "0")
-    assert check_axiom(bad, ASSOC)
+    assert not check_axiom(bad, ASSOC).ok
 
 
 def test_fault_exchange(sus_z3):
     bad = with_comp_fault(sus_z3, 2, 1, "1", "1", "0")
-    assert check_axiom(bad, EXCHANGE)
+    assert not check_axiom(bad, EXCHANGE).ok
 
 
 def test_fault_unit_compat(z3):
     # 2-cells over 1 + 1 should compose to the unit cell over 2
     bad = with_comp_fault(z3, 2, 0, "1", "1", "0")
-    assert check_axiom(bad, UNIT_COMPAT)
+    assert not check_axiom(bad, UNIT_COMPAT).ok
 
 
 def test_fault_inverses(z3):
     bad = with_inv_fault(z3, 1, 0, "1", "1")  # true inverse of 1 is 2
-    assert check_axiom(bad, LEFT_INVERSE)
-    assert check_axiom(bad, RIGHT_INVERSE)
+    assert not check_axiom(bad, LEFT_INVERSE).ok
+    assert not check_axiom(bad, RIGHT_INVERSE).ok
 
 
 def test_faults_do_not_silence_other_reports(z3):
     # the corrupted axiom never comes back clean alongside a clean twin
     bad = with_comp_fault(z3, 1, 0, "0", "2", "1")
     results = check_all(bad, FULL_FLAGS)
-    assert results[LEFT_UNIT]
+    assert not results[LEFT_UNIT].ok
     clean = check_all(z3, FULL_FLAGS)
-    assert omega.all_clean(clean)
+    assert all(r.ok for r in clean.values())
 
 
 # -- the derived inverse-compatibility implication --------------------------------
@@ -413,7 +415,7 @@ def satisfies_hypotheses(x) -> bool:
     if not check_structure(x).ok:
         return False
     flags = AxiomFlags.parse("l,r,ri")
-    return omega.all_clean(check_all(x, flags))
+    return all(r.ok for r in check_all(x, flags).values())
 
 
 def test_inverse_compat_follows_on_corpus(fixture_corpus):
@@ -421,7 +423,7 @@ def test_inverse_compat_follows_on_corpus(fixture_corpus):
     for x in fixture_corpus.values():
         if satisfies_hypotheses(x):
             hit += 1
-            assert check_axiom(x, INVERSE_COMPAT) == []
+            assert check_axiom(x, INVERSE_COMPAT).violations == []
     assert hit == len(fixture_corpus)
 
 
@@ -451,7 +453,7 @@ def test_inverse_compat_follows_on_randomized_structures():
             x = with_inv_fault(x, i, j, u, value)
         if satisfies_hypotheses(x):
             checked_hypothesis_true += 1
-            assert check_axiom(x, INVERSE_COMPAT) == []
+            assert check_axiom(x, INVERSE_COMPAT).violations == []
     assert checked_hypothesis_true >= 5  # the unperturbed draws at least
 
 
@@ -469,7 +471,7 @@ def test_inverse_compat_follows_on_random_magmas(size, data):
     inv_map = {a: data.draw(st.sampled_from(elems), label=f"inv({a})") for a in elems}
     x = fixtures.one_object_tower(elems, mul, e, 1, 2, inv_map)
     if satisfies_hypotheses(x):
-        assert check_axiom(x, INVERSE_COMPAT) == []
+        assert check_axiom(x, INVERSE_COMPAT).violations == []
 
 
 # -- serialization -----------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Every record of the package behaves as the frozen dataclass it replaces.
 
 Each record class has a twin here, a ``dataclasses`` class with the same
-name and fields, frozen but for ``Report``.  On corpus instances, and deep
+name and fields, frozen.  On corpus instances, and deep
 copies of them, ``==``, ``!=``, ``hash`` (or the ``TypeError`` a dict or
 list field gives), ``repr``, and assigning or deleting an attribute must
 come out as on the twins.  ``SmallCategory`` keeps its own ``__eq__``, so
@@ -38,8 +38,8 @@ TWINS = {
     omega.AxiomFlags: twin("AxiomFlags", "optional"),
     omega.OmegaStructure: twin("OmegaStructure", "base comp unit inv"),
     omega.Violation: twin("Violation", "law where witness detail"),
-    omega.Report: twin("Report", "violations cap truncated", frozen=False),
-    report.CheckResult: twin("CheckResult", "check scope status witness failures"),
+    omega.Report: twin("Report", "violations truncated instances"),
+    report.CheckResult: twin("CheckResult", "check scope status witness failures instances capped"),
     twist.TwistedCell: twin("TwistedCell", "level entries"),
     twist.TwistedSegment: twin("TwistedSegment", "low high entries"),
     twist.MixedTuple: twin("MixedTuple", "table head segments"),
@@ -82,11 +82,12 @@ def corpus_records() -> dict[type, list]:
         omega.OmegaStructure: [z3, sus, faulted],
         omega.Violation: omega.check_structure(faulted, cap=3).violations,
         omega.Report: [omega.check_structure(faulted, cap=3), omega.check_structure(faulted, cap=1),
-                       omega.check_structure(z3)],
-        report.CheckResult: [report.passed("structure", "all"),
-                             report.failed("axiom:assoc", "all", ["a", "b"]),
+                       omega.check_structure(z3), omega.check_axiom(faulted, omega.ASSOC, cap=1)],
+        report.CheckResult: [report.verdict("structure", "all", []),
+                             report.verdict("axiom:assoc", "all", ["a", "b"]),
                              report.verdict("axiom:assoc", "all", ["a"]),
-                             decalage.check_lift_non_naturality(z3)],
+                             decalage.check_lift_non_naturality(z3),
+                             report.swept("axiom:assoc", omega.check_axiom(faulted, omega.ASSOC, cap=1))],
         twist.TwistedCell: [*twist.twisted_cells(z3, 1)[:2], *twist.twisted_cells(sus, 2)[:2]],
         twist.TwistedSegment: [*twist.segment_cells(z3, 1, 2)[:2], *twist.segment_cells(sus, 1, 2)[:2]],
         twist.MixedTuple: [*twist.mixed_product(z3, tables[1])[:2], *twist.mixed_product(sus, tables[2])[:2]],

@@ -5,10 +5,11 @@ table of a structure of ``conftest.POOL``, the corpus and one twisted
 suspension (``conftest.faulted``).  The sweeps must give
 the oracle's violation list cut at the cap, down to the witnesses and their
 detail text, and flag the cut exactly; where the oracle raises, they must
-raise the same error.  The same comparison runs with blocks of one and of
-three rows, so instances sit at every block edge, and on pinned faults that
-a sweep reading a -1 id as the last cell, or composing a pair that does not
-glue, would pass.
+raise the same error.  Each must count the oracle's instances, or, when the
+cap cut it short, at most that many.  The same comparison runs with blocks of
+one and of three rows, so instances sit at every block edge, and on pinned
+faults that a sweep reading a -1 id as the last cell, or composing a pair
+that does not glue, would pass.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ from globkernel import globular, omega
 from globkernel.globular import SRC, TGT
 
 from conftest import GHOST, POOL, faulted
-from oracles import brute_axiom_violations, brute_structure_violations
+from oracles import (
+    brute_axiom_instances,
+    brute_axiom_violations,
+    brute_structure_instances,
+    brute_structure_violations,
+)
 
 CAPS = (1, 3, 100)
 
@@ -35,25 +41,33 @@ def _run(fn):
         return KeyError
 
 
-def _capped(full, cap):
-    """What a sweep capped at ``cap`` must give when the full list is ``full``."""
-    return KeyError if full is KeyError else (full[:cap], len(full) > cap)
+def _capped(full, cap, count):
+    """What a sweep capped at ``cap`` must give when the full list is ``full``
+    over ``count`` instances."""
+    return KeyError if full is KeyError else (full[:cap], len(full) > cap, count)
 
 
-def _report(report):
-    return KeyError if report is KeyError else (report.violations, report.truncated)
+def _report(report, count):
+    """A report's violations and cut, and its count, read as ``count`` when the
+    sweep was cut and screened no more: a cut sweep may stop before the last instance."""
+    if report is KeyError:
+        return KeyError
+    cut_short = report.truncated and report.instances <= count
+    return report.violations, report.truncated, count if cut_short else report.instances
 
 
 def _match_oracle(x):
     full = _run(lambda: brute_structure_violations(x))
+    count = brute_structure_instances(x)
     for cap in CAPS:
-        got = _report(_run(lambda: omega.check_structure(x, cap)))
-        assert got == _capped(full, cap), ("structure", cap)
+        got = _report(_run(lambda: omega.check_structure(x, cap)), count)
+        assert got == _capped(full, cap, count), ("structure", cap)
     for name in omega.AXIOMS:
         full = brute_axiom_violations(x, name)
+        count = brute_axiom_instances(x, name)
         for cap in CAPS:
-            got = _report(omega.axiom_report(x, name, None, cap))
-            assert got == _capped(full, cap), (name, cap)
+            got = _report(omega.check_axiom(x, name, None, cap), count)
+            assert got == _capped(full, cap, count), (name, cap)
 
 
 @settings(max_examples=150, deadline=None)
@@ -116,7 +130,7 @@ def test_composite_that_is_no_cell_is_not_read_as_the_last_cell(where, value):
     # unit_compat as the unit of b, and pass
     i, j = where
     y = _with_entries(POOL["discrete_ab_3"], comp=[(where, ("b", "b"), value)])
-    got = omega.check_axiom(y, omega.UNIT_COMPAT)
+    got = omega.check_axiom(y, omega.UNIT_COMPAT).violations
     assert got == brute_axiom_violations(y, omega.UNIT_COMPAT)
     assert [(v.where, v.witness) for v in got] == [((i, j), ("b", "b"))]
     assert got[0].detail.startswith("not evaluable: ")
@@ -128,7 +142,7 @@ def test_pair_that_does_not_glue_is_not_composed():
     # or the law would hold
     x = POOL["discrete_ab_3"]
     y = _with_entries(x, comp=[((1, 0), ("b", "a"), "a")], unit=[(0, "a", "b")])
-    got = omega.check_axiom(y, omega.LEFT_UNIT)
+    got = omega.check_axiom(y, omega.LEFT_UNIT).violations
     assert got == brute_axiom_violations(y, omega.LEFT_UNIT)
     assert got[0].witness == ("a",)
     assert got[0].detail == "not evaluable: s^1_0(b) = b but t^1_0(a) = a"
@@ -165,6 +179,10 @@ def test_one_sided_boundary_faults_match_oracle():
 
 def test_sweeps_match_oracle_on_clean_corpus():
     for name, x in POOL.items():
-        assert omega.check_structure(x).violations == brute_structure_violations(x) == [], name
+        structure = omega.check_structure(x)
+        assert structure.violations == brute_structure_violations(x) == [], name
+        assert structure.instances == brute_structure_instances(x), name
         for axiom in omega.AXIOMS:
-            assert omega.check_axiom(x, axiom) == brute_axiom_violations(x, axiom) == [], name
+            got = omega.check_axiom(x, axiom)
+            assert got.violations == brute_axiom_violations(x, axiom) == [], (name, axiom)
+            assert got.instances == brute_axiom_instances(x, axiom), (name, axiom)
