@@ -49,11 +49,9 @@ def _emit(results: list[report.CheckResult], fmt: str, out=None) -> None:
 
 def cmd_check(args) -> int:
     flags = omega.AxiomFlags.parse(args.axioms)
-    if args.cap < 1:
-        raise KernelError("bounds must be >= 1")
     x = _load_structure(args.file)
-    results = [report.swept("structure", omega.check_structure(x, cap=args.cap))]
-    results += [report.swept(f"axiom:{name}", sweep)
+    results = [report.verdict("structure", "all", omega.check_structure(x, cap=args.cap))]
+    results += [report.verdict(f"axiom:{name}", "all", sweep)
                 for name, sweep in omega.check_all(x, flags, cap=args.cap).items()]
     _emit(results, args.format)
     return EXIT_CLEAN if report.all_pass(results) else EXIT_VIOLATION
@@ -73,7 +71,7 @@ def cmd_twist(args) -> int:
 
 def cmd_decalage(args) -> int:
     from . import decalage
-    if args.cap < 1 or args.max_width < 1:
+    if args.max_width < 1:
         raise KernelError("bounds must be >= 1")
     if args.max_dim < 0:
         raise KernelError("--max-dim must be >= 0")
@@ -96,10 +94,10 @@ def cmd_decalage(args) -> int:
             if args.format == "text":
                 print(report.format_line(r), flush=True)
 
-    emit(decalage.check_sections(x, args.max_width, args.max_dim))
-    emit(decalage.check_apex_naturality(x))
-    emit(decalage.check_endpoint_naturality(x))
-    emit(decalage.check_unit_closed_forms(x))
+    emit(decalage.check_sections(x, args.max_width, args.max_dim, args.cap))
+    emit(decalage.check_apex_naturality(x, args.cap))
+    emit(decalage.check_endpoint_naturality(x, args.cap))
+    emit(decalage.check_unit_closed_forms(x, args.cap))
     emit([decalage.check_lift_non_naturality(x)])
     if args.format == "json":
         _emit(results, args.format)
@@ -119,8 +117,8 @@ def cmd_delta(args) -> int:
     results = finsets.check_shift_decalage(args.max_n)
 
     shift_matches = [
-        report.verdict("shift-generators", name,
-                       [] if finsets.shift_map(gens[name]) == gens[f"{name}_shift"] else ["table mismatch"])
+        report.verdict("shift-generators", name, report.Report(
+            [] if finsets.shift_map(gens[name]) == gens[f"{name}_shift"] else ["table mismatch"], False, 1))
         for name in ("comp", "unit", "inv")
     ]
     results = shift_matches + results

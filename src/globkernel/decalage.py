@@ -10,6 +10,7 @@ component's lift is a row of unit and boundary gathers validated by one
 lookup in the twisted complex, and seams and projections are compared on the
 base boundary maps, all on plain lists.  Only a row where some step fails
 goes through the scalar lift and projection on names, for the failure text.
+Every sweep is cut at its cap, and counted, by ``report.collect``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .globular import (
     product_ids,
 )
 from .omega import OmegaStructure, _Named
-from .report import CheckResult, verdict
+from .report import CheckResult, collect, verdict
 from .twist import (
     MixedTuple,
     TwistedCell,
@@ -141,75 +142,85 @@ def _lifts_back(x: OmegaStructure, table: TableOfDimensions, block: list) -> lis
     return [k for k, passed in enumerate(zip(*tests)) if not all(passed)]
 
 
-def check_section(x: OmegaStructure, table: TableOfDimensions) -> CheckResult:
+def _judged(items, judge, *args):
+    """The failures ``judge(item, *args)`` yields for each of ``items`` in turn, judged
+    as they are read; an error ends the item with its text."""
+    for item in items:
+        try:
+            yield from judge(item, *args)
+        except _EVAL_ERRORS as exc:
+            yield f"{item.entries}: {exc}"
+
+
+def _projects_back(gtuple: GlobularTuple, x: OmegaStructure, table: TableOfDimensions):
+    """The scalar lift and projection of ``gtuple``, where they do not give it back."""
+    back = apex_tuple(x, unit_lift_tuple(x, table, gtuple))
+    if back != gtuple:
+        yield f"{gtuple.entries} -> {back.entries}"
+
+
+def check_section(x: OmegaStructure, table: TableOfDimensions, cap: int = 100) -> CheckResult:
     """Projection after lift is the identity on the globular product of ``table``.
 
     Every product row is lifted, looked up, seam-checked and projected on ids
-    by :func:`_lifts_back`; a row that fails there goes through the scalar
-    lift and projection on its tuple from :func:`globular_product`, which give
-    the failure text, in enumeration order.
+    by :func:`_lifts_back`, a :func:`product_ids` block at a time; a row that
+    fails there goes through the scalar lift and projection on its tuple from
+    :func:`globular_product`, which give the failure text, up to ``cap``.
     """
     if table.max_dim() + 1 > x.truncation:
         raise DimOutOfRange(
             f"table {table} needs truncation >= {table.max_dim() + 1}"
         )
     gtuples = globular_product(x.base, table)
-    failures = []
-    start = 0
-    for block in product_ids(x.base, table):
-        for k in _lifts_back(x, table, block):
-            gtuple = gtuples[start + k]
-            try:
-                back = apex_tuple(x, unit_lift_tuple(x, table, gtuple))
-            except _EVAL_ERRORS as exc:
-                failures.append(f"{gtuple.entries}: {exc}")
-                continue
-            if back != gtuple:
-                failures.append(f"{gtuple.entries} -> {back.entries}")
-        start += len(block[0])
-    return verdict("section", str(table), failures)
+
+    def blocks():
+        start = 0
+        for block in product_ids(x.base, table):
+            failing = [gtuples[start + k] for k in _lifts_back(x, table, block)]
+            yield len(block[0]), _judged(failing, _projects_back, x, table)
+            start += len(block[0])
+    return verdict("section", str(table), collect(blocks(), cap))
 
 
-def check_sections(x: OmegaStructure, max_width: int, max_dim: int) -> list[CheckResult]:
-    """Section check over every table bounded by width and dimension."""
+def check_sections(x: OmegaStructure, max_width: int, max_dim: int, cap: int = 100) -> list[CheckResult]:
+    """Section check over every table bounded by width and dimension, each cut at ``cap``."""
     if max_dim + 1 > x.truncation:
         raise DimOutOfRange(
             f"dimension bound {max_dim} needs truncation >= {max_dim + 1}"
         )
     return [
-        check_section(x, table)
+        check_section(x, table, cap)
         for table in all_tables(max_width, max_dim)
     ]
 
 
-def _naturality(x: OmegaStructure, check: str, project, along) -> list[CheckResult]:
+def _cell_block(x: OmegaStructure, i: int, judge, *args):
+    """The twisted ``i``-cells as one block, judged by ``judge(cell, *args)``."""
+    cells = twisted_cells(x, i)
+    return [(len(cells), _judged(cells, judge, *args))]
+
+
+def _naturality(x: OmegaStructure, check: str, project, along, cap: int) -> list[CheckResult]:
     """Per level ``i``: ``project`` of each twisted boundary of a cell against
-    ``along(kind, i, -)`` of the cell's ``project``; an error ends the cell
-    with its text."""
-    results = []
-    for i in range(1, x.truncation):
-        failures = []
-        for cell in twisted_cells(x, i):
-            try:
-                here = project(x, cell)
-                for kind, boundary in ((SRC, twisted_source), (TGT, twisted_target)):
-                    if project(x, boundary(x, cell)) != along(kind, i, here):
-                        failures.append(f"{kind} side at {cell.entries}")
-            except _EVAL_ERRORS as exc:
-                failures.append(f"{cell.entries}: {exc}")
-        results.append(verdict(check, f"level={i}", failures))
-    return results
+    ``along(kind, i, -)`` of the cell's ``project``."""
+    def judge(cell: TwistedCell, i: int):
+        here = project(x, cell)
+        for kind, boundary in ((SRC, twisted_source), (TGT, twisted_target)):
+            if project(x, boundary(x, cell)) != along(kind, i, here):
+                yield f"{kind} side at {cell.entries}"
+    return [verdict(check, f"level={i}", collect(_cell_block(x, i, judge, i), cap))
+            for i in range(1, x.truncation)]
 
 
-def check_apex_naturality(x: OmegaStructure) -> list[CheckResult]:
+def check_apex_naturality(x: OmegaStructure, cap: int = 100) -> list[CheckResult]:
     """The apex projection commutes with twisted and plain boundaries."""
     return _naturality(x, "apex-naturality", apex_source,
-                       lambda kind, i, u: x.base.boundary(kind, i, i - 1, u))
+                       lambda kind, i, u: x.base.boundary(kind, i, i - 1, u), cap)
 
 
-def check_endpoint_naturality(x: OmegaStructure) -> list[CheckResult]:
+def check_endpoint_naturality(x: OmegaStructure, cap: int = 100) -> list[CheckResult]:
     """The 0-cell endpoint is constant along twisted boundaries."""
-    return _naturality(x, "endpoint-naturality", base_endpoint, lambda kind, i, u: u)
+    return _naturality(x, "endpoint-naturality", base_endpoint, lambda kind, i, u: u, cap)
 
 
 def find_lift_naturality_failure(x: OmegaStructure):
@@ -233,17 +244,16 @@ def check_lift_non_naturality(x: OmegaStructure) -> CheckResult:
     """Negative test: PASS means a non-naturality witness was found.
 
     A lift that is natural on ``x`` breaks no law, so finding no witness is
-    a SKIP, not a FAIL.
+    a SKIP, not a FAIL.  ``instances`` counts the 1-cells the search tried.
     """
     witness = find_lift_naturality_failure(x)
     scope = "level 0 vs 1"
     if witness is None:
-        return CheckResult("lift-non-naturality", scope, "SKIP", "lift is natural on this structure")
+        return CheckResult("lift-non-naturality", scope, "SKIP", "lift is natural on this structure", (),
+                           len(x.base.cells[1]) if x.truncation >= 2 else 0, False)
     u, lhs, rhs = witness
-    return CheckResult(
-        "lift-non-naturality", scope, "PASS",
-        f"witness {u}: {lhs.entries} != {rhs.entries}",
-    )
+    return CheckResult("lift-non-naturality", scope, "PASS", f"witness {u}: {lhs.entries} != {rhs.entries}",
+                       (), x.base.index[1][u] + 1, False)
 
 
 def _closed_unit_form(x: OmegaStructure, kind: str, j: int, cell: TwistedCell) -> TwistedCell:
@@ -260,26 +270,13 @@ def _closed_unit_form(x: OmegaStructure, kind: str, j: int, cell: TwistedCell) -
     return twisted_cell(x, cell.level, entries)
 
 
-def check_unit_closed_forms(x: OmegaStructure) -> list[CheckResult]:
+def check_unit_closed_forms(x: OmegaStructure, cap: int = 100) -> list[CheckResult]:
     """Iterated twisted units over twisted boundaries match their closed forms."""
-    results = []
-    for i in range(1, x.truncation):
-        for j in range(i):
-            failures = []
-            for cell in twisted_cells(x, i):
-                try:
-                    for kind in ("src", "tgt"):
-                        iterated = iter_twisted_unit(
-                            x, twisted_boundary(x, kind, cell, j), i
-                        )
-                        closed = _closed_unit_form(x, kind, j, cell)
-                        if iterated != closed:
-                            failures.append(
-                                f"{kind} at {cell.entries}: "
-                                f"{iterated.entries} != {closed.entries}"
-                            )
-                except _EVAL_ERRORS as exc:
-                    failures.append(f"{cell.entries}: {exc}")
-            scope = f"i={i},j={j}"
-            results.append(verdict("unit-closed-form", scope, failures))
-    return results
+    def judge(cell: TwistedCell, j: int):
+        for kind in (SRC, TGT):
+            iterated = iter_twisted_unit(x, twisted_boundary(x, kind, cell, j), cell.level)
+            closed = _closed_unit_form(x, kind, j, cell)
+            if iterated != closed:
+                yield f"{kind} at {cell.entries}: {iterated.entries} != {closed.entries}"
+    return [verdict("unit-closed-form", f"i={i},j={j}", collect(_cell_block(x, i, judge, j), cap))
+            for i in range(1, x.truncation) for j in range(i)]

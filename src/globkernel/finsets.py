@@ -6,8 +6,8 @@ through :func:`_reader`; ``testcat.delta_truncated`` builds its category from
 these.  The shift endofunctor ``D`` appends a fresh top element, with the
 inclusion as natural transformation, the constant-top point, and the clamping
 retraction ``k -> min(k, n)``.  ``check_shift_decalage`` verifies all of
-this; functoriality is decided at a generating set, and swept pair by pair
-only where that fails.
+this; functoriality is decided at a generating set, counting the pairs it
+compares, and swept pair by pair only where that fails.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import itertools
 from operator import itemgetter
 
 from .errors import NotComposable, Record, ValidationError
-from .report import CheckResult, verdict
+from .report import CheckResult, collect, verdict
 
 
 class SimplexMap(Record):
@@ -160,51 +160,61 @@ def _functor_at_generators(max_n: int) -> int | None:
     return pairs
 
 
-def _composition_sweep(max_n: int, cap: int) -> list[str]:
-    """The first ``cap`` pairs, by ``(m, n, p)``, ``psi``, ``phi``, where ``shift(psi after phi)``
-    is not ``shift(psi) after shift(phi)``; swept only when :func:`_functor_at_generators` fails."""
-    failures: list[str] = []
-    if _functor_at_generators(max_n) is not None:
-        return failures
+def _failing_pairs(m: int, n: int, p: int, phis):
+    """The pairs ``psi``, ``phi`` into ``{0..p}`` where ``shift(psi after phi)`` is not
+    ``shift(psi) after shift(phi)``, for the maps ``phis`` out of ``{0..m}``."""
+    for psi in _maps(n, p):
+        d_psi = _shift(psi, p)
+        for phi, read_phi, read_d_phi in phis:
+            if _shift(read_phi(psi), p) != read_d_phi(d_psi):
+                yield f"phi={phi}:[{m}]->[{n}] psi={psi}:[{n}]->[{p}]"
+
+
+def _composition_sweep(max_n: int):
+    """Per block of pairs, its size and, lazily, its pairs where the shift does not
+    compose: one block of the pairs :func:`_functor_at_generators` compared when it
+    decides the check, else one per ``(m, n, p)``, then ``psi``, ``phi``."""
+    pairs = _functor_at_generators(max_n)
+    if pairs is not None:
+        yield pairs, ()
+        return
     for m, n in itertools.product(range(max_n + 1), repeat=2):
         phis = [(phi, _reader(phi), _reader(_shift(phi, n))) for phi in _maps(m, n)]
         for p in range(max_n + 1):
-            for psi in _maps(n, p):
-                d_psi = _shift(psi, p)
-                for phi, read_phi, read_d_phi in phis:
-                    if _shift(read_phi(psi), p) != read_d_phi(d_psi):
-                        failures.append(f"phi={phi}:[{m}]->[{n}] psi={psi}:[{n}]->[{p}]")
-                        if len(failures) >= cap:
-                            return failures
-    return failures
+            yield len(phis) * (p + 1) ** (n + 1), _failing_pairs(m, n, p, phis)
+
+
+def _failing_maps(m: int, n: int, read, table, rhs):
+    """The maps ``phi: {0..m} -> {0..n}`` where ``read(shift(phi))`` is not ``rhs(phi, table)``."""
+    for phi in _maps(m, n):
+        if read(_shift(phi, n)) != rhs(phi, table):
+            yield str(SimplexMap(m, n, phi))
+
+
+def _square(max_n: int, side, rhs):
+    """Per ``(m, n)``, the maps ``{0..m} -> {0..n}`` and, lazily, those ``phi`` where
+    ``shift(phi) after side(m)`` is not ``rhs(phi, side(n))``, on tables built once per size."""
+    tables = [side(k).table for k in range(max_n + 1)]
+    for m, n in itertools.product(range(max_n + 1), repeat=2):
+        yield (n + 1) ** (m + 1), _failing_maps(m, n, _reader(tables[m]), tables[n], rhs)
 
 
 def check_shift_decalage(max_n: int, cap: int = 100) -> list[CheckResult]:
-    """Functoriality of the shift plus the inclusion/point/retraction identities."""
+    """Functoriality of the shift plus the inclusion/point/retraction identities, each cut at ``cap``."""
     if max_n < 1:
         raise ValidationError("max_n must be >= 1")
     if max_n > 5:
         # the composition sweep covers ((n+1)^(m+1))^2 pairs per size triple
         raise ValidationError("max_n above 5 is combinatorially out of reach")
     sizes = range(max_n + 1)
-    id_failures = [f"n={n}" for n in sizes if shift_map(identity_map(n)) != identity_map(n + 1)]
-    incl_failures, point_failures = [], []
-    after_incl = [_reader(top_inclusion(m).table) for m in sizes]
-    after_point = [_reader(base_point(m).table) for m in sizes]
-    for m, n in itertools.product(sizes, repeat=2):
-        incl_n, point_n = top_inclusion(n).table, base_point(n).table
-        for phi in _maps(m, n):
-            shifted = _shift(phi, n)
-            if after_incl[m](shifted) != _reader(phi)(incl_n):
-                incl_failures.append(str(SimplexMap(m, n, phi)))
-            if after_point[m](shifted) != point_n:
-                point_failures.append(str(SimplexMap(m, n, phi)))
-    retr_failures = [f"n={n}" for n in sizes
-                     if compose_maps(clamp_retraction(n), top_inclusion(n)) != identity_map(n)]
-    return [
-        verdict("shift-identity", f"n<={max_n}", id_failures),
-        verdict("shift-composition", f"m,n,p<={max_n}", _composition_sweep(max_n, cap)),
-        verdict("shift-inclusion-square", f"m,n<={max_n}", incl_failures),
-        verdict("shift-point-square", f"m,n<={max_n}", point_failures),
-        verdict("shift-retraction", f"n<={max_n}", retr_failures),
-    ]
+    identities = [f"n={n}" for n in sizes if shift_map(identity_map(n)) != identity_map(n + 1)]
+    retractions = [f"n={n}" for n in sizes
+                   if compose_maps(clamp_retraction(n), top_inclusion(n)) != identity_map(n)]
+    squares = f"m,n<={max_n}"
+    return [verdict(check, scope, collect(blocks, cap)) for check, scope, blocks in (
+        ("shift-identity", f"n<={max_n}", [(len(sizes), identities)]),
+        ("shift-composition", f"m,n,p<={max_n}", _composition_sweep(max_n)),
+        ("shift-inclusion-square", squares, _square(max_n, top_inclusion, lambda phi, t: _reader(phi)(t))),
+        ("shift-point-square", squares, _square(max_n, base_point, lambda phi, t: t)),
+        ("shift-retraction", f"n<={max_n}", [(len(sizes), retractions)]),
+    )]

@@ -10,9 +10,9 @@ An :class:`OmegaStructure` carries, on top of a globular set truncated at N:
 ``check_structure`` sweeps the boundary laws every such structure must
 satisfy, ``check_axiom`` one coherence axiom (associativity, exchange, units,
 unit functoriality, inverses), and ``check_all`` every flagged axiom.  Each
-sweep gives one :class:`Report`: the counterexamples up to a configurable
-cap, whether the cap cut them, and the instances screened.  Violations are
-data, never exceptions.
+sweep gives one ``report.Report`` from ``report.collect``: the
+counterexamples up to a configurable cap, whether the cap cut them, and the
+instances screened.  Violations are data, never exceptions.
 
 Each law, boundary law or axiom, is written once as a function of an
 evaluator, and one sweep runs them all on the tables over interned integer
@@ -46,6 +46,7 @@ from .globular import (
     globular_set_to_json,
     split_pair_key,
 )
+from .report import Report, collect
 
 ASSOC = "assoc"
 EXCHANGE = "exchange"
@@ -156,39 +157,6 @@ class Violation(Record):
         subs = ",".join(map(str, self.where))
         cells = ", ".join(self.witness)
         return f"{self.law}({subs}) on [{cells}]: {self.detail}"
-
-
-class Report(Record):
-    """One sweep's violations, cut at its cap, and the instances it screened.
-
-    ``truncated`` is set exactly when more violations exist than were kept.
-    ``instances`` counts the instances screened before the sweep stopped: all
-    of them when ``truncated`` is false, fewer when the cap cut the sweep short.
-    """
-
-    _fields = ("violations", "truncated", "instances")
-
-    def __init__(self, violations: list[Violation], truncated: bool, instances: int):
-        self.__dict__.update(violations=violations, truncated=truncated, instances=instances)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    # the benchmark's tracer and tests read check_axiom's result as a list of violations
-    def __len__(self) -> int:
-        return len(self.violations)
-
-    def __getitem__(self, k):
-        return self.violations[k]
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "clean"
-        lines = [str(v) for v in self.violations]
-        if self.truncated:
-            lines.append("... (capped)")
-        return "\n".join(lines)
 
 
 def validate_omega(base: GlobularSet, comp, unit, inv=None) -> OmegaStructure:
@@ -461,19 +429,6 @@ def _failing(lhs: list[list[int]], rhs: list[list[int]]) -> list[int]:
     return sorted(rows)
 
 
-def _collect(blocks, cap: int) -> Report:
-    """The first ``cap`` violations of ``blocks`` (per block of instances, its size and
-    its violations), reading one more to set ``truncated``; counts the instances read."""
-    violations, instances = [], 0
-    for size, found in blocks:
-        instances += size
-        for violation in found:
-            if len(violations) == cap:
-                return Report(violations, True, instances)
-            violations.append(violation)
-    return Report(violations, False, instances)
-
-
 # -- the sweep ------------------------------------------------------------------
 #
 # One loop runs every law, boundary law or axiom: its subscripts, its instances
@@ -629,7 +584,7 @@ def _violations(x: OmegaStructure, name: str, subs):
 def check_structure(x: OmegaStructure, cap: int = 100) -> Report:
     """Exhaustively verify the boundary laws of the operation tables."""
     laws = _BOUNDARY_LAWS if x.inv is not None else _BOUNDARY_LAWS[:2]
-    return _collect(chain.from_iterable(_violations(x, law, _axiom_subscripts(x, law))
+    return collect(chain.from_iterable(_violations(x, law, _axiom_subscripts(x, law))
                                         for law in laws), cap)
 
 
@@ -653,7 +608,7 @@ def check_axiom(x: OmegaStructure, name: str, subscripts=None, cap: int = 100) -
         _validate_subscripts(x, name, subs[0])
     else:
         subs = _axiom_subscripts(x, name)
-    return _collect(_violations(x, name, subs), cap)
+    return collect(_violations(x, name, subs), cap)
 
 
 def check_all(x: OmegaStructure, flags: AxiomFlags = FULL_FLAGS,

@@ -28,7 +28,7 @@ what those entries give.
 The complex runs on interned ids (:class:`TwistedComplex`): each level is
 enumerated once, by the joiner of ``globular``, into rows of base-cell ids,
 and a tuple is a valid cell exactly when it is a row, so validating a cell
-is one index lookup.  Rows, sources, targets and iterated boundaries are id
+is finding its row.  Rows, sources, targets and iterated boundaries are id
 maps, plain lists with -1 appended (see :func:`globular._gather`), computed
 a level at a time with the column evaluators of ``omega.IntTables``; a row
 is found from its parent and its last entry by one dict lookup.  Wherever
@@ -189,9 +189,9 @@ class TwistedComplex:
     row id of -1 gathers -1 in every column.  A segment's id is its row.  A
     row of two or more entries extends its *parent*, the row of its entries
     but the last, so a tuple is found from its parent and its last entry in
-    the dict ``{(parent, last): row}`` of its shape, which holds no key with
-    a -1.  The enumeration is exhaustive: a tuple that is not a row is not a
-    segment.
+    the dict ``{(parent, last): row}`` of its shape (held with those of its
+    prefixes), which holds no key with a -1 or None.  The enumeration is
+    exhaustive: a tuple that is not a row is not a segment.
     """
 
     def __init__(self, x: OmegaStructure):
@@ -224,7 +224,7 @@ class TwistedComplex:
         return value
 
     def _shape(self, low: int, high: int):
-        """Rows, parent ids and lookup dict of the segments of shape ``(low, high)``."""
+        """Rows, parent ids and lookup dicts of the segments of shape ``(low, high)``."""
         return self._memo(("shape", low, high), self._enumerate, low, high)
 
     def _enumerate(self, low: int, high: int):
@@ -233,16 +233,16 @@ class TwistedComplex:
                 f"level {high} needs dimension {high + 1} <= truncation {self.x.truncation}"
             )
         if high == low:
-            return [[*range(self.t.sizes[high + 1]), -1]], None, None
+            return [[*range(self.t.sizes[high + 1]), -1]], None, []
         prev = self.rows(low, high - 1)
         # the gluing s_k(x_k) = t_k t_{k+1}(x_{k+1}) at k = high
         link = _link(_gather(self.x.base.boundary_ids(SRC, high, high - 1), prev[-1]),
                      self.x.base.boundary_ids(TGT, high + 1, high - 1))
         parent, last = _stack(_glued(range(self.count(low, high - 1)), [link]), 2)
-        keys = dict(zip(zip(parent, last), range(len(last))))
+        chain = [*self._shape(low, high - 1)[2], dict(zip(zip(parent, last), range(len(last))))]
         parent.append(-1)
         last.append(-1)
-        return [*(_gather(column, parent) for column in prev), last], parent, keys
+        return [*(_gather(column, parent) for column in prev), last], parent, chain
 
     def rows(self, low: int, high: int) -> list[list[int]]:
         return self._shape(low, high)[0]
@@ -255,32 +255,29 @@ class TwistedComplex:
         """Row ids of shape ``(low, high)`` of the id tuples whose entries at each
         position are ``columns[c]``; -1 where one is no segment."""
         found = list(columns[0])
-        for c in range(1, high - low + 1):
-            keys = self._shape(low, low + c)[2]
-            found = list(map(keys.get, zip(found, columns[c]), repeat(-1)))
+        for keys, column in zip(self._shape(low, high)[2], columns[1:]):
+            found = list(map(keys.get, zip(found, column), repeat(-1)))
         return found
 
-    def index(self, low: int, high: int) -> dict:
-        """Entries, as a tuple of names, to row id."""
-        return self._memo(("index", low, high), self._index, low, high)
-
-    def _index(self, low: int, high: int) -> dict:
-        cells = self.x.base.cells
-        columns = (map(cells[low + 1 + c].__getitem__, column)
-                   for c, column in enumerate(self.rows(low, high)))
-        return {entries: k for k, entries in zip(range(self.count(low, high)), zip(*columns))}
-
     def find(self, low: int, high: int, entries) -> int | None:
-        """Row id of ``entries`` in shape ``(low, high)``, or None when it is no segment."""
-        index = self._cache.get(("index", low, high))
-        if index is None:
-            if not 0 <= low <= high < self.x.truncation:
-                return None
-            index = self.index(low, high)
-        try:
-            return index.get(tuple(entries))
-        except TypeError:  # not iterable, or an unhashable entry
+        """Row id of ``entries`` in shape ``(low, high)``, or None when it is no segment:
+        each entry is interned by the base and found with the row of the entries before it."""
+        if not 0 <= low <= high < self.x.truncation:
             return None
+        try:
+            index, entries = self.x.base.index, tuple(entries)
+            row = index[low + 1][entries[0]]
+            for d, keys in enumerate(self._shape(low, high)[2], low + 2):
+                row = keys.get((row, index[d][entries[d - low - 1]]))
+        except (TypeError, KeyError, IndexError):  # not iterable, an unhashable entry or no cell
+            return None
+        return row if len(entries) == high - low + 1 else None
+
+    def named(self, low: int, high: int):
+        """The rows of shape ``(low, high)`` as tuples of names, in row order."""
+        cells = self.x.base.cells
+        return zip(*(map(cells[low + 1 + c].__getitem__, column[:-1])
+                     for c, column in enumerate(self.rows(low, high))))
 
     def cells(self, level: int) -> tuple[TwistedCell, ...]:
         return self._memo(("cells", level), self._wrap, TwistedCell, 0, level)
@@ -291,7 +288,7 @@ class TwistedComplex:
     def _wrap(self, kind, low: int, high: int) -> tuple:
         """The rows of shape ``(low, high)`` as ``kind`` objects, in row order."""
         head = (high,) if kind is TwistedCell else (low, high)
-        return tuple(kind(*head, entries) for entries in self.index(low, high))
+        return tuple(kind(*head, entries) for entries in self.named(low, high))
 
     def boundary(self, kind: str, i: int, j: int) -> list[int]:
         """Iterated twisted boundary from level ``i`` down to ``j``, as an id map over
@@ -356,7 +353,7 @@ def _check_segment_entries(x: OmegaStructure, low: int, high: int, entries) -> t
 
 
 def _row(complex_: TwistedComplex, low: int, high: int, entries) -> int:
-    """Row id of a segment, validated by one index lookup.
+    """Row id of a segment, validated by finding its row.
 
     A tuple that is no row goes through the scalar checks, which raise the
     error that describes it.
@@ -740,7 +737,7 @@ def build_twisted(x: OmegaStructure) -> OmegaStructure:
         raise DimOutOfRange("twisting needs truncation >= 1")
     complex_ = _complex(x)
     t = x.tables
-    names = [[twisted_name(e) for e in complex_.index(0, i)] for i in range(n)]
+    names = [[twisted_name(e) for e in complex_.named(0, i)] for i in range(n)]
     cells = [tuple(layer) for layer in names]
 
     def table(level: int, into: int, ids: list[int], op, *args) -> dict:

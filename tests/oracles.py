@@ -50,7 +50,7 @@ from globkernel.omega import (
     iter_unit,
     unit,
 )
-from globkernel.report import verdict
+from globkernel.report import Report, verdict
 from globkernel.testcat import Presheaf, SmallCategory
 from globkernel.twist import MixedTuple, TwistedCell, TwistedSegment
 
@@ -194,7 +194,8 @@ def ref_check_section(x, table):
     if table.max_dim() + 1 > x.truncation:
         raise DimOutOfRange(f"table {table} needs truncation >= {table.max_dim() + 1}")
     failures = []
-    for entries in brute_globular_product(x.base, table.outer, table.inner):
+    product = brute_globular_product(x.base, table.outer, table.inner)
+    for entries in product:
         gtuple = GlobularTuple(table, entries)
         try:
             mixed = ref_unit_lift_tuple(x, table, gtuple)
@@ -205,7 +206,7 @@ def ref_check_section(x, table):
             continue
         if back != gtuple:
             failures.append(f"{gtuple.entries} -> {back.entries}")
-    return verdict("section", str(table), failures)
+    return _uncapped("section", str(table), failures, len(product))
 
 
 def ref_validate_category(objects, morphisms, identity, comp):
@@ -769,6 +770,11 @@ def ref_twisted_inverse(x, j, cell):
     return ref_twisted_cell(x, i, entries)
 
 
+def _uncapped(check, scope, failures, instances):
+    """The result of a sweep with no cap over ``instances`` instances."""
+    return verdict(check, scope, Report(failures, False, instances))
+
+
 def ref_twisted_cells(x, level):
     return [TwistedCell(level, e) for e in brute_twisted_cells(x.base, level)]
 
@@ -784,7 +790,8 @@ def ref_apex_naturality(x):
     results = []
     for i in range(1, x.truncation):
         failures = []
-        for cell in ref_twisted_cells(x, i):
+        cells = ref_twisted_cells(x, i)
+        for cell in cells:
             try:
                 apex = gs.src[i + 1][cell.entries[-1]]
                 for kind, face in (("src", ref_twisted_source), ("tgt", ref_twisted_target)):
@@ -793,7 +800,7 @@ def ref_apex_naturality(x):
                         failures.append(f"{kind} side at {cell.entries}")
             except _EVAL_ERRORS as exc:
                 failures.append(f"{cell.entries}: {exc}")
-        results.append(verdict("apex-naturality", f"level={i}", failures))
+        results.append(_uncapped("apex-naturality", f"level={i}", failures, len(cells)))
     return results
 
 
@@ -804,14 +811,15 @@ def ref_endpoint_naturality(x):
     results = []
     for i in range(1, x.truncation):
         failures = []
-        for cell in ref_twisted_cells(x, i):
+        cells = ref_twisted_cells(x, i)
+        for cell in cells:
             try:
                 for kind, face in (("src", ref_twisted_source), ("tgt", ref_twisted_target)):
                     if gs.tgt[1][face(x, cell).entries[0]] != gs.tgt[1][cell.entries[0]]:
                         failures.append(f"{kind} side at {cell.entries}")
             except _EVAL_ERRORS as exc:
                 failures.append(f"{cell.entries}: {exc}")
-        results.append(verdict("endpoint-naturality", f"level={i}", failures))
+        results.append(_uncapped("endpoint-naturality", f"level={i}", failures, len(cells)))
     return results
 
 
@@ -838,7 +846,8 @@ def ref_unit_closed_forms(x):
     for i in range(1, x.truncation):
         for j in range(i):
             failures = []
-            for cell in ref_twisted_cells(x, i):
+            cells = ref_twisted_cells(x, i)
+            for cell in cells:
                 try:
                     for kind in ("src", "tgt"):
                         iterated = ref_twisted_boundary(x, kind, cell, j)
@@ -851,7 +860,7 @@ def ref_unit_closed_forms(x):
                             )
                 except _EVAL_ERRORS as exc:
                     failures.append(f"{cell.entries}: {exc}")
-            results.append(verdict("unit-closed-form", f"i={i},j={j}", failures))
+            results.append(_uncapped("unit-closed-form", f"i={i},j={j}", failures, len(cells)))
     return results
 
 

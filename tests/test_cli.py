@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from globkernel import cli, fixtures, omega
+from globkernel import cli, fixtures, omega, report
 
 
 def run(argv):
@@ -167,10 +167,13 @@ def test_wrong_typed_field_exit_two(tmp_path, capsys, field, value, message):
     ["check", "{file}", "--cap", "0"],
     ["decalage", "{file}", "--max-width", "0"],
     ["delta", "--max-n", "0"],
+    ["decalage", "{file}", "--cap", "0", "--max-dim", "2"],
 ])
 def test_zero_bound_exit_two(z2_file, capsys, argv):
+    # a cap is rejected by the sweep that would apply it, any other bound by the command
+    message = "cap must be >= 1, got 0" if "--cap" in argv else "bounds must be >= 1"
     assert run([arg.format(file=z2_file) for arg in argv]) == 2
-    assert capsys.readouterr() == ("", "input error: bounds must be >= 1\n")
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
 
 
 def test_decalage_without_inverse_tables_exit_two(tmp_path, capsys):
@@ -257,6 +260,29 @@ def test_decalage_fault_exit_one(tmp_path, capsys):
     assert run(["decalage", str(path)]) == 2
 
 
+def test_decalage_cap_cuts_every_sweep(tmp_path, capsys, monkeypatch):
+    # a lawful structure passes every décalage sweep, so the gate on the structure
+    # and its axioms is bypassed to let a corrupted unit reach the sweeps
+    x = fixtures.suspension(fixtures.cyclic_table(2), 1, 3)
+    units = [dict(t) for t in x.unit]
+    units[1]["0"] = "1"
+    path = tmp_path / "fault.json"
+    write_structure(path, omega.OmegaStructure(x.base, x.comp, tuple(units), x.inv))
+    monkeypatch.setattr(omega, "check_structure", lambda x, cap: report.Report([], False, 0))
+    monkeypatch.setattr(omega, "check_all", lambda x, flags, cap: {})
+    rows = {}
+    for cap in (1, 1000):
+        assert run(["decalage", str(path), "--max-dim", "2", "--cap", str(cap), "--format", "json"]) == 1
+        rows[cap] = json.loads(capsys.readouterr().out)
+    for cut, full in zip(rows[1], rows[1000], strict=True):
+        assert not full["capped"] and full["instances"] > 0, full
+        assert cut["failures"] == full["failures"][:1], full
+        assert cut["capped"] == (len(full["failures"]) > 1), full
+    failing = [row for row in rows[1] if row["status"] == "FAIL"]
+    assert {row["check"] for row in failing} == {"section", "unit-closed-form"}
+    assert any(row["capped"] for row in failing) and not all(row["capped"] for row in failing)
+
+
 def test_delta_command(capsys):
     assert run(["delta", "--max-n", "2"]) == 0
     out = capsys.readouterr().out
@@ -269,7 +295,7 @@ def test_delta_json_parses(capsys):
     assert run(["delta", "--max-n", "2", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload[0] == {"check": "shift-generators", "scope": "comp", "status": "PASS", "witness": None,
-                          "failures": [], "instances": None, "capped": None}
+                          "failures": [], "instances": 1, "capped": False}
 
 
 def test_fixture_command_suspension(tmp_path, capsys):

@@ -33,6 +33,7 @@ from globkernel.finsets import (
     top_inclusion,
 )
 from globkernel.globular import all_tables, globular_product, parse_table
+from globkernel.report import Report, collect
 from globkernel.testcat import delta_truncated
 from globkernel.twist import twisted_cell, twisted_cells
 
@@ -116,9 +117,11 @@ def test_check_section_dim_out_of_range(z2):
 
 
 def test_check_section_on_whole_corpus():
+    # each table's count is the length of its brute-force product
     for name, x in POOL.items():
         results = check_sections(x, 3, min(3, x.truncation - 1))
         assert report.all_pass(results), name
+        assert results == [ref_check_section(x, table) for table in all_tables(3, min(3, x.truncation - 1))]
 
 
 def _failing_section_tuples(x, table):
@@ -167,12 +170,36 @@ def _outcome(check, *args):
         return type(exc), str(exc)
 
 
+UNCAPPED = 10**9
+CAPS = (1, 3)
+
+
+def _cuts_exactly(sweep, reference, *args, one_block=True):
+    """``sweep(*args, UNCAPPED)`` equals ``reference(*args)``, or raises the same
+    error; and at each of ``CAPS`` every result holds the reference's failures
+    cut at the cap, is ``capped`` exactly when the reference has more, and
+    counts the reference's instances.  A cut sweep of several blocks may stop
+    before its last block, so unless ``one_block`` it counts no more of them."""
+    full = _outcome(reference, *args)
+    assert _outcome(sweep, *args, UNCAPPED) == full
+    for cap in CAPS:
+        got = _outcome(sweep, *args, cap)
+        if isinstance(full, tuple):  # the error
+            assert got == full
+            continue
+        for g, f in zip(*(r if isinstance(r, list) else [r] for r in (got, full)), strict=True):
+            cut = len(f.failures) > cap
+            assert (g.check, g.scope, g.status, g.witness) == (f.check, f.scope, f.status, f.witness)
+            assert (g.failures, g.capped) == (f.failures[:cap], cut), (f.scope, cap)
+            assert (g.instances == f.instances) if one_block or not cut else (g.instances <= f.instances)
+
+
 @settings(max_examples=80, deadline=None)
 @given(faulted(POOL))
 def test_check_section_matches_reference_on_faulted_structures(x):
-    # same status, failures and order as the per-tuple loop, or the same error
+    # same status, failures and order as the per-tuple loop, or the same error, cut exactly at each cap
     for table in all_tables(3, min(3, x.truncation - 1)):
-        assert _outcome(check_section, x, table) == _outcome(ref_check_section, x, table), str(table)
+        _cuts_exactly(check_section, ref_check_section, x, table, one_block=False)
 
 
 def test_check_section_matches_reference_on_every_unit_fault():
@@ -188,8 +215,8 @@ def test_check_section_matches_reference_on_every_unit_fault():
                     units[i][u] = w
                 y = omega.OmegaStructure(x.base, x.comp, tuple(units), x.inv)
                 for table in all_tables(3, x.truncation - 1):
-                    assert _outcome(check_section, y, table) == _outcome(ref_check_section, y, table), (
-                        i, u, w, str(table))
+                    got = _outcome(check_section, y, table, UNCAPPED)
+                    assert got == _outcome(ref_check_section, y, table), (i, u, w, str(table))
 
 
 def test_check_section_matches_reference_across_blocks(monkeypatch):
@@ -201,8 +228,7 @@ def test_check_section_matches_reference_across_blocks(monkeypatch):
         units[i][x.base.cells[i][-1]] = GHOST
         y = omega.OmegaStructure(x.base, x.comp, tuple(units), x.inv)
         for table in all_tables(3, x.truncation - 1):
-            assert _outcome(check_section, y, table) == _outcome(ref_check_section, y, table), (
-                i, str(table))
+            _cuts_exactly(check_section, ref_check_section, y, table, one_block=False)
 
 
 # -- naturality -------------------------------------------------------------------
@@ -216,10 +242,20 @@ def test_apex_naturality_unfolds(z3):
         assert lhs == rhs
 
 
+_SWEEPS = (
+    (check_apex_naturality, ref_apex_naturality),
+    (check_endpoint_naturality, ref_endpoint_naturality),
+    (check_unit_closed_forms, ref_unit_closed_forms),
+)
+
+
 def test_naturality_sweeps_clean():
+    # each level counts its twisted cells, as many as the brute-force enumeration has
     for name, x in POOL.items():
-        assert report.all_pass(check_apex_naturality(x)), name
-        assert report.all_pass(check_endpoint_naturality(x)), name
+        for sweep, reference in _SWEEPS:
+            results = sweep(x)
+            assert report.all_pass(results), (name, sweep.__name__)
+            assert results == reference(x), (name, sweep.__name__)
 
 
 def test_naturality_trivial_on_discrete():
@@ -235,7 +271,9 @@ def test_lift_non_naturality_witness(z2):
     assert u == "1"
     assert lhs.entries == ("0",)  # lift of the source object
     assert rhs.entries == ("1",)  # twisted source of the lift
-    assert check_lift_non_naturality(z2).ok
+    result = check_lift_non_naturality(z2)
+    # the search tried "0", then found "1"
+    assert result.ok and (result.instances, result.capped) == (2, False)
 
 
 def test_lift_non_naturality_missing_on_discrete():
@@ -244,6 +282,7 @@ def test_lift_non_naturality_missing_on_discrete():
     assert find_lift_naturality_failure(x) is None
     result = check_lift_non_naturality(x)
     assert (result.status, result.witness) == ("SKIP", "lift is natural on this structure")
+    assert (result.instances, result.capped) == (len(x.base.cells[1]), False)
     assert not result.ok
     assert report.all_pass([result])
 
@@ -260,19 +299,12 @@ def test_unit_closed_forms_cover_all_levels(z2_deep):
     assert scopes == {"i=1,j=0", "i=2,j=0", "i=2,j=1", "i=3,j=0", "i=3,j=1", "i=3,j=2"}
 
 
-_SWEEPS = (
-    (check_apex_naturality, ref_apex_naturality),
-    (check_endpoint_naturality, ref_endpoint_naturality),
-    (check_unit_closed_forms, ref_unit_closed_forms),
-)
-
-
 @settings(max_examples=150, deadline=None)
 @given(faulted(POOL))
 def test_naturality_and_closed_form_sweeps_match_reference_on_faulted_structures(x):
-    # same statuses and failures in order as the sweeps on names, or the same error
+    # same statuses and failures in order as the sweeps on names, or the same error, cut exactly at each cap
     for sweep, reference in _SWEEPS:
-        assert _outcome(sweep, x) == _outcome(reference, x), sweep.__name__
+        _cuts_exactly(sweep, reference, x)
 
 
 def _with_comp_entry(x, key, pair, value):
@@ -302,7 +334,7 @@ def _with_comp_entry(x, key, pair, value):
 def test_sweep_fails_on_a_hand_built_fault(sweep, reference, name, key, pair, value, scope,
                                            witness):
     x = _with_comp_entry(POOL[name], key, pair, value)
-    results = sweep(x)
+    results = sweep(x, UNCAPPED)
     assert results == reference(x)
     first = next(r for r in results if r.status == "FAIL")
     assert (first.scope, first.witness) == (scope, witness)
@@ -335,6 +367,31 @@ def test_reader_gathers_any_number_of_indices():
 
 def test_decalage_names_the_one_shift_check():
     assert decalage.check_shift_decalage is finsets.check_shift_decalage
+
+
+def test_every_sweep_rejects_a_cap_below_one(monkeypatch):
+    # a cap of 0 kept no violation, which read as a PASS, and -1 removed the cap
+    z2 = fixtures.cyclic_table(2)
+    tower = fixtures.one_object_tower(z2.elements, z2.mul, "1", 1, 2)
+    assert len(omega.check_axiom(tower, omega.LEFT_UNIT)) == 4
+    monkeypatch.setattr(finsets, "_shift", lambda row, n: row + (0,))  # every shift check fails
+    x = POOL["delooping_z2_3"]
+    sweeps = {
+        "check_structure": lambda cap: omega.check_structure(tower, cap),
+        "check_axiom": lambda cap: omega.check_axiom(tower, omega.LEFT_UNIT, cap=cap),
+        "check_all": lambda cap: omega.check_all(tower, omega.CATEGORICAL_FLAGS, cap),
+        "check_section": lambda cap: check_section(x, parse_table("1"), cap),
+        "check_sections": lambda cap: check_sections(x, 3, 2, cap),
+        "check_apex_naturality": lambda cap: check_apex_naturality(x, cap),
+        "check_endpoint_naturality": lambda cap: check_endpoint_naturality(x, cap),
+        "check_unit_closed_forms": lambda cap: check_unit_closed_forms(x, cap),
+        "check_shift_decalage": lambda cap: check_shift_decalage(3, cap),
+    }
+    for name, sweep in sweeps.items():
+        for cap in (0, -1):
+            with pytest.raises(ValidationError, match="cap must be >= 1"):
+                sweep(cap)
+                pytest.fail(f"{name} accepted cap {cap}")
 
 
 def test_compose_maps():
@@ -416,15 +473,24 @@ def test_shift_squares_match_reference_on_faulty_structure_maps(monkeypatch):
                         lambda n: SimplexMap(n, n + 1, (n + 1,) + tuple(range(1, n + 1))))
     monkeypatch.setattr(finsets, "base_point",
                         lambda n: SimplexMap(0, n + 1, (0 if n % 2 else n + 1,)))
-    failures = {r.check: r.failures for r in check_shift_decalage(3)}
     incl, point = ref_shift_squares(3)
     assert incl and point
-    assert failures["shift-inclusion-square"] == tuple(incl)
-    assert failures["shift-point-square"] == tuple(point)
+    for cap in (1, 7, 100, UNCAPPED):
+        results = {r.check: r for r in check_shift_decalage(3, cap)}
+        for check, full in (("shift-inclusion-square", incl), ("shift-point-square", point)):
+            assert results[check].failures == tuple(full[:cap]), (check, cap)
+            assert results[check].capped == (len(full) > cap), (check, cap)
+            # one block per (m, n): a cut sweep stops before its last block
+            count = results[check].instances
+            assert (count <= _MAPS_UP_TO_3) if len(full) > cap else (count == _MAPS_UP_TO_3), (check, cap)
 
 
 _SHIFT = finsets._shift
 _GENERATORS = finsets._generators
+# the maps {0..m} -> {0..n}, for m, n <= 3; and the pairs of them that compose, by (m, n, p)
+_MAPS_UP_TO_3 = sum(len(all_functions(m, n)) for m in range(4) for n in range(4))
+_PAIRS_UP_TO_3 = sum(len(all_functions(m, n)) * len(all_functions(n, p))
+                     for m in range(4) for n in range(4) for p in range(4))
 
 
 def _shift_new_top_to_zero(row, n):
@@ -475,12 +541,13 @@ def test_composition_sweep_matches_reference_under_faulty_shifts(monkeypatch, sh
     monkeypatch.setattr(finsets, "_shift", shift)
     monkeypatch.setattr(finsets, "_generators", generators)
     assert finsets._functor_at_generators(3) is None  # so the pair sweep runs
-    full = ref_composition_sweep(3, 10**9)
+    full = ref_composition_sweep(3, UNCAPPED)
     assert len(full) > 100
     for cap in (1, 7, 100):
-        got = finsets._composition_sweep(3, cap)
-        assert got == ref_composition_sweep(3, cap) == full[:cap], cap
-    assert finsets._composition_sweep(3, 10**9) == full
+        got = collect(finsets._composition_sweep(3), cap)
+        assert got.violations == ref_composition_sweep(3, cap) == full[:cap], cap
+        assert got.truncated and got.instances <= _PAIRS_UP_TO_3, cap
+    assert collect(finsets._composition_sweep(3), UNCAPPED) == Report(full, False, _PAIRS_UP_TO_3)
 
 
 def test_faulty_shifts_fail_where_the_generators_cannot_tell():
@@ -510,22 +577,25 @@ def test_real_shift_is_decided_at_generators(monkeypatch):
     assert sum(map(len, gens.values())) == 18
     pairs = sum(len(gs) * len(all_functions(cod, p)) for cod, gs in gens.items() for p in range(5))
     assert finsets._functor_at_generators(4) == pairs == 28_100
+    # the check counts the pairs it compared, never the 18,966,741 composable pairs
+    (composition,) = [r for r in check_shift_decalage(4) if r.check == "shift-composition"]
+    assert (composition.status, composition.instances, composition.capped) == ("PASS", 28_100, False)
     monkeypatch.setattr(finsets, "_maps", None)
     for max_n in range(1, 5):
-        assert finsets._composition_sweep(max_n, 100) == []
+        assert list(finsets._composition_sweep(max_n)) == [(finsets._functor_at_generators(max_n), ())]
 
 
 @pytest.mark.parametrize("shift", [_shift_new_top_to_zero, _shift_first_value_to_top])
 def test_every_shift_check_applies_the_one_shift(monkeypatch, shift):
     # a faulty shift shows alike in the identity check, both squares and the sweep
     monkeypatch.setattr(finsets, "_shift", shift)
-    failures = {r.check: r.failures for r in check_shift_decalage(3)}
+    failures = {r.check: r.failures for r in check_shift_decalage(3, UNCAPPED)}
     incl, point = ref_shift_squares(3)
     assert incl or point
     assert failures["shift-identity"] == ("n=0", "n=1", "n=2", "n=3")
     assert failures["shift-inclusion-square"] == tuple(incl)
     assert failures["shift-point-square"] == tuple(point)
-    assert failures["shift-composition"] == tuple(ref_composition_sweep(3, 100))
+    assert failures["shift-composition"] == tuple(ref_composition_sweep(3, UNCAPPED))
 
 
 @settings(max_examples=60, deadline=None)

@@ -38,7 +38,7 @@ TWINS = {
     omega.AxiomFlags: twin("AxiomFlags", "optional"),
     omega.OmegaStructure: twin("OmegaStructure", "base comp unit inv"),
     omega.Violation: twin("Violation", "law where witness detail"),
-    omega.Report: twin("Report", "violations truncated instances"),
+    report.Report: twin("Report", "violations truncated instances"),
     report.CheckResult: twin("CheckResult", "check scope status witness failures instances capped"),
     twist.TwistedCell: twin("TwistedCell", "level entries"),
     twist.TwistedSegment: twin("TwistedSegment", "low high entries"),
@@ -81,13 +81,13 @@ def corpus_records() -> dict[type, list]:
                            omega.AxiomFlags.parse("r,l")],
         omega.OmegaStructure: [z3, sus, faulted],
         omega.Violation: omega.check_structure(faulted, cap=3).violations,
-        omega.Report: [omega.check_structure(faulted, cap=3), omega.check_structure(faulted, cap=1),
-                       omega.check_structure(z3), omega.check_axiom(faulted, omega.ASSOC, cap=1)],
-        report.CheckResult: [report.verdict("structure", "all", []),
-                             report.verdict("axiom:assoc", "all", ["a", "b"]),
-                             report.verdict("axiom:assoc", "all", ["a"]),
+        report.Report: [omega.check_structure(faulted, cap=3), omega.check_structure(faulted, cap=1),
+                        omega.check_structure(z3), omega.check_axiom(faulted, omega.ASSOC, cap=1)],
+        report.CheckResult: [report.verdict("structure", "all", report.Report([], False, 0)),
+                             report.verdict("axiom:assoc", "all", report.Report(["a", "b"], True, 5)),
+                             report.verdict("axiom:assoc", "all", report.Report(["a"], False, 5)),
                              decalage.check_lift_non_naturality(z3),
-                             report.swept("axiom:assoc", omega.check_axiom(faulted, omega.ASSOC, cap=1))],
+                             report.verdict("axiom:assoc", "all", omega.check_axiom(faulted, omega.ASSOC, cap=1))],
         twist.TwistedCell: [*twist.twisted_cells(z3, 1)[:2], *twist.twisted_cells(sus, 2)[:2]],
         twist.TwistedSegment: [*twist.segment_cells(z3, 1, 2)[:2], *twist.segment_cells(sus, 1, 2)[:2]],
         twist.MixedTuple: [*twist.mixed_product(z3, tables[1])[:2], *twist.mixed_product(sus, tables[2])[:2]],

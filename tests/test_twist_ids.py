@@ -91,6 +91,11 @@ def check_against_reference(x, table, rng: random.Random):
     for level in range(n):
         for cell in levels[level]:
             same(twist.twisted_cell, ref_twisted_cell, x, level, cell.entries)
+            assert twist.twisted_cell(x, level, iter(cell.entries)) == cell  # any iterable of entries
+            # one entry short, or one more: a row of another shape is no cell of this one
+            same(twist.twisted_cell, ref_twisted_cell, x, level, cell.entries[:-1])
+            for extra in x.base.cells[level + 2][:1] if level + 2 <= n else ():
+                same(twist.twisted_cell, ref_twisted_cell, x, level, cell.entries + (extra,))
         for _ in range(SAMPLE // 4):
             entries = [rng.choice(x.base.cells[d] + (GHOST,)) for d in range(1, level + 2)]
             same(twist.twisted_cell, ref_twisted_cell, x, level, entries)
