@@ -31,19 +31,19 @@ from .globular import (
     GlobularTuple,
     TableOfDimensions,
     all_tables,
+    check_seam,
     globular_product,
     globular_tuple,
     product_ids,
 )
 from .omega import OmegaStructure, _Named
-from .report import CheckResult, collect, verdict
+from .report import CheckResult, check_cap, collect, verdict
 from .twist import (
     MixedTuple,
     TwistedCell,
     TwistedSegment,
     _complex,
     _source_entries,
-    check_seam,
     iter_twisted_unit,
     twisted_boundary,
     twisted_cell,
@@ -103,7 +103,7 @@ def unit_lift_tuple(x: OmegaStructure, table: TableOfDimensions, gtuple: Globula
     )
     top, top_dim = head.top(), head.level + 1
     for l, segment in enumerate(segments):
-        check_seam(x, l + 1, table.inner[l], top_dim, top, segment.low + 1, segment.entries[0])
+        check_seam(x.base, l + 1, table.inner[l], top_dim, top, segment.low + 1, segment.entries[0])
         top, top_dim = segment.entries[-1], segment.high + 1
     return MixedTuple(table, head, segments)
 
@@ -208,6 +208,7 @@ def _naturality(x: OmegaStructure, check: str, project, along, cap: int) -> list
         for kind, boundary in ((SRC, twisted_source), (TGT, twisted_target)):
             if project(x, boundary(x, cell)) != along(kind, i, here):
                 yield f"{kind} side at {cell.entries}"
+    check_cap(cap)  # also where there is no level
     return [verdict(check, f"level={i}", collect(_cell_block(x, i, judge, i), cap))
             for i in range(1, x.truncation)]
 
@@ -278,5 +279,6 @@ def check_unit_closed_forms(x: OmegaStructure, cap: int = 100) -> list[CheckResu
             closed = _closed_unit_form(x, kind, j, cell)
             if iterated != closed:
                 yield f"{kind} at {cell.entries}: {iterated.entries} != {closed.entries}"
+    check_cap(cap)  # also where there is no level
     return [verdict("unit-closed-form", f"i={i},j={j}", collect(_cell_block(x, i, judge, j), cap))
             for i in range(1, x.truncation) for j in range(i)]

@@ -369,16 +369,19 @@ def globular_tuple(gs: GlobularSet, table: TableOfDimensions, entries) -> Globul
         if not gs.has_cell(dim, u):
             raise MissingCell(f"entry {k + 1}: {u!r} is not a {dim}-cell")
     for k in range(table.width - 1):
-        low = table.inner[k]
-        left = gs.boundary(SRC, table.outer[k], low, entries[k])
-        right = gs.boundary(TGT, table.outer[k + 1], low, entries[k + 1])
-        if left != right:
-            raise GluingViolation(
-                k + 1,
-                f"s^{table.outer[k]}_{low}({entries[k]}) = {left} but "
-                f"t^{table.outer[k + 1]}_{low}({entries[k + 1]}) = {right}",
-            )
+        check_seam(gs, k + 1, table.inner[k], table.outer[k], entries[k], table.outer[k + 1], entries[k + 1])
     return GlobularTuple(table, entries)
+
+
+def check_seam(gs: GlobularSet, position: int, seam: int,
+               top_dim: int, top: str, first_dim: int, first: str) -> None:
+    """Raise unless ``s^{top_dim}_{seam}(top) = t^{first_dim}_{seam}(first)``: seam ``position``
+    of a named glued tuple (globular, or mixed in ``twist``) between the cells it joins."""
+    left = gs.boundary_ids(SRC, top_dim, seam)[gs.index[top_dim][top]]
+    right = gs.boundary_ids(TGT, first_dim, seam)[gs.index[first_dim][first]]
+    if left != right:
+        raise GluingViolation(position, f"s^{top_dim}_{seam}({top}) = {gs.cells[seam][left]} but "
+                                        f"t^{first_dim}_{seam}({first}) = {gs.cells[seam][right]}")
 
 
 def product_ids(gs: GlobularSet, table: TableOfDimensions):
@@ -479,6 +482,8 @@ def tree_to_table(tree) -> TableOfDimensions:
 
 def all_tables(max_width: int, max_dim: int):
     """Every table of dimensions with width <= max_width and entries <= max_dim."""
+    if max_width < 1:
+        raise ValidationError(f"max_width must be >= 1, got {max_width}")
     tables: list[TableOfDimensions] = []
 
     def extend(outer: list[int], inner: list[int]):

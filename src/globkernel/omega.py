@@ -141,9 +141,6 @@ class OmegaStructure(Record):
             object.__setattr__(self, "_tables", tables)
         return tables
 
-    def boundary(self, kind: str, i: int, j: int, u: str) -> str:
-        return self.base.boundary(kind, i, j, u)
-
 
 class Violation(Record):
     """One counterexample: which law, at which subscripts, on which cells."""
@@ -386,12 +383,9 @@ class _Named:
         return self.x.base.boundary(kind, i, j, u)
 
 
-class _Raw:
+class _Raw(_Named):
     """Plain reads of the tables by name for the boundary laws: ``.get`` for a composite,
-    indexing for every other entry, so a table that is not total raises KeyError."""
-
-    def __init__(self, x: OmegaStructure):
-        self.x = x
+    indexing for a unit or an inverse (KeyError where not total); boundaries as ``_Named``."""
 
     def entry(self, i, j, u, v):
         return self.x.comp.get((i, j), {}).get((u, v))
@@ -401,12 +395,6 @@ class _Raw:
 
     def inverse(self, i, j, u):
         return self.x.inv[(i, j)][u]
-
-    def boundary(self, kind, i, j, u):
-        table = self.x.base.src if kind == SRC else self.x.base.tgt
-        for d in range(i, j, -1):
-            u = table[d][u]
-        return u
 
 
 def composable_pairs(x: OmegaStructure, i: int, j: int):

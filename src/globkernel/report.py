@@ -53,11 +53,16 @@ class Report(Record):
         return "\n".join(lines)
 
 
+def check_cap(cap: int) -> None:
+    """Reject a cap below 1: ``collect`` calls it, and so does a sweep that may have no scope."""
+    if cap < 1:
+        raise ValidationError(f"cap must be >= 1, got {cap}")
+
+
 def collect(blocks, cap: int) -> Report:
     """The first ``cap`` violations of ``blocks`` (per block of instances, its size and
     its violations), reading one more to set ``truncated``; counts the instances read."""
-    if cap < 1:
-        raise ValidationError(f"cap must be >= 1, got {cap}")
+    check_cap(cap)
     violations, instances = [], 0
     for size, found in blocks:
         instances += size

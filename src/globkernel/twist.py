@@ -30,10 +30,11 @@ enumerated once, by the joiner of ``globular``, into rows of base-cell ids,
 and a tuple is a valid cell exactly when it is a row, so validating a cell
 is finding its row.  Rows, sources, targets and iterated boundaries are id
 maps, plain lists with -1 appended (see :func:`globular._gather`), computed
-a level at a time with the column evaluators of ``omega.IntTables``; a row
-is found from its parent and its last entry by one dict lookup.  Wherever
-an id step gives -1, or a tuple that is no row, the scalar code on names
-runs instead and raises the error that describes the failure.
+a level at a time with the column evaluators of ``omega.IntTables``.
+:meth:`TwistedComplex.find`, one dict lookup per entry, is the only validator
+of a named segment: for a tuple that is no row, its walk raises the first
+check it fails.  Where an id step of an operation gives -1, the scalar
+operation on names runs instead and raises: an evaluator, or ``find`` on its result.
 
 The paired and mixed products of the most recently enumerated table are
 held with the canonical bijection between them (:class:`Product`), computed
@@ -53,6 +54,7 @@ from .errors import (
     DimOutOfRange,
     GluingViolation,
     InversesAbsent,
+    KernelError,
     MissingCell,
     NotComposable,
     Record,
@@ -65,6 +67,7 @@ from .globular import (
     _gather,
     _glued,
     _link,
+    check_seam,
     validate_globular_set,
 )
 from .omega import OmegaStructure, _Named, validate_omega
@@ -259,19 +262,39 @@ class TwistedComplex:
             found = list(map(keys.get, zip(found, column), repeat(-1)))
         return found
 
-    def find(self, low: int, high: int, entries) -> int | None:
-        """Row id of ``entries`` in shape ``(low, high)``, or None when it is no segment:
-        each entry is interned by the base and found with the row of the entries before it."""
-        if not 0 <= low <= high < self.x.truncation:
-            return None
-        try:
-            index, entries = self.x.base.index, tuple(entries)
-            row = index[low + 1][entries[0]]
-            for d, keys in enumerate(self._shape(low, high)[2], low + 2):
-                row = keys.get((row, index[d][entries[d - low - 1]]))
-        except (TypeError, KeyError, IndexError):  # not iterable, an unhashable entry or no cell
-            return None
-        return row if len(entries) == high - low + 1 else None
+    def find(self, low: int, high: int, entries) -> int:
+        """Row id of ``entries`` in shape ``(low, high)``, one dict per entry: each entry is
+        interned by the base and found with the row of the entries before it.  For a tuple
+        that is no row, the walk again raises the first check it fails: bounds, length, the
+        first entry that is no cell (TypeError if unhashable), then the first gluing equation,
+        where a key is missing since the rows are every glued tuple."""
+        entries, base, index = tuple(entries), self.x.base, self.x.base.index
+        if 0 <= low <= high < self.x.truncation and len(entries) == high - low + 1:
+            try:
+                row = index[low + 1][entries[0]]
+                for d, keys in enumerate(self._shape(low, high)[2], low + 2):
+                    row = keys.get((row, index[d][entries[d - low - 1]]))
+            except (KeyError, TypeError):  # an entry that is no cell: the checks below name the first
+                row = None
+            if row is not None:
+                return row
+        if low < 0 or high < low:
+            raise DimOutOfRange(f"segment bounds ({low},{high}) need 0 <= low <= high")
+        if high + 1 > base.truncation:
+            raise DimOutOfRange(f"segment top dimension {high + 1} exceeds truncation {base.truncation}")
+        if len(entries) != high - low + 1:
+            raise ValidationError(f"segment ({low},{high}) needs {high - low + 1} entries, got {len(entries)}")
+        for d, u in enumerate(entries, low + 1):
+            if u not in index[d]:
+                raise MissingCell(f"entry {d - low}: {u!r} is not a {d}-cell")
+        row = index[low + 1][entries[0]]
+        for k, keys in enumerate(self._shape(low, high)[2], low + 1):
+            row = keys.get((row, index[k + 1][entries[k - low]]))
+            if row is None:
+                a, b = entries[k - low - 1], entries[k - low]
+                raise GluingViolation(k - low, f"s_{k}({a}) = {base.src[k][a]} but "
+                                               f"t_{k} t_{k + 1}({b}) = {base.tgt[k][base.tgt[k + 1][b]]}")
+        raise AssertionError(f"segment {entries!r} passes every check but is not enumerated")
 
     def named(self, low: int, high: int):
         """The rows of shape ``(low, high)`` as tuples of names, in row order."""
@@ -321,60 +344,16 @@ def _raise_scalar(op, *args):
     raise AssertionError(f"{op.__name__}{args!r} holds on names but failed on ids")
 
 
-def _check_segment_entries(x: OmegaStructure, low: int, high: int, entries) -> tuple[str, ...]:
-    """Entries at dimensions ``low+1 .. high+1`` with the gluing equations, on names."""
-    entries = tuple(entries)
-    base = x.base
-    if low < 0 or high < low:
-        raise DimOutOfRange(f"segment bounds ({low},{high}) need 0 <= low <= high")
-    if high + 1 > base.truncation:
-        raise DimOutOfRange(
-            f"segment top dimension {high + 1} exceeds truncation {base.truncation}"
-        )
-    if len(entries) != high - low + 1:
-        raise ValidationError(
-            f"segment ({low},{high}) needs {high - low + 1} entries, got {len(entries)}"
-        )
-    for offset, u in enumerate(entries):
-        d = low + 1 + offset
-        if not base.has_cell(d, u):
-            raise MissingCell(f"entry {offset + 1}: {u!r} is not a {d}-cell")
-    for offset in range(len(entries) - 1):
-        k = low + 1 + offset
-        left = base.src[k][entries[offset]]
-        right = base.tgt[k][base.tgt[k + 1][entries[offset + 1]]]
-        if left != right:
-            raise GluingViolation(
-                offset + 1,
-                f"s_{k}({entries[offset]}) = {left} but "
-                f"t_{k} t_{k + 1}({entries[offset + 1]}) = {right}",
-            )
-    return entries
-
-
-def _row(complex_: TwistedComplex, low: int, high: int, entries) -> int:
-    """Row id of a segment, validated by finding its row.
-
-    A tuple that is no row goes through the scalar checks, which raise the
-    error that describes it.
-    """
-    row = complex_.find(low, high, entries)
-    if row is None:
-        _check_segment_entries(complex_.x, low, high, entries)
-        raise AssertionError(f"segment {entries!r} passes the checks but is not enumerated")
-    return row
-
-
 def twisted_cell(x: OmegaStructure, level: int, entries) -> TwistedCell:
     """Validate entries into a twisted cell."""
     complex_ = _complex(x)
-    row = _row(complex_, 0, level, entries)
+    row = complex_.find(0, level, entries)
     return complex_.cells(level)[row]
 
 
 def twisted_segment(x: OmegaStructure, low: int, high: int, entries) -> TwistedSegment:
     complex_ = _complex(x)
-    row = _row(complex_, low, high, entries)
+    row = complex_.find(low, high, entries)
     return complex_.segments(low, high)[row]
 
 
@@ -432,8 +411,11 @@ def twisted_boundary(x: OmegaStructure, kind: str, cell: TwistedCell, level: int
     if kind not in (SRC, TGT):
         raise ValidationError(f"boundary kind must be 'src' or 'tgt', got {kind!r}")
     complex_ = _complex(x)
-    row = complex_.find(0, cell.level, cell.entries)
-    if row is not None:
+    try:
+        row = complex_.find(0, cell.level, cell.entries)
+    except (KernelError, TypeError):  # no cell: stepped down on names below
+        pass
+    else:
         found = complex_.boundary(kind, cell.level, level)[row]
         if found >= 0:
             return complex_.cells(level)[found]
@@ -444,24 +426,6 @@ def twisted_boundary(x: OmegaStructure, kind: str, cell: TwistedCell, level: int
 
 
 # -- canonical contraction/expansion of twisted products ----------------------
-
-
-def check_seam(x: OmegaStructure, position: int, seam: int,
-               top_dim: int, top: str, first_dim: int, first: str) -> None:
-    """Raise unless ``s^{top_dim}_{seam}(top) = t^{first_dim}_{seam}(first)``.
-
-    The seam between a cell (or segment) ending in ``top`` and the next
-    segment, starting with ``first``, of a mixed tuple; both must be cells.
-    """
-    base = x.base
-    left = base.boundary_ids(SRC, top_dim, seam)[base.index[top_dim][top]]
-    right = base.boundary_ids(TGT, first_dim, seam)[base.index[first_dim][first]]
-    if left != right:
-        raise GluingViolation(
-            position,
-            f"s^{top_dim}_{seam}({top}) = {base.cells[seam][left]} but "
-            f"t^{first_dim}_{seam}({first}) = {base.cells[seam][right]}",
-        )
 
 
 def contract_product(x: OmegaStructure, table: TableOfDimensions, cells) -> MixedTuple:
@@ -535,7 +499,7 @@ def expand_product(x: OmegaStructure, mixed: MixedTuple) -> tuple[TwistedCell, .
             )
         twisted_segment(x, low, high, segment.entries)
         current = cells[-1]
-        check_seam(x, l + 1, seam, current.level + 1, current.top(), low + 1, segment.entries[0])
+        check_seam(x.base, l + 1, seam, current.level + 1, current.top(), low + 1, segment.entries[0])
         glued = _glue(_Named(x), seam + 1, current.entries[seam], current.entries[seam + 1])
         cells.append(twisted_cell(x, high, current.entries[:seam] + (glued,) + segment.entries))
     return tuple(cells)

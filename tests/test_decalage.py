@@ -392,6 +392,13 @@ def test_every_sweep_rejects_a_cap_below_one(monkeypatch):
             with pytest.raises(ValidationError, match="cap must be >= 1"):
                 sweep(cap)
                 pytest.fail(f"{name} accepted cap {cap}")
+    # truncated at 1, the naturality and closed-form sweeps have no level to sweep
+    y = fixtures.delooping(z2, 1)
+    for sweep in (check_apex_naturality, check_endpoint_naturality, check_unit_closed_forms):
+        assert sweep(y) == []
+        for cap in (0, -5, -1):
+            with pytest.raises(ValidationError, match=f"^cap must be >= 1, got {cap}$"):
+                sweep(y, cap)
 
 
 def test_compose_maps():

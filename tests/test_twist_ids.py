@@ -68,6 +68,13 @@ def same(got, want, *args):
     assert outcome(got, *args) == outcome(want, *args), (got.__name__, args)
 
 
+def same_as_iterator(x, level, entries):
+    """``entries`` passed as a fresh iterator give what the reference gives on the list:
+    they are read once, and every check, the first that fails too, reads what was read."""
+    got = outcome(twist.twisted_cell, x, level, iter(entries))
+    assert got == outcome(ref_twisted_cell, x, level, list(entries)), (level, entries)
+
+
 def structure_json(x):
     """A built structure as the bytes ``twist`` would write, key order included."""
     return json.dumps(omega.omega_to_json(x), indent=2)
@@ -94,11 +101,14 @@ def check_against_reference(x, table, rng: random.Random):
             assert twist.twisted_cell(x, level, iter(cell.entries)) == cell  # any iterable of entries
             # one entry short, or one more: a row of another shape is no cell of this one
             same(twist.twisted_cell, ref_twisted_cell, x, level, cell.entries[:-1])
+            same_as_iterator(x, level, cell.entries[:-1])
             for extra in x.base.cells[level + 2][:1] if level + 2 <= n else ():
                 same(twist.twisted_cell, ref_twisted_cell, x, level, cell.entries + (extra,))
+                same_as_iterator(x, level, cell.entries + (extra,))
         for _ in range(SAMPLE // 4):
             entries = [rng.choice(x.base.cells[d] + (GHOST,)) for d in range(1, level + 2)]
             same(twist.twisted_cell, ref_twisted_cell, x, level, entries)
+            same_as_iterator(x, level, entries)
 
     # boundaries, units and inverses, cell by cell, and on some cells with
     # their entries in a list
@@ -190,6 +200,16 @@ def test_twisted_complex_matches_reference_on_clean_pool():
     for x in POOL.values():
         for table in all_tables(2, min(2, x.truncation - 1)):
             check_against_reference(x, table, rng)
+
+
+def test_entries_that_are_not_iterable_or_not_hashable_match_reference():
+    # an unhashable entry after one that is no cell: the reference names the
+    # missing cell first, so the walk that finds no row must not stop at the
+    # unhashable one
+    x = POOL["delooping_z2_3"]
+    for entries in ([GHOST, ["0"]], ["0", ["0"]], [["0"], GHOST], ["0", "0", ["0"]], 5, None):
+        same(twist.twisted_cell, ref_twisted_cell, x, 1, entries)
+        same(twist.twisted_segment, ref_twisted_segment, x, 1, 2, entries)
 
 
 def test_every_tuple_on_missing_entries():

@@ -2,7 +2,9 @@
 
 Every case must give the same return value, or the same exception type and
 text, as the verbatim copies in ``tests/oracles.py``: group tables, globular
-sets, operation tables and presheaves, clean and with faults.
+sets, operation tables and presheaves, clean and with faults.  Last, a table
+of the input guards of the API that no other test reaches, each with the
+type and text of its error.
 """
 
 from __future__ import annotations
@@ -11,10 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from globkernel import fixtures, testcat
-from globkernel.errors import NotAGroup, ValidationError
+from globkernel import decalage, finsets, fixtures, globular, omega, testcat, twist
+from globkernel.errors import (
+    DimOutOfRange,
+    MissingCell,
+    NotAGroup,
+    NotComposable,
+    NotNatural,
+    ShapeViolation,
+    ValidationError,
+)
 from globkernel.fixtures import GroupTable, validate_group
-from globkernel.globular import validate_globular_set
+from globkernel.globular import TableOfDimensions, parse_table, validate_globular_set
 from globkernel.omega import validate_omega
 from globkernel.testcat import validate_presheaf
 
@@ -349,3 +359,111 @@ def test_functoriality_fails_only_at_the_last_morphism():
         validate_presheaf(base, values, action)
     assert str(caught.value) == "functoriality fails at ('v', 'u') on 'z'"
     assert_same(validate_presheaf, ref_validate_presheaf, base, values, action)
+
+
+# -- input guards ---------------------------------------------------------------------
+
+X = POOL["delooping_z2_3"]  # one 0-cell "*", and the cells "0", "1" above it
+DELTA = {m: testcat.delta_truncated(m) for m in (0, 1)}
+
+
+def cell(level: int) -> twist.TwistedCell:
+    return twist.twisted_cells(X, level)[0]
+
+
+def misbounded_mixed() -> twist.MixedTuple:
+    """A mixed tuple of table ``1 0 1`` whose segment has bounds ``(0,1)``, not ``(1,1)``."""
+    mixed = twist.mixed_product(X, parse_table("1 0 1"))[0]
+    return twist.MixedTuple(mixed.table, mixed.head, (twist.TwistedSegment(0, 1, ("0", "0")),))
+
+
+def tower(dim: int, trunc: int):
+    return fixtures.one_object_tower(("1",), {("1", "1"): "1"}, "1", dim, trunc)
+
+
+GUARDS = {
+    # globular
+    "globular_tuple-width": (lambda: globular.globular_tuple(X.base, parse_table("1 0 1"), ["0"]),
+                             ValidationError, "expected 2 entries, got 1"),
+    "globular_tuple-truncation": (lambda: globular.globular_tuple(X.base, parse_table("4"), ["0"]),
+                                  DimOutOfRange, "table needs dimension 4 but truncation is 3"),
+    "globular_tuple-missing-cell": (lambda: globular.globular_tuple(X.base, parse_table("1 0 1"), ["0", GHOST]),
+                                    MissingCell, f"entry 2: {GHOST!r} is not a 1-cell"),
+    "source-of-0-cell": (lambda: X.base.source(0, "*"), DimOutOfRange, "0-cells have no source"),
+    "target-of-0-cell": (lambda: X.base.target(0, "*"), DimOutOfRange, "0-cells have no target"),
+    "boundary-kind": (lambda: X.base.boundary("up", 1, 0, "0"),
+                      ValidationError, "boundary kind must be 'src' or 'tgt', got 'up'"),
+    "validate_globular_set-empty": (lambda: validate_globular_set([], [], []),
+                                    ValidationError, "at least dimension 0 must be declared"),
+    "table-width-0": (lambda: TableOfDimensions((), ()), ShapeViolation, "at k=0: width must be at least 1"),
+    "table-inner-length": (lambda: TableOfDimensions((1, 2), ()),
+                           ShapeViolation, "at k=0: 2 outer entries need 1 inner entries"),
+    "table-next-leaf-below-meet": (lambda: TableOfDimensions((2, 1), (1,)), ShapeViolation, "at k=1: i_2=1 <= i'_1=1"),
+    "tree-node": (lambda: globular.tree_to_table(((), 1)), ValidationError, "tree nodes must be sequences, got 1"),
+    "all_tables-width-0": (lambda: globular.all_tables(0, 2), ValidationError, "max_width must be >= 1, got 0"),
+    "check_sections-width-0": (lambda: decalage.check_sections(X, 0, 1),
+                               ValidationError, "max_width must be >= 1, got 0"),
+    # twist
+    "twisted_cells-level": (lambda: twist.twisted_cells(X, -1), DimOutOfRange, "twisted level must be >= 0"),
+    "segment_cells-bounds": (lambda: twist.segment_cells(X, 1, 0),
+                             DimOutOfRange, "segment bounds (1,0) need 0 <= low <= high"),
+    "twisted_boundary-level": (lambda: twist.twisted_boundary(X, "src", cell(1), 2),
+                               DimOutOfRange, "boundary level 2 outside 0..1"),
+    "twisted_boundary-kind": (lambda: twist.twisted_boundary(X, "up", cell(1), 0),
+                              ValidationError, "boundary kind must be 'src' or 'tgt', got 'up'"),
+    "expand_product-segment-bounds": (lambda: twist.expand_product(X, misbounded_mixed()),
+                                      ValidationError, "segment 1 has bounds (0,1), table wants (1,1)"),
+    "twisted_compose-level": (lambda: twist.twisted_compose(X, 1, cell(1), cell(1)),
+                              DimOutOfRange, "composition level 1 outside 0 <= j < 1"),
+    "twisted_compose-levels-differ": (lambda: twist.twisted_compose(X, 0, cell(1), cell(0)),
+                                      NotComposable, "levels differ: 1 vs 0"),
+    "twisted_inverse-level": (lambda: twist.twisted_inverse(X, 1, cell(1)),
+                              DimOutOfRange, "inverse level 1 outside 0 <= j < 1"),
+    "iter_twisted_unit-down": (lambda: twist.iter_twisted_unit(X, cell(1), 0),
+                               DimOutOfRange, "iterated unit cannot go down to 0"),
+    "twisted_product-level": (lambda: twist.twisted_product(X, parse_table("3")),
+                              DimOutOfRange, "twisted level 3 needs truncation >= 4"),
+    "mixed_product-level": (lambda: twist.mixed_product(X, parse_table("1 0 3")),
+                            DimOutOfRange, "twisted level 3 needs truncation >= 4"),
+    # omega
+    "iter_unit-range": (lambda: omega.iter_unit(X, 2, 1, "0"), DimOutOfRange, "iterated unit 2->1 outside 0..3"),
+    "inverse-range": (lambda: omega.inverse(X, 1, 1, "0"),
+                      DimOutOfRange, "inverse at (1,1) outside 0 <= j < i <= 3"),
+    "composable_pairs-range": (lambda: list(omega.composable_pairs(X, 1, 2)),
+                               DimOutOfRange, "composable pairs at (1,2) outside 0 <= j <= i <= 3"),
+    # finsets
+    "check_shift_decalage-6": (lambda: finsets.check_shift_decalage(6),
+                               ValidationError, "max_n above 5 is combinatorially out of reach"),
+    # fixtures
+    "cyclic_table-0": (lambda: fixtures.cyclic_table(0), ValidationError, "cyclic group order must be >= 1"),
+    "tower-dim-0": (lambda: tower(0, 2), ValidationError, "tower dimension must be >= 1"),
+    "tower-truncation-below-dim": (lambda: tower(2, 1), ValidationError, "truncation 1 below tower dimension 2"),
+    "discrete-no-names": (lambda: fixtures.discrete([], 1),
+                          ValidationError, "discrete structure needs at least one cell"),
+    "discrete-truncation": (lambda: fixtures.discrete(["a"], -1), ValidationError, "truncation must be >= 0"),
+    "product-truncations": (lambda: fixtures.product(fixtures.discrete(["a"], 1), fixtures.discrete(["a"], 2)),
+                            ValidationError, "truncations differ: 1 vs 2"),
+    # testcat
+    "representable-object": (lambda: testcat.representable(DELTA[1], "[9]"),
+                             ValidationError, "'[9]' is not an object"),
+    "product_presheaf-bases": (lambda: testcat.product_presheaf(testcat.terminal_presheaf(DELTA[0]),
+                                                                testcat.terminal_presheaf(DELTA[1])),
+                               ValidationError, "presheaf product needs a shared base"),
+    "nerve-depth": (lambda: testcat.nerve(DELTA[1], -1), ValidationError, "depth must be >= 0"),
+    "delta_truncated-m": (lambda: testcat.delta_truncated(-1), ValidationError, "m must be >= 0"),
+    "separating-point-undefined": (
+        lambda: testcat.check_separating_interval(testcat.representable(DELTA[1], "[1]"), {}, {}),
+        NotNatural, "first point undefined or out of range at '[0]'"),
+    "compose-not-composable": (lambda: DELTA[1].compose("0>1:0", "0>1:0"), KeyError, "('0>1:0', '0>1:0')"),
+    "presheaf-unhashable-value": (
+        lambda: validate_presheaf(DELTA[0], {"[0]": ("*",)}, {"0>0:0": {"*": ["*"]}}),
+        ValidationError, "action of '0>0:0' not total into values('[0]')"),
+}
+
+
+@pytest.mark.parametrize("name", GUARDS)
+def test_input_guard(name):
+    call, error, message = GUARDS[name]
+    with pytest.raises(Exception) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (error, message)
