@@ -269,12 +269,12 @@ class TwistedComplex:
         first entry that is no cell (TypeError if unhashable), then the first gluing equation,
         where a key is missing since the rows are every glued tuple."""
         entries, base, index = tuple(entries), self.x.base, self.x.base.index
-        if 0 <= low <= high < self.x.truncation and len(entries) == high - low + 1:
+        if 0 <= low <= high < base.truncation and len(entries) == high - low + 1:
             try:
                 row = index[low + 1][entries[0]]
                 for d, keys in enumerate(self._shape(low, high)[2], low + 2):
                     row = keys.get((row, index[d][entries[d - low - 1]]))
-            except (KeyError, TypeError):  # an entry that is no cell: the checks below name the first
+            except (KeyError, TypeError):  # no cell, or unhashable: the checks below name the first
                 row = None
             if row is not None:
                 return row
