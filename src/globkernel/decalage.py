@@ -77,19 +77,19 @@ def base_endpoint(x: OmegaStructure, cell: TwistedCell) -> str:
 
 def _lift_entries(ops, low: int, high: int, u) -> list:
     """Entries ``low+1 .. high+1`` of the lift of a ``high``-cell: the unit over each iterated target."""
+    if high + 1 > ops.x.truncation:
+        raise DimOutOfRange(
+            f"lift of a {high}-cell needs dimension {high + 1} <= truncation {ops.x.truncation}"
+        )
     return [ops.unit(d, ops.boundary(TGT, high, d, u)) for d in range(low, high + 1)]
 
 
 def unit_lift(x: OmegaStructure, i: int, u: str) -> TwistedCell:
     """Lift of an ``i``-cell: units over its iterated targets, then its unit."""
-    return twisted_cell(x, i, unit_lift_segment(x, 0, i, u).entries)
+    return twisted_cell(x, i, _lift_entries(_Named(x), 0, i, u))
 
 
 def unit_lift_segment(x: OmegaStructure, low: int, high: int, u: str) -> TwistedSegment:
-    if high + 1 > x.truncation:
-        raise DimOutOfRange(
-            f"lift of a {high}-cell needs dimension {high + 1} <= truncation {x.truncation}"
-        )
     return twisted_segment(x, low, high, _lift_entries(_Named(x), low, high, u))
 
 

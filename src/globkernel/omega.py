@@ -287,7 +287,9 @@ class IntTables:
     Cell ``k`` of dimension ``i`` is ``base.cells[i][k]``.  The maps are id
     maps (see :func:`globular._gather`), so a -1 id gathers -1.  A table
     entry that is missing, or that names no cell of its dimension, reads as
-    -1.  The evaluators map columns (lists of ids) to lists.
+    -1; so does a composition key that is no pair of cells or does not glue,
+    since each table is interned once, into the one dict :meth:`compose` reads.
+    The evaluators map columns (lists of ids) to lists.
     """
 
     def __init__(self, x: OmegaStructure):
@@ -313,27 +315,17 @@ class IntTables:
         return self._memo(("inv", i, j),
                           lambda: self._ids(self.x.inv.get((i, j), {}), i, i))
 
-    def _comp_entries(self, i: int, j: int) -> dict:
-        """Table ``(i, j)`` keyed by pairs of ``i``-cell ids; keys that are no cells are dropped."""
-        index = self.x.base.index[i]
-        entries = {}
-        for (u, v), w in self.x.comp.get((i, j), {}).items():
-            key = index.get(u, -1), index.get(v, -1)
-            if -1 not in key:
-                entries[key] = index.get(w, -1)
-        return entries
-
     def _composites(self, i: int, j: int) -> dict:
-        """The entries of table ``(i, j)`` on glued pairs, the only ones :meth:`compose` reads."""
-        entries = self._memo(("comp", i, j), lambda: self._comp_entries(i, j))
+        """Table ``(i, j)`` keyed by pairs of ``i``-cell ids, interned once: a key stays
+        exactly when both its names are cells and the pair glues, ``s^i_j(a) = t^i_j(b)``."""
+        index = self.x.base.index[i]
         s, t = self.x.base.boundary_ids(SRC, i, j), self.x.base.boundary_ids(TGT, i, j)
-        glued = {key: w for key, w in entries.items() if s[key[0]] == t[key[1]]}
-        return entries if len(glued) == len(entries) else glued
-
-    def entry(self, i: int, j: int, u, v) -> list[int]:
-        """The raw value of table ``(i, j)`` at each pair, composable or not."""
-        entries = self._memo(("comp", i, j), lambda: self._comp_entries(i, j))
-        return list(map(entries.get, zip(u, v), repeat(-1)))
+        composites = {}
+        for (u, v), w in self.x.comp.get((i, j), {}).items():
+            a, b = index.get(u, -1), index.get(v, -1)
+            if a >= 0 and b >= 0 and s[a] == t[b]:
+                composites[a, b] = index.get(w, -1)
+        return composites
 
     def link(self, i: int, j: int) -> list:
         """Join of ``i``-cells ``a`` to the ``b`` with ``s^i_j(a) = t^i_j(b)``, for :func:`_glued`."""
@@ -343,8 +335,8 @@ class IntTables:
     # the column evaluators, with the signatures of _Named's and _Raw's
 
     def compose(self, i: int, j: int, u, v) -> list[int]:
-        glued = self._memo(("glued", i, j), lambda: self._composites(i, j))
-        return list(map(glued.get, zip(u, v), repeat(-1)))
+        composites = self._memo(("comp", i, j), lambda: self._composites(i, j))
+        return list(map(composites.get, zip(u, v), repeat(-1)))
 
     def unit(self, i: int, u) -> list[int]:
         return _gather(self.unit_map(i), u)
@@ -384,10 +376,10 @@ class _Named:
 
 
 class _Raw(_Named):
-    """Plain reads of the tables by name for the boundary laws: ``.get`` for a composite,
-    indexing for a unit or an inverse (KeyError where not total); boundaries as ``_Named``."""
+    """Plain reads of the tables by name for the boundary laws: ``.get`` for a composite (None
+    where missing), indexing for a unit or an inverse (KeyError where not total); boundaries as ``_Named``."""
 
-    def entry(self, i, j, u, v):
+    def compose(self, i, j, u, v):
         return self.x.comp.get((i, j), {}).get((u, v))
 
     def unit(self, i, u):
@@ -467,11 +459,13 @@ def _boundary_law(ops, name: str, sub: tuple[int, ...], cells):
 
     if name == _COMP:
         u, v = cells
-        w = ops.entry(i, j, u, v)
+        w = ops.compose(i, j, u, v)
         if j == i - 1:
             return w, i, face(SRC, v), face(TGT, u)
-        return (w, i, ops.entry(i - 1, j, face(SRC, u), face(SRC, v)),
-                ops.entry(i - 1, j, face(TGT, u), face(TGT, v)))
+        # on a globular base the faces of a pair glued at (i, j) glue at (i - 1, j),
+        # so IntTables.compose, which drops pairs that do not glue, reads as _Raw does
+        return (w, i, ops.compose(i - 1, j, face(SRC, u), face(SRC, v)),
+                ops.compose(i - 1, j, face(TGT, u), face(TGT, v)))
     (u,) = cells
     w = ops.inverse(i, j, u)
     if j == i - 1:

@@ -54,7 +54,9 @@ class Report(Record):
 
 
 def check_cap(cap: int) -> None:
-    """Reject a cap below 1: ``collect`` calls it, and so does a sweep that may have no scope."""
+    """Reject a cap that is no int (a bool too) or is below 1; ``collect`` and scopeless sweeps call it."""
+    if type(cap) is not int:
+        raise ValidationError(f"cap must be an int, got {cap!r}")
     if cap < 1:
         raise ValidationError(f"cap must be >= 1, got {cap}")
 

@@ -151,20 +151,6 @@ class MixedTuple(Record):
         self.__dict__.update(table=table, head=head, segments=segments)
 
 
-class _Rows:
-    """Row of a member of ``members`` passed as itself, -1 for any other object, an equal copy too.
-
-    The members live as long as this map, so no other object has the id of one of them.
-    """
-
-    def __init__(self, members: tuple):
-        self.members = members
-        self.by_id = dict(zip(map(id, members), range(len(members))))
-
-    def __call__(self, obj) -> int:
-        return self.by_id.get(id(obj), -1)
-
-
 class Product(Record):
     """The paired and mixed products of one table, and the canonical bijection between them.
 
@@ -172,15 +158,19 @@ class Product(Record):
     ``paired[k]``, and ``to_paired[k]`` the row in ``paired`` of the
     expansion of ``mixed[k]``: id maps, with -1 appended, that hold -1 where
     the id computation fails or gives no member.  ``paired_rows`` and
-    ``mixed_rows`` find the row of a member passed as itself.
+    ``mixed_rows`` map the ``id`` of each member to its row: read with
+    ``.get(id(obj), -1)``, they find a member passed as itself and give -1
+    for any other object, an equal copy too.  The product holds its members,
+    so while it lives no other object has the id of one of them.
     """
 
     _fields = ("table", "paired", "mixed", "to_mixed", "to_paired")
 
     def __init__(self, table: TableOfDimensions, paired: tuple[tuple[TwistedCell, ...], ...],
                  mixed: tuple[MixedTuple, ...], to_mixed: list[int], to_paired: list[int]):
-        self.__dict__.update(table=table, paired=paired, mixed=mixed, to_mixed=to_mixed,
-                             to_paired=to_paired, paired_rows=_Rows(paired), mixed_rows=_Rows(mixed))
+        self.__dict__.update(table=table, paired=paired, mixed=mixed, to_mixed=to_mixed, to_paired=to_paired,
+                             paired_rows=dict(zip(map(id, paired), range(len(paired)))),
+                             mixed_rows=dict(zip(map(id, mixed), range(len(mixed)))))
 
 
 class TwistedComplex:
@@ -437,7 +427,7 @@ def contract_product(x: OmegaStructure, table: TableOfDimensions, cells) -> Mixe
     """
     held = _complex(x).held(table)
     if held is not None:
-        row = held.to_mixed[held.paired_rows(cells)]
+        row = held.to_mixed[held.paired_rows.get(id(cells), -1)]
         if row >= 0:
             return held.mixed[row]
     cells = tuple(cells)
@@ -475,7 +465,7 @@ def expand_product(x: OmegaStructure, mixed: MixedTuple) -> tuple[TwistedCell, .
     table = mixed.table
     held = _complex(x).held(table)
     if held is not None:
-        row = held.to_paired[held.mixed_rows(mixed)]
+        row = held.to_paired[held.mixed_rows.get(id(mixed), -1)]
         if row >= 0:
             return held.paired[row]
     outer, inner = table.outer, table.inner
@@ -574,28 +564,25 @@ def _check_level(x: OmegaStructure, table: TableOfDimensions) -> None:
 
 
 def _raise_first_unglued(complex_: TwistedComplex, table: TableOfDimensions, ends) -> None:
-    """Raise the error of the first cell, in enumeration order, whose gluing boundary fails.
+    """Raise the error of the first glued prefix, in enumeration order, whose gluing boundary fails.
 
     ``ends[k]`` is the twisted source boundary that glues position ``k`` to
-    the next one, an id map; it is -1 where the scalar boundary raises.
-    Positions are visited depth first, so the first failure is the least
-    such prefix.  The links are built only when some end fails.
+    the next one, an id map; it is -1 where the scalar boundary raises.  The
+    glued prefixes are walked once, depth first in lexicographic order, so the
+    first prefix whose end is -1 is the least such prefix.  The links are
+    built only when some end fails.
     """
-    failing = [k for k, end in enumerate(ends) if _first_failure(end, len(end) - 1) is not None]
-    links = _paired_links(complex_, table) if failing else []
-    first = None
-    for k in failing:
-        for block in _glued(range(len(ends[0]) - 1), links[:k]):
-            bad = _first_failure(_gather(ends[k], block[-1]))
-            if bad is not None:
-                prefix = tuple(column[bad] for column in block)
-                if first is None or prefix < first:
-                    first = prefix
-                break
-    if first is not None:
-        k = len(first) - 1
-        cell = complex_.cells(table.outer[k])[first[-1]]
-        _raise_scalar(twisted_boundary, complex_.x, SRC, cell, table.inner[k])
+    if all(_first_failure(end, len(end) - 1) is None for end in ends):
+        return
+    links = _paired_links(complex_, table)
+    stack = [(0, a) for a in reversed(range(len(ends[0]) - 1))]
+    while stack:
+        k, a = stack.pop()
+        if ends[k][a] < 0:
+            cell = complex_.cells(table.outer[k])[a]
+            _raise_scalar(twisted_boundary, complex_.x, SRC, cell, table.inner[k])
+        if k + 1 < len(ends):
+            stack.extend((k + 1, b) for b in reversed(links[k][a]))
 
 
 def _gluing_ends(complex_: TwistedComplex, table: TableOfDimensions) -> list[list[int]]:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,6 +93,10 @@ def test_unit_lift_segments(sus_z2):
 def test_unit_lift_dim_out_of_range(z2):
     with pytest.raises(DimOutOfRange):
         unit_lift(z2, 3, "0")
+    # the lift's own guard names the truncation, before any unit is looked up
+    for lift in (lambda: unit_lift(z2, 3, "0"), lambda: unit_lift_segment(z2, 2, 3, "0")):
+        with pytest.raises(DimOutOfRange, match=r"^lift of a 3-cell needs dimension 4 <= truncation 3$"):
+            lift()
 
 
 def test_apex_after_lift_is_identity(fixture_corpus):
@@ -399,6 +405,20 @@ def test_every_sweep_rejects_a_cap_below_one(monkeypatch):
         for cap in (0, -5, -1):
             with pytest.raises(ValidationError, match=f"^cap must be >= 1, got {cap}$"):
                 sweep(y, cap)
+    # a cap that is no int: 2.5 was never met, so every violation came back uncut,
+    # and None or "3" ended in a TypeError from the comparison
+    for cap in (2.5, None, "3", True, False, 3.0):
+        for name, sweep in sweeps.items():
+            with pytest.raises(ValidationError, match=f"^cap must be an int, got {re.escape(repr(cap))}$"):
+                sweep(cap)
+                pytest.fail(f"{name} accepted cap {cap!r}")
+        for sweep in (check_apex_naturality, check_endpoint_naturality, check_unit_closed_forms):
+            with pytest.raises(ValidationError, match="^cap must be an int"):
+                sweep(y, cap)
+    zeros = fixtures.one_object_tower(("0", "1", "2"), {(a, b): "0" for a in "012" for b in "012"}, "0", 1, 2)
+    assert len(omega.check_axiom(zeros, omega.LEFT_UNIT)) == 4
+    with pytest.raises(ValidationError, match=r"^cap must be an int, got 2\.5$"):
+        omega.check_axiom(zeros, omega.LEFT_UNIT, cap=2.5)
 
 
 def test_compose_maps():

@@ -98,11 +98,24 @@ def test_id_evaluators_send_minus_one_to_minus_one():
                 assert t.iter_unit(j, i, [-1]) == [-1], name
             for j in range(i):
                 assert t.compose(i, j, [-1, 0], [0, -1]) == [-1, -1], name
-                assert t.entry(i, j, [-1, 0], [0, -1]) == [-1, -1], name
                 if x.inv is not None:
                     assert t.inverse(i, j, [-1]) == [-1], name
             if i < n:
                 assert t.unit(i, [-1]) == [-1], name
+
+
+@pytest.mark.parametrize("where", ((1, 0), (2, 0), (2, 1)))
+def test_composite_keyed_on_names_that_are_no_cells_is_not_composed(where):
+    # both names intern to -1, and the appended -1s of the boundary maps agree,
+    # so a table that kept the key would give its value to the pair (-1, -1)
+    x = POOL["delooping_z2_3"]
+    tables = {key: dict(t) for key, t in x.comp.items()}
+    value = x.base.cells[where[0]][0]
+    tables[where][(GHOST, GHOST + "2")] = value
+    tables[where][(GHOST, GHOST)] = value
+    ghosted = omega.OmegaStructure(x.base, tables, x.unit, x.inv)
+    assert ghosted.tables.compose(*where, [-1], [-1]) == [-1]
+    assert ghosted.tables.compose(*where, [0, -1], [0, -1]) == [x.tables.compose(*where, [0], [0])[0], -1]
 
 
 def _with_entries(x, comp=(), unit=(), inv=()):
