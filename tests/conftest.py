@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from globkernel import fixtures, omega
+from globkernel import fixtures, globular, omega
 
 from oracles import ref_build_twisted
 
@@ -33,11 +33,33 @@ def corpus():
 
 CORPUS = corpus()
 
+# the pair groupoid: objects a, b and the arrows between them, g after f is ia
+PAIR_ARROWS = {"ia": ("a", "a"), "ib": ("b", "b"), "f": ("a", "b"), "g": ("b", "a")}
+PAIR_COMP = {("ia", "ia"): "ia", ("f", "ia"): "f", ("ib", "f"): "f", ("g", "f"): "ia",
+             ("ib", "ib"): "ib", ("g", "ib"): "g", ("ia", "g"): "g", ("f", "g"): "ib"}
+PAIR_INVERSE = {"ia": "ia", "ib": "ib", "f": "g", "g": "f"}
+
+
+def pair_groupoid(trunc: int = 3) -> omega.OmegaStructure:
+    """The pair groupoid, with one unit cell over each cell above dimension 1,
+    named as the arrow it sits over; inverses included."""
+    arrows = tuple(PAIR_ARROWS)
+    ident = {u: u for u in arrows}
+    src = [{u: s for u, (s, _) in PAIR_ARROWS.items()}] + [ident] * (trunc - 1)
+    tgt = [{u: t for u, (_, t) in PAIR_ARROWS.items()}] + [ident] * (trunc - 1)
+    base = globular.validate_globular_set([("a", "b")] + [arrows] * trunc, src, tgt)
+    comp = {(i, j): PAIR_COMP if j == 0 else {(u, u): u for u in arrows}
+            for i in range(1, trunc + 1) for j in range(i)}
+    inv = {(i, j): PAIR_INVERSE if j == 0 else ident for i in range(1, trunc + 1) for j in range(i)}
+    return omega.validate_omega(base, comp, [{"a": "ia", "b": "ib"}] + [ident] * (trunc - 1), inv)
+
+
 # In every corpus structure each cell above dimension 1 has equal source and
 # target, which would hide a source mistaken for a target; the twisted
-# suspension's 2-cells do not.
+# suspension's 2-cells do not.  In the pair groupoid a 1-cell's source and
+# target differ, which no other member's do.
 POOL = dict(CORPUS, twisted_suspension_z2_2_4=ref_build_twisted(
-    fixtures.suspension(fixtures.cyclic_table(2), 2, 4)))
+    fixtures.suspension(fixtures.cyclic_table(2), 2, 4)), pair_groupoid_3=pair_groupoid())
 
 
 @st.composite

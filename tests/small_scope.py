@@ -2,13 +2,17 @@
 every structure of a bounded scope.
 
 A hypothesis sample can miss the one table that fools a fast path, so each
-scope below is enumerated in full.  Every member runs through
-``check_structure`` and every ``check_axiom`` at caps 1 and 100, and each
-report must give the oracle's violations cut at the cap, flag the cut
+scope below is enumerated in full.  In the omega scopes every member runs
+through ``check_structure`` and every ``check_axiom`` at caps 1 and 100, and
+each report must give the oracle's violations cut at the cap, flag the cut
 exactly, and count the oracle's instances (at most that many when the cap
-cut the sweep short).  The script prints each scope's size, its time and
-how many members are lawful (every report clean), and exits 1 on the first
-disagreement.  It needs only the standard library::
+cut the sweep short).  In the décalage scope every member runs through the
+naturality, closed-form and section checks, which must match their ``ref_*``
+oracles under the same rules.  The script prints each scope's size, its
+time, how many members pass every check and how many fail each one, and
+exits 1 on the first disagreement, or when no member of the décalage scope
+fails one of its checks.  It needs the test dependencies, which
+``conftest`` imports::
 
     PYTHONPATH=src python tests/small_scope.py
 """
@@ -17,21 +21,27 @@ from __future__ import annotations
 
 import sys
 import time
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from globkernel import omega  # noqa: E402
-from globkernel.errors import NotAGroup  # noqa: E402
+from globkernel import decalage, omega  # noqa: E402
+from globkernel.errors import KernelError, NotAGroup  # noqa: E402
 from globkernel.fixtures import GroupTable, validate_group  # noqa: E402
-from globkernel.globular import validate_globular_set  # noqa: E402
+from globkernel.globular import all_tables, validate_globular_set  # noqa: E402
 
+from conftest import pair_groupoid  # noqa: E402
 from oracles import (  # noqa: E402
     brute_axiom_instances,
     brute_axiom_violations,
     brute_structure_instances,
     brute_structure_violations,
+    ref_apex_naturality,
+    ref_check_section,
+    ref_endpoint_naturality,
+    ref_unit_closed_forms,
 )
 
 CAPS = (1, 100)
@@ -85,12 +95,69 @@ def one_truncated():
                     yield omega.OmegaStructure(base, {(1, 0): comp}, ({"*": "c0"},), {(1, 0): inverse})
 
 
-SCOPES = {"2-truncated": two_truncated, "1-truncated": one_truncated}
+def unit_compat():
+    """One 0-cell, the 1-cells ``e`` and ``g`` composing as Z/2 with identity
+    ``e``, and the 2-cells ``E: e => e`` and ``G: g => g``: every
+    ``comp[(2,0)]``, ``comp[(2,1)]``, ``unit[1]``, ``inv[(2,0)]`` and
+    ``inv[(2,1)]``; 4,096 structures.  The units over ``e`` and ``g`` are
+    units over two distinct cells, which ``unit_compat`` compares."""
+    ones, twos, over = ("e", "g"), ("E", "G"), {"E": "e", "G": "g"}
+    base = validate_globular_set([["*"], ones, twos], [{u: "*" for u in ones}, over],
+                                 [{u: "*" for u in ones}, over])
+    z2 = {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "e"}
+    for comp20, comp21, unit1, inv20, inv21 in product(
+            _tables(product(twos, repeat=2), twos), _tables([("E", "E"), ("G", "G")], twos),
+            _tables(ones, twos), _tables(twos, twos), _tables(twos, twos)):
+        comp = {(1, 0): z2, (2, 0): comp20, (2, 1): comp21}
+        inv = {(1, 0): {"e": "e", "g": "g"}, (2, 0): inv20, (2, 1): inv21}
+        yield omega.OmegaStructure(base, comp, ({"*": "e"}, unit1), inv)
 
 
-def compare(x) -> tuple[str | None, bool]:
+def _entry_changes(x):
+    """Each change of one entry of ``comp[(1,0)]``, ``comp[(2,0)]``, ``comp[(2,1)]``,
+    ``comp[(3,2)]`` or a unit table of ``x`` to another cell of its dimension, or to
+    None for a deleted entry, as ``(table, key, value)``; a table is a comp subscript
+    or a unit index."""
+    tables = [(key, x.comp[key], key[0]) for key in ((1, 0), (2, 0), (2, 1), (3, 2))]
+    tables += [(i, table, i + 1) for i, table in enumerate(x.unit)]
+    return [(where, key, value) for where, table, dim in tables for key, old in table.items()
+            for value in x.base.cells[dim] + (None,) if value != old]
+
+
+def _changed(x, changes):
+    """``x`` with each of ``changes`` (see :func:`_entry_changes`) made."""
+    comp = {key: dict(table) for key, table in x.comp.items()}
+    units = [dict(table) for table in x.unit]
+    for where, key, value in changes:
+        table = comp[where] if isinstance(where, tuple) else units[where]
+        if value is None:
+            del table[key]
+        else:
+            table[key] = value
+    return omega.OmegaStructure(x.base, comp, tuple(units), x.inv)
+
+
+def decalage_scope():
+    """The pair groupoid truncated at 3 (``conftest.pair_groupoid``), each change
+    of one entry of ``comp[(1,0)]``, ``comp[(2,0)]``, ``comp[(2,1)]``,
+    ``comp[(3,2)]`` and ``unit[0..2]`` (136), then each change of two different
+    unit entries (720); 857 structures.  Its 1-cells ``f`` and ``g`` have
+    distinct sources and targets, so a source read for a target moves an
+    endpoint, and a closed form compared on the wrong side first shows."""
+    x = pair_groupoid()
+    changes = _entry_changes(x)
+    yield x
+    for change in changes:
+        yield _changed(x, [change])
+    units = [change for change in changes if not isinstance(change[0], tuple)]
+    for a, b in combinations(units, 2):
+        if a[:2] != b[:2]:
+            yield _changed(x, [a, b])
+
+
+def compare(x) -> tuple[str | None, list[str]]:
     """Where the sweeps on ``x`` first differ from the oracles (None where they
-    agree throughout), and whether ``x`` is lawful: every oracle list empty."""
+    agree throughout), and the laws whose oracle lists are not empty."""
     sweeps = [("structure", brute_structure_violations(x), brute_structure_instances(x),
                lambda cap: omega.check_structure(x, cap))]
     sweeps += [(name, brute_axiom_violations(x, name), brute_axiom_instances(x, name),
@@ -100,30 +167,96 @@ def compare(x) -> tuple[str | None, bool]:
             got = sweep(cap)
             truncated = len(full) > cap
             if got.violations != full[:cap] or got.truncated != truncated:
-                return f"{name} at cap {cap}: {got} (truncated={got.truncated}), oracle {full[:cap]}", False
+                return f"{name} at cap {cap}: {got} (truncated={got.truncated}), oracle {full[:cap]}", []
             if got.instances > count or (not truncated and got.instances != count):
-                return f"{name} at cap {cap}: {got.instances} instances, oracle {count}", False
-    return None, not any(full for _, full, _, _ in sweeps)
+                return f"{name} at cap {cap}: {got.instances} instances, oracle {count}", []
+    return None, [name for name, full, _, _ in sweeps if full]
 
 
-def run(name: str, members) -> bool:
-    """Sweep ``members`` of scope ``name`` and print its size, time and lawful count;
-    False at the first disagreement, after printing it."""
-    start, size, passes = time.perf_counter(), 0, 0
+DECALAGE_CHECKS = ("apex-naturality", "endpoint-naturality", "unit-closed-form", "section")
+
+
+def _outcome(check, *args):
+    """``check(*args)``, or the type and text of the kernel error it raises."""
+    try:
+        return check(*args)
+    except KernelError as exc:
+        return type(exc), str(exc)
+
+
+def _listed(check):
+    """``check`` with its one result in a list, as the level sweeps give theirs."""
+    return lambda *args: [check(*args)]
+
+
+def _differs(got, full, cap: int, one_block: bool) -> str | None:
+    """How the results ``got`` at ``cap`` differ from the oracle's ``full`` ones, under the
+    rules of ``test_decalage._cuts_exactly``; None where they do not.  A cut sweep of
+    several blocks may stop before its last block, so unless ``one_block`` it may count fewer."""
+    if isinstance(full, tuple) or isinstance(got, tuple) or len(got) != len(full):
+        return None if got == full else f"{got}, oracle {full}"
+    for g, f in zip(got, full):
+        cut = len(f.failures) > cap
+        fields = (g.check, g.scope, g.status, g.witness, g.failures, g.capped)
+        counted = g.instances == f.instances if one_block or not cut else g.instances <= f.instances
+        if fields != (f.check, f.scope, f.status, f.witness, f.failures[:cap], cut) or not counted:
+            return f"{g}, oracle {f}"
+    return None
+
+
+def compare_decalage(x) -> tuple[str | None, list[str]]:
+    """Where the décalage checks on ``x`` first differ from their oracles (None where
+    they agree throughout), and the checks the oracles fail: a naturality or closed-form
+    check once, the section check once per failing table of ``all_tables(3, 2)``."""
+    runs = [(sweep, reference, (x,), True) for sweep, reference in (
+        (decalage.check_apex_naturality, ref_apex_naturality),
+        (decalage.check_endpoint_naturality, ref_endpoint_naturality),
+        (decalage.check_unit_closed_forms, ref_unit_closed_forms))]
+    runs += [(_listed(decalage.check_section), _listed(ref_check_section), (x, table), False)
+             for table in all_tables(3, 2)]
+    failed = []
+    for sweep, reference, args, one_block in runs:
+        full = _outcome(reference, *args)
+        for cap in CAPS:
+            found = _differs(_outcome(sweep, *args, cap), full, cap, one_block)
+            if found is not None:
+                return f"at cap {cap}: {found}", failed
+        if not isinstance(full, tuple):
+            failed += {r.check for r in full if r.status == "FAIL"}
+    return None, failed
+
+
+SCOPES = {"2-truncated": (two_truncated, compare), "1-truncated": (one_truncated, compare),
+          "unit-compat": (unit_compat, compare), "decalage": (decalage_scope, compare_decalage)}
+
+
+def run(name: str, members, compare=compare) -> Counter | None:
+    """Compare ``members`` of scope ``name`` by ``compare`` and print its size, time,
+    PASS count (members that fail no check) and failures per check; those failures,
+    or None at the first disagreement, after printing it."""
+    start, size, passes, failing = time.perf_counter(), 0, 0, Counter()
     for x in members:
         size += 1
-        found, clean = compare(x)
+        found, failed = compare(x)
         if found is not None:
             print(f"{name}: member {size} disagrees: {found}\n  comp={x.comp} unit={x.unit} inv={x.inv}")
-            return False
-        passes += clean
-    print(f"{name}: {size} structures, {time.perf_counter() - start:.1f} s, {passes} PASS, 0 disagreements")
-    return True
+            return None
+        passes += not failed
+        failing.update(failed)
+    print(f"{name}: {size} structures, {time.perf_counter() - start:.1f} s, {passes} PASS, 0 disagreements; "
+          f"failing: {dict(failing)}")
+    return failing
 
 
 def main() -> int:
-    for name, scope in SCOPES.items():
-        if not run(name, scope()):
+    for name, (scope, check) in SCOPES.items():
+        failing = run(name, scope(), check)
+        if failing is None:
+            return 1
+        # a décalage scope where some check never fails could not catch a fault in it
+        silent = [c for c in DECALAGE_CHECKS if check is compare_decalage and not failing[c]]
+        if silent:
+            print(f"{name}: no member fails {', '.join(silent)}")
             return 1
     return 0
 
