@@ -4,13 +4,21 @@ Every twisted cell projects to a base cell (source of its top entry) and to
 a 0-cell (target of its bottom entry); every base cell lifts into the twisted
 complex through unit padding.  The lift is a section of the projection,
 componentwise over every globular product; it is not natural in the level,
-and the checker for that fact must exhibit a witness.  The section sweep
-runs on interned ids: each product is enumerated as rows of cell ids, each
-component's lift is a row of unit and boundary gathers validated by one
-lookup in the twisted complex, and seams and projections are compared on the
-base boundary maps, all on plain lists.  Only a row where some step fails
-goes through the scalar lift and projection on names, for the failure text.
-Every sweep is cut at its cap, and counted, by ``report.collect``.
+and the checker for that fact must exhibit a witness.
+
+Every décalage sweep screens on interned ids and judges on names only what
+the screen fails; the judge's scalar code gives the failure text.  The section
+sweep enumerates each product as rows of cell ids; each component's lift is
+a row of unit and boundary gathers validated by one lookup in the twisted
+complex, and seams and projections are compared on the base boundary maps.
+Apex naturality, endpoint naturality and the closed form of iterated twisted
+units are each written once, as a function of an evaluator ``ops`` and a hook
+``find(low, high, entries)`` that validates a twisted segment.  The screen
+runs them over the id rows of a whole level, where ``find`` hands the entries
+back and fails every row that ``TwistedComplex.lookup`` maps to -1; the judge
+runs them on the names of each failing cell, where ``find`` is
+``twisted_segment``.  Every sweep is cut at its cap, and counted, by
+``report.collect``.
 """
 
 from __future__ import annotations
@@ -36,21 +44,19 @@ from .globular import (
     globular_tuple,
     product_ids,
 )
-from .omega import OmegaStructure, _Named
+from .omega import OmegaStructure, _failing, _Named
 from .report import CheckResult, check_cap, collect, verdict
 from .twist import (
     MixedTuple,
     TwistedCell,
     TwistedSegment,
     _complex,
-    _source_entries,
-    iter_twisted_unit,
-    twisted_boundary,
+    _face,
+    _segment_bounds,
+    _unit_entries,
     twisted_cell,
-    twisted_cells,
     twisted_segment,
     twisted_source,
-    twisted_target,
 )
 
 _EVAL_ERRORS = (GluingViolation, NotComposable, ValidationError, MissingCell)
@@ -97,10 +103,8 @@ def unit_lift_tuple(x: OmegaStructure, table: TableOfDimensions, gtuple: Globula
     """Componentwise lift of a globular product element into the mixed form."""
     globular_tuple(x.base, table, gtuple.entries)
     head = unit_lift(x, table.outer[0], gtuple.entries[0])
-    segments = tuple(
-        unit_lift_segment(x, table.inner[l] + 1, table.outer[l + 1], gtuple.entries[l + 1])
-        for l in range(table.width - 1)
-    )
+    segments = tuple(unit_lift_segment(x, low, high, u)
+                     for (low, high), u in zip(_segment_bounds(table), gtuple.entries[1:]))
     top, top_dim = head.top(), head.level + 1
     for l, segment in enumerate(segments):
         check_seam(x.base, l + 1, table.inner[l], top_dim, top, segment.low + 1, segment.entries[0])
@@ -127,8 +131,7 @@ def _lifts_back(x: OmegaStructure, table: TableOfDimensions, block: list) -> lis
     t, complex_ = x.tables, _complex(x)
     tests = []
     # component l lifts into the entries of dimensions low+1 .. high+1
-    bounds = zip((0,) + tuple(seam + 1 for seam in table.inner), table.outer)
-    for l, (low, high) in enumerate(bounds):
+    for l, (low, high) in enumerate([(0, table.outer[0]), *_segment_bounds(table)]):
         lift = _lift_entries(t, low, high, block[l])
         tests.append([row >= 0 for row in complex_.lookup(low, high, lift)])
         if l:
@@ -168,9 +171,7 @@ def check_section(x: OmegaStructure, table: TableOfDimensions, cap: int = 100) -
     :func:`globular_product`, which give the failure text, up to ``cap``.
     """
     if table.max_dim() + 1 > x.truncation:
-        raise DimOutOfRange(
-            f"table {table} needs truncation >= {table.max_dim() + 1}"
-        )
+        raise DimOutOfRange(f"table {table} needs truncation >= {table.max_dim() + 1}")
     gtuples = globular_product(x.base, table)
 
     def blocks():
@@ -185,43 +186,80 @@ def check_section(x: OmegaStructure, table: TableOfDimensions, cap: int = 100) -
 def check_sections(x: OmegaStructure, max_width: int, max_dim: int, cap: int = 100) -> list[CheckResult]:
     """Section check over every table bounded by width and dimension, each cut at ``cap``."""
     if max_dim + 1 > x.truncation:
-        raise DimOutOfRange(
-            f"dimension bound {max_dim} needs truncation >= {max_dim + 1}"
-        )
-    return [
-        check_section(x, table, cap)
-        for table in all_tables(max_width, max_dim)
-    ]
+        raise DimOutOfRange(f"dimension bound {max_dim} needs truncation >= {max_dim + 1}")
+    return [check_section(x, table, cap) for table in all_tables(max_width, max_dim)]
 
 
-def _cell_block(x: OmegaStructure, i: int, judge, *args):
-    """The twisted ``i``-cells as one block, judged by ``judge(cell, *args)``."""
-    cells = twisted_cells(x, i)
-    return [(len(cells), _judged(cells, judge, *args))]
+def _apex_naturality(ops, find, i: int, entries):
+    """The source of the top entry of each twisted boundary, and that side's boundary of the cell's own."""
+    apex = ops.boundary(SRC, i + 1, i, entries[i])
+    for kind in (SRC, TGT):
+        face = find(0, i - 1, _face(ops, kind, i, entries))
+        yield kind, [ops.boundary(SRC, i, i - 1, face[-1])], [ops.boundary(kind, i, i - 1, apex)]
 
 
-def _naturality(x: OmegaStructure, check: str, project, along, cap: int) -> list[CheckResult]:
-    """Per level ``i``: ``project`` of each twisted boundary of a cell against
-    ``along(kind, i, -)`` of the cell's ``project``."""
-    def judge(cell: TwistedCell, i: int):
-        here = project(x, cell)
-        for kind, boundary in ((SRC, twisted_source), (TGT, twisted_target)):
-            if project(x, boundary(x, cell)) != along(kind, i, here):
-                yield f"{kind} side at {cell.entries}"
+def _endpoint_naturality(ops, find, i: int, entries):
+    """The target of the bottom entry of each twisted boundary, and of the cell's own."""
+    endpoint = ops.boundary(TGT, 1, 0, entries[0])
+    for kind in (SRC, TGT):
+        face = find(0, i - 1, _face(ops, kind, i, entries))
+        yield kind, [ops.boundary(TGT, 1, 0, face[0])], [endpoint]
+
+
+def _closed_unit_form(ops, find, i: int, entries, j: int):
+    """Each twisted boundary at level ``j`` taken back to level ``i`` by twisted units, and its closed
+    form: the boundary's entries up to dimension ``j + 1`` (glued at ``j + 1`` on the source side),
+    then at each dimension ``d`` above, the iterated unit over that side's ``j``-boundary of entry ``d``."""
+    for kind in (SRC, TGT):
+        iterated = entries
+        for d in range(i, j, -1):
+            iterated = find(0, d - 1, _face(ops, kind, d, iterated))
+        for d in range(j, i):
+            iterated = find(0, d + 1, _unit_entries(ops, d, iterated))
+        above = (ops.iter_unit(j, d, ops.boundary(kind, d, j, entries[d - 1])) for d in range(j + 2, i + 2))
+        yield kind, iterated, find(0, i, [*_face(ops, kind, j + 1, entries), *above])
+
+
+def _cell_sweep(x: OmegaStructure, i: int, law, text: str, *args):
+    """The twisted ``i``-cells as one block.  ``law(ops, find, i, entries, *args)`` gives, per side of
+    a cell, the side and two lists, equal where the law holds.  It is screened on the level's id rows;
+    each cell it fails is judged on names, a side whose lists differ failing with ``text``."""
+    complex_, names = _complex(x), x.base.cells
+    rows = [column[:-1] for column in complex_.rows(0, i)]
+    found, lhs, rhs = [], [], []
+
+    def lookup(low: int, high: int, entries):
+        found.append(complex_.lookup(low, high, entries))
+        return entries
+    for _, left, right in law(x.tables, lookup, i, rows, *args):
+        lhs += left
+        rhs += right
+    failing = [TwistedCell(i, tuple(names[d][column[k]] for d, column in enumerate(rows, 1)))
+               for k in _failing(lhs + found, rhs + found)]
+    segment = lambda low, high, entries: twisted_segment(x, low, high, entries).entries  # noqa: E731
+
+    def judge(cell: TwistedCell):
+        for kind, left, right in law(_Named(x), segment, i, cell.entries, *args):
+            if left != right:
+                yield text.format(kind=kind, entries=cell.entries, lhs=left, rhs=right)
+    return [(len(rows[0]), _judged(failing, judge))]
+
+
+def _naturality(x: OmegaStructure, check: str, law, cap: int) -> list[CheckResult]:
+    """Per level ``i``: ``law`` on every twisted ``i``-cell, a failing side named by its kind."""
     check_cap(cap)  # also where there is no level
-    return [verdict(check, f"level={i}", collect(_cell_block(x, i, judge, i), cap))
+    return [verdict(check, f"level={i}", collect(_cell_sweep(x, i, law, "{kind} side at {entries}"), cap))
             for i in range(1, x.truncation)]
 
 
 def check_apex_naturality(x: OmegaStructure, cap: int = 100) -> list[CheckResult]:
     """The apex projection commutes with twisted and plain boundaries."""
-    return _naturality(x, "apex-naturality", apex_source,
-                       lambda kind, i, u: x.base.boundary(kind, i, i - 1, u), cap)
+    return _naturality(x, "apex-naturality", _apex_naturality, cap)
 
 
 def check_endpoint_naturality(x: OmegaStructure, cap: int = 100) -> list[CheckResult]:
     """The 0-cell endpoint is constant along twisted boundaries."""
-    return _naturality(x, "endpoint-naturality", base_endpoint, lambda kind, i, u: u, cap)
+    return _naturality(x, "endpoint-naturality", _endpoint_naturality, cap)
 
 
 def find_lift_naturality_failure(x: OmegaStructure):
@@ -257,28 +295,10 @@ def check_lift_non_naturality(x: OmegaStructure) -> CheckResult:
                        (), x.base.index[1][u] + 1, False)
 
 
-def _closed_unit_form(x: OmegaStructure, kind: str, j: int, cell: TwistedCell) -> TwistedCell:
-    """Closed form of the iterated twisted unit over a twisted boundary.
-
-    For the source side the entry at dimension ``j+1`` is glued; above it
-    every entry is the iterated unit over the corresponding iterated
-    boundary of the original entry.
-    """
-    ops = _Named(x)
-    entries = _source_entries(ops, j + 1, cell.entries) if kind == SRC else list(cell.entries[: j + 1])
-    for d in range(j + 2, cell.level + 2):
-        entries.append(ops.iter_unit(j, d, ops.boundary(kind, d, j, cell.entries[d - 1])))
-    return twisted_cell(x, cell.level, entries)
-
-
 def check_unit_closed_forms(x: OmegaStructure, cap: int = 100) -> list[CheckResult]:
     """Iterated twisted units over twisted boundaries match their closed forms."""
-    def judge(cell: TwistedCell, j: int):
-        for kind in (SRC, TGT):
-            iterated = iter_twisted_unit(x, twisted_boundary(x, kind, cell, j), cell.level)
-            closed = _closed_unit_form(x, kind, j, cell)
-            if iterated != closed:
-                yield f"{kind} at {cell.entries}: {iterated.entries} != {closed.entries}"
     check_cap(cap)  # also where there is no level
-    return [verdict("unit-closed-form", f"i={i},j={j}", collect(_cell_block(x, i, judge, j), cap))
+    text = "{kind} at {entries}: {lhs} != {rhs}"
+    return [verdict("unit-closed-form", f"i={i},j={j}",
+                    collect(_cell_sweep(x, i, _closed_unit_form, text, j), cap))
             for i in range(1, x.truncation) for j in range(i)]

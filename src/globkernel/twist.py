@@ -31,10 +31,10 @@ and a tuple is a valid cell exactly when it is a row, so validating a cell
 is finding its row.  Rows, sources, targets and iterated boundaries are id
 maps, plain lists with -1 appended (see :func:`globular._gather`), computed
 a level at a time with the column evaluators of ``omega.IntTables``.
-:meth:`TwistedComplex.find`, one dict lookup per entry, is the only validator
-of a named segment: for a tuple that is no row, its walk raises the first
-check it fails.  Where an id step of an operation gives -1, the scalar
-operation on names runs instead and raises: an evaluator, or ``find`` on its result.
+:meth:`TwistedComplex.find` validates every named segment, in one walk of one
+dict lookup per entry that raises the first check a tuple that is no row fails.
+Where an id step of an operation gives -1, the scalar operation on names runs
+instead and raises: an evaluator, or ``find`` on its result.
 
 The paired and mixed products of the most recently enumerated table are
 held with the canonical bijection between them (:class:`Product`), computed
@@ -54,7 +54,6 @@ from .errors import (
     DimOutOfRange,
     GluingViolation,
     InversesAbsent,
-    KernelError,
     MissingCell,
     NotComposable,
     Record,
@@ -98,6 +97,11 @@ def _glue(ops, k: int, a, b):
 def _source_entries(ops, i: int, entries) -> list:
     """Entries of the twisted source of a level-``i`` cell: glue its top two."""
     return [*entries[: i - 1], _glue(ops, i, entries[i - 1], entries[i])]
+
+
+def _face(ops, kind: str, i: int, entries) -> list:
+    """Entries of the twisted ``kind`` boundary of a level-``i`` cell: its source, or all but its top."""
+    return _source_entries(ops, i, entries) if kind == SRC else entries[:i]
 
 
 def _compose_entries(ops, i: int, j: int, left, right) -> list:
@@ -253,21 +257,10 @@ class TwistedComplex:
         return found
 
     def find(self, low: int, high: int, entries) -> int:
-        """Row id of ``entries`` in shape ``(low, high)``, one dict per entry: each entry is
-        interned by the base and found with the row of the entries before it.  For a tuple
-        that is no row, the walk again raises the first check it fails: bounds, length, the
-        first entry that is no cell (TypeError if unhashable), then the first gluing equation,
-        where a key is missing since the rows are every glued tuple."""
+        """Row id of ``entries`` in shape ``(low, high)``, validated in one walk, one dict per entry,
+        that raises the first check it fails: bounds, length, the first entry that is no cell (TypeError
+        if unhashable), then the first gluing equation, a missing key as the rows are every glued tuple."""
         entries, base, index = tuple(entries), self.x.base, self.x.base.index
-        if 0 <= low <= high < base.truncation and len(entries) == high - low + 1:
-            try:
-                row = index[low + 1][entries[0]]
-                for d, keys in enumerate(self._shape(low, high)[2], low + 2):
-                    row = keys.get((row, index[d][entries[d - low - 1]]))
-            except (KeyError, TypeError):  # no cell, or unhashable: the checks below name the first
-                row = None
-            if row is not None:
-                return row
         if low < 0 or high < low:
             raise DimOutOfRange(f"segment bounds ({low},{high}) need 0 <= low <= high")
         if high + 1 > base.truncation:
@@ -284,7 +277,7 @@ class TwistedComplex:
                 a, b = entries[k - low - 1], entries[k - low]
                 raise GluingViolation(k - low, f"s_{k}({a}) = {base.src[k][a]} but "
                                                f"t_{k} t_{k + 1}({b}) = {base.tgt[k][base.tgt[k + 1][b]]}")
-        raise AssertionError(f"segment {entries!r} passes every check but is not enumerated")
+        return row
 
     def named(self, low: int, high: int):
         """The rows of shape ``(low, high)`` as tuples of names, in row order."""
@@ -394,24 +387,14 @@ def twisted_target(x: OmegaStructure, cell: TwistedCell) -> TwistedCell:
 
 
 def twisted_boundary(x: OmegaStructure, kind: str, cell: TwistedCell, level: int) -> TwistedCell:
-    """Iterated twisted boundary down to the given level: read off the id maps where they
-    give a cell, else stepped down on names, each step validated as a twisted cell."""
+    """Iterated twisted boundary down to the given level, stepped down on names, each step
+    validated as a twisted cell; :meth:`TwistedComplex.boundary` is the same map on ids."""
     if not 0 <= level <= cell.level:
         raise DimOutOfRange(f"boundary level {level} outside 0..{cell.level}")
     if kind not in (SRC, TGT):
         raise ValidationError(f"boundary kind must be 'src' or 'tgt', got {kind!r}")
-    complex_ = _complex(x)
-    try:
-        row = complex_.find(0, cell.level, cell.entries)
-    except (KernelError, TypeError):  # no cell: stepped down on names below
-        pass
-    else:
-        found = complex_.boundary(kind, cell.level, level)[row]
-        if found >= 0:
-            return complex_.cells(level)[found]
     for i in range(cell.level, level, -1):
-        entries = _source_entries(_Named(x), i, cell.entries) if kind == SRC else cell.entries[:-1]
-        cell = twisted_cell(x, i - 1, entries)
+        cell = twisted_cell(x, i - 1, _face(_Named(x), kind, i, cell.entries))
     return cell
 
 
@@ -470,18 +453,13 @@ def expand_product(x: OmegaStructure, mixed: MixedTuple) -> tuple[TwistedCell, .
             return held.paired[row]
     outer, inner = table.outer, table.inner
     if len(mixed.segments) != len(inner):
-        raise ValidationError(
-            f"expected {len(inner)} segments, got {len(mixed.segments)}"
-        )
+        raise ValidationError(f"expected {len(inner)} segments, got {len(mixed.segments)}")
     head = twisted_cell(x, mixed.head.level, mixed.head.entries)
     if head.level != outer[0]:
-        raise ValidationError(
-            f"head has level {head.level}, table wants {outer[0]}"
-        )
+        raise ValidationError(f"head has level {head.level}, table wants {outer[0]}")
     cells = [head]
-    for l, segment in enumerate(mixed.segments):
-        seam = inner[l]
-        low, high = seam + 1, outer[l + 1]
+    for l, (segment, (low, high)) in enumerate(zip(mixed.segments, _segment_bounds(table))):
+        seam = low - 1
         if (segment.low, segment.high) != (low, high):
             raise ValidationError(
                 f"segment {l + 1} has bounds ({segment.low},{segment.high}), "

@@ -264,6 +264,15 @@ def test_naturality_sweeps_clean():
             assert results == reference(x), (name, sweep.__name__)
 
 
+def test_clean_sweeps_name_no_level():
+    # each sweep screens a whole level on its id rows and judges on names only
+    # what fails, so on a lawful structure no level of twisted cells is named
+    x = fixtures.delooping(fixtures.cyclic_table(4), 4)
+    for sweep, _ in _SWEEPS:
+        assert report.all_pass(sweep(x))
+    assert not [key for key in twist._complex(x)._cache if key[0] in ("cells", "segments")]
+
+
 def test_naturality_trivial_on_discrete():
     x = fixtures.discrete(("a", "b"), 3)
     results = check_apex_naturality(x)
