@@ -6,19 +6,16 @@ complex through unit padding.  The lift is a section of the projection,
 componentwise over every globular product; it is not natural in the level,
 and the checker for that fact must exhibit a witness.
 
-Every décalage sweep screens on interned ids and judges on names only what
-the screen fails; the judge's scalar code gives the failure text.  The section
-sweep enumerates each product as rows of cell ids; each component's lift is
-a row of unit and boundary gathers validated by one lookup in the twisted
-complex, and seams and projections are compared on the base boundary maps.
+Every sweep screens on interned ids and judges on names, by the scalar code
+that gives the failure text, only what the screen fails.  The section sweep
+lifts, looks up, seam-checks and projects each product block as rows of ids.
 Apex naturality, endpoint naturality and the closed form of iterated twisted
-units are each written once, as a function of an evaluator ``ops`` and a hook
-``find(low, high, entries)`` that validates a twisted segment.  The screen
-runs them over the id rows of a whole level, where ``find`` hands the entries
-back and fails every row that ``TwistedComplex.lookup`` maps to -1; the judge
-runs them on the names of each failing cell, where ``find`` is
-``twisted_segment``.  Every sweep is cut at its cap, and counted, by
-``report.collect``.
+units are each written once, as a function of an evaluator ``ops`` and a
+hook ``find(low, high, entries)``: the screen runs them over the id rows of
+a level, where ``find`` hands the entries back and fails every row that
+``TwistedComplex.lookup`` maps to -1, and the judge on the names of each
+failing cell, where ``find`` is ``twisted_segment``.  Every sweep is cut at
+its cap, and counted, by ``report.collect``.
 """
 
 from __future__ import annotations
@@ -171,7 +168,9 @@ def check_section(x: OmegaStructure, table: TableOfDimensions, cap: int = 100) -
     :func:`globular_product`, which give the failure text, up to ``cap``.
     """
     if table.max_dim() + 1 > x.truncation:
-        raise DimOutOfRange(f"table {table} needs truncation >= {table.max_dim() + 1}")
+        raise DimOutOfRange(
+            f"table {table} needs truncation >= {table.max_dim() + 1}"
+        )
     gtuples = globular_product(x.base, table)
 
     def blocks():
@@ -186,8 +185,13 @@ def check_section(x: OmegaStructure, table: TableOfDimensions, cap: int = 100) -
 def check_sections(x: OmegaStructure, max_width: int, max_dim: int, cap: int = 100) -> list[CheckResult]:
     """Section check over every table bounded by width and dimension, each cut at ``cap``."""
     if max_dim + 1 > x.truncation:
-        raise DimOutOfRange(f"dimension bound {max_dim} needs truncation >= {max_dim + 1}")
-    return [check_section(x, table, cap) for table in all_tables(max_width, max_dim)]
+        raise DimOutOfRange(
+            f"dimension bound {max_dim} needs truncation >= {max_dim + 1}"
+        )
+    return [
+        check_section(x, table, cap)
+        for table in all_tables(max_width, max_dim)
+    ]
 
 
 def _apex_naturality(ops, find, i: int, entries):

@@ -94,14 +94,11 @@ def _glue(ops, k: int, a, b):
     return ops.compose(k, k - 1, a, ops.boundary(TGT, k + 1, k, b))
 
 
-def _source_entries(ops, i: int, entries) -> list:
-    """Entries of the twisted source of a level-``i`` cell: glue its top two."""
-    return [*entries[: i - 1], _glue(ops, i, entries[i - 1], entries[i])]
-
-
 def _face(ops, kind: str, i: int, entries) -> list:
-    """Entries of the twisted ``kind`` boundary of a level-``i`` cell: its source, or all but its top."""
-    return _source_entries(ops, i, entries) if kind == SRC else entries[:i]
+    """Entries of a level-``i`` cell's twisted ``kind`` boundary: its top two glued, or its top dropped."""
+    if kind == TGT:
+        return entries[:i]
+    return [*entries[: i - 1], _glue(ops, i, entries[i - 1], entries[i])]
 
 
 def _compose_entries(ops, i: int, j: int, left, right) -> list:
@@ -257,9 +254,9 @@ class TwistedComplex:
         return found
 
     def find(self, low: int, high: int, entries) -> int:
-        """Row id of ``entries`` in shape ``(low, high)``, validated in one walk, one dict per entry,
-        that raises the first check it fails: bounds, length, the first entry that is no cell (TypeError
-        if unhashable), then the first gluing equation, a missing key as the rows are every glued tuple."""
+        """Row id of ``entries`` in shape ``(low, high)``, validated in one walk that raises the first
+        check it fails: bounds, length, the first entry that is no cell (TypeError if unhashable), then,
+        one dict per entry, the first gluing equation, whose key is missing: the rows are every glued tuple."""
         entries, base, index = tuple(entries), self.x.base, self.x.base.index
         if low < 0 or high < low:
             raise DimOutOfRange(f"segment bounds ({low},{high}) need 0 <= low <= high")
@@ -309,7 +306,7 @@ class TwistedComplex:
         if kind == TGT:
             return self._shape(0, i)[1]
         # the rows' trailing -1 evaluates to -1, so the result is an id map
-        return self.lookup(0, j, _source_entries(self.t, i, self.rows(0, i)))
+        return self.lookup(0, j, _face(self.t, SRC, i, self.rows(0, i)))
 
 
 def _complex(x: OmegaStructure) -> TwistedComplex:
