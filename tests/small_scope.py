@@ -27,7 +27,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from globkernel import decalage, omega  # noqa: E402
+from globkernel import decalage, omega, testcat  # noqa: E402
 from globkernel.errors import KernelError, NotAGroup  # noqa: E402
 from globkernel.fixtures import GroupTable, validate_group  # noqa: E402
 from globkernel.globular import all_tables, validate_globular_set  # noqa: E402
@@ -42,6 +42,7 @@ from oracles import (  # noqa: E402
     ref_check_section,
     ref_endpoint_naturality,
     ref_unit_closed_forms,
+    ref_validate_category,
 )
 
 CAPS = (1, 100)
@@ -111,6 +112,30 @@ def unit_compat():
         comp = {(1, 0): z2, (2, 0): comp20, (2, 1): comp21}
         inv = {(1, 0): {"e": "e", "g": "g"}, (2, 0): inv20, (2, 1): inv21}
         yield omega.OmegaStructure(base, comp, ({"*": "e"}, unit1), inv)
+
+
+def unital_magmas():
+    """Every unital magma on ``m0 .. m{n-1}``, ``n <= 4``, with identity ``m0``, as the
+    one-object category ``(objects, morphisms, identity, comp)``: each table whose row
+    and column of ``m0`` are the identity's; 1 + 2 + 81 + 262,144 = 262,228 magmas.
+    Light's test, which ``testcat`` and the ``assoc`` sweep share, decides each one."""
+    for n in range(1, 5):
+        elements = tuple(f"m{k}" for k in range(n))
+        morphisms = {m: ("*", "*") for m in elements}
+        unit = {key: m for m in elements for key in ((m, "m0"), ("m0", m))}
+        free = list(product(elements[1:], repeat=2))
+        for values in product(elements, repeat=len(free)):
+            yield ("*",), morphisms, {"*": "m0"}, {**unit, **dict(zip(free, values))}
+
+
+def compare_category(category) -> tuple[str | None, list[str]]:
+    """Where ``testcat.validate_category`` on ``category`` differs from
+    ``ref_validate_category`` in its error type and text, or in raising at all (None
+    where they agree), and the reference's error text up to its witness as the one failing check."""
+    got, full = (_error(check, *category) for check in (testcat.validate_category, ref_validate_category))
+    if got != full:
+        return f"{got}, oracle {full}", []
+    return None, [] if full is None else [full[1].partition(" at ")[0]]
 
 
 def _entry_changes(x):
@@ -184,6 +209,15 @@ def _outcome(check, *args):
         return type(exc), str(exc)
 
 
+def _error(check, *args):
+    """The type and text of the kernel error ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except KernelError as exc:
+        return type(exc), str(exc)
+    return None
+
+
 def _listed(check):
     """``check`` with its one result in a list, as the level sweeps give theirs."""
     return lambda *args: [check(*args)]
@@ -227,7 +261,15 @@ def compare_decalage(x) -> tuple[str | None, list[str]]:
 
 
 SCOPES = {"2-truncated": (two_truncated, compare), "1-truncated": (one_truncated, compare),
-          "unit-compat": (unit_compat, compare), "decalage": (decalage_scope, compare_decalage)}
+          "unit-compat": (unit_compat, compare), "decalage": (decalage_scope, compare_decalage),
+          "magma": (unital_magmas, compare_category)}
+
+
+def _describe(member) -> str:
+    """The tables of a scope member, for a disagreement's report."""
+    if isinstance(member, omega.OmegaStructure):
+        return f"comp={member.comp} unit={member.unit} inv={member.inv}"
+    return repr(member)
 
 
 def run(name: str, members, compare=compare) -> Counter | None:
@@ -239,7 +281,7 @@ def run(name: str, members, compare=compare) -> Counter | None:
         size += 1
         found, failed = compare(x)
         if found is not None:
-            print(f"{name}: member {size} disagrees: {found}\n  comp={x.comp} unit={x.unit} inv={x.inv}")
+            print(f"{name}: member {size} disagrees: {found}\n  {_describe(x)}")
             return None
         passes += not failed
         failing.update(failed)
