@@ -2,7 +2,7 @@
 
 A map is the tuple of its values, :func:`_maps` enumerates the maps
 ``{0..m} -> {0..n}`` in lexicographic order, and maps compose by reading,
-through :func:`_reader`; ``testcat.delta_truncated`` builds its category from
+through ``light._reader``; ``testcat.delta_truncated`` builds its category from
 these.  The shift endofunctor ``D`` appends a fresh top element, with the
 inclusion as natural transformation, the constant-top point, and the clamping
 retraction ``k -> min(k, n)``.  ``check_shift_decalage`` verifies all of
@@ -13,9 +13,9 @@ compares, and swept pair by pair only where that fails.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 
 from .errors import NotComposable, Record, ValidationError
+from .light import _reader
 from .report import CheckResult, collect, verdict
 
 
@@ -49,15 +49,6 @@ class SimplexMap(Record):
 
 def identity_map(n: int) -> SimplexMap:
     return SimplexMap(n, n, tuple(range(n + 1)))
-
-
-def _reader(f: tuple[int, ...]):
-    """Composition with ``f`` by reading: ``_reader(f)(g)`` is ``g`` after ``f``, each a
-    map given by its values, as a tuple.  For any sequence ``g`` and indices ``f``
-    it is the items of ``g`` at ``f``; at no index, ``()``."""
-    if len(f) > 1:
-        return itemgetter(*f)
-    return lambda g: tuple(g[k] for k in f)  # itemgetter gives one item bare
 
 
 def compose_maps(g: SimplexMap, f: SimplexMap) -> SimplexMap:

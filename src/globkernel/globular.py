@@ -269,6 +269,15 @@ def _glued(first, links):
         yield from _extend([first[start:start + _CHUNK]], links)
 
 
+def _stack(blocks, width: int) -> list[list[int]]:
+    """The :func:`_glued` blocks ``blocks`` joined into ``width`` columns."""
+    columns = [[] for _ in range(width)]
+    for block in blocks:
+        for column, part in zip(columns, block):
+            column += part
+    return columns
+
+
 def _extend(columns: list[list[int]], links):
     """The rows of ``columns`` extended through ``links``, in blocks of at most ``_CHUNK`` rows."""
     if not links:

@@ -25,7 +25,7 @@ declaration order and their text is that of the scalar code.
 
 from __future__ import annotations
 
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 
 from .errors import (
     DimOutOfRange,
@@ -42,10 +42,12 @@ from .globular import (
     _gather,
     _glued,
     _link,
+    _stack,
     globular_set_from_json,
     globular_set_to_json,
     split_pair_key,
 )
+from .light import _arrows, _generators, _middle
 from .report import Report, collect
 
 ASSOC = "assoc"
@@ -327,6 +329,13 @@ class IntTables:
                 composites[a, b] = index.get(w, -1)
         return composites
 
+    def composites(self, i: int, j: int) -> dict:
+        return self._memo(("comp", i, j), lambda: self._composites(i, j))
+
+    def category(self, i: int, j: int):
+        """The ``i``-cells under ``*_j`` as a category, decided at generators: see :func:`_category`."""
+        return self._memo(("category", i, j), lambda: (_category(self, i, j),))[0]
+
     def link(self, i: int, j: int) -> list:
         """Join of ``i``-cells ``a`` to the ``b`` with ``s^i_j(a) = t^i_j(b)``, for :func:`_glued`."""
         return self._memo(("link", i, j), lambda: _link(self.x.base.boundary_ids(SRC, i, j),
@@ -335,8 +344,7 @@ class IntTables:
     # the column evaluators, with the signatures of _Named's and _Raw's
 
     def compose(self, i: int, j: int, u, v) -> list[int]:
-        composites = self._memo(("comp", i, j), lambda: self._composites(i, j))
-        return list(map(composites.get, zip(u, v), repeat(-1)))
+        return list(map(self.composites(i, j).get, zip(u, v), repeat(-1)))
 
     def unit(self, i: int, u) -> list[int]:
         return _gather(self.unit_map(i), u)
@@ -553,12 +561,175 @@ def _judge_rows(x: OmegaStructure, name: str, sub: tuple[int, ...], block, rows)
         yield from _judge(x, name, sub, tuple(names[column[k]] for column in block))
 
 
+# -- associativity and exchange at generators -------------------------------------
+#
+# At each subscript, associativity and exchange are first decided from generators
+# on ids.  Where a precondition or a generator fails, the subscript is swept in
+# full as above, which alone names witnesses.
+
+
+def _category(t: IntTables, i: int, j: int):
+    """The ``i``-cells under ``*_j`` as a category on ids (see ``light``), with the
+    instances compared in deciding that it is associative, or None where that fails.
+
+    Objects are the ``j``-cells; ``f`` runs from ``s^i_j(f)`` to ``t^i_j(f)``; the
+    identity of ``a`` is its iterated unit ``1_a``; ``rows`` are read from the glued
+    composites.  Preconditions, on ids: each composable pair has a composite from the
+    source of the right one to the target of the left one, which on a globular base
+    the ``comp`` boundary laws at each ``(i', j)``, ``j < i' <= i``, give; each ``1_a``
+    runs from ``a`` to ``a``; and both unit laws, ``1_{t f} f = f = f 1_{s f}``.
+
+    Then associativity holds if ``(h g) f = h (g f)`` for each generator ``g`` of
+    ``light._generators``, each ``h`` after ``g`` and each ``f`` before it (Light's
+    test).  Proof: call ``g`` a middle when that holds for all such ``h`` and ``f``.
+    An identity is a middle, by the unit laws: ``(h 1) f = h f = h (1 f)``.  If ``g``
+    and ``g'`` are middles, so is ``g g'``: ``(h (g g')) f = ((h g) g') f =
+    (h g) (g' f) = h (g (g' f)) = h ((g g') f)``, using that ``g`` is a middle with
+    ``g'`` for ``f``, then ``g'``, then ``g``, then ``g'`` with ``g`` for ``h``.
+    Every ``f`` is a word ``g_n (... (g_1 1))`` in the generators, so every ``f`` is
+    a middle.  The count is the ``2 n`` unit-law instances screened on the ``n``
+    ``i``-cells and the ``(h, g, f)`` triples compared.
+    """
+    base, n, size = t.x.base, t.sizes[i], t.sizes[j]
+    s, tg = base.boundary_ids(SRC, i, j), base.boundary_ids(TGT, i, j)
+    objects, cells = list(range(size)), [list(range(n))]
+    ident = t.iter_unit(j, i, objects)
+    if _gather(s, ident) != objects or _gather(tg, ident) != objects:
+        return None
+    if any(lhs != rhs for lhs, rhs in (_sides(t, law, (i, j), cells) for law in (LEFT_UNIT, RIGHT_UNIT))):
+        return None
+    dom, cod = s[:-1], tg[:-1]
+    gens = []
+    if n > size:  # else every cell is an identity, 1_a 1_a = 1_a, and there is nothing to generate
+        link = t.link(i, j)  # link[g]: the cells into dom g, in id order
+        left, right = _stack(_glued(range(n), [link]), 2)
+        composites = t.compose(i, j, left, right)
+        if _gather(s, composites) != _gather(s, right) or _gather(tg, composites) != _gather(tg, left):
+            return None
+        into = [link[e] for e in ident]
+        position = dict(zip(chain.from_iterable(into), chain.from_iterable(map(range, map(len, into)))))
+        place = list(map(position.__getitem__, range(n)))
+        entries = iter(composites)
+        rows = [tuple(islice(entries, len(before))) for before in link]
+        out_of = _arrows(dom, size)[0]
+        gens = _generators(rows, ident, dom, cod, place)
+        if any(_middle(rows, g, place, out_of[cod[g]]) for g in gens):
+            return None
+    count = 2 * n + sum(len(out_of[cod[g]]) * len(into[dom[g]]) for g in gens)
+    return count, (dom, cod, ident)
+
+
+class _PairRows(dict):
+    """Rows of the category ``P`` of :func:`_exchange_at_generators`, each built when
+    first read, from the composites of its two components: only those of generators are.
+
+    A composite that is no morphism of ``P`` raises ``KeyError``; on a globular base
+    none is.
+    """
+
+    def __init__(self, t: IntTables, i: int, j: int, pairs, into, dom, index):
+        super().__init__()
+        self.t, self.i, self.j, self.pairs, self.into, self.dom, self.index = t, i, j, pairs, into, dom, index
+
+    def __missing__(self, g):
+        before = self.into[self.dom[g]]
+        sides = [self.t.compose(self.i, self.j, repeat(column[g]), _gather(column, before))
+                 for column in self.pairs]
+        row = self[g] = tuple(map(self.index.get, zip(*sides), repeat(-1)))
+        if -1 in row:
+            raise KeyError(g)
+        return row
+
+
+def _exchange_at_generators(t: IntTables, i: int, j: int, k: int):
+    """The instances compared in deciding exchange at ``(i, j, k)`` at generators, or
+    None where that fails.
+
+    Let ``C`` be the category of :func:`_category` at ``(i, j)``, which must be one,
+    and associative.  Let ``P`` be the category of ``k``-glued pairs ``p = (p_1, p_2)``
+    of ``i``-cells, from ``(s^i_j p_1, s^i_j p_2)`` to ``(t^i_j p_1, t^i_j p_2)``,
+    composed componentwise in ``C``, with identities ``1_o = (1_{a_1}, 1_{a_2})`` at
+    each object ``o = (a_1, a_2)``, a ``k``-glued pair of ``j``-cells.  On a globular
+    base a ``j``-glued pair of cells has equal ``k``-boundaries and ``C`` keeps them in
+    its composites, so ``P``'s composites and identities are ``k``-glued again, and
+    ``P`` is an associative category with units, componentwise.  Let
+    ``F(p) = p_1 *_k p_2``.  For composable ``g`` and ``h`` of ``P``, the instance
+    ``(g_1, h_1, g_2, h_2)`` of exchange says ``F(g h) = F(g) F(h)``: its two sides
+    are ``(g_1 *_j h_1) *_k (g_2 *_j h_2)`` and ``(g_1 *_k g_2) *_j (h_1 *_k h_2)``;
+    and every instance is one such pair.
+
+    Preconditions, on ids: ``F(1_o)`` is an identity ``1_{c_o}`` of ``C``, at each
+    object ``o``; and ``t^i_j F(g) = c_{cod g}`` for each generator ``g`` of ``P``
+    (``light._generators``, on rows built only for generators).  Then exchange holds
+    if ``F(g h) = F(g) F(h)`` for each generator ``g`` and each ``h`` into ``dom g``.
+
+    Proof, by induction on words, peeled off on the left, where the closure
+    composes: every ``p`` is ``1_o`` or ``g p'`` with ``g`` a generator and ``p'`` a
+    shorter word.  First, ``t^i_j F(p) = c_{cod p}``: for ``1_o`` it is the
+    precondition, and ``F(g p') = F(g) F(p')`` has the target of ``F(g)``, which is
+    ``c_{cod g}``.  Then ``F(p q) = F(p) F(q)`` for every ``q`` into ``dom p``:
+    ``F(1_o q) = F(q) = 1_{c_o} F(q)`` by the left unit law of ``C``, since ``F(q)``
+    ends at ``c_o``; and ``F(g p' q) = F(g) F(p' q) = F(g) F(p') F(q) =
+    F(g p') F(q)``, by the generator ``g`` with ``p' q``, the induction on ``p'``,
+    associativity in ``C`` and the generator ``g`` with ``p'`` (Mac Lane,
+    *Categories for the Working Mathematician*, §§II.7-8; ``finsets`` decides the
+    shift the same way).  The count is the objects of ``P`` whose identity was
+    screened and the pairs ``(g, h)`` compared; ``P``'s full table is never built.
+    """
+    category = t.category(i, j)
+    if category is None:
+        return None
+    dom, cod, ident = category[1]
+    pairs = _stack(_glued(range(t.sizes[i]), [t.link(i, k)]), 2)
+    objects = _stack(_glued(range(t.sizes[j]), [t.link(j, k)]), 2)
+    at, index = dict(zip(zip(*objects), count())), dict(zip(zip(*pairs), count()))
+    units = [_gather(ident, column) for column in objects]
+    pident = list(map(index.get, zip(*units), repeat(-1)))
+    f_units = t.compose(i, k, *units)
+    if -1 in pident or -1 in f_units or _gather(ident, _gather(cod, f_units)) != f_units:
+        return None
+    if len(pident) == len(index):  # every pair is an identity: no generator, nothing to compare
+        return len(pident)
+    pdom, pcod = [list(map(at.get, zip(*(_gather(side, column) for column in pairs)), repeat(-1)))
+                  for side in (dom, cod)]
+    if -1 in pdom or -1 in pcod:
+        return None
+    into, place = _arrows(pcod, len(pident))
+    try:
+        gens = _generators(_PairRows(t, i, j, pairs, into, pdom, index), pident, pdom, pcod, place)
+    except KeyError:
+        return None
+    f_gens = t.compose(i, k, *(_gather(column, gens) for column in pairs))
+    if -1 in f_gens or _gather(cod, f_gens) != [cod[f_units[pcod[g]]] for g in gens]:
+        return None
+    left = [g for g in gens for _ in into[pdom[g]]]
+    right = [h for g in gens for h in into[pdom[g]]]
+    (u, v), (up, vp) = ([_gather(column, side) for column in pairs] for side in (left, right))
+    lhs, rhs = _sides(t, EXCHANGE, (i, j, k), (u, up, v, vp))
+    return len(pident) + len(right) if lhs == rhs and -1 not in lhs else None
+
+
+def _at_generators(t: IntTables, name: str, sub: tuple[int, ...]):
+    """The instances compared in deciding axiom ``name`` at ``sub`` at generators, or
+    None where that fails or ``name`` is neither associativity nor exchange."""
+    if name == ASSOC:
+        category = t.category(*sub)
+        return None if category is None else category[0]
+    if name == EXCHANGE:
+        return _exchange_at_generators(t, *sub)
+    return None
+
+
 def _violations(x: OmegaStructure, name: str, subs):
     """Per block of instances of one law at the given subscripts, in sweep order,
     its size and its violations.  Each block is screened on ids; only the instances
     it does not pass are judged again on names, which builds their violations."""
     t = x.tables
     for sub in subs:
+        decided = _at_generators(t, name, sub)
+        if decided is not None:
+            yield decided, ()
+            continue
         for block in _instances(t, name, sub):
             yield len(block[0]), _judge_rows(x, name, sub, block, _failing(*_screen(t, name, sub, block)))
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import NotNatural, Record, ValidationError
-from .finsets import _maps, _reader
+from .finsets import _maps
+from .light import _arrows, _generators, _middle, _mismatch, _reader, _row_failures, _unit_failure
 
 
 class SmallCategory(Record):
@@ -95,16 +96,7 @@ def _layout_of(objects, morphisms):
     at = {a: k for k, a in enumerate(objects)}
     dom = [at[a] for a, _ in morphisms.values()]
     cod = [at[b] for _, b in morphisms.values()]
-    into, place = [[] for _ in objects], []
-    for f, b in enumerate(cod):
-        place.append(len(into[b]))
-        into[b].append(f)
-    return dom, cod, into, place
-
-
-def _mismatch(left, right) -> int:
-    """The first place where two sequences differ."""
-    return next(k for k, (x, y) in enumerate(zip(left, right)) if x != y)
+    return (dom, cod, *_arrows(cod, len(objects)))
 
 
 def validate_category(objects, morphisms, identity, comp) -> SmallCategory:
@@ -156,14 +148,7 @@ def _category(objects, morphisms, identity, rows, comp=None) -> SmallCategory:
     ident = [index[identity[a]] for a in objects]
 
     # g after the i-th f into dom g runs from dom f to cod g; -1, no composite, gathers -1
-    doms, cods = dom + [-1], cod + [-1]
-    wanted = [_reader(firsts)(dom) for firsts in into]
-    failing = []
-    for g, row in enumerate(rows):
-        ends = _reader(row)
-        if ends(doms) != wanted[dom[g]] or ends(cods).count(cod[g]) != len(row):
-            i = _mismatch(zip(ends(doms), ends(cods)), [(a, cod[g]) for a in wanted[dom[g]]])
-            failing.append((into[dom[g]][i], g))
+    failing = list(_row_failures(rows, dom + [-1], cod + [-1], into))
     if failing:
         f, g = min(failing)  # the least failing pair f-major, as declared
         gname, fname, h = names[g], names[f], rows[g][place[f]]
@@ -181,53 +166,20 @@ def _category(objects, morphisms, identity, rows, comp=None) -> SmallCategory:
             if morphisms[f][1] != morphisms[g][0]:
                 raise ValidationError(f"composite declared for non-composable {g!r}, {f!r}")
 
-    for f, row in enumerate(rows):
-        if row[place[ident[dom[f]]]] != f or rows[ident[cod[f]]][place[f]] != f:
-            raise ValidationError(f"unit law fails at {names[f]!r}")
+    f = _unit_failure(rows, ident, dom, cod, place)
+    if f is not None:
+        raise ValidationError(f"unit law fails at {names[f]!r}")
 
     # associativity by Light's test: the middles g with (h g) f = h (g f) for all h, f
     # contain the identities and are closed under composition, so the generators decide
     # it; the least failing middle is a generator, or smaller ones, which pass, reach it
-    out_of = [[] for _ in objects]
-    for g, a in enumerate(dom):
-        out_of[a].append(g)
+    out_of = _arrows(dom, len(objects))[0]
     for g in _generators(rows, ident, dom, cod, place):
         witness = _middle(rows, g, place, out_of[cod[g]])
         if witness:
             h, i = witness
             raise ValidationError(f"associativity fails at {(names[h], names[g], names[into[dom[g]][i]])}")
     return cat
-
-
-def _generators(rows, ident, dom, cod, place) -> list[int]:
-    """Greedy in id order: each id not reached from the identities by the earlier ones."""
-    reached, gens, todo = [False] * len(rows), [], list(ident)
-    reached_into = [[] for _ in ident]  # the reached ids into each object
-    gens_out = [[] for _ in ident]  # the generators out of each object
-    for x in range(len(rows)):
-        while todo:  # close the reached ids under the generators so far, on the left
-            h = todo.pop()
-            if not reached[h]:
-                reached[h] = True
-                reached_into[cod[h]].append(h)
-                todo += [rows[k][place[h]] for k in gens_out[cod[h]]]
-        if not reached[x]:
-            gens.append(x)
-            gens_out[dom[x]].append(x)
-            todo = [rows[x][place[e]] for e in reached_into[dom[x]]]
-    return gens
-
-
-def _middle(rows, g, place, lasts):
-    """The first ``h`` of ``lasts`` and place ``i`` with ``(h g) f != h (g f)``, where ``f``
-    is the ``i``-th morphism into ``dom g``, or None."""
-    at, k = _reader(_reader(rows[g])(place)), place[g]  # h (g f) reads row h at g f
-    for h in lasts:
-        row = rows[h]
-        left, right = rows[row[k]], at(row)
-        if left != right:
-            return h, _mismatch(left, right)
-    return None
 
 
 class Presheaf(Record):

@@ -66,19 +66,11 @@ from .globular import (
     _gather,
     _glued,
     _link,
+    _stack,
     check_seam,
     validate_globular_set,
 )
 from .omega import OmegaStructure, _Named, validate_omega
-
-
-def _stack(blocks, width: int) -> list[list[int]]:
-    """The :func:`globular._glued` blocks ``blocks`` joined into ``width`` columns."""
-    columns = [[] for _ in range(width)]
-    for block in blocks:
-        for column, part in zip(columns, block):
-            column += part
-    return columns
 
 
 def _first_failure(ids: list, stop: int | None = None):

@@ -121,7 +121,7 @@ def test_cli_imports_only_its_floor():
              "print('numpy' in sys.modules)")
     modules, numpy_loaded = _python(probe).splitlines()
     assert modules.split() == [f"globkernel{suffix}" for suffix in (
-        "", ".cli", ".errors", ".globular", ".omega", ".report")]
+        "", ".cli", ".errors", ".globular", ".light", ".omega", ".report")]
     assert numpy_loaded == "False"
 
 
@@ -155,7 +155,7 @@ def test_each_command_imports_only_its_floor(tmp_path, argv, loaded):
     argv = [arg.format(file=path, out=tmp_path / "out.json") for arg in argv]
     code, *modules = _python(_COMMAND, json.dumps(argv)).split()
     assert code == "0"
-    floor = ("", ".cli", ".errors", ".globular", ".omega", ".report")
+    floor = ("", ".cli", ".errors", ".globular", ".light", ".omega", ".report")
     assert modules == sorted([f"globkernel{suffix}" for suffix in floor]
                              + [f"globkernel.{name}" for name in loaded.split()])
 

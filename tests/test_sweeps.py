@@ -24,10 +24,10 @@ from globkernel.globular import SRC, TGT
 
 from conftest import GHOST, POOL, faulted
 from oracles import (
-    brute_axiom_instances,
     brute_axiom_violations,
     brute_structure_instances,
     brute_structure_violations,
+    expected_axiom_instances,
 )
 
 CAPS = (1, 3, 100)
@@ -64,7 +64,7 @@ def _match_oracle(x):
         assert got == _capped(full, cap, count), ("structure", cap)
     for name in omega.AXIOMS:
         full = brute_axiom_violations(x, name)
-        count = brute_axiom_instances(x, name)
+        count = expected_axiom_instances(x, name)
         for cap in CAPS:
             got = _report(omega.check_axiom(x, name, None, cap), count)
             assert got == _capped(full, cap, count), (name, cap)
@@ -198,4 +198,4 @@ def test_sweeps_match_oracle_on_clean_corpus():
         for axiom in omega.AXIOMS:
             got = omega.check_axiom(x, axiom)
             assert got.violations == brute_axiom_violations(x, axiom) == [], (name, axiom)
-            assert got.instances == brute_axiom_instances(x, axiom), (name, axiom)
+            assert got.instances == expected_axiom_instances(x, axiom), (name, axiom)
