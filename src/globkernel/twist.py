@@ -268,11 +268,12 @@ class TwistedComplex:
                                                f"t_{k} t_{k + 1}({b}) = {base.tgt[k][base.tgt[k + 1][b]]}")
         return row
 
-    def named(self, low: int, high: int):
-        """The rows of shape ``(low, high)`` as tuples of names, in row order."""
-        cells = self.x.base.cells
-        return zip(*(map(cells[low + 1 + c].__getitem__, column[:-1])
-                     for c, column in enumerate(self.rows(low, high))))
+    def named(self, low: int, high: int, row: int | None = None):
+        """The rows of shape ``(low, high)`` as tuples of names, in row order, or row ``row`` alone."""
+        cells, rows = self.x.base.cells, self.rows(low, high)
+        if row is not None:
+            return tuple(cells[low + 1 + c][column[row]] for c, column in enumerate(rows))
+        return zip(*(map(cells[low + 1 + c].__getitem__, column[:-1]) for c, column in enumerate(rows)))
 
     def cells(self, level: int) -> tuple[TwistedCell, ...]:
         return self._memo(("cells", level), self._wrap, TwistedCell, 0, level)
@@ -317,16 +318,14 @@ def _raise_scalar(op, *args):
 
 
 def twisted_cell(x: OmegaStructure, level: int, entries) -> TwistedCell:
-    """Validate entries into a twisted cell."""
+    """Validate entries into a twisted cell; only its row is named."""
     complex_ = _complex(x)
-    row = complex_.find(0, level, entries)
-    return complex_.cells(level)[row]
+    return TwistedCell(level, complex_.named(0, level, complex_.find(0, level, entries)))
 
 
 def twisted_segment(x: OmegaStructure, low: int, high: int, entries) -> TwistedSegment:
     complex_ = _complex(x)
-    row = complex_.find(low, high, entries)
-    return complex_.segments(low, high)[row]
+    return TwistedSegment(low, high, complex_.named(low, high, complex_.find(low, high, entries)))
 
 
 def lemma_identities_hold(x: OmegaStructure, cell: TwistedCell) -> bool:

@@ -23,4 +23,4 @@ def test_scope_slice_agrees_with_oracles(name):
 def test_scope_sizes():
     sizes = {name: sum(1 for _ in scope()) for name, (scope, _) in small_scope.SCOPES.items()}
     assert sizes == {"2-truncated": 8192, "1-truncated": 19813, "unit-compat": 4096, "decalage": 857,
-                     "magma": 262228}
+                     "magma": 262228, "eckmann-hilton": 19683}

@@ -514,3 +514,19 @@ def test_transport_full_groupoid_axioms(fixture_corpus):
         tx = build_twisted(x)
         assert check_structure(tx).ok, name
         assert all(r.ok for r in check_all(tx).values()), name
+
+
+def test_twisted_cell_and_segment_name_only_their_row():
+    # validating a cell or a segment finds its row and names that row alone, so no
+    # level of the complex is wrapped as named records on the way
+    x = fixtures.delooping(fixtures.cyclic_table(4), 4)
+    rows = twist._complex(x).rows(0, 2)
+    entries = tuple(x.base.cells[1 + c][column[5]] for c, column in enumerate(rows))
+    cell = twist.twisted_cell(x, 2, entries)
+    assert (cell.level, cell.entries) == (2, entries) and cell == twisted_cells(x, 2)[5]
+    segment = twist.twisted_segment(x, 1, 2, entries[1:])
+    assert (segment.low, segment.high, segment.entries) == (1, 2, entries[1:])
+    x = fixtures.delooping(fixtures.cyclic_table(4), 4)
+    twist.twisted_cell(x, 2, entries)
+    twist.twisted_segment(x, 1, 2, entries[1:])
+    assert not [key for key in twist._complex(x)._cache if key[0] in ("cells", "segments")]
