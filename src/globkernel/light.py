@@ -8,13 +8,12 @@ object ids, ``into[a]`` lists the ids with codomain ``a`` in id order,
 ``omega`` reads the cells of one dimension under one composition, whose
 objects are the cells of a lower dimension.
 
-The checks here find failures and leave it to their callers to report them:
-rows that do not hold a composite with the right ends, a failing unit law,
-and a failing middle.  Associativity is decided by Light's test (Clifford
-and Preston, *The Algebraic Theory of Semigroups* I, §1.2): once the unit
-laws hold, the middles ``g`` with ``(h g) f = h (g f)`` for all ``h`` and
-``f`` contain the identities and are closed under composition, so they are
-every morphism when they hold the generators of :func:`_generators`.
+Associativity is decided by Light's test (Clifford and Preston, *The
+Algebraic Theory of Semigroups* I, §1.2): once the unit laws hold, the
+middles ``g`` with ``(h g) f = h (g f)`` for all ``h`` and ``f`` contain the
+identities and are closed under composition, so they are every morphism
+when they hold the generators of :func:`_generators`.  :func:`_middle` finds
+a failing middle and leaves it to its caller to report it.
 """
 
 from __future__ import annotations
@@ -45,35 +44,14 @@ def _arrows(cod, objects: int):
     return into, place
 
 
-def _row_failures(rows, dom, cod, into):
-    """Each ``(f, g)`` whose row entry ``g`` after ``f`` is no morphism from ``dom f`` to
-    ``cod g``, one per row, at its first such ``f``, g-major.  ``dom`` and ``cod`` are id
-    maps with -1 appended, so an entry of -1, no composite, reads as no object."""
-    wanted = [_reader(firsts)(dom) for firsts in into]
-    for g, row in enumerate(rows):
-        ends = _reader(row)
-        if ends(dom) != wanted[dom[g]] or ends(cod).count(cod[g]) != len(row):
-            i = _mismatch(zip(ends(dom), ends(cod)), [(a, cod[g]) for a in wanted[dom[g]]])
-            yield into[dom[g]][i], g
-
-
-def _unit_failure(rows, ident, dom, cod, place):
-    """The first ``f`` with ``f`` after the identity of ``dom f``, or the identity of
-    ``cod f`` after ``f``, other than ``f``, or None.  Each identity must be an
-    endomorphism, so that it is into its object."""
-    for f, row in enumerate(rows):
-        if row[place[ident[dom[f]]]] != f or rows[ident[cod[f]]][place[f]] != f:
-            return f
-    return None
-
-
 def _generators(rows, ident, dom, cod, place) -> list[int]:
     """Greedy in id order: each id not reached from the identities by the earlier ones.
 
     Reached ids are closed under the generators on the left, so each is a word
     ``g_n (... (g_1 e))`` with ``e`` an identity; given the right unit law every
-    generator ``x`` is reached as ``x e``, so every id is.  Only the rows of
-    generators are read.
+    generator ``x`` is reached as ``x e``, so every id is.  What is reached is the
+    subcategory the generators so far generate, so closing on the right would
+    choose the same generators.  Only the rows of generators are read.
     """
     reached, gens, todo = [False] * len(dom), [], list(ident)
     reached_into = [[] for _ in ident]  # the reached ids into each object

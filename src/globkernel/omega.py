@@ -329,9 +329,6 @@ class IntTables:
                 composites[a, b] = index.get(w, -1)
         return composites
 
-    def composites(self, i: int, j: int) -> dict:
-        return self._memo(("comp", i, j), lambda: self._composites(i, j))
-
     def category(self, i: int, j: int):
         """The ``i``-cells under ``*_j`` as a category, decided at generators: see :func:`_category`."""
         return self._memo(("category", i, j), lambda: (_category(self, i, j),))[0]
@@ -344,7 +341,8 @@ class IntTables:
     # the column evaluators, with the signatures of _Named's and _Raw's
 
     def compose(self, i: int, j: int, u, v) -> list[int]:
-        return list(map(self.composites(i, j).get, zip(u, v), repeat(-1)))
+        composites = self._memo(("comp", i, j), lambda: self._composites(i, j))
+        return list(map(composites.get, zip(u, v), repeat(-1)))
 
     def unit(self, i: int, u) -> list[int]:
         return _gather(self.unit_map(i), u)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .errors import NotNatural, Record, ValidationError
 from .finsets import _maps
-from .light import _arrows, _generators, _middle, _mismatch, _reader, _row_failures, _unit_failure
+from .light import _arrows, _generators, _middle, _mismatch, _reader
 
 
 class SmallCategory(Record):
@@ -148,7 +148,14 @@ def _category(objects, morphisms, identity, rows, comp=None) -> SmallCategory:
     ident = [index[identity[a]] for a in objects]
 
     # g after the i-th f into dom g runs from dom f to cod g; -1, no composite, gathers -1
-    failing = list(_row_failures(rows, dom + [-1], cod + [-1], into))
+    doms, cods = dom + [-1], cod + [-1]
+    wanted = [_reader(firsts)(dom) for firsts in into]
+    failing = []
+    for g, row in enumerate(rows):
+        ends = _reader(row)
+        if ends(doms) != wanted[dom[g]] or ends(cods).count(cod[g]) != len(row):
+            i = _mismatch(zip(ends(doms), ends(cods)), [(a, cod[g]) for a in wanted[dom[g]]])
+            failing.append((into[dom[g]][i], g))
     if failing:
         f, g = min(failing)  # the least failing pair f-major, as declared
         gname, fname, h = names[g], names[f], rows[g][place[f]]
@@ -166,9 +173,9 @@ def _category(objects, morphisms, identity, rows, comp=None) -> SmallCategory:
             if morphisms[f][1] != morphisms[g][0]:
                 raise ValidationError(f"composite declared for non-composable {g!r}, {f!r}")
 
-    f = _unit_failure(rows, ident, dom, cod, place)
-    if f is not None:
-        raise ValidationError(f"unit law fails at {names[f]!r}")
+    for f, row in enumerate(rows):
+        if row[place[ident[dom[f]]]] != f or rows[ident[cod[f]]][place[f]] != f:
+            raise ValidationError(f"unit law fails at {names[f]!r}")
 
     # associativity by Light's test: the middles g with (h g) f = h (g f) for all h, f
     # contain the identities and are closed under composition, so the generators decide

@@ -614,7 +614,8 @@ def _ref_category(x, i, j):
         if w is None or morphisms[w] != (morphisms[v][0], morphisms[u][1]):
             return None
         comp[(u, v)] = w
-    if any(comp[(identity[cod], u)] != u or comp[(u, identity[dom])] != u for u, (dom, cod) in morphisms.items()):
+    if any(comp[(identity[cod], u)] != u or comp[(u, identity[dom])] != u
+           for u, (dom, cod) in morphisms.items()):
         return None
     count = 2 * len(morphisms)
     for g in ref_light_generators(morphisms, identity, comp):

@@ -24,10 +24,12 @@ from globkernel.globular import SRC, TGT
 
 from conftest import GHOST, POOL, faulted
 from oracles import (
+    brute_axiom_instances,
     brute_axiom_violations,
     brute_structure_instances,
     brute_structure_violations,
     expected_axiom_instances,
+    ref_generator_instances,
 )
 
 CAPS = (1, 3, 100)
@@ -199,3 +201,96 @@ def test_sweeps_match_oracle_on_clean_corpus():
             got = omega.check_axiom(x, axiom)
             assert got.violations == brute_axiom_violations(x, axiom) == [], (name, axiom)
             assert got.instances == expected_axiom_instances(x, axiom), (name, axiom)
+
+
+# -- associativity and exchange at generators ---------------------------------------
+#
+# Each table below fails a precondition of the generator path and passes every
+# generator comparison, so without that precondition it would be a false PASS.
+# It must be swept in full: the oracle's violations and instance count.
+
+
+def _structure(cells, src, tgt, comp, unit):
+    return omega.OmegaStructure(globular.validate_globular_set(cells, src, tgt), comp, unit)
+
+
+def _swept_in_full(x, name):
+    full = brute_axiom_violations(x, name)
+    report = omega.check_axiom(x, name)
+    assert full and report.violations == full
+    assert report.instances == brute_axiom_instances(x, name) == expected_axiom_instances(x, name)
+    return full
+
+
+def test_unit_law_failure_takes_the_fallback():
+    # c0 is the unit cell but c0 c1 = c0: the left unit law fails, and associativity
+    # fails only at (c2, c0, c1), whose middle c0 is an identity, never a generator
+    ones = ("c0", "c1", "c2")
+    comp = {("c0", u): "c0" for u in ones} | {("c1", u): "c1" for u in ones}
+    comp |= {("c2", "c0"): "c2", ("c2", "c1"): "c1", ("c2", "c2"): "c2"}
+    x = _structure([["*"], ones], [{u: "*" for u in ones}], [{u: "*" for u in ones}],
+                   {(1, 0): comp}, ({"*": "c0"},))
+    assert [v.witness for v in _swept_in_full(x, omega.ASSOC)] == [("c2", "c0", "c1")]
+
+
+def test_identity_that_is_no_endomorphism_takes_the_fallback():
+    # every 1-cell runs from b to b, so the unit x of the 0-cell a is no endomorphism
+    # of a; the unit laws hold at b, and associativity fails only with x as middle,
+    # which the closure would take as an identity and never test
+    ones = ("e", "x", "y")
+    comp = {("e", u): u for u in ones} | {(u, "e"): u for u in ones}
+    comp |= {("x", "x"): "e", ("x", "y"): "x", ("y", "x"): "x", ("y", "y"): "e"}
+    x = _structure([["a", "b"], ones], [{u: "b" for u in ones}], [{u: "b" for u in ones}],
+                   {(1, 0): comp}, ({"a": "x", "b": "e"},))
+    assert {v.witness[1] for v in _swept_in_full(x, omega.ASSOC)} == {"x"}
+
+
+def test_composite_with_wrong_ends_takes_the_fallback():
+    # v f is v, which runs from b, not from a: its row is read at the cells into b
+    ends = {"ia": ("a", "a"), "u": ("a", "a"), "ib": ("b", "b"), "v": ("b", "b"), "f": ("a", "b")}
+    comp = {(g, f): g if f in ("ia", "ib") else f for g in ends for f in ends
+            if ends[g][0] == ends[f][1] and (g in ("ia", "ib") or f in ("ia", "ib"))}
+    comp |= {("u", "u"): "ia", ("v", "v"): "v", ("v", "f"): "v", ("f", "u"): "f"}
+    x = _structure([["a", "b"], list(ends)], [{m: s for m, (s, _) in ends.items()}],
+                   [{m: t for m, (_, t) in ends.items()}], {(1, 0): comp}, ({"a": "ia", "b": "ib"},))
+    _swept_in_full(x, omega.ASSOC)
+
+
+def _exchange_base(comp20):
+    """One 0-cell, 1-cells e and f, 2-cells E: e => e, F: f => f and X: e => f, with *_1
+    the category they form and ``comp20`` as *_0."""
+    twos = ("E", "F", "X")
+    cells = [["*"], ["e", "f"], list(twos)]
+    src = [{"e": "*", "f": "*"}, {"E": "e", "F": "f", "X": "e"}]
+    tgt = [{"e": "*", "f": "*"}, {"E": "e", "F": "f", "X": "f"}]
+    comp = {(1, 0): {("e", "e"): "e", ("e", "f"): "f", ("f", "e"): "f", ("f", "f"): "f"},
+            (2, 0): dict(zip(((u, v) for u in twos for v in twos), comp20)),
+            (2, 1): {("E", "E"): "E", ("F", "F"): "F", ("X", "E"): "X", ("F", "X"): "X"}}
+    return _structure(cells, src, tgt, comp, ({"*": "e"}, {"e": "E", "f": "F"}))
+
+
+def test_exchange_with_a_unit_pair_not_sent_to_a_unit_takes_the_fallback():
+    # F *_0 F = X, so *_0 sends the identity (F, F) of the pairs to no identity;
+    # exchange fails only with (F, F) on the left, an identity, never a generator
+    x = _exchange_base("EEEEXXEXX")
+    assert omega.check_axiom(x, omega.ASSOC, (2, 1)).ok
+    assert all(v.witness[:3:2] == ("F", "F") for v in _swept_in_full(x, omega.EXCHANGE))
+
+
+def test_exchange_with_a_generator_off_its_target_takes_the_fallback():
+    # *_0 sends every unit pair to a unit, but F *_0 X = X ends at f, while the unit
+    # pair (F, F) at the target of (F, X) goes to E, at e; exchange fails only with
+    # (F, F) on the left, after such a generator
+    x = _exchange_base("EEEEEXEXX")
+    assert omega.check_axiom(x, omega.ASSOC, (2, 1)).ok
+    assert all(v.witness[:3:2] == ("F", "F") for v in _swept_in_full(x, omega.EXCHANGE))
+
+
+def test_lawful_corpus_is_decided_at_generators():
+    # on every lawful structure each subscript of assoc and exchange is decided at
+    # generators, and reports what it compared: never 0 where a level has cells
+    for name, x in POOL.items():
+        for axiom in (omega.ASSOC, omega.EXCHANGE):
+            for sub in omega._axiom_subscripts(x, axiom):
+                decided = omega._at_generators(x.tables, axiom, sub)
+                assert decided == ref_generator_instances(x, axiom, sub) > 0, (name, axiom, sub)
