@@ -3,16 +3,18 @@ every structure of a bounded scope.
 
 A hypothesis sample can miss the one table that fools a fast path, so each
 scope below is enumerated in full.  In the omega scopes every member runs
-through ``check_structure`` and every ``check_axiom`` at caps 1 and 100, and
-each report must give the oracle's violations cut at the cap, flag the cut
-exactly, and count the oracle's instances (at most that many when the cap
-cut the sweep short).  In the décalage scope every member runs through the
-naturality, closed-form and section checks, which must match their ``ref_*``
-oracles under the same rules.  The script prints each scope's size, its
-time, how many members pass every check and how many fail each one, and
-exits 1 on the first disagreement, or when no member of the décalage scope
-fails one of its checks.  It needs the test dependencies, which
-``conftest`` imports::
+through ``check_structure`` and every ``check_axiom`` at caps 1 and 100 (the
+Eckmann-Hilton scope: associativity and exchange), and each report must give
+the oracle's violations cut at the cap, flag the cut exactly, and count the
+oracle's instances, those compared where a subscript is decided at generators
+(at most that many when the cap cut the sweep short).  In the décalage scope
+every member runs through the naturality, closed-form and section checks,
+which must match their ``ref_*`` oracles under the same rules; in the magma
+scope ``validate_category`` must raise what ``ref_validate_category`` raises.
+The script prints each scope's size, its time, how many members pass every
+check and how many fail each one, and exits 1 on the first disagreement, or
+when no member fails a check its scope must see fail (``MUST_FAIL``).  It
+needs the test dependencies, which ``conftest`` imports::
 
     PYTHONPATH=src python tests/small_scope.py
 """
