@@ -5,11 +5,13 @@ Subcommands: ``check`` (structure and axiom sweeps on a file), ``twist``
 sweeps), ``delta`` (finite shift-category demonstration), ``fixture``
 (write a stock structure), ``sum`` (enumerate a globular product).
 
-Exit codes: 0 clean, 1 mathematical violation, 2 input error.  ``twist``,
-``decalage``, ``finsets`` and ``fixtures`` are imported only by the commands
-that use them (``delta`` only ``finsets``), so the verdict commands load no
-more than they run.  No command imports ``testcat``, and every command, like
-the whole package, runs on the standard library alone.
+Exit codes: 0 clean, 1 mathematical violation, 2 input error.  Every module
+but ``errors`` and ``report`` is imported only by the commands that use it:
+``omega`` by those that load or write a structure, ``twist``, ``decalage``,
+``finsets`` and ``fixtures`` by theirs, and the ``globular`` names by ``sum``.
+So ``delta`` loads only ``finsets`` and what it imports, and each command
+loads no more than it runs.  No command imports ``testcat``, and every
+command, like the whole package, runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ import argparse
 import json
 import sys
 
-from . import omega, report
+from . import report
 from .errors import KernelError
-from .globular import globular_product, parse_table
 
 EXIT_CLEAN = 0
 EXIT_VIOLATION = 1
@@ -32,6 +33,7 @@ GROUP_NAMES = ("s3", "z2", "z2xz2", "z3", "z4")
 
 
 def _load_structure(path: str) -> omega.OmegaStructure:
+    from . import omega
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     return omega.omega_from_json(data)
@@ -48,6 +50,7 @@ def _emit(results: list[report.CheckResult], fmt: str, out=None) -> None:
 
 
 def cmd_check(args) -> int:
+    from . import omega
     flags = omega.AxiomFlags.parse(args.axioms)
     x = _load_structure(args.file)
     results = [report.verdict("structure", "all", omega.check_structure(x, cap=args.cap))]
@@ -58,7 +61,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_twist(args) -> int:
-    from . import twist
+    from . import omega, twist
     x = _load_structure(args.file)
     twisted = twist.build_twisted(x)
     data = omega.omega_to_json(twisted)
@@ -70,7 +73,7 @@ def cmd_twist(args) -> int:
 
 
 def cmd_decalage(args) -> int:
-    from . import decalage
+    from . import decalage, omega
     if args.max_width < 1:
         raise KernelError("bounds must be >= 1")
     if args.max_dim < 0:
@@ -127,7 +130,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_fixture(args) -> int:
-    from . import fixtures
+    from . import fixtures, omega
     trunc = args.trunc
     if args.kind == "discrete":
         x = fixtures.discrete(tuple(args.names.split(",")), trunc)
@@ -148,6 +151,7 @@ def cmd_fixture(args) -> int:
 
 
 def cmd_sum(args) -> int:
+    from .globular import globular_product, parse_table
     table = parse_table(args.table)
     x = _load_structure(args.file)
     tuples = globular_product(x.base, table)

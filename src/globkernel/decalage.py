@@ -8,7 +8,8 @@ and the checker for that fact must exhibit a witness.
 
 Every sweep screens on interned ids and judges on names, by the scalar code
 that gives the failure text, only what the screen fails.  The section sweep
-lifts, looks up, seam-checks and projects each product block as rows of ids.
+lifts, looks up and projects each cell once, per segment shape, and screens
+each product block by gathers of those per-cell results and of the seams.
 Apex naturality, endpoint naturality and the closed form of iterated twisted
 units are each written once, as a function of an evaluator ``ops`` and a
 hook ``find(low, high, entries)``: the screen runs them over the id rows of
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from operator import eq
 
-from . import finsets
 from .errors import (
     DimOutOfRange,
     GluingViolation,
@@ -35,6 +35,7 @@ from .globular import (
     TGT,
     GlobularTuple,
     TableOfDimensions,
+    _gather,
     all_tables,
     check_seam,
     globular_product,
@@ -58,7 +59,14 @@ from .twist import (
 
 _EVAL_ERRORS = (GluingViolation, NotComposable, ValidationError, MissingCell)
 
-check_shift_decalage = finsets.check_shift_decalage  # bench/tracing.py traces it by this name
+
+def __getattr__(name: str):
+    """``check_shift_decalage`` is ``finsets.check_shift_decalage``, which the benchmark's tracer
+    reads by this name; ``finsets`` is imported only when it is read, so no sweep here loads it."""
+    if name == "check_shift_decalage":
+        from .finsets import check_shift_decalage
+        return check_shift_decalage
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- projections and unit lifts -------------------------------------------------
@@ -119,26 +127,42 @@ def apex_tuple(x: OmegaStructure, mixed: MixedTuple) -> GlobularTuple:
 # -- element-side checks ---------------------------------------------------------
 
 
+def _cell_lifts(x: OmegaStructure, low: int, high: int):
+    """Per ``high``-cell, the lift into entries ``low+1 .. high+1`` (:func:`_lift_entries`),
+    held on the twisted complex: a list, True where the lift is a segment that projects
+    back to the cell, and the lift's first and top entries, as id maps over the cells."""
+    complex_ = _complex(x)
+    return complex_._memo(("lifts", low, high), _lift_maps, complex_, low, high)
+
+
+def _lift_maps(complex_, low: int, high: int):
+    t = complex_.t
+    cells = [*range(t.sizes[high]), -1]
+    lift = _lift_entries(t, low, high, cells)
+    found, back = complex_.lookup(low, high, lift), t.boundary(SRC, high + 1, high, lift[-1])
+    return [row >= 0 and u == v for row, u, v in zip(found, back, cells)], lift[0], lift[-1]
+
+
 def _lifts_back(x: OmegaStructure, table: TableOfDimensions, block: list) -> list[int]:
     """Positions of the rows of the :func:`product_ids` block ``block`` that do
     not lift, glue and project back to themselves: the steps of
-    :func:`unit_lift_tuple` and :func:`apex_tuple` on ids, where each lift is
-    a row of the twisted complex and a step that gives -1 fails.
+    :func:`unit_lift_tuple` and :func:`apex_tuple` on ids.  Each component is
+    one gather of :func:`_cell_lifts`, which lifts each cell once, and each
+    seam one gathered equality of the sides of its lifts' ends.
     """
-    t, complex_ = x.tables, _complex(x)
+    t = x.tables
     tests = []
     # component l lifts into the entries of dimensions low+1 .. high+1
     for l, (low, high) in enumerate([(0, table.outer[0]), *_segment_bounds(table)]):
-        lift = _lift_entries(t, low, high, block[l])
-        tests.append([row >= 0 for row in complex_.lookup(low, high, lift)])
+        back, first, top = _cell_lifts(x, low, high)
+        tests.append(_gather(back, block[l]))
         if l:
             # cannot fail once the lookups and projections hold on a validated
             # globular base; compared because unit_lift_tuple compares it
             seam = low - 1
-            tests.append(map(eq, t.boundary(SRC, top_dim, seam, top),
-                             t.boundary(TGT, low + 1, seam, lift[0])))
-        top, top_dim = lift[-1], high + 1
-        tests.append(map(eq, t.boundary(SRC, top_dim, high, top), block[l]))
+            left, right = t.boundary(SRC, top_dim, seam, last), t.boundary(TGT, low + 1, seam, first)
+            tests.append(map(eq, _gather(left, block[l - 1]), _gather(right, block[l])))
+        last, top_dim = top, high + 1
     return [k for k, passed in enumerate(zip(*tests)) if not all(passed)]
 
 
@@ -162,8 +186,8 @@ def _projects_back(gtuple: GlobularTuple, x: OmegaStructure, table: TableOfDimen
 def check_section(x: OmegaStructure, table: TableOfDimensions, cap: int = 100) -> CheckResult:
     """Projection after lift is the identity on the globular product of ``table``.
 
-    Every product row is lifted, looked up, seam-checked and projected on ids
-    by :func:`_lifts_back`, a :func:`product_ids` block at a time; a row that
+    Every product row is screened on ids by :func:`_lifts_back`, a
+    :func:`product_ids` block at a time, from the per-cell lifts; a row that
     fails there goes through the scalar lift and projection on its tuple from
     :func:`globular_product`, which give the failure text, up to ``cap``.
     """

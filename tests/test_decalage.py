@@ -208,10 +208,9 @@ def test_check_section_matches_reference_on_faulted_structures(x):
         _cuts_exactly(check_section, ref_check_section, x, table, one_block=False)
 
 
-def test_check_section_matches_reference_on_every_unit_fault():
-    # the sweep reads no comp or inv table; the twisted suspension has 2-cells
-    # whose source is not their target, so a top entry's source is tested
-    x = POOL["twisted_suspension_z2_2_4"]
+def _unit_faults(x):
+    """``x`` with one unit entry set to another cell of its dimension, to ``GHOST``,
+    or deleted, each in turn, as ``((i, u, w), structure)``; w is None where deleted."""
     for i in range(x.truncation):
         for u in x.base.cells[i]:
             for w in x.base.cells[i + 1] + (GHOST, None):
@@ -219,10 +218,31 @@ def test_check_section_matches_reference_on_every_unit_fault():
                 units[i].pop(u)
                 if w is not None:
                     units[i][u] = w
-                y = omega.OmegaStructure(x.base, x.comp, tuple(units), x.inv)
-                for table in all_tables(3, x.truncation - 1):
-                    got = _outcome(check_section, y, table, UNCAPPED)
-                    assert got == _outcome(ref_check_section, y, table), (i, u, w, str(table))
+                yield (i, u, w), omega.OmegaStructure(x.base, x.comp, tuple(units), x.inv)
+
+
+def test_check_section_matches_reference_on_every_unit_fault():
+    # the sweep reads no comp or inv table; the twisted suspension has 2-cells
+    # whose source is not their target, so a top entry's source is tested
+    x = POOL["twisted_suspension_z2_2_4"]
+    for fault, y in _unit_faults(x):
+        for table in all_tables(3, x.truncation - 1):
+            got = _outcome(check_section, y, table, UNCAPPED)
+            assert got == _outcome(ref_check_section, y, table), (fault, str(table))
+
+
+def test_section_screen_fails_exactly_the_failing_rows():
+    # the judge names only the rows the screen fails, so a screen that also fails
+    # lawful rows shows in no verdict; in the pair groupoid a 1-cell's source and
+    # target differ, so a seam compared on swapped sides fails lawful rows
+    x = POOL["pair_groupoid_3"]
+    for fault, y in [(None, x), *_unit_faults(x)]:
+        for table in all_tables(3, x.truncation - 1):
+            rows, screened, start = globular_product(y.base, table), set(), 0
+            for block in globular.product_ids(y.base, table):
+                screened.update(rows[start + k].entries for k in decalage._lifts_back(y, table, block))
+                start += len(block[0])
+            assert screened == _failing_section_tuples(y, table), (fault, str(table))
 
 
 def test_check_section_matches_reference_across_blocks(monkeypatch):

@@ -347,6 +347,15 @@ def test_report_truncated_exactly_when_more_than_cap(z3):
     assert not check_axiom(bad, ASSOC, cap=total).truncated
 
 
+def test_report_text_lists_its_violations_and_the_cut(z3):
+    assert str(check_axiom(z3, ASSOC)) == "clean"
+    bad = with_comp_fault(z3, 1, 0, "1", "1", "0")
+    assert str(check_axiom(bad, ASSOC, cap=2)) == (
+        "assoc(1,0) on [1, 1, 2]: 2 != 1\nassoc(1,0) on [1, 2, 2]: 2 != 0\n... (capped)")
+    assert str(check_axiom(bad, ASSOC, cap=4)).splitlines()[2:] == ["assoc(1,0) on [2, 1, 1]: 1 != 2",
+                                                                     "assoc(1,0) on [2, 2, 1]: 0 != 2"]
+
+
 def test_entry_on_pair_that_does_not_compose_is_not_evaluable():
     # the unit over "a" is the loop "b", which does not compose with "a";
     # an entry for ("b", "a") must not make the left unit law look evaluable

@@ -76,6 +76,7 @@ def one_object_group(n: int):
 def test_validate_category_laws():
     cat = arrow_category()
     assert cat.hom("a", "b") == ("f",)
+    assert (cat.dom("f"), cat.cod("f"), cat.dom("idb")) == ("a", "b", "b")
     with pytest.raises(ValidationError):
         validate_category(["a"], {"ida": ("a", "a")}, {"a": "ida"}, {})
     bad_comp = {
@@ -434,6 +435,7 @@ def test_presheaf_validation_catches_nonfunctorial():
     }
     pre = validate_presheaf(cat, values, action)
     assert pre.apply("f", "u") == "y"
+    assert (pre.value("a"), pre.value("b")) == (("x", "y"), ("u",))
     bad_action = dict(action)
     bad_action["ida"] = {"x": "y", "y": "x"}
     with pytest.raises(ValidationError):
