@@ -163,9 +163,10 @@ def test_each_command_imports_only_its_floor(tmp_path, argv, loaded):
 def test_twist_imports_no_numpy():
     """The twisted complex, its products, the décalage sweeps and the finite categories
     run on plain lists and tuples: importing ``twist`` or ``decalage`` loads neither
-    numpy nor ``testcat``, importing ``decalage`` loads no ``finsets``, importing ``finsets`` loads none of the omega-groupoid
-    modules and no ``testcat``, and importing ``testcat`` loads neither numpy nor the
-    omega-groupoid modules, so a criterion-8 job compiles none of them."""
+    numpy nor ``testcat``, and ``decalage`` no ``finsets`` either; importing ``finsets``
+    loads none of the omega-groupoid modules and no ``testcat``, and importing
+    ``testcat`` loads neither numpy nor the omega-groupoid modules, so a criterion-8
+    job compiles none of them."""
     for module, banned in (("twist", "testcat"), ("decalage", "finsets testcat"),
                            ("finsets", "decalage omega testcat twist"),
                            ("testcat", "decalage omega twist")):
