@@ -123,8 +123,32 @@ NAMED_GROUPS = {
 }
 
 
-def one_object_tower(elements, mul, unit_elem, dim, trunc,
-                     inv_map=None) -> OmegaStructure:
+def _tower(low, high, dim, trunc, mul=None, unit_elem=None, inv_map=None) -> OmegaStructure:
+    """The tower rule behind every stock structure but ``product``.
+
+    Every layer is discrete: each cell has itself as both faces, composes
+    only with itself, and is its own unit and inverse.  The exception is the group
+    layer at ``dim``: there ``high`` replaces ``low``, every cell has
+    ``low[0]`` as both faces, cells compose under ``mul`` along every
+    dimension below ``dim``, ``unit_elem`` is the unit of ``low[0]`` and
+    ``inv_map`` gives the inverses.  Above ``dim`` the layers are discrete on
+    ``high``.  With ``dim`` above ``trunc`` there is no group layer; without
+    ``inv_map`` there are no inverse tables.
+    """
+    cells = [low if i < dim else high for i in range(trunc + 1)]
+    faces = [{u: low[0] if i == dim else u for u in cells[i]} for i in range(1, trunc + 1)]
+    base = validate_globular_set(cells, faces, faces)
+    products = {(g, h): mul[(g, h)] for g in high for h in high}
+    pairs = [(i, j) for i in range(1, trunc + 1) for j in range(i)]
+    comp = {(i, j): products if j < dim <= i else {(u, u): u for u in cells[i]}
+            for i, j in pairs}  # validate_omega copies each table
+    unit = [{u: unit_elem if i == dim - 1 else u for u in cells[i]} for i in range(trunc)]
+    inv = None if inv_map is None else {
+        (i, j): inv_map if j < dim <= i else {u: u for u in cells[i]} for i, j in pairs}
+    return validate_omega(base, comp, unit, inv)
+
+
+def one_object_tower(elements, mul, unit_elem, dim, trunc, inv_map=None) -> OmegaStructure:
     """Tower with a single cell per dimension below ``dim``, the given
     multiplication at ``dim``, and unit-degenerate copies above.
 
@@ -136,55 +160,7 @@ def one_object_tower(elements, mul, unit_elem, dim, trunc,
         raise ValidationError("tower dimension must be >= 1")
     if trunc < dim:
         raise ValidationError(f"truncation {trunc} below tower dimension {dim}")
-    elements = tuple(elements)
-
-    cells = [("*",) for _ in range(dim)]
-    cells += [elements for _ in range(dim, trunc + 1)]
-    src, tgt = [], []
-    for i in range(1, trunc + 1):
-        if i < dim:
-            layer = {"*": "*"}
-        elif i == dim:
-            layer = {g: "*" for g in elements}
-        else:
-            layer = {g: g for g in elements}
-        src.append(dict(layer))
-        tgt.append(dict(layer))
-    base = validate_globular_set(cells, src, tgt)
-
-    products = {(g, h): mul[(g, h)] for g in elements for h in elements}
-    comp = {}
-    for i in range(1, trunc + 1):
-        for j in range(i):
-            if i < dim:
-                comp[(i, j)] = {("*", "*"): "*"}
-            elif j < dim:
-                comp[(i, j)] = products  # validate_omega copies each table
-            else:
-                comp[(i, j)] = {(g, g): g for g in elements}
-
-    unit = []
-    for i in range(trunc):
-        if i < dim - 1:
-            unit.append({"*": "*"})
-        elif i == dim - 1:
-            unit.append({"*": unit_elem})
-        else:
-            unit.append({g: g for g in elements})
-
-    inv = None
-    if inv_map is not None:
-        inv = {}
-        for i in range(1, trunc + 1):
-            for j in range(i):
-                if i < dim:
-                    inv[(i, j)] = {"*": "*"}
-                elif j < dim:
-                    inv[(i, j)] = dict(inv_map)
-                else:
-                    inv[(i, j)] = {g: g for g in elements}
-
-    return validate_omega(base, comp, unit, inv)
+    return _tower(("*",), tuple(elements), dim, trunc, mul, unit_elem, inv_map)
 
 
 def discrete(names, trunc: int) -> OmegaStructure:
@@ -194,27 +170,12 @@ def discrete(names, trunc: int) -> OmegaStructure:
         raise ValidationError("discrete structure needs at least one cell")
     if trunc < 0:
         raise ValidationError("truncation must be >= 0")
-    cells = [names for _ in range(trunc + 1)]
-    ident = {u: u for u in names}
-    base = validate_globular_set(cells, [dict(ident)] * trunc, [dict(ident)] * trunc)
-    comp = {
-        (i, j): {(u, u): u for u in names}
-        for i in range(1, trunc + 1)
-        for j in range(i)
-    }
-    unit = [dict(ident) for _ in range(trunc)]
-    inv = {
-        (i, j): dict(ident)
-        for i in range(1, trunc + 1)
-        for j in range(i)
-    }
-    return validate_omega(base, comp, unit, inv)
+    return _tower(names, (), trunc + 1, trunc, inv_map={})  # no group layer
 
 
 def delooping(group: GroupTable, trunc: int = 2) -> OmegaStructure:
     """One object whose arrows form the given group; unit cells above."""
-    identity, inverse_map = validate_group(group)
-    return one_object_tower(group.elements, group.mul, identity, 1, trunc, inverse_map)
+    return suspension(group, 1, trunc)
 
 
 def suspension(group: GroupTable, dim: int, trunc: int) -> OmegaStructure:
@@ -236,51 +197,29 @@ def _pair(u: str, v: str) -> str:
 def product(x: OmegaStructure, y: OmegaStructure) -> OmegaStructure:
     """Componentwise product of two structures of equal truncation."""
     if x.truncation != y.truncation:
-        raise ValidationError(
-            f"truncations differ: {x.truncation} vs {y.truncation}"
-        )
+        raise ValidationError(f"truncations differ: {x.truncation} vs {y.truncation}")
     n = x.truncation
-    cells = [
-        tuple(_pair(u, v) for u in x.base.cells[i] for v in y.base.cells[i])
-        for i in range(n + 1)
-    ]
-    src, tgt = [], []
-    for i in range(1, n + 1):
-        src.append({
-            _pair(u, v): _pair(x.base.src[i][u], y.base.src[i][v])
-            for u in x.base.cells[i]
-            for v in y.base.cells[i]
-        })
-        tgt.append({
-            _pair(u, v): _pair(x.base.tgt[i][u], y.base.tgt[i][v])
-            for u in x.base.cells[i]
-            for v in y.base.cells[i]
-        })
-    base = validate_globular_set(cells, src, tgt)
 
-    comp = {}
-    for key in x.comp:
-        table = {}
-        for (u1, v1), w1 in x.comp[key].items():
-            for (u2, v2), w2 in y.comp.get(key, {}).items():
-                table[(_pair(u1, u2), _pair(v1, v2))] = _pair(w1, w2)
-        comp[key] = table
-    unit = [
-        {
-            _pair(u, v): _pair(x.unit[i][u], y.unit[i][v])
-            for u in x.base.cells[i]
-            for v in y.base.cells[i]
-        }
-        for i in range(n)
-    ]
+    def both(i, fx, fy):
+        """The map ``(u, v) -> (fx[u], fy[v])`` on the pairs of ``i``-cells."""
+        return {_pair(u, v): _pair(fx[u], fy[v])
+                for u in x.base.cells[i] for v in y.base.cells[i]}
+
+    cells = [tuple(_pair(u, v) for u in x.base.cells[i] for v in y.base.cells[i])
+             for i in range(n + 1)]
+    base = validate_globular_set(
+        cells,
+        [both(i, x.base.src[i], y.base.src[i]) for i in range(1, n + 1)],
+        [both(i, x.base.tgt[i], y.base.tgt[i]) for i in range(1, n + 1)],
+    )
+    comp = {
+        key: {(_pair(u1, u2), _pair(v1, v2)): _pair(w1, w2)
+              for (u1, v1), w1 in table.items()
+              for (u2, v2), w2 in y.comp.get(key, {}).items()}
+        for key, table in x.comp.items()
+    }
+    unit = [both(i, x.unit[i], y.unit[i]) for i in range(n)]
     inv = None
     if x.inv is not None and y.inv is not None:
-        inv = {
-            key: {
-                _pair(u, v): _pair(x.inv[key][u], y.inv[key][v])
-                for u in x.base.cells[key[0]]
-                for v in y.base.cells[key[0]]
-            }
-            for key in x.inv
-        }
+        inv = {key: both(key[0], x.inv[key], y.inv[key]) for key in x.inv}
     return validate_omega(base, comp, unit, inv)

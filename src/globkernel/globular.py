@@ -218,11 +218,14 @@ def globular_set_from_json(data: dict) -> GlobularSet:
         tgt = data["tgt"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"missing field in globular set data: {exc}") from exc
+    if "truncation" in data and type(data["truncation"]) is not int:
+        # not isinstance: a bool is an int to it, and 1.0 == 1 would pass the comparison
+        raise ValidationError("'truncation' must be an integer")
     gs = validate_globular_set(cells, src, tgt)
-    declared = data.get("truncation")
-    if declared is not None and declared != gs.truncation:
+    declared = data.get("truncation", gs.truncation)
+    if declared != gs.truncation:
         raise ValidationError(
-            f"declared truncation {declared} but {len(cells)} cell layers"
+            f"declared truncation {declared} but the cells give truncation {gs.truncation}"
         )
     return gs
 

@@ -621,8 +621,10 @@ class _PairRows(dict):
     """Rows of the category ``P`` of :func:`_exchange_at_generators`, each built when
     first read, from the composites of its two components: only those of generators are.
 
-    A composite that is no morphism of ``P`` raises ``KeyError``; on a globular base
-    none is.
+    A composite that is no morphism of ``P`` raises ``KeyError``.  None is, on any base,
+    once ``C``'s composites and ``P``'s ends pass their screens: for ``g`` after ``h``,
+    ``s^i_k(g_1 h_1) = s^i_k h_1 = t^i_k h_2`` and ``t^i_k(g_2 h_2) = t^i_k g_2 = s^i_k g_1
+    = s^j_k t^i_j h_1 = t^i_k h_2``, the last as ``cod h`` is glued.
     """
 
     def __init__(self, t: IntTables, i: int, j: int, pairs, into, dom, index):
@@ -635,7 +637,7 @@ class _PairRows(dict):
                  for column in self.pairs]
         row = self[g] = tuple(map(self.index.get, zip(*sides), repeat(-1)))
         if -1 in row:
-            raise KeyError(g)
+            raise KeyError(g)  # not reached past the screens: see the docstring
         return row
 
 
@@ -695,7 +697,7 @@ def _exchange_at_generators(t: IntTables, i: int, j: int, k: int):
     into, place = _arrows(pcod, len(pident))
     try:
         gens = _generators(_PairRows(t, i, j, pairs, into, pdom, index), pident, pdom, pcod, place)
-    except KeyError:
+    except KeyError:  # not reached: see _PairRows
         return None
     f_gens = t.compose(i, k, *(_gather(column, gens) for column in pairs))
     if -1 in f_gens or _gather(cod, f_gens) != [cod[f_units[pcod[g]]] for g in gens]:

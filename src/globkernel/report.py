@@ -37,7 +37,7 @@ class Report(Record):
     def ok(self) -> bool:
         return not self.violations
 
-    # the benchmark's tracer and tests read check_axiom's result as a list of violations
+    # the benchmark's tracer counts check_axiom's violations with len(); nothing indexes a result
     def __len__(self) -> int:
         return len(self.violations)
 

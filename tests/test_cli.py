@@ -117,9 +117,13 @@ def test_missing_file_exit_two(capsys):
 
 
 def _bad_input(tmp_path, case):
-    data = omega.omega_to_json(fixtures.delooping(fixtures.cyclic_table(2), 2))
+    field, _, value = case.partition("=")
+    trunc = 1 if field == "truncation" else 2
+    data = omega.omega_to_json(fixtures.delooping(fixtures.cyclic_table(2), trunc))
     path = tmp_path / "bad.json"
-    if case == "comp-list":
+    if field == "truncation":
+        data["truncation"] = json.loads(value)
+    elif case == "comp-list":
         data["comp"] = list(data["comp"].values())
     elif case == "unit-entry":
         data["unit"][0] = "0"
@@ -141,7 +145,11 @@ def run_process(*args):
     )
 
 
-@pytest.mark.parametrize("case", ["comp-list", "unit-entry", "directory", "not-utf8"])
+# the truncation cases are on a 1-truncated file, two cell layers: the parent
+# accepted 1.0 and true, and worded "1" and 2 as a count of layers
+@pytest.mark.parametrize("case", ["comp-list", "unit-entry", "directory", "not-utf8",
+                                  'truncation="1"', "truncation=2", "truncation=1.0",
+                                  "truncation=true", "truncation=null"])
 def test_bad_input_exit_two_without_traceback(tmp_path, case):
     proc = run_process("-m", "globkernel.cli", "check", str(_bad_input(tmp_path, case)))
     assert proc.returncode == 2
@@ -154,6 +162,8 @@ def test_bad_input_exit_two_without_traceback(tmp_path, case):
     (None, 3, "a structure file must hold a JSON object"),
     *[(key, {}, f"'{key}' must be an array") for key in ("cells", "src", "tgt", "unit")],
     *[(key, [], f"'{key}' must be an object") for key in ("comp", "inv")],
+    *[("truncation", value, "'truncation' must be an integer") for value in ("2", 2.0, True, None)],
+    ("truncation", 3, "declared truncation 3 but the cells give truncation 2"),
 ])
 def test_wrong_typed_field_exit_two(tmp_path, capsys, field, value, message):
     data = omega.omega_to_json(fixtures.delooping(fixtures.cyclic_table(2), 2))

@@ -322,6 +322,12 @@ def test_lift_non_naturality_missing_on_discrete():
     assert report.all_pass([result])
 
 
+def test_lift_non_naturality_skips_below_truncation_two():
+    # a 1-truncated structure has no level-1 lift: a SKIP over 0 instances
+    result = check_lift_non_naturality(fixtures.delooping(fixtures.cyclic_table(2), 1))
+    assert (result.status, result.instances, result.capped) == ("SKIP", 0, False)
+
+
 def test_unit_closed_forms_clean(z2_deep):
     for name, x in POOL.items():
         assert report.all_pass(check_unit_closed_forms(x)), name

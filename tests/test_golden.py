@@ -7,7 +7,8 @@ text.  The ``twist`` snapshots are the files ``twist`` writes for each corpus
 structure and for two chains twisted twice; they pin every cell name, table
 entry and key order of the twisted complex.  The ``decalage`` snapshots are
 its text output on the corpus.  The ``delta`` snapshots are its output at
-``--max-n`` 3 and 4, in text and JSON.  Regenerate them only for an intended
+``--max-n`` 3 and 4, in text and JSON.  The ``fixture`` snapshots are the
+files ``fixture`` writes for each kind; the product is of two of them.  Regenerate them only for an intended
 change of output::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -123,6 +124,26 @@ def render_delta(max_n: int, fmt: str) -> tuple[int, str]:
 
 DELTA_SIZES = (3, 4)
 
+# fixture arguments per snapshot; the product reads the two snapshots before it
+FIXTURE_CASES = {
+    "discrete_ab_3": ["discrete", "--names", "a,b", "--trunc", "3"],
+    "delooping_s3_3": ["delooping", "--group", "s3"],
+    "suspension_z3_2_4": ["suspension", "--group", "z3", "--dim", "2", "--trunc", "4"],
+    "product_discrete_ab_3_delooping_s3_3": [
+        "product", "--files", str(GOLDEN / "fixture_discrete_ab_3.json"),
+        str(GOLDEN / "fixture_delooping_s3_3.json")],
+}
+
+
+def render_fixture(argv: list[str]) -> tuple[str, bytes]:
+    """Standard output of ``fixture <argv>`` and the bytes of the file it writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.json"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["fixture", *argv, "-o", str(path)]) == 0
+        return out.getvalue().replace(str(path), "{path}"), path.read_bytes()
+
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -156,6 +177,14 @@ def test_delta_output_matches_snapshot(max_n, fmt):
     assert code == (1 if "FAIL" in want else 0)
 
 
+@pytest.mark.parametrize("name", sorted(FIXTURE_CASES))
+def test_fixture_file_matches_snapshot(name):
+    argv = FIXTURE_CASES[name]
+    stdout, got = render_fixture(argv)
+    assert stdout == f"wrote {argv[0]} fixture (truncation {json.loads(got)['truncation']}) to {{path}}\n"
+    assert got == (GOLDEN / f"fixture_{name}.json").read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, x in CASES.items():
@@ -168,4 +197,6 @@ if __name__ == "__main__":
     for max_n in DELTA_SIZES:
         for fmt in FORMATS:
             (GOLDEN / f"delta_{max_n}.{fmt}").write_text(render_delta(max_n, fmt)[1], encoding="utf-8")
+    for name, argv in FIXTURE_CASES.items():  # in order: the product reads earlier snapshots
+        (GOLDEN / f"fixture_{name}.json").write_bytes(render_fixture(argv)[1])
     sys.exit(0)

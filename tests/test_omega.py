@@ -343,6 +343,7 @@ def test_report_truncated_exactly_when_more_than_cap(z3):
     assert not check_structure(bad, cap=total).truncated
     capped = check_axiom(bad, ASSOC, cap=1)
     assert capped.truncated and len(capped.violations) == 1
+    assert len(capped) == 1 and list(capped) == capped.violations  # read as a list
     total = len(check_axiom(bad, ASSOC, cap=1000).violations)
     assert not check_axiom(bad, ASSOC, cap=total).truncated
 

@@ -153,6 +153,11 @@ def test_equality_is_not_fooled():
     for table in all_tables(2, 2):
         for other in ((table.outer, table.inner), [table.outer, table.inner]):
             assert table != other and other != table and not table == other
+    # a category is never equal to what is no category, its own fields included
+    for cat in RECORDS[testcat.SmallCategory]:
+        for other in (None, cat.objects, tuple(getattr(cat, f) for f in cat._fields)):
+            assert cat.__eq__(other) is NotImplemented
+            assert cat != other and other != cat and not cat == other
     # a record of another class with the very same field values
     for a_cls, b_cls in itertools.permutations(set(TWINS) - CUSTOM_EQ, 2):
         if len(a_cls._fields) != len(b_cls._fields):

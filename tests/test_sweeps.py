@@ -286,6 +286,27 @@ def test_exchange_with_a_generator_off_its_target_takes_the_fallback():
     assert all(v.witness[:3:2] == ("F", "F") for v in _swept_in_full(x, omega.EXCHANGE))
 
 
+def test_exchange_on_a_non_globular_base_with_a_pair_off_the_objects_takes_the_fallback():
+    # a base that validate_globular_set rejects: X runs from e: a -> a to f: a -> b, so
+    # t s X = a but t t X = b.  The category of 2-cells under *_1 passes every screen,
+    # and so does each unit pair, but the 0-glued pair (U, X) has source (u, e), which
+    # does not glue at 0, so no object of the pairs: the screen on their ends fails
+    ends1 = {"e": ("a", "a"), "u": ("b", "b"), "f": ("a", "b")}
+    ends2 = {"E": ("e", "e"), "U": ("u", "u"), "Fi": ("f", "f"), "X": ("e", "f")}
+    faces = [[{c: ends[c][side] for c in ends} for ends in (ends1, ends2)] for side in (0, 1)]
+    base = globular.GlobularSet(2, (("a", "b"), tuple(ends1), tuple(ends2)),
+                                ({}, *faces[0]), ({}, *faces[1]))
+    comp = {(1, 0): {("e", "e"): "e", ("u", "u"): "u", ("f", "e"): "f", ("u", "f"): "f"},
+            (2, 0): {("E", "E"): "E", ("Fi", "E"): "Fi", ("X", "E"): "X", ("U", "U"): "U",
+                     ("U", "Fi"): "Fi", ("U", "X"): "X"},
+            (2, 1): {("E", "E"): "E", ("U", "U"): "U", ("Fi", "Fi"): "Fi", ("Fi", "X"): "X",
+                     ("X", "E"): "X"}}
+    x = omega.OmegaStructure(base, comp, ({"a": "e", "b": "u"}, {"e": "E", "u": "U", "f": "Fi"}))
+    assert x.tables.category(2, 1) is not None
+    assert omega._exchange_at_generators(x.tables, 2, 1, 0) is None
+    assert [v.witness for v in _swept_in_full(x, omega.EXCHANGE)] == [("U", "U", "X", "E")]
+
+
 def test_lawful_corpus_is_decided_at_generators():
     # on every lawful structure each subscript of assoc and exchange is decided at
     # generators, and reports what it compared: never 0 where a level has cells
