@@ -145,8 +145,8 @@ def run_process(*args):
     )
 
 
-# the truncation cases are on a 1-truncated file, two cell layers: the parent
-# accepted 1.0 and true, and worded "1" and 2 as a count of layers
+# the truncation cases are on a 1-truncated file, two cell layers: 1.0 and true
+# equal 1 in Python, and "1" and 2 must not be worded as a count of layers
 @pytest.mark.parametrize("case", ["comp-list", "unit-entry", "directory", "not-utf8",
                                   'truncation="1"', "truncation=2", "truncation=1.0",
                                   "truncation=true", "truncation=null"])

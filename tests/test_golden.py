@@ -8,8 +8,8 @@ structure and for two chains twisted twice; they pin every cell name, table
 entry and key order of the twisted complex.  The ``decalage`` snapshots are
 its text output on the corpus.  The ``delta`` snapshots are its output at
 ``--max-n`` 3 and 4, in text and JSON.  The ``fixture`` snapshots are the
-files ``fixture`` writes for each kind; the product is of two of them.  Regenerate them only for an intended
-change of output::
+files ``fixture`` writes for each kind; the product is of two of them.
+Regenerate them only for an intended change of output::
 
     PYTHONPATH=src python tests/test_golden.py
 """

@@ -41,6 +41,7 @@ from globkernel.omega import (
     validate_omega,
 )
 
+from conftest import POOL
 from oracles import axiom_subscripts
 
 
@@ -86,6 +87,18 @@ def test_delooping_sizes():
 def test_suspension_sizes():
     x = fixtures.suspension(fixtures.cyclic_table(3), 2, 3)
     assert x.base.sizes() == (1, 1, 3, 3)
+
+
+def test_product_faces_are_componentwise_off_the_stock_structures():
+    # a stock structure's cells have equal source and target; the pair groupoid's
+    # 1-cells do not, so only it tells the product's src from its tgt
+    x, y = POOL["pair_groupoid_3"], fixtures.delooping(fixtures.cyclic_table(2), 3)
+    p, pair = fixtures.product(x, y), fixtures._pair
+    for i in range(1, 4):
+        for u, v in itertools.product(x.base.cells[i], y.base.cells[i]):
+            assert p.base.src[i][pair(u, v)] == pair(x.base.src[i][u], y.base.src[i][v])
+            assert p.base.tgt[i][pair(u, v)] == pair(x.base.tgt[i][u], y.base.tgt[i][v])
+    assert check_structure(p).ok and all(r.ok for r in check_all(p, FULL_FLAGS).values())
 
 
 def test_compose_z2(z2):
