@@ -2,19 +2,16 @@
 every structure of a bounded scope.
 
 A hypothesis sample can miss the one table that fools a fast path, so each
-scope below is enumerated in full.  In the omega scopes every member runs
-through ``check_structure`` and every ``check_axiom`` at caps 1 and 100 (the
-Eckmann-Hilton scope: associativity and exchange), and each report must give
-the oracle's violations cut at the cap, flag the cut exactly, and count the
-oracle's instances, those compared where a subscript is decided at generators
-(at most that many when the cap cut the sweep short).  In the décalage scope
-every member runs through the naturality, closed-form and section checks,
-which must match their ``ref_*`` oracles under the same rules; in the magma
-scope ``validate_category`` must raise what ``ref_validate_category`` raises.
-The script prints each scope's size, its time, how many members pass every
-check and how many fail each one, and exits 1 on the first disagreement, or
-when no member fails a check its scope must see fail (``MUST_FAIL``).  It
-needs the test dependencies, which ``conftest`` imports::
+scope below is enumerated in full.  Every member is judged at caps 1 and 100 by
+the rules of ``tests/differential.py``, the ones the tier-1 tests apply: in the
+omega scopes ``check_structure`` and every ``check_axiom`` (the Eckmann-Hilton
+scope: associativity and exchange) against the brute oracles, in the décalage
+scope the naturality, closed-form and section checks against their ``ref_*``
+oracles, and in the magma scope ``validate_category`` against
+``ref_validate_category``.  The script prints each scope's size, its time, how
+many members pass every check and how many fail each one, and exits 1 on the
+first disagreement, or when no member fails a check its scope must see fail
+(``MUST_FAIL``).  It needs the test dependencies, which ``conftest`` imports::
 
     PYTHONPATH=src python tests/small_scope.py
 """
@@ -24,27 +21,24 @@ from __future__ import annotations
 import sys
 import time
 from collections import Counter
+from functools import partial
 from itertools import combinations, product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from globkernel import decalage, omega, testcat  # noqa: E402
+from globkernel import decalage, omega  # noqa: E402
 from globkernel.errors import KernelError, NotAGroup  # noqa: E402
 from globkernel.fixtures import GroupTable, validate_group  # noqa: E402
 from globkernel.globular import all_tables, validate_globular_set  # noqa: E402
 
 from conftest import pair_groupoid  # noqa: E402
+from differential import category_differs, cut_results_differ, omega_differs  # noqa: E402
 from oracles import (  # noqa: E402
-    brute_axiom_violations,
-    brute_structure_instances,
-    brute_structure_violations,
-    expected_axiom_instances,
     ref_apex_naturality,
     ref_check_section,
     ref_endpoint_naturality,
     ref_unit_closed_forms,
-    ref_validate_category,
 )
 
 CAPS = (1, 100)
@@ -61,7 +55,10 @@ def two_truncated():
     ``comp[(2,0)]`` and ``comp[(2,1)]``, both ``unit[1]``, and every
     ``inv[(2,0)]`` and ``inv[(2,1)]``; 8,192 structures.  Every pair of
     2-cells glues over both 0 and 1, so ``exchange`` and ``unit_compat``
-    have instances, and the composite laws read the faces of each pair."""
+    have instances, and the composite laws read the faces of each pair.  With
+    one cell in each dimension below the top, all cells of a dimension share
+    their faces, so no table entry breaks a boundary law: only the eight
+    axioms must fail on some member."""
     twos = ("a", "b")
     base = validate_globular_set([["*"], ["e"], twos], [{"e": "*"}, {u: "e" for u in twos}],
                                  [{"e": "*"}, {u: "e" for u in twos}])
@@ -79,7 +76,10 @@ def one_truncated():
     two cells every ``comp``, ``unit`` and ``inv``; at three cells every
     ``comp`` with unit ``c0`` and each cell its own inverse (19,683), then
     every ``comp`` that is a group with identity ``c0``, with its inverse,
-    so that lawful structures are swept too; 19,813 structures."""
+    so that lawful structures are swept too; 19,813 structures.  No boundary
+    law can fail over one 0-cell, and with no 2-cells ``unit_compat`` and
+    ``exchange`` have nothing to compare: the other six axioms must fail on
+    some member."""
     for n in (1, 2, 3):
         ones = tuple(f"c{k}" for k in range(n))
         base = validate_globular_set([["*"], ones], [{u: "*" for u in ones}], [{u: "*" for u in ones}])
@@ -103,7 +103,10 @@ def unit_compat():
     ``e``, and the 2-cells ``E: e => e`` and ``G: g => g``: every
     ``comp[(2,0)]``, ``comp[(2,1)]``, ``unit[1]``, ``inv[(2,0)]`` and
     ``inv[(2,1)]``; 4,096 structures.  The units over ``e`` and ``g`` are
-    units over two distinct cells, which ``unit_compat`` compares."""
+    units over two distinct cells, which ``unit_compat`` compares.  The only
+    omega scope whose cells of one dimension have different faces, so the only
+    one where a table entry can break a boundary law: ``structure`` and all
+    eight axioms must fail on some member."""
     ones, twos, over = ("e", "g"), ("E", "G"), {"E": "e", "G": "g"}
     base = validate_globular_set([["*"], ones, twos], [{u: "*" for u in ones}, over],
                                  [{u: "*" for u in ones}, over])
@@ -131,13 +134,10 @@ def unital_magmas():
 
 
 def compare_category(category) -> tuple[str | None, list[str]]:
-    """Where ``testcat.validate_category`` on ``category`` differs from
-    ``ref_validate_category`` in its error type and text, or in raising at all (None
-    where they agree), and the reference's error text up to its witness as the one failing check."""
-    got, full = (_error(check, *category) for check in (testcat.validate_category, ref_validate_category))
-    if got != full:
-        return f"{got}, oracle {full}", []
-    return None, [] if full is None else [full[1].partition(" at ")[0]]
+    """:func:`differential.category_differs`, with the reference's error text up to its witness
+    as the one failing check."""
+    found, full = category_differs(category, errors=KernelError)
+    return found, [] if found is not None or full[0] == "value" else [full[2].partition(" at ")[0]]
 
 
 Z3 = {(f"c{a}", f"c{b}"): f"c{(a + b) % 3}" for a in range(3) for b in range(3)}
@@ -148,7 +148,8 @@ def eckmann_hilton():
     ``comp[(2,1)]`` fixed to Z/3 and ``unit[1]`` its identity ``c0``: every
     ``comp[(2,0)]``; 19,683 structures.  Where ``comp[(2,0)]`` is a monoid with
     identity ``c0``, exchange's preconditions at ``(2, 1, 0)`` hold, and by the
-    Eckmann-Hilton argument exchange holds only for Z/3 itself."""
+    Eckmann-Hilton argument exchange holds only for Z/3 itself.  ``assoc``,
+    ``exchange`` and exchange past its preconditions must fail on some member."""
     threes = ("c0", "c1", "c2")
     base = validate_globular_set([["*"], ["e"], threes], [{"e": "*"}, {u: "e" for u in threes}],
                                  [{"e": "*"}, {u: "e" for u in threes}])
@@ -173,7 +174,7 @@ def compare_eckmann_hilton(x) -> tuple[str | None, list[str]]:
     decided at generators, and a disagreement where ``comp[(2,0)]`` is a monoid with
     identity ``c0`` other than Z/3 and exchange does not fail; such a member also
     counts as failing ``exchange-past-preconditions``."""
-    found, failed = compare(x, (omega.ASSOC, omega.EXCHANGE))
+    found, failed = compare(x, axioms=(omega.ASSOC, omega.EXCHANGE))
     if found is None and _other_monoid(x.comp[(2, 0)]):
         if omega.EXCHANGE not in failed:
             return "a monoid at (2,0) other than Z/3 passes exchange", failed
@@ -223,84 +224,29 @@ def decalage_scope():
             yield _changed(x, [a, b])
 
 
-def compare(x, axioms=omega.AXIOMS) -> tuple[str | None, list[str]]:
-    """Where the boundary-law sweep and the sweeps of ``axioms`` on ``x`` first differ
-    from the oracles (None where they agree throughout), and the laws whose oracle
-    lists are not empty."""
-    sweeps = [("structure", brute_structure_violations(x), brute_structure_instances(x),
-               lambda cap: omega.check_structure(x, cap))]
-    sweeps += [(name, brute_axiom_violations(x, name), expected_axiom_instances(x, name),
-                lambda cap, name=name: omega.check_axiom(x, name, None, cap)) for name in axioms]
-    for name, full, count, sweep in sweeps:
-        for cap in CAPS:
-            got = sweep(cap)
-            truncated = len(full) > cap
-            if got.violations != full[:cap] or got.truncated != truncated:
-                return f"{name} at cap {cap}: {got} (truncated={got.truncated}), oracle {full[:cap]}", []
-            if got.instances > count or (not truncated and got.instances != count):
-                return f"{name} at cap {cap}: {got.instances} instances, oracle {count}", []
-    return None, [name for name, full, _, _ in sweeps if full]
+compare = partial(omega_differs, caps=CAPS)
 
 
 DECALAGE_CHECKS = ("apex-naturality", "endpoint-naturality", "unit-closed-form", "section")
 
 
-def _outcome(check, *args):
-    """``check(*args)``, or the type and text of the kernel error it raises."""
-    try:
-        return check(*args)
-    except KernelError as exc:
-        return type(exc), str(exc)
-
-
-def _error(check, *args):
-    """The type and text of the kernel error ``check(*args)`` raises, or None."""
-    try:
-        check(*args)
-    except KernelError as exc:
-        return type(exc), str(exc)
-    return None
-
-
-def _listed(check):
-    """``check`` with its one result in a list, as the level sweeps give theirs."""
-    return lambda *args: [check(*args)]
-
-
-def _differs(got, full, cap: int, one_block: bool) -> str | None:
-    """How the results ``got`` at ``cap`` differ from the oracle's ``full`` ones, under the
-    rules of ``test_decalage._cuts_exactly``; None where they do not.  A cut sweep of
-    several blocks may stop before its last block, so unless ``one_block`` it may count fewer."""
-    if isinstance(full, tuple) or isinstance(got, tuple) or len(got) != len(full):
-        return None if got == full else f"{got}, oracle {full}"
-    for g, f in zip(got, full):
-        cut = len(f.failures) > cap
-        fields = (g.check, g.scope, g.status, g.witness, g.failures, g.capped)
-        counted = g.instances == f.instances if one_block or not cut else g.instances <= f.instances
-        if fields != (f.check, f.scope, f.status, f.witness, f.failures[:cap], cut) or not counted:
-            return f"{g}, oracle {f}"
-    return None
-
-
 def compare_decalage(x) -> tuple[str | None, list[str]]:
-    """Where the décalage checks on ``x`` first differ from their oracles (None where
-    they agree throughout), and the checks the oracles fail: a naturality or closed-form
-    check once, the section check once per failing table of ``all_tables(3, 2)``."""
+    """Where the décalage checks on ``x`` first differ from their oracles by
+    :func:`differential.cut_results_differ` (None where never), and the checks the oracles
+    fail: a naturality or closed-form check once, the section check once per failing table
+    of ``all_tables(3, 2)``."""
     runs = [(sweep, reference, (x,), True) for sweep, reference in (
         (decalage.check_apex_naturality, ref_apex_naturality),
         (decalage.check_endpoint_naturality, ref_endpoint_naturality),
         (decalage.check_unit_closed_forms, ref_unit_closed_forms))]
-    runs += [(_listed(decalage.check_section), _listed(ref_check_section), (x, table), False)
-             for table in all_tables(3, 2)]
+    runs += [(decalage.check_section, ref_check_section, (x, table), False) for table in all_tables(3, 2)]
     failed = []
     for sweep, reference, args, one_block in runs:
-        full = _outcome(reference, *args)
-        for cap in CAPS:
-            found = _differs(_outcome(sweep, *args, cap), full, cap, one_block)
-            if found is not None:
-                return f"at cap {cap}: {found}", failed
-        if not isinstance(full, tuple):
-            failed += {r.check for r in full if r.status == "FAIL"}
+        found, full = cut_results_differ(sweep, reference, args, CAPS, one_block)
+        if found is not None:
+            return found, failed
+        if full[0] == "value":
+            failed += {r.check for r in full[1] if r.status == "FAIL"}
     return None, failed
 
 
@@ -310,7 +256,10 @@ SCOPES = {"2-truncated": (two_truncated, compare), "1-truncated": (one_truncated
           "eckmann-hilton": (eckmann_hilton, compare_eckmann_hilton)}
 
 # checks each scope must see fail on some member, or it could not catch a fault in them
-MUST_FAIL = {"decalage": DECALAGE_CHECKS, "eckmann-hilton": ("exchange-past-preconditions",)}
+MUST_FAIL = {"2-truncated": omega.AXIOMS,
+             "1-truncated": tuple(a for a in omega.AXIOMS if a not in (omega.UNIT_COMPAT, omega.EXCHANGE)),
+             "unit-compat": ("structure", *omega.AXIOMS), "decalage": DECALAGE_CHECKS,
+             "eckmann-hilton": (omega.ASSOC, omega.EXCHANGE, "exchange-past-preconditions")}
 
 
 def _describe(member) -> str:

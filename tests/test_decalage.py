@@ -22,7 +22,7 @@ from globkernel.decalage import (
     unit_lift_segment,
     unit_lift_tuple,
 )
-from globkernel.errors import DimOutOfRange, KernelError, NotComposable, ValidationError
+from globkernel.errors import DimOutOfRange, NotComposable, ValidationError
 from globkernel.finsets import (
     SimplexMap,
     base_point,
@@ -40,6 +40,7 @@ from globkernel.testcat import delta_truncated
 from globkernel.twist import twisted_cell, twisted_cells
 
 from conftest import GHOST, POOL, faulted
+from differential import cut_results_differ
 from oracles import (
     all_functions,
     ref_apex_naturality,
@@ -165,39 +166,9 @@ def test_check_section_fault_injection(sus_z2):
             assert len(res.failures) == len(expected_bad), str(table)
 
 
-def _outcome(check, *args):
-    """``check(*args)``, or the type and text of the kernel error it raises.
-
-    Any other exception escapes and fails the test.
-    """
-    try:
-        return check(*args)
-    except KernelError as exc:
-        return type(exc), str(exc)
-
-
 UNCAPPED = 10**9
-CAPS = (1, 3)
-
-
-def _cuts_exactly(sweep, reference, *args, one_block=True):
-    """``sweep(*args, UNCAPPED)`` equals ``reference(*args)``, or raises the same
-    error; and at each of ``CAPS`` every result holds the reference's failures
-    cut at the cap, is ``capped`` exactly when the reference has more, and
-    counts the reference's instances.  A cut sweep of several blocks may stop
-    before its last block, so unless ``one_block`` it counts no more of them."""
-    full = _outcome(reference, *args)
-    assert _outcome(sweep, *args, UNCAPPED) == full
-    for cap in CAPS:
-        got = _outcome(sweep, *args, cap)
-        if isinstance(full, tuple):  # the error
-            assert got == full
-            continue
-        for g, f in zip(*(r if isinstance(r, list) else [r] for r in (got, full)), strict=True):
-            cut = len(f.failures) > cap
-            assert (g.check, g.scope, g.status, g.witness) == (f.check, f.scope, f.status, f.witness)
-            assert (g.failures, g.capped) == (f.failures[:cap], cut), (f.scope, cap)
-            assert (g.instances == f.instances) if one_block or not cut else (g.instances <= f.instances)
+# the uncapped run must equal the reference; the capped ones cut it exactly
+CAPS = (UNCAPPED, 1, 3)
 
 
 @settings(max_examples=80, deadline=None)
@@ -205,7 +176,8 @@ def _cuts_exactly(sweep, reference, *args, one_block=True):
 def test_check_section_matches_reference_on_faulted_structures(x):
     # same status, failures and order as the per-tuple loop, or the same error, cut exactly at each cap
     for table in all_tables(3, min(3, x.truncation - 1)):
-        _cuts_exactly(check_section, ref_check_section, x, table, one_block=False)
+        found, _ = cut_results_differ(check_section, ref_check_section, (x, table), CAPS, one_block=False)
+        assert found is None, (found, str(table))
 
 
 def _unit_faults(x):
@@ -227,8 +199,8 @@ def test_check_section_matches_reference_on_every_unit_fault():
     x = POOL["twisted_suspension_z2_2_4"]
     for fault, y in _unit_faults(x):
         for table in all_tables(3, x.truncation - 1):
-            got = _outcome(check_section, y, table, UNCAPPED)
-            assert got == _outcome(ref_check_section, y, table), (fault, str(table))
+            found, _ = cut_results_differ(check_section, ref_check_section, (y, table), (UNCAPPED,))
+            assert found is None, (found, fault, str(table))
 
 
 def test_section_screen_fails_exactly_the_failing_rows():
@@ -254,7 +226,8 @@ def test_check_section_matches_reference_across_blocks(monkeypatch):
         units[i][x.base.cells[i][-1]] = GHOST
         y = omega.OmegaStructure(x.base, x.comp, tuple(units), x.inv)
         for table in all_tables(3, x.truncation - 1):
-            _cuts_exactly(check_section, ref_check_section, y, table, one_block=False)
+            found, _ = cut_results_differ(check_section, ref_check_section, (y, table), CAPS, one_block=False)
+            assert found is None, (found, str(table))
 
 
 # -- naturality -------------------------------------------------------------------
@@ -345,7 +318,8 @@ def test_unit_closed_forms_cover_all_levels(z2_deep):
 def test_naturality_and_closed_form_sweeps_match_reference_on_faulted_structures(x):
     # same statuses and failures in order as the sweeps on names, or the same error, cut exactly at each cap
     for sweep, reference in _SWEEPS:
-        _cuts_exactly(sweep, reference, x)
+        found, _ = cut_results_differ(sweep, reference, (x,), CAPS)
+        assert found is None, found
 
 
 def _with_comp_entry(x, key, pair, value):
@@ -379,6 +353,48 @@ def test_sweep_fails_on_a_hand_built_fault(sweep, reference, name, key, pair, va
     assert results == reference(x)
     first = next(r for r in results if r.status == "FAIL")
     assert (first.scope, first.witness) == (scope, witness)
+
+
+def _structure(cells, comp, unit, validate=True):
+    """A structure on ``cells``, per dimension above 0 a ``{cell: (source, target)}``,
+    over 0-cells a, b and c; ``validate=False`` keeps a base that is not globular."""
+    src, tgt = ([{u: ends[side] for u, ends in layer.items()} for layer in cells] for side in (0, 1))
+    names = [("a", "b", "c"), *(tuple(layer) for layer in cells)]
+    base = (globular.validate_globular_set(names, src, tgt) if validate
+            else globular.GlobularSet(len(cells), tuple(names), ({}, *src), ({}, *tgt)))
+    return omega.OmegaStructure(base, comp, unit)
+
+
+def test_closed_form_fails_on_the_target_side_alone():
+    # the unit of ea is c: p => p and the unit of p is d.  On the target side of
+    # (ea, H, HH), the iterated twisted unit over a runs through the source p of c
+    # and ends in the unit D of d, where the closed form has the unit C of c; every
+    # lookup succeeds.  The source side glues ea to h and runs over b, whose units
+    # are lawful, so a screen that compared the source side alone would pass the cell
+    x = _structure([{"ea": ("a", "a"), "eb": ("b", "b"), "ec": ("c", "c"), "p": ("a", "a"), "h": ("b", "a")},
+                    {"c": ("p", "p"), "d": ("p", "p"), "Eb": ("eb", "eb"), "H": ("h", "h")},
+                    {"C": ("c", "c"), "D": ("d", "d"), "EEb": ("Eb", "Eb"), "HH": ("H", "H")}],
+                   {(1, 0): {("ea", "h"): "h"}, (2, 1): {("H", "H"): "H"}},
+                   ({"a": "ea", "b": "eb", "c": "ec"}, {"ea": "c", "eb": "Eb", "p": "d", "h": "H"},
+                    {"c": "C", "d": "D", "Eb": "EEb", "H": "HH"}))
+    found, full = cut_results_differ(check_unit_closed_forms, ref_unit_closed_forms, (x,), CAPS)
+    assert found is None, found
+    failures = {r.scope: r.failures for r in full[1]}["i=2,j=0"]
+    assert [f for f in failures if "('ea', 'H', 'HH')" in f] == [
+        "tgt at ('ea', 'H', 'HH'): ('ea', 'c', 'D') != ('ea', 'c', 'C')"]
+
+
+def test_apex_naturality_fails_on_the_target_side_alone_off_a_globular_base():
+    # the target side compares s(x_i) with t s(x_{i+1}); the cell glues by
+    # s(x_i) = t t(x_{i+1}), so on a globular base, where t s = t t, it cannot fail.
+    # Here X runs from u: a -> b to w: a -> c, so t s X = b but t t X = c: the cell
+    # (ec, X) fails on the target side only, its source side ec w = w starting at a = s s X
+    x = _structure([{"ea": ("a", "a"), "eb": ("b", "b"), "ec": ("c", "c"), "u": ("a", "b"), "w": ("a", "c")},
+                    {"X": ("u", "w")}],
+                   {(1, 0): {("ec", "w"): "w"}}, ({"a": "ea", "b": "eb", "c": "ec"},), validate=False)
+    found, full = cut_results_differ(check_apex_naturality, ref_apex_naturality, (x,), CAPS)
+    assert found is None, found
+    assert [r.failures for r in full[1]] == [("tgt side at ('ec', 'X')",)]
 
 
 # -- the finite shift category -------------------------------------------------------

@@ -6,10 +6,10 @@ suspension (``conftest.faulted``).  The sweeps must give
 the oracle's violation list cut at the cap, down to the witnesses and their
 detail text, and flag the cut exactly; where the oracle raises, they must
 raise the same error.  Each must count the oracle's instances, or, when the
-cap cut it short, at most that many.  The same comparison runs with blocks of
-one and of three rows, so instances sit at every block edge, and on pinned
-faults that a sweep reading a -1 id as the last cell, or composing a pair
-that does not glue, would pass.
+cap cut it short, at most that many (``differential.omega_differs``).  The
+same comparison runs with blocks of one and of three rows, so instances sit
+at every block edge, and on pinned faults that a sweep reading a -1 id as
+the last cell, or composing a pair that does not glue, would pass.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from globkernel import globular, omega
 from globkernel.globular import SRC, TGT
 
 from conftest import GHOST, POOL, faulted
+from differential import omega_differs
 from oracles import (
     brute_axiom_instances,
     brute_axiom_violations,
-    brute_structure_instances,
     brute_structure_violations,
     expected_axiom_instances,
     ref_generator_instances,
@@ -35,47 +35,12 @@ from oracles import (
 CAPS = (1, 3, 100)
 
 
-def _run(fn):
-    """``fn()``, or KeyError when it raises one (a lawless table the sweep cannot read)."""
-    try:
-        return fn()
-    except KeyError:
-        return KeyError
-
-
-def _capped(full, cap, count):
-    """What a sweep capped at ``cap`` must give when the full list is ``full``
-    over ``count`` instances."""
-    return KeyError if full is KeyError else (full[:cap], len(full) > cap, count)
-
-
-def _report(report, count):
-    """A report's violations and cut, and its count, read as ``count`` when the
-    sweep was cut and screened no more: a cut sweep may stop before the last instance."""
-    if report is KeyError:
-        return KeyError
-    cut_short = report.truncated and report.instances <= count
-    return report.violations, report.truncated, count if cut_short else report.instances
-
-
-def _match_oracle(x):
-    full = _run(lambda: brute_structure_violations(x))
-    count = brute_structure_instances(x)
-    for cap in CAPS:
-        got = _report(_run(lambda: omega.check_structure(x, cap)), count)
-        assert got == _capped(full, cap, count), ("structure", cap)
-    for name in omega.AXIOMS:
-        full = brute_axiom_violations(x, name)
-        count = expected_axiom_instances(x, name)
-        for cap in CAPS:
-            got = _report(omega.check_axiom(x, name, None, cap), count)
-            assert got == _capped(full, cap, count), (name, cap)
-
-
 @settings(max_examples=150, deadline=None)
 @given(faulted(POOL))
 def test_sweeps_match_oracle_on_single_faults(x):
-    _match_oracle(x)
+    # a lawless table the boundary-law sweep cannot read raises KeyError on both sides
+    found, _ = omega_differs(x, CAPS, structure_errors=KeyError)
+    assert found is None, found
 
 
 @pytest.mark.parametrize("chunk", (1, 3))
@@ -85,7 +50,8 @@ def test_sweeps_match_oracle_across_blocks(chunk, x):
     # instances enumerated one or three rows at a time, so the first and last
     # instance of every link bucket and every first column sit on block edges
     with mock.patch.object(globular, "_CHUNK", chunk):
-        _match_oracle(x)
+        found, _ = omega_differs(x, CAPS, structure_errors=KeyError)
+    assert found is None, found
 
 
 def test_id_evaluators_send_minus_one_to_minus_one():
@@ -194,13 +160,7 @@ def test_one_sided_boundary_faults_match_oracle():
 
 def test_sweeps_match_oracle_on_clean_corpus():
     for name, x in POOL.items():
-        structure = omega.check_structure(x)
-        assert structure.violations == brute_structure_violations(x) == [], name
-        assert structure.instances == brute_structure_instances(x), name
-        for axiom in omega.AXIOMS:
-            got = omega.check_axiom(x, axiom)
-            assert got.violations == brute_axiom_violations(x, axiom) == [], (name, axiom)
-            assert got.instances == expected_axiom_instances(x, axiom), (name, axiom)
+        assert omega_differs(x, CAPS) == (None, []), name
 
 
 # -- associativity and exchange at generators ---------------------------------------

@@ -34,6 +34,7 @@ from globkernel.testcat import (
     validate_presheaf,
 )
 
+from differential import category_differs, outcome, tables
 from oracles import (
     all_functions,
     brute_chain_count,
@@ -41,7 +42,6 @@ from oracles import (
     ref_delta_truncated,
     ref_light_generators,
     ref_product_category,
-    ref_validate_category,
     ref_validate_functor,
 )
 
@@ -102,23 +102,6 @@ def test_undeclared_composite_is_a_validation_error():
 # -- validation on ids against the name-keyed reference --------------------------
 
 
-def tables(cat: SmallCategory):
-    return cat.objects, cat.morphisms, cat.identity, cat.comp
-
-
-def verdict(validate, *args):
-    """What ``validate`` makes of the tables: the accepted tables, or the error it raises."""
-    try:
-        result = validate(*args)
-    except Exception as exc:  # compared, never swallowed: a mismatch fails the test
-        return "raises", type(exc), str(exc)
-    return "accepts", tables(result) if isinstance(result, SmallCategory) else result
-
-
-def assert_matches_reference(*args):
-    assert verdict(validate_category, *args) == verdict(ref_validate_category, *args)
-
-
 BASES = {
     "arrow": arrow_category(),
     "z3": one_object_group(3),
@@ -171,7 +154,7 @@ def mutated(draw):
 @settings(max_examples=300, deadline=None)
 @given(mutated())
 def test_validate_category_matches_reference_on_mutants(args):
-    assert_matches_reference(*args)
+    assert category_differs(args)[0] is None
 
 
 def test_validate_category_matches_reference_on_edge_cases():
@@ -189,7 +172,7 @@ def test_validate_category_matches_reference_on_edge_cases():
         (objects, morphisms, {"a": "ida"}, comp),
         (objects, morphisms, {**identity, "b": "f"}, comp),
     ):
-        assert_matches_reference(*case)
+        assert category_differs(case)[0] is None
 
 
 @st.composite
@@ -207,7 +190,7 @@ def reassociated(draw):
 @settings(max_examples=200, deadline=None)
 @given(reassociated())
 def test_validate_category_matches_reference_on_reassociated(args):
-    assert_matches_reference(*args)
+    assert category_differs(args)[0] is None
 
 
 def fails_as_middle(g, morphisms, comp):
@@ -231,7 +214,7 @@ def test_associativity_fails_at_the_least_failing_middle():
     assert failing[0] == generators[2] == "1>0:00"
     with pytest.raises(ValidationError, match=re.escape("at ('0>1:1', '1>0:00', '1>1:10')")):
         validate_category(objects, morphisms, identity, comp)
-    assert_matches_reference(objects, morphisms, identity, comp)
+    assert category_differs((objects, morphisms, identity, comp))[0] is None
 
 
 def test_light_checks_only_the_generators_as_middles(monkeypatch):
@@ -624,10 +607,10 @@ def test_validate_functor_matches_reference_on_redirected_maps():
     # or pair the reference meets, and a redirect that keeps a functor must pass
     seen = set()
     for name, data in FUNCTORS.items():
-        assert verdict(validate_functor, data) == ("accepts", data), name
+        assert outcome(validate_functor, data) == ("value", data), name
         for bad in redirected(data):
-            got = verdict(validate_functor, bad)
-            assert got == verdict(ref_validate_functor, bad), name
+            got = outcome(validate_functor, bad)
+            assert got == outcome(ref_validate_functor, bad), name
             if got[0] == "raises":
                 seen.add((got[1], got[2].split(" at ", 1)[0]))
     assert seen == {(ValidationError, kind) for kind in FUNCTOR_FAILURES}

@@ -42,6 +42,7 @@ from globkernel.twist import (
     twisted_unit,
 )
 
+from conftest import pair_groupoid
 from oracles import brute_segment_cells, brute_twisted_cells
 
 
@@ -104,6 +105,17 @@ def test_lemma_identities_exhaustive(fixture_corpus):
         for level in range(x.truncation):
             for cell in twisted_cells(x, level):
                 assert lemma_identities_hold(x, cell), (name, level, cell)
+
+
+def test_lemma_identities_fail_on_tuples_that_are_no_twisted_cells():
+    # built directly, so nothing validates them; in the pair groupoid a 1-cell's
+    # source and target differ, so either identity can break
+    x = pair_groupoid()
+    assert all(lemma_identities_hold(x, cell) for level in range(3) for cell in twisted_cells(x, level))
+    # s^2_0(f) = a, but s^3_0(g) = b: the first identity fails at l = 0
+    assert not lemma_identities_hold(x, TwistedCell(2, ("f", "f", "g")))
+    # the first identity holds at l = 0 and 1, but s_1(g) = b and t^3_0(ia) = a
+    assert not lemma_identities_hold(x, TwistedCell(2, ("g", "ia", "ia")))
 
 
 def test_twisted_cell_validation_rejects_bad_entries(sus_z2):

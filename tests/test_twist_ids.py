@@ -33,6 +33,7 @@ from globkernel import globular, omega, twist
 from globkernel.globular import SRC, TGT, TableOfDimensions, all_tables
 
 from conftest import CORPUS, GHOST, POOL, faulted
+from differential import outcome
 from oracles import (
     brute_mixed_product,
     brute_segment_cells,
@@ -54,14 +55,6 @@ from oracles import (
 
 # per operation and (level, subscript), how many drawn inputs are compared
 SAMPLE = 40
-
-
-def outcome(fn, *args):
-    """The value of ``fn(*args)``, or the type and message of what it raises."""
-    try:
-        return "value", fn(*args)
-    except Exception as exc:  # compared, never swallowed: a mismatch fails the test
-        return "raises", type(exc), str(exc)
 
 
 def same(got, want, *args):

@@ -29,6 +29,7 @@ from globkernel.omega import validate_omega
 from globkernel.testcat import validate_presheaf
 
 from conftest import GHOST, POOL
+from differential import outcome
 from oracles import (
     raw_boundary,
     ref_validate_globular_set,
@@ -38,16 +39,8 @@ from oracles import (
 )
 
 
-def verdict(validate, *args):
-    """What ``validate`` makes of ``args``: its result, or the error it raises."""
-    try:
-        return "accepts", validate(*args)
-    except Exception as exc:  # compared, never swallowed: a mismatch fails the test
-        return "raises", type(exc), str(exc)
-
-
 def assert_same(validate, reference, *args):
-    assert verdict(validate, *args) == verdict(reference, *args)
+    assert outcome(validate, *args) == outcome(reference, *args)
 
 
 # -- group tables ---------------------------------------------------------------------
